@@ -1,4 +1,4 @@
-"""Portfolio benchmarks: cost-model dispatch, pruning, typed scaling.
+"""Portfolio benchmarks: execution dispatch, pruning, typed scaling.
 
 Two workloads, matching the two halves of the parallel-slower-than-
 serial fix:
@@ -6,17 +6,17 @@ serial fix:
 * **small untyped** — the PR 2 acceptance instance (smallest counter-
   model: 3 nodes, a 262144-code top level).  The seed sequential
   search is the honest baseline; each job count then runs through the
-  *cost model* (``execution="auto"``), which is exactly what a user
+  dispatch rule (``execution="auto"``), which is exactly what a user
   gets.  The regression being locked out: ``jobs=2`` used to pay cold
   pool spawn + per-shard pickling on a scan far too small to amortise
-  it (measured 0.84s vs 0.20s at ``jobs=1``) — now the model keeps
-  small scans in-process and ``jobs=2`` must land within 10% of
+  it (measured 0.84s vs 0.20s at ``jobs=1`` on one CPU) — now one CPU
+  never pools, and ``jobs=2`` must land within 10% (plus 50 ms) of
   ``jobs=1``.
 * **large typed** — a full 2000-instance ``U_f(Delta)`` scan over the
   Example 3.1 schema.  The legacy driver (PR 2's cold stride-sharded
   pool, reference evaluator) is raced against the shipped auto path
-  (cost-model dispatch + compiled bitmask screen); the new path must
-  win by >= 4x.
+  (dispatch rule + compiled bitmask screen); the new path must win by
+  >= 4x.
 
 The per-solve execution decision (mode, jobs, estimate, reason) is
 recorded in ``BENCH_portfolio.json`` next to every timing, so a
@@ -33,7 +33,6 @@ import pytest
 from _report import print_table, write_bench_json
 from repro.constraints import parse_constraint, parse_constraints
 from repro.reasoning import Context, ImplicationProblem
-from repro.reasoning.costmodel import reset_calibration
 from repro.reasoning.models import (
     CodeSpace,
     brute_force_countermodel,
@@ -77,7 +76,6 @@ def _instance():
 
 def test_small_untyped_cost_model_dispatch():
     sigma, phi = _instance()
-    reset_calibration()
     retire_warm_pool()
 
     began = time.perf_counter()
@@ -180,7 +178,6 @@ def test_large_typed_scan_vs_legacy_pool():
     schema = example_3_1_schema()
     sigma = parse_constraints(TYPED_SIGMA_TEXT)
     phi = parse_constraint(TYPED_PHI_TEXT)
-    reset_calibration()
     retire_warm_pool()
 
     legacy = _legacy_typed_pool_seconds(schema, tuple(sigma), phi)

@@ -35,6 +35,7 @@ from _report import print_table, write_bench_json
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.runtime import retire_warm_pool
 from repro.server import ImplicationServer, ServerClient, ServerConfig
+from repro.server.chaos import percentile
 
 pytestmark = pytest.mark.bench
 
@@ -118,12 +119,6 @@ def _cold_pool():
     retire_warm_pool()
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(q * len(ordered)) - 1))
-    return ordered[index]
-
-
 def test_closed_loop_latency_and_throughput():
     levels = []
     with _Harness(solver_threads=4, max_queue=256) as harness:
@@ -166,8 +161,8 @@ def test_closed_loop_latency_and_throughput():
                 {
                     "clients": clients,
                     "requests": total,
-                    "p50_ms": round(_percentile(latencies, 0.50), 3),
-                    "p99_ms": round(_percentile(latencies, 0.99), 3),
+                    "p50_ms": round(percentile(latencies, 0.50), 3),
+                    "p99_ms": round(percentile(latencies, 0.99), 3),
                     "throughput_rps": round(total / wall, 1),
                 }
             )

@@ -11,10 +11,9 @@ Commands
     method and Table 1 cell.  ``--schema`` takes an XML-Data file and
     is required for typed contexts.  On undecidable cells ``--jobs``
     caps the parallelism of the chase / counter-model race
-    (``auto`` sizes it to the machine; a cost model then picks
-    inline, in-process sharded, or pooled execution per solve, so
-    extra jobs never lose to ``--jobs 1``), ``--deadline`` caps the
-    whole portfolio
+    (``auto`` sizes it to the machine; the scan runs in a process pool
+    only when two CPUs are usable and the scan is large, inline
+    otherwise), ``--deadline`` caps the whole portfolio
     in wall-clock seconds, ``--max-respawns`` bounds pool respawns
     after worker crashes, and ``--inject`` enables deterministic fault
     injection (``kill:3``, ``delay:2:0.5``, ``corrupt:1``, ``raise:0``,
@@ -731,8 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="1",
         metavar="N|auto",
         help="parallelism cap for the semi-decision portfolio "
-        "(1 = sequential; 'auto' sizes to the machine; a cost model "
-        "picks inline/sharded/pooled execution per solve)",
+        "(1 = sequential; 'auto' sizes to the machine; the scan "
+        "runs pooled only when 2+ CPUs are usable and it is large)",
     )
     p.add_argument(
         "--deadline",
@@ -823,7 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         default="auto",
         metavar="N|auto",
-        help="per-solve parallelism cap (cost-model dispatch)",
+        help="per-solve parallelism cap (pooled only for large "
+        "scans on 2+ CPUs)",
     )
     p.add_argument(
         "--deadline",

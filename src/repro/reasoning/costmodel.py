@@ -1,50 +1,36 @@
-"""Cost-model dispatch for the portfolio's counter-model scans.
+"""Execution dispatch for the portfolio's counter-model scans.
 
 The process-pool portfolio of PR 2 could *lose* to the sequential
 pipeline: on a small instance, cold pool spawn plus per-shard pickling
 dominates the scan itself (measured on the bench instance:
-``jobs=1`` 0.21s vs ``jobs=2`` 0.41s on one CPU).  The fix is to stop
-treating ``jobs`` as a command and start treating it as a *cap*: the
-closed-form ``2^(L*n^2)`` size of a :class:`~repro.reasoning.models
-.CodeSpace` makes the scan work predictable before any process is
-spawned, so execution strategy is a per-solve decision, the same way
-query-containment procedures price their search space before choosing
-a strategy.
-
-Three strategies (:class:`ExecMode`):
+``jobs=1`` 0.21s vs ``jobs=2`` 0.41s on one CPU).  So ``jobs`` is a
+*cap*, not a command: the closed-form ``2^(L*n^2)`` size of a
+:class:`~repro.reasoning.models.CodeSpace` (or the typed instance
+limit) makes the scan work known before any process is spawned, and
+one rule a reader can check by hand picks the mode (:class:`ExecMode`):
 
 ``inline``
-    One in-process scan per enumeration level — zero dispatch
-    overhead; right for small spaces.
-``sharded``
-    In-process, but the level is cut into bounded chunks that run as
-    individual supervised tasks — same total work, bounded per-task
-    latency, per-chunk calibration feedback and budget checks.
+    Every task runs in-process, one scan per enumeration level.
 ``pool``
-    The supervised process pool, with shared-memory shard transport
-    and a warm persistent pool (see :mod:`repro.reasoning.shm` and
-    :mod:`repro.reasoning.runtime`).
+    The supervised, warm process pool of
+    :mod:`repro.reasoning.runtime`, each level cut into code ranges.
 
-:func:`choose_execution` picks between them from the estimated scan
-seconds (work units over a calibrated throughput), the number of CPUs
-actually available to this process, and the measured fixed costs of
-pool execution.  The decision is returned as an
-:class:`ExecutionDecision` and recorded on every
-:class:`~repro.reasoning.result.ImplicationResult` so benchmarks and
-users can audit which strategy a solve used.
+**The rule.**  ``pool`` iff ``min(jobs, available CPUs) >= 2`` and the
+scan's size exceeds :data:`POOL_MIN_WORK` for its kind.  The constants
+are the cold-pool crossover for 2 workers of the calibrated model this
+rule replaced, at that model's default rates: a pool saves
+``W / rate * f * (1 - 1/P)`` seconds and had to save more than twice
+its 0.05 s cold spawn, so at ``P = 2``
 
-Measured constants (this repository's bench box, Python 3.11):
+* untyped (170k codes/s, ``f = 1``): ``W / 170_000 / 2 > 0.1`` →
+  ``W > 34_000`` codes;
+* typed (4.5k instances/s, ``f = 0.5`` because every stride shard
+  re-enumerates the whole instance stream): ``W / 4_500 / 4 > 0.1`` →
+  ``W > 1_800`` instances.
 
-* cold pool spawn + first dispatch: ~0.05s for 2 workers, growing
-  roughly linearly with worker count;
-* warm pool dispatch: ~0.6ms per task;
-* untyped canonical scan: ~170k codes/s;
-* typed instance scan: ~4.5k instances/s on the reference evaluator
-  (the compiled fast path is ~3x that; calibration converges onto
-  whichever evaluator actually runs).
-
-Throughputs are calibrated online: every finished scan feeds an EWMA,
-so the thresholds track the machine the solver is actually running on.
+The decision is returned as an :class:`ExecutionDecision` and recorded
+on every :class:`~repro.reasoning.result.ImplicationResult`, so
+benchmarks and users can audit which mode a solve used.
 """
 
 from __future__ import annotations
@@ -56,14 +42,11 @@ from dataclasses import dataclass
 __all__ = [
     "ExecMode",
     "ExecutionDecision",
+    "POOL_MIN_WORK",
     "available_cpus",
-    "calibration",
     "choose_execution",
     "estimate_untyped_codes",
     "normalize_jobs",
-    "observe_typed_scan",
-    "observe_untyped_scan",
-    "reset_calibration",
     "validate_jobs",
     "validate_max_respawns",
 ]
@@ -73,79 +56,16 @@ class ExecMode(enum.Enum):
     """How a portfolio solve executes its counter-model scan."""
 
     INLINE = "inline"
-    SHARDED = "sharded"
     POOL = "pool"
 
 
-#: Cold ProcessPoolExecutor spawn + first dispatch, per worker pair
-#: (measured: 0.048s for 2 workers on the bench box).
-COLD_SPAWN_SECONDS = 0.05
-#: Extra spawn cost per additional worker beyond the first two.
-COLD_SPAWN_PER_WORKER = 0.01
-#: Dispatch latency onto an already-warm pool (measured: ~0.6ms).
-WARM_DISPATCH_SECONDS = 0.002
-#: The pool must promise at least this multiple of its own overhead in
-#: saved wall-clock before it is chosen — the "never lose" margin.
-POOL_GAIN_FACTOR = 2.0
-#: Untyped spaces at or below this many codes run as one inline scan;
-#: larger spaces are chunked (bounded latency, per-chunk calibration).
-INLINE_MAX_CODES = 1 << 16
-#: Fraction of a typed scan that actually parallelizes under stride
-#: sharding: every stride shard re-enumerates the full instance
-#: stream, so only the per-instance conversion + check spreads across
-#: workers (measured: enumeration is ~half the reference scan cost).
-TYPED_PARALLEL_FRACTION = 0.5
-
-#: Calibration defaults (work units per second), see module docstring.
-DEFAULT_UNTYPED_RATE = 170_000.0
-DEFAULT_TYPED_RATE = 4_500.0
-_EWMA_ALPHA = 0.3
+#: Scan size (codes untyped, instances typed) above which two or more
+#: workers are used; see the module docstring for the derivation.
+POOL_MIN_WORK = {"untyped": 34_000, "typed": 1_800}
 
 #: Estimates are capped here — beyond this any strategy is hopeless
 #: anyway and exact bigint arithmetic on 2^(L*n^2) buys nothing.
 _WORK_CAP = 1 << 62
-
-
-@dataclass
-class _Calibration:
-    untyped_rate: float = DEFAULT_UNTYPED_RATE
-    typed_rate: float = DEFAULT_TYPED_RATE
-    untyped_samples: int = 0
-    typed_samples: int = 0
-
-
-_CAL = _Calibration()
-
-
-def calibration() -> _Calibration:
-    """The live throughput calibration (shared, process-wide)."""
-    return _CAL
-
-
-def reset_calibration() -> None:
-    """Restore the measured defaults (used by tests)."""
-    global _CAL
-    _CAL = _Calibration()
-
-
-def _ewma(current: float, sample: float) -> float:
-    return (1.0 - _EWMA_ALPHA) * current + _EWMA_ALPHA * sample
-
-
-def observe_untyped_scan(codes: int, seconds: float) -> None:
-    """Feed one finished canonical scan into the calibration."""
-    if codes <= 0 or seconds <= 1e-4:
-        return
-    _CAL.untyped_rate = _ewma(_CAL.untyped_rate, codes / seconds)
-    _CAL.untyped_samples += 1
-
-
-def observe_typed_scan(instances: int, seconds: float) -> None:
-    """Feed one finished typed instance scan into the calibration."""
-    if instances <= 0 or seconds <= 1e-4:
-        return
-    _CAL.typed_rate = _ewma(_CAL.typed_rate, instances / seconds)
-    _CAL.typed_samples += 1
 
 
 def available_cpus() -> int:
@@ -159,7 +79,7 @@ def available_cpus() -> int:
 def estimate_untyped_codes(label_count: int, max_nodes: int) -> int:
     """Total codes across levels ``1..max_nodes``: sum of 2^(L*n^2).
 
-    The closed form the cost model prices a solve with — no
+    The closed form a solve is priced with — no
     :class:`~repro.reasoning.models.CodeSpace` (and no permutation
     tables) is built just to read its size.  Capped at ``2^62``.
     """
@@ -232,28 +152,21 @@ def validate_max_respawns(max_respawns: object) -> int:
 
 @dataclass(frozen=True)
 class ExecutionDecision:
-    """One solve's execution strategy, with the numbers behind it."""
+    """One solve's execution mode, with the numbers behind it."""
 
     mode: ExecMode
-    #: effective worker count (1 for the in-process modes).
+    #: effective worker count (1 inline).
     jobs: int
     #: codes (untyped) or instances (typed) the scan may have to visit.
     estimated_work: int
-    #: ``estimated_work`` over the calibrated throughput.
-    estimated_seconds: float
     cpus: int
-    #: a warm pool was available when the decision was made.
-    warm: bool
     reason: str
     forced: bool = False
 
     def describe(self) -> str:
         parts = [f"{self.mode.value} jobs={self.jobs}"]
         parts.append(f"~{self.estimated_work} work units")
-        parts.append(f"est {self.estimated_seconds:.3f}s")
         parts.append(f"{self.cpus} cpu(s)")
-        if self.warm:
-            parts.append("warm pool")
         if self.forced:
             parts.append("forced")
         parts.append(self.reason)
@@ -264,18 +177,10 @@ class ExecutionDecision:
             "mode": self.mode.value,
             "jobs": self.jobs,
             "estimated_work": self.estimated_work,
-            "estimated_seconds": round(self.estimated_seconds, 6),
             "cpus": self.cpus,
-            "warm": self.warm,
             "forced": self.forced,
             "reason": self.reason,
         }
-
-
-def _pool_overhead(jobs: int, warm: bool) -> float:
-    if warm:
-        return WARM_DISPATCH_SECONDS * jobs
-    return COLD_SPAWN_SECONDS + COLD_SPAWN_PER_WORKER * max(0, jobs - 2)
 
 
 def choose_execution(
@@ -283,94 +188,53 @@ def choose_execution(
     kind: str,
     work_units: int,
     jobs: int,
-    warm_available: bool = False,
     cpus: int | None = None,
     forced: ExecMode | None = None,
 ) -> ExecutionDecision:
-    """Pick the execution strategy for one counter-model scan.
+    """Pick the execution mode for one counter-model scan.
 
     ``kind`` is ``"untyped"`` (canonical code scan) or ``"typed"``
     (the ``U_f(Delta)`` instance stream); ``work_units`` the size of
     the scan in that kind's units; ``jobs`` the caller's worker *cap*
-    (already resolved from ``"auto"``).  ``forced`` bypasses the model
-    (used by tests and benchmarks to pin a strategy); a forced
-    ``pool`` still requires ``jobs >= 2``.
-
-    Guarantee this function exists for: the pool is only chosen when
-    the parallelizable fraction of the estimated scan time exceeds
-    :data:`POOL_GAIN_FACTOR` times the pool's own fixed overhead —
-    so ``jobs>1`` can no longer lose to ``jobs=1`` by paying for
-    processes the scan cannot amortize.
+    (already resolved from ``"auto"``).  ``forced`` bypasses the rule
+    (used by tests and benchmarks to pin a mode); a forced ``pool``
+    still requires ``jobs >= 2``.
     """
-    if kind not in ("untyped", "typed"):
+    if kind not in POOL_MIN_WORK:
         raise ValueError(f"unknown scan kind {kind!r}")
     cpus = available_cpus() if cpus is None else max(1, cpus)
     work_units = max(0, min(work_units, _WORK_CAP))
-    rate = _CAL.untyped_rate if kind == "untyped" else _CAL.typed_rate
-    est_seconds = work_units / rate
+
+    def decision(mode: ExecMode, eff: int, reason: str) -> ExecutionDecision:
+        return ExecutionDecision(
+            mode=mode,
+            jobs=eff,
+            estimated_work=work_units,
+            cpus=cpus,
+            reason=reason,
+            forced=forced is not None,
+        )
 
     if forced is not None:
         if forced is ExecMode.POOL and jobs < 2:
             raise ValueError("execution='pool' requires jobs >= 2")
         eff = jobs if forced is ExecMode.POOL else 1
-        return ExecutionDecision(
-            mode=forced,
-            jobs=eff,
-            estimated_work=work_units,
-            estimated_seconds=est_seconds,
-            cpus=cpus,
-            warm=warm_available,
-            reason="mode pinned by caller",
-            forced=True,
-        )
+        return decision(forced, eff, "mode pinned by caller")
 
     parallelism = min(jobs, cpus)
-    parallel_fraction = (
-        1.0 if kind == "untyped" else TYPED_PARALLEL_FRACTION
-    )
-    if parallelism >= 2:
-        overhead = _pool_overhead(parallelism, warm_available)
-        gain = est_seconds * parallel_fraction * (1.0 - 1.0 / parallelism)
-        if gain > POOL_GAIN_FACTOR * overhead:
-            return ExecutionDecision(
-                mode=ExecMode.POOL,
-                jobs=parallelism,
-                estimated_work=work_units,
-                estimated_seconds=est_seconds,
-                cpus=cpus,
-                warm=warm_available,
-                reason=(
-                    f"parallel gain {gain:.3f}s > "
-                    f"{POOL_GAIN_FACTOR:g}x overhead {overhead:.3f}s"
-                ),
-            )
-        reason = (
-            f"pool gain {gain:.3f}s below {POOL_GAIN_FACTOR:g}x "
-            f"overhead {overhead:.3f}s"
-        )
-    else:
-        reason = (
+    threshold = POOL_MIN_WORK[kind]
+    if parallelism < 2:
+        return decision(
+            ExecMode.INLINE,
+            1,
             f"no parallelism (jobs cap {jobs}, {cpus} cpu(s))"
             if jobs > 1
-            else "sequential requested"
+            else "sequential requested",
         )
-
-    if kind == "untyped" and work_units > INLINE_MAX_CODES:
-        return ExecutionDecision(
-            mode=ExecMode.SHARDED,
-            jobs=1,
-            estimated_work=work_units,
-            estimated_seconds=est_seconds,
-            cpus=cpus,
-            warm=warm_available,
-            reason=f"{reason}; space > {INLINE_MAX_CODES} codes, chunked",
+    if work_units > threshold:
+        return decision(
+            ExecMode.POOL, parallelism, f"scan > {threshold} {kind} units"
         )
-    return ExecutionDecision(
-        mode=ExecMode.INLINE,
-        jobs=1,
-        estimated_work=work_units,
-        estimated_seconds=est_seconds,
-        cpus=cpus,
-        warm=warm_available,
-        reason=reason,
+    return decision(
+        ExecMode.INLINE, 1, f"scan <= {threshold} {kind} units"
     )

@@ -39,7 +39,7 @@ from repro.reasoning.costmodel import validate_jobs, validate_max_respawns
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.result import ImplicationResult
-from repro.reasoning.shm import CancelFlag
+from repro.reasoning.runtime import CancelFlag
 from repro.reasoning.typed_m import implies_typed_m
 from repro.reasoning.word import implies_word
 from repro.truth import Trilean
@@ -290,11 +290,11 @@ def solve(
     untyped chase TRUE transfers (``U(Delta)`` is a subclass of all
     structures) while refutation uses typed counter-models only.
     ``jobs`` caps the portfolio's parallelism — a positive int, or
-    ``"auto"`` for the CPU count; a cost model then picks inline,
-    in-process sharded, or pooled execution per solve from the
-    closed-form scan size, so extra jobs never cost more than they
-    buy (see :mod:`repro.reasoning.portfolio`; ``execution`` forces a
-    mode).  ``deadline`` is a wall-clock budget in seconds shared by
+    ``"auto"`` for the CPU count; the scan runs in a process pool only
+    when two CPUs are usable and its closed-form size passes a fixed
+    threshold, inline otherwise (see
+    :mod:`repro.reasoning.costmodel`; ``execution`` forces a mode).
+    ``deadline`` is a wall-clock budget in seconds shared by
     every engine.  Pool execution is supervised: worker crashes
     respawn the pool at most ``max_respawns`` times before degrading
     to in-process runs, and ``inject`` (default: the ``$REPRO_INJECT``
@@ -318,14 +318,14 @@ def solve(
     stored.  ``result.cache`` records what happened.
 
     ``cancel`` (a caller-owned
-    :class:`~repro.reasoning.shm.CancelFlag`) lets an embedding
+    :class:`~repro.reasoning.runtime.CancelFlag`) lets an embedding
     service cooperatively abort a portfolio solve from outside — the
     daemon's hung-solve watchdog trips it past deadline + grace.
     ``max_worker_mb`` caps each pool worker's address space
-    (``RLIMIT_AS``); ``memory_guard_mb`` degrades pooled execution to
-    the in-process sharded scan when this process's RSS is already
-    past the guard.  All three apply only to the undecidable-cell
-    portfolio path — decidable cells never fork workers.
+    (``RLIMIT_AS``); ``memory_guard_mb`` demotes pooled execution to
+    inline when this process's RSS is already past the guard.  All
+    three apply only to the undecidable-cell portfolio path —
+    decidable cells never fork workers.
     """
     validate_jobs(jobs)
     validate_max_respawns(max_respawns)

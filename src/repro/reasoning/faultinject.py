@@ -61,6 +61,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from typing import ClassVar, Self
 
 from repro.errors import InjectedFault
 
@@ -68,14 +69,8 @@ from repro.errors import InjectedFault
 #: spec string in the :meth:`FaultPlan.from_spec` syntax.
 ENV_VAR = "REPRO_INJECT"
 
-_KINDS = ("kill", "raise", "delay", "corrupt", "hang", "oom")
-
-#: Kinds a rate plan may draw.  Excludes ``hang`` (would wedge whole
-#: sweeps) and ``oom`` (targeted ceiling tests only).
-_RATE_KINDS = ("kill", "raise", "delay", "corrupt")
-
-#: Default sleep for ``delay`` faults drawn by rate plans (seconds).
-_RATE_DELAY = 0.02
+#: Golden-ratio multiplier decorrelating per-ordinal PRNG streams.
+SEED_STRIDE = 0x9E3779B1
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,16 @@ NO_FAULT = FaultAction()
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """A deterministic map from task ordinal to fault action.
+class OrdinalPlan:
+    """A deterministic map from ordinal to fault action.
 
-    Immutable and picklable — but note the plan is consulted in the
-    *submitting* process (the supervisor), never in workers, so the
-    injection decision for a task is fixed before the task crosses
-    the process boundary.
+    The grammar: comma-separated clauses, each targeted
+    (``KIND:ORDINAL[:PARAM]``) or a rate clause (``rate:R[:SEED]``)
+    drawing a kind per ordinal from a seeded PRNG.  Subclasses name
+    their kinds: :attr:`KINDS` maps each to the numbers of ``PARAM``
+    fields a targeted clause may carry, :attr:`RATE_KINDS` is what a
+    rate clause draws from, and :attr:`RATE_DELAY` the ``param`` of a
+    drawn ``delay``.
     """
 
     spec: str = ""
@@ -114,8 +112,12 @@ class FaultPlan:
     rate: float = 0.0
     seed: int = 0
 
+    KINDS: ClassVar[dict[str, tuple[int, ...]]] = {}
+    RATE_KINDS: ClassVar[tuple[str, ...]] = ()
+    RATE_DELAY: ClassVar[float] = 0.0
+
     @classmethod
-    def from_spec(cls, spec: str) -> "FaultPlan":
+    def from_spec(cls, spec: str) -> Self:
         """Parse ``kill:3,delay:2:0.5,...`` or ``rate:0.3[:seed]``.
 
         Raises :class:`ValueError` on malformed specs — injection is a
@@ -123,55 +125,38 @@ class FaultPlan:
         silently not testing what the caller asked for.
         """
         spec = spec.strip()
-        if not spec:
-            return cls()
         targeted: list[tuple[int, FaultAction]] = []
         rate = 0.0
         seed = 0
-        for part in spec.split(","):
-            fields = [f.strip() for f in part.split(":")]
-            kind = fields[0]
+        for clause in spec.split(",") if spec else ():
+            kind, *args = (f.strip() for f in clause.split(":"))
             if kind == "rate":
-                if len(fields) not in (2, 3):
-                    raise ValueError(f"bad rate spec {part!r}")
-                rate = float(fields[1])
+                if len(args) not in (1, 2):
+                    raise ValueError(
+                        f"bad rate spec {clause!r}: expected rate:R[:SEED]"
+                    )
+                rate = float(args[0])
                 if not 0.0 <= rate <= 1.0:
                     raise ValueError(f"inject rate {rate} outside [0, 1]")
-                seed = int(fields[2]) if len(fields) == 3 else 0
+                seed = int(args[1]) if len(args) == 2 else 0
                 continue
-            if kind not in _KINDS:
+            if kind not in cls.KINDS:
                 raise ValueError(
-                    f"unknown fault kind {kind!r}; have {_KINDS + ('rate',)}"
+                    f"unknown fault kind {kind!r}; "
+                    f"have {(*cls.KINDS, 'rate')}"
                 )
-            if kind == "delay":
-                if len(fields) != 3:
-                    raise ValueError(
-                        f"delay spec {part!r} needs ordinal and seconds"
-                    )
-                targeted.append(
-                    (int(fields[1]), FaultAction("delay", float(fields[2])))
+            if not args or len(args) - 1 not in cls.KINDS[kind]:
+                raise ValueError(
+                    f"bad {kind} spec {clause!r}: the ordinal is "
+                    f"followed by {' or '.join(map(str, cls.KINDS[kind]))} "
+                    "parameter(s)"
                 )
-                continue
-            if kind == "hang":
-                # hang:ORD wedges forever; hang:ORD:SECS wedges that
-                # long (ignoring cancellation) and then runs the task.
-                if len(fields) not in (2, 3):
-                    raise ValueError(
-                        f"hang spec {part!r} needs an ordinal "
-                        "and optional seconds"
-                    )
-                secs = float(fields[2]) if len(fields) == 3 else 0.0
-                targeted.append((int(fields[1]), FaultAction("hang", secs)))
-                continue
-            if len(fields) != 2:
-                raise ValueError(f"fault spec {part!r} needs a task ordinal")
-            targeted.append((int(fields[1]), FaultAction(kind)))
-        return cls(
-            spec=spec, targeted=tuple(targeted), rate=rate, seed=seed
-        )
+            param = float(args[1]) if len(args) == 2 else 0.0
+            targeted.append((int(args[0]), FaultAction(kind, param)))
+        return cls(spec=spec, targeted=tuple(targeted), rate=rate, seed=seed)
 
     @classmethod
-    def at_rate(cls, rate: float, seed: int = 0) -> "FaultPlan":
+    def at_rate(cls, rate: float, seed: int = 0) -> Self:
         """A pure rate plan (the ``repro fuzz --inject-rate`` mode)."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"inject rate {rate} outside [0, 1]")
@@ -182,21 +167,44 @@ class FaultPlan:
         return bool(self.targeted) or self.rate > 0.0
 
     def action_for(self, ordinal: int) -> FaultAction:
-        """The (deterministic) action for the task at ``ordinal``."""
+        """The (deterministic) action for ``ordinal``."""
         for target, action in self.targeted:
             if target == ordinal:
                 return action
         if self.rate > 0.0:
-            rng = random.Random(self.seed * 0x9E3779B1 + ordinal)
+            rng = random.Random(self.seed * SEED_STRIDE + ordinal)
             if rng.random() < self.rate:
-                kind = rng.choice(_RATE_KINDS)
+                kind = rng.choice(self.RATE_KINDS)
                 return FaultAction(
-                    kind, _RATE_DELAY if kind == "delay" else 0.0
+                    kind, self.RATE_DELAY if kind == "delay" else 0.0
                 )
         return NO_FAULT
 
     def describe(self) -> str:
         return self.spec or "none"
+
+
+class FaultPlan(OrdinalPlan):
+    """The solver's plan: task ordinal to fault action.
+
+    Immutable and picklable — but note the plan is consulted in the
+    *submitting* process (the supervisor), never in workers, so the
+    injection decision for a task is fixed before the task crosses
+    the process boundary.  ``delay`` takes its seconds, ``hang``
+    optionally; rate plans draw neither ``hang`` (it would wedge whole
+    sweeps) nor ``oom`` (targeted ceiling tests only).
+    """
+
+    KINDS = {
+        "kill": (0,),
+        "raise": (0,),
+        "delay": (1,),
+        "corrupt": (0,),
+        "hang": (0, 1),
+        "oom": (0,),
+    }
+    RATE_KINDS = ("kill", "raise", "delay", "corrupt")
+    RATE_DELAY = 0.02
 
 
 def plan_from_env() -> FaultPlan:

@@ -359,33 +359,6 @@ def compile_constraints(
     return out
 
 
-def constraint_program(c: _CompiledConstraint) -> dict:
-    """The JSON-serialisable form of a compiled constraint.
-
-    This is what the shared-memory arena ships to pool workers instead
-    of pickled constraint ASTs: plain label-index words relative to the
-    arena's alphabet.
-    """
-    return {
-        "prefix": list(c.prefix),
-        "lhs": list(c.lhs),
-        "rhs": list(c.rhs),
-        "forward": c.forward,
-    }
-
-
-def constraint_from_program(program: dict) -> _CompiledConstraint:
-    """Rebuild a compiled constraint from :func:`constraint_program`."""
-    rhs = tuple(program["rhs"])
-    return _CompiledConstraint(
-        prefix=tuple(program["prefix"]),
-        lhs=tuple(program["lhs"]),
-        rhs=rhs,
-        forward=bool(program["forward"]),
-        rhs_reversed=tuple(reversed(rhs)),
-    )
-
-
 def _image(adj: list[list[int]], word: tuple[int, ...], frontier: int) -> int:
     """The bitset image of ``frontier`` under a label-index word."""
     for li in word:
@@ -478,12 +451,14 @@ def scan_codes(
     root-unreachable nodes are skipped after decoding.  ``deadline``
     is an absolute ``time.monotonic()`` value checked every ``check_every``
     codes, as is ``should_stop`` (the cooperative cancellation hook a
-    pool worker polls from a shared :class:`~repro.reasoning.shm.CancelFlag`);
-    either stops the scan with ``exhausted=False``.  Callers that
-    already compiled the constraints against ``space.labels`` (the
-    shared-memory shard path) pass ``compiled_sigma``/``compiled_phi``
-    to skip recompilation.  Deterministic: the hit is the smallest
-    counter-model code in range, independent of sharding.
+    pool worker polls from a shared
+    :class:`~repro.reasoning.runtime.CancelFlag`); either stops the
+    scan with ``exhausted=False``.  Callers that already compiled the
+    constraints against ``space.labels`` (the portfolio compiles once
+    per solve and ships the result to every shard) pass
+    ``compiled_sigma``/``compiled_phi`` to skip recompilation.
+    Deterministic: the hit is the smallest counter-model code in
+    range, independent of sharding.
     """
     began = time.perf_counter()
     stop = space.total if stop is None else min(stop, space.total)

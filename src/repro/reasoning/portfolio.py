@@ -2,23 +2,29 @@
 
 The undecidable cells of Table 1 are served by semi-decision — the
 chase (sound for TRUE, and for FALSE when it reaches a fixpoint) races
-bounded counter-model search (sound for FALSE).  The seed ran the two
-engines sequentially; this module runs them as a *portfolio* across a
-process pool:
+bounded counter-model search (sound for FALSE).  This module runs the
+two engines as a *portfolio*:
 
-* the chase runs as one pool task;
-* counter-model search is sharded by bit-prefix over the canonical
-  code space of :mod:`repro.reasoning.models` — each worker scans a
-  contiguous code range (level by node count, levels in order);
+* the chase runs as one task;
+* counter-model search scans the canonical code space of
+  :mod:`repro.reasoning.models` level by node count, each level one
+  task inline or, in a process pool, cut into contiguous code ranges;
 * typed contexts shard the ``U_f(Delta)`` instance stream by stride
-  instead;
+  instead (one shard inline, one per worker in the pool);
 * the first engine to produce a *definite* certificate wins, pending
   work is cancelled, and per-engine statistics (candidates examined,
   elapsed time, outcome) are surfaced on the returned
   :class:`ImplicationResult`.
 
-Every pool interaction goes through a
-:class:`~repro.reasoning.runtime.WorkerSupervisor`: a worker crash
+Inline and pooled execution run the same two scan loops
+(:func:`_scan_levels`, :func:`_scan_typed`) against a
+:class:`~repro.reasoning.runtime.WorkerSupervisor`; an inline
+supervisor runs each submission synchronously, so the chase has
+settled before the first scan task is submitted and the race
+degenerates to the sequential pipeline.  Which mode a solve gets is
+decided by :func:`repro.reasoning.costmodel.choose_execution`.
+
+Every pool interaction goes through the supervisor: a worker crash
 (segfault, OOM-kill, ``os._exit``), a payload that cannot pickle, or
 a task that raises mid-engine never surfaces as a bare
 ``BrokenProcessPool``.  The supervisor respawns the pool with capped
@@ -47,7 +53,8 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.constraints.ast import PathConstraint
@@ -56,12 +63,9 @@ from repro.reasoning.chase import DEFAULT_CHASE_STEPS, chase_implication
 from repro.reasoning.costmodel import (
     ExecMode,
     ExecutionDecision,
-    INLINE_MAX_CODES,
     choose_execution,
     estimate_untyped_codes,
     normalize_jobs,
-    observe_typed_scan,
-    observe_untyped_scan,
     validate_jobs,
     validate_max_respawns,
 )
@@ -71,8 +75,6 @@ from repro.reasoning.models import (
     ShardReport,
     TypedShardReport,
     compile_constraints,
-    constraint_from_program,
-    constraint_program,
     infer_alphabet,
     scan_codes,
     scan_typed_instances,
@@ -80,11 +82,10 @@ from repro.reasoning.models import (
 from repro.reasoning.result import EngineStats, ImplicationResult
 from repro.reasoning.runtime import (
     Budget,
+    CancelFlag,
     SupervisedTask,
     WorkerSupervisor,
-    warm_pool_stats,
 )
-from repro.reasoning.shm import CancelFlag, ScanArena
 from repro.reasoning.watchdog import current_rss_mb
 from repro.truth import Trilean
 from repro.types.typesys import Schema
@@ -97,8 +98,9 @@ __all__ = [
     "run_portfolio",
 ]
 
-#: Shards per enumeration level, as a multiple of the worker count —
-#: finer than the pool so a winner can cancel still-pending ranges.
+#: Pool shards per enumeration level, as a multiple of the worker
+#: count — finer than the pool so a winner can cancel still-pending
+#: ranges.
 SHARD_FACTOR = 4
 
 #: A level this small is scanned as a single shard (pool overhead
@@ -121,7 +123,7 @@ class CountermodelOutcome:
     #: fault rather than by the budget — same UNKNOWN semantics, but
     #: callers report it differently.
     fault_stop: bool = False
-    #: The cost-model decision this search ran under (None when driven
+    #: The execution decision this search ran under (None when driven
     #: by :func:`run_portfolio`, which records it on the result).
     decision: ExecutionDecision | None = None
 
@@ -135,62 +137,44 @@ class CountermodelOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Pool tasks (top-level, picklable) and their per-worker caches.
+# Tasks (top-level, picklable) and their process-local caches.
 #
 # A warm pool survives across solve() calls, so workers amortise the
-# expensive per-payload state: the attached arena (with its compiled
-# constraint programs) and the CodeSpace permutation tables.  The
-# caches are tiny LRUs — a worker serving two interleaved solves keeps
-# both arenas mapped; anything older is closed (the parent has long
-# unlinked it, so the close releases the last mapping).
+# per-payload state: cancel-flag attachments and the CodeSpace
+# permutation tables.  The caches are tiny LRUs; the parent's copy
+# serves inline scans and the decoding of hits.
 # ---------------------------------------------------------------------------
 
-_WORKER_ARENAS: OrderedDict[str, tuple] = OrderedDict()
-_WORKER_CANCELS: OrderedDict[str, CancelFlag] = OrderedDict()
-_WORKER_SPACES: OrderedDict[tuple, CodeSpace] = OrderedDict()
+_CANCEL_FLAGS: OrderedDict[str, CancelFlag] = OrderedDict()
+_CODE_SPACES: OrderedDict[tuple, CodeSpace] = OrderedDict()
 
 
-def _worker_arena(name: str) -> tuple:
-    entry = _WORKER_ARENAS.get(name)
-    if entry is None:
-        arena = ScanArena.attach(name)
-        compiled_sigma = [
-            constraint_from_program(p) for p in arena.sigma_programs
-        ]
-        compiled_phi = constraint_from_program(arena.phi_program)
-        entry = (arena, compiled_sigma, compiled_phi)
-        _WORKER_ARENAS[name] = entry
-        while len(_WORKER_ARENAS) > 2:
-            _, (old, _, _) = _WORKER_ARENAS.popitem(last=False)
-            old.close()
-    else:
-        _WORKER_ARENAS.move_to_end(name)
-    return entry
-
-
-def _worker_cancel(name: str) -> CancelFlag:
-    flag = _WORKER_CANCELS.get(name)
+def _stop_hook(cancel_name: str | None):
+    """The ``should_stop`` poll for the named cancel flag (or None)."""
+    if cancel_name is None:
+        return None
+    flag = _CANCEL_FLAGS.get(cancel_name)
     if flag is None:
-        flag = CancelFlag.attach(name)
-        _WORKER_CANCELS[name] = flag
-        while len(_WORKER_CANCELS) > 2:
-            _, old = _WORKER_CANCELS.popitem(last=False)
+        flag = CancelFlag.attach(cancel_name)
+        _CANCEL_FLAGS[cancel_name] = flag
+        while len(_CANCEL_FLAGS) > 2:
+            _, old = _CANCEL_FLAGS.popitem(last=False)
             old.close()
     else:
-        _WORKER_CANCELS.move_to_end(name)
-    return flag
+        _CANCEL_FLAGS.move_to_end(cancel_name)
+    return lambda: flag.is_set
 
 
-def _worker_space(node_count: int, labels: tuple[str, ...]) -> CodeSpace:
+def _code_space(node_count: int, labels: tuple[str, ...]) -> CodeSpace:
     key = (node_count, labels)
-    space = _WORKER_SPACES.get(key)
+    space = _CODE_SPACES.get(key)
     if space is None:
         space = CodeSpace(node_count, labels)
-        _WORKER_SPACES[key] = space
-        while len(_WORKER_SPACES) > 8:
-            _WORKER_SPACES.popitem(last=False)
+        _CODE_SPACES[key] = space
+        while len(_CODE_SPACES) > 8:
+            _CODE_SPACES.popitem(last=False)
     else:
-        _WORKER_SPACES.move_to_end(key)
+        _CODE_SPACES.move_to_end(key)
     return space
 
 
@@ -202,16 +186,12 @@ def _chase_task(
     cancel_name: str | None = None,
 ) -> tuple[ImplicationResult, float]:
     began = time.perf_counter()
-    should_stop = None
-    if cancel_name is not None:
-        flag = _worker_cancel(cancel_name)
-        should_stop = lambda: flag.is_set  # noqa: E731
     result = chase_implication(
         sigma,
         phi,
         max_steps=max_steps,
         deadline=deadline,
-        should_stop=should_stop,
+        should_stop=_stop_hook(cancel_name),
     )
     return result, time.perf_counter() - began
 
@@ -219,59 +199,26 @@ def _chase_task(
 def _shard_task(
     node_count: int,
     labels: tuple[str, ...],
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
+    programs: tuple,
     start: int,
     stop: int,
     deadline: float | None,
     cancel_name: str | None = None,
 ) -> ShardReport:
-    should_stop = None
-    if cancel_name is not None:
-        flag = _worker_cancel(cancel_name)
-        should_stop = lambda: flag.is_set  # noqa: E731
-    space = CodeSpace(node_count, labels)
-    return scan_codes(
-        space,
-        sigma,
-        phi,
-        start,
-        stop,
-        deadline=deadline,
-        should_stop=should_stop,
-    )
+    """Scan codes ``[start, stop)`` of one level.
 
-
-def _shard_task_shm(
-    arena_name: str,
-    level_index: int,
-    shard_index: int,
-    deadline: float | None,
-    cancel_name: str | None,
-) -> ShardReport:
-    """One pooled scan shard, payload read from the shared arena.
-
-    The pickled task arguments are constant-size whatever the shard
-    count or constraint set; everything else — alphabet, compiled
-    constraint programs, the (start, stop) code range — comes out of
-    shared memory.  Also runs in-process when the supervisor degrades
-    (the parent attaches to its own segment).
+    ``programs`` is ``(compiled sigma, compiled phi)`` over ``labels``,
+    compiled once per solve by :func:`_compile`.
     """
-    arena, compiled_sigma, compiled_phi = _worker_arena(arena_name)
-    node_count, start, stop = arena.range_for(level_index, shard_index)
-    should_stop = None
-    if cancel_name is not None:
-        flag = _worker_cancel(cancel_name)
-        should_stop = lambda: flag.is_set  # noqa: E731
-    space = _worker_space(node_count, arena.labels)
+    compiled_sigma, compiled_phi = programs
     return scan_codes(
-        space,
+        _code_space(node_count, labels),
         (),
         None,
         start,
         stop,
         deadline=deadline,
-        should_stop=should_stop,
+        should_stop=_stop_hook(cancel_name),
         compiled_sigma=compiled_sigma,
         compiled_phi=compiled_phi,
     )
@@ -290,10 +237,6 @@ def _typed_shard_task(
     compiled: bool = False,
     cancel_name: str | None = None,
 ) -> TypedShardReport:
-    should_stop = None
-    if cancel_name is not None:
-        flag = _worker_cancel(cancel_name)
-        should_stop = lambda: flag.is_set  # noqa: E731
     return scan_typed_instances(
         schema,
         sigma,
@@ -305,8 +248,18 @@ def _typed_shard_task(
         shard_count=shard_count,
         deadline=deadline,
         compiled=compiled,
-        should_stop=should_stop,
+        should_stop=_stop_hook(cancel_name),
     )
+
+
+def _compile(
+    sigma: tuple[PathConstraint, ...],
+    phi: PathConstraint,
+    labels: tuple[str, ...],
+) -> tuple:
+    """``(compiled sigma, compiled phi)`` for :func:`_shard_task`."""
+    compiled = compile_constraints([*sigma, phi], labels)
+    return tuple(compiled[:-1]), compiled[-1]
 
 
 def _plan_shards(total: int, shard_count: int) -> list[tuple[int, int]]:
@@ -322,324 +275,290 @@ def _plan_shards(total: int, shard_count: int) -> list[tuple[int, int]]:
     return ranges
 
 
-# ---------------------------------------------------------------------------
-# Cost-model dispatch.
-# ---------------------------------------------------------------------------
-
-
 def _decide_execution(
     kind: str, work_units: int, jobs: int, execution: str
 ) -> ExecutionDecision:
     """Resolve requested ``jobs``/``execution`` to an execution plan.
 
-    ``execution`` is ``"auto"`` (let the cost model choose) or one of
+    ``execution`` is ``"auto"`` (apply the dispatch rule) or one of
     the :class:`ExecMode` values to force a mode — forcing ``"pool"``
     is how the fault-injection suite keeps exercising real worker
-    processes on workloads the cost model would run inline.
+    processes on workloads the rule would run inline.
     """
-    if execution == "auto":
-        forced = None
-    else:
+    forced = None
+    if execution != "auto":
         try:
             forced = ExecMode(execution)
         except ValueError:
             raise ValueError(
-                f"execution must be 'auto', 'inline', 'sharded' or "
-                f"'pool', got {execution!r}"
+                f"execution must be 'auto', 'inline' or 'pool', "
+                f"got {execution!r}"
             ) from None
-    stats = warm_pool_stats()
-    warm = bool(
-        stats["alive"] and not stats["leased"] and stats["jobs"] >= 2
-    )
     return choose_execution(
-        kind=kind,
-        work_units=work_units,
-        jobs=jobs,
-        warm_available=warm,
-        forced=forced,
+        kind=kind, work_units=work_units, jobs=jobs, forced=forced
     )
 
 
-def _build_arena(
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
-    labels: tuple[str, ...],
-    max_nodes: int,
-    jobs: int,
-) -> ScanArena:
-    """Pack constraints and every level's shard plan into shared memory."""
-    compiled_sigma = compile_constraints(list(sigma), labels)
-    (compiled_phi,) = compile_constraints([phi], labels)
-    levels = []
-    for node_count in range(1, max_nodes + 1):
-        total = CodeSpace.size(node_count, len(labels))
-        shard_count = (
-            1 if total <= MIN_SHARDED_SPACE else jobs * SHARD_FACTOR
-        )
-        levels.append((node_count, _plan_shards(total, shard_count)))
-    return ScanArena.create(
-        labels,
-        [constraint_program(c) for c in compiled_sigma],
-        constraint_program(compiled_phi),
-        levels,
-    )
+@contextmanager
+def _supervised(
+    decision: ExecutionDecision,
+    budget: Budget,
+    plan: FaultPlan | None,
+    max_respawns: int,
+    cancel: CancelFlag | None = None,
+    max_worker_mb: int | None = None,
+) -> Iterator[tuple[WorkerSupervisor, CancelFlag | None]]:
+    """The run's supervisor and cancel flag.
+
+    A pooled run without a caller-owned flag gets its own.  On exit
+    the flag is raised so stragglers on a warm pool wind down before
+    the next solve leases it; setting a caller-owned flag is safe (the
+    solve is over), only releasing it is the owner's call.
+    """
+    owned = cancel is None and decision.mode is ExecMode.POOL
+    if owned:
+        cancel = CancelFlag.create()
+    try:
+        with WorkerSupervisor(
+            jobs=decision.jobs,
+            budget=budget,
+            plan=plan,
+            max_respawns=max_respawns,
+            max_worker_mb=max_worker_mb,
+        ) as supervisor:
+            try:
+                yield supervisor, cancel
+            finally:
+                if cancel is not None:
+                    cancel.set()
+    finally:
+        if owned:
+            cancel.release()
 
 
 # ---------------------------------------------------------------------------
-# The chase engine wrapper (used by both modes).
+# The race: the chase against one of two scan loops.
 # ---------------------------------------------------------------------------
+
+
+class _ChaseWon(Exception):
+    """Raised inside a scan loop when the chase decides the race."""
 
 
 @dataclass
-class _ChaseState:
-    """Bookkeeping for the proof-search engine during a race."""
+class _Chase:
+    """The proof-search engine's task in a race, and its verdict.
 
+    ``task`` is None for a bare counter-model search.  A settled chase
+    decides the race when its answer is definite, except in typed
+    contexts: there only TRUE transfers (``U(Delta)`` is a subclass of
+    all structures), while FALSE from an untyped fixpoint proves
+    nothing over ``U_f(Delta)``.
+    """
+
+    task: SupervisedTask | None = None
+    untyped: bool = True
     result: ImplicationResult | None = None
     stats: EngineStats | None = None
     failed: bool = False
 
-    def absorb(self, payload: tuple[ImplicationResult, float]) -> None:
-        result, elapsed = payload
-        self.result = result
-        steps = getattr(result.certificate, "steps", 0)
+    @property
+    def running(self) -> bool:
+        return self.task is not None and not self.task.settled
+
+    def check(self) -> None:
+        """Absorb the settled chase task; raise :class:`_ChaseWon` if
+        its verdict decides the race."""
+        task = self.task
+        if (
+            task is None
+            or not task.settled
+            or task.cancelled
+            or self.stats is not None
+        ):
+            return
+        if task.failed:
+            # Failed every attempt: the chase contributes nothing.
+            self.failed = True
+            self.stats = EngineStats(
+                engine="chase",
+                outcome="failed",
+                detail=type(task.error).__name__,
+            )
+            return
+        self.result, elapsed = task.result()
+        answer = self.result.answer
         self.stats = EngineStats(
             engine="chase",
-            outcome=result.answer.value,
-            candidates=steps,
+            outcome=answer.value,
+            candidates=getattr(self.result.certificate, "steps", 0),
             elapsed=elapsed,
         )
+        if answer is Trilean.TRUE or (self.untyped and answer.is_definite):
+            raise _ChaseWon
 
-    def fail(self, error: BaseException | None) -> None:
-        """The chase task failed every attempt; it contributes nothing."""
-        self.failed = True
-        self.stats = EngineStats(
-            engine="chase",
-            outcome="failed",
-            detail=type(error).__name__ if error is not None else "",
-        )
-
-    def settle_task(self, task: SupervisedTask) -> None:
-        """Absorb a settled supervised chase task, success or failure."""
-        if task.failed:
-            self.fail(task.error)
-        else:
-            self.absorb(task.result())
-
-    @property
-    def definite(self) -> bool:
-        return self.result is not None and self.result.answer.is_definite
+    def wait(
+        self, supervisor: WorkerSupervisor, tasks: list[SupervisedTask]
+    ) -> None:
+        """Block until one of ``tasks`` or the chase settles."""
+        watch = {t for t in tasks if not t.settled}
+        if self.running:
+            watch.add(self.task)
+        supervisor.wait_any(watch)
 
 
-# ---------------------------------------------------------------------------
-# Counter-model search: sequential and sharded-parallel drivers.
-# ---------------------------------------------------------------------------
-
-
-def _sequential_countermodel(
+def _stop(
     supervisor: WorkerSupervisor,
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
-    labels: tuple[str, ...],
-    max_nodes: int,
-    budget: Budget,
-    cancel: CancelFlag | None = None,
-) -> CountermodelOutcome:
-    began = time.perf_counter()
-    cancel_name = cancel.name if cancel is not None else None
-    out = CountermodelOutcome(levels=tuple(range(1, max_nodes + 1)))
-    for node_count in range(1, max_nodes + 1):
-        space = CodeSpace(node_count, labels)
-        task = supervisor.submit(
-            _shard_task,
-            node_count,
-            labels,
-            sigma,
-            phi,
-            0,
-            space.total,
-            budget.deadline,
-            cancel_name,
-            engine=f"countermodel[n={node_count}]",
-        )
-        if task.failed:
-            out.exhausted = False
-            out.fault_stop = True
-            break
-        report = task.result()
-        out.examined += report.examined
-        out.canonical += report.canonical
-        if report.hit is not None:
-            out.graph = space.to_graph(report.hit)
-            break
-        if not report.exhausted:
-            out.exhausted = False
-            break
-    out.elapsed = time.perf_counter() - began
-    return out
+    cancel: CancelFlag | None,
+    tasks: list[SupervisedTask],
+) -> None:
+    """Cancel ``tasks``; raise the flag so running ones wind down."""
+    if cancel is not None:
+        cancel.set()
+    for task in tasks:
+        supervisor.cancel(task)
 
 
-def _sharded_inline_countermodel(
+def _scan_levels(
     supervisor: WorkerSupervisor,
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
     labels: tuple[str, ...],
+    programs: tuple,
     max_nodes: int,
-    budget: Budget,
-    cancel: CancelFlag | None = None,
+    deadline: float | None,
+    cancel: CancelFlag | None,
+    chase: _Chase,
 ) -> CountermodelOutcome:
-    """In-process sharded scan: chunked ranges, no pool, no pickling.
+    """Canonical scan of levels ``1..max_nodes``, racing ``chase``.
 
-    The middle rung of the cost model — the scan is too large to run
-    as one opaque call (budget checks and calibration samples happen
-    per chunk, and each chunk is a supervised task so fault injection
-    still applies) but too small to amortise a process pool.
+    A level is one task inline; in the pool it is cut into
+    ``jobs * SHARD_FACTOR`` code ranges once it exceeds
+    :data:`MIN_SHARDED_SPACE`.  Ranges resolve in order: the winner is
+    the hit of the lowest range whose predecessors exhausted hitless —
+    the sequential scan order, whatever the completion order.  Raises
+    :class:`_ChaseWon` (after stopping pending shards) as soon as the
+    chase decides.  All waiting goes through the supervisor, so worker
+    crashes, respawns and degraded re-runs are invisible here: a task
+    is either settled with a report, settled failed (a typed error),
+    or cancelled.
     """
     began = time.perf_counter()
-    cancel_name = cancel.name if cancel is not None else None
     out = CountermodelOutcome(levels=tuple(range(1, max_nodes + 1)))
+    cancel_name = cancel.name if cancel is not None else None
     for node_count in range(1, max_nodes + 1):
         total = CodeSpace.size(node_count, len(labels))
-        chunk_count = max(1, -(-total // INLINE_MAX_CODES))
-        stop_level = False
-        for start, stop in _plan_shards(total, chunk_count):
-            task = supervisor.submit(
+        shards = 1
+        if not supervisor.inline and total > MIN_SHARDED_SPACE:
+            shards = supervisor.jobs * SHARD_FACTOR
+        tasks = [
+            supervisor.submit(
                 _shard_task,
                 node_count,
                 labels,
-                sigma,
-                phi,
+                programs,
                 start,
                 stop,
-                budget.deadline,
+                deadline,
                 cancel_name,
                 engine=f"countermodel[n={node_count} {start}:{stop}]",
             )
+            for start, stop in _plan_shards(total, shards)
+        ]
+        for index, task in enumerate(tasks):
+            try:
+                chase.check()
+                while not task.settled:
+                    chase.wait(supervisor, tasks[index:])
+                    chase.check()
+            except _ChaseWon:
+                _stop(supervisor, cancel, tasks[index:])
+                raise
             if task.failed:
+                # The range is unexplored and unexplorable: same
+                # honest-UNKNOWN semantics as budget expiry, with the
+                # fault recorded by the supervisor.
                 out.exhausted = False
                 out.fault_stop = True
-                stop_level = True
-                break
-            report = task.result()
-            out.examined += report.examined
-            out.canonical += report.canonical
-            if report.examined and report.elapsed > 0:
-                observe_untyped_scan(report.examined, report.elapsed)
-            if report.hit is not None:
-                space = CodeSpace(node_count, labels)
-                out.graph = space.to_graph(report.hit)
-                stop_level = True
-                break
-            if not report.exhausted:
-                out.exhausted = False
-                stop_level = True
-                break
-        if stop_level:
-            break
-    out.elapsed = time.perf_counter() - began
-    return out
-
-
-class _RaceInterrupted(Exception):
-    """Raised inside the shard-combine loop when the chase wins."""
-
-
-def _drain_levels(
-    supervisor: WorkerSupervisor,
-    labels: tuple[str, ...],
-    max_nodes: int,
-    budget: Budget,
-    chase_task: SupervisedTask | None,
-    chase_state: _ChaseState,
-    arena: ScanArena,
-    cancel: CancelFlag,
-) -> CountermodelOutcome:
-    """Run the pooled level-by-level scan off ``arena``, racing
-    ``chase_task``.
-
-    Raises :class:`_RaceInterrupted` as soon as the chase returns a
-    definite answer (after cancelling pending shards) — the caller
-    already holds the chase result in ``chase_state``.  All waiting
-    goes through the supervisor, so worker crashes, respawns and
-    degraded re-runs are invisible here: a task is either settled
-    with a report, settled failed (a typed error), or cancelled.  On
-    every early exit the shared cancel flag is raised first, so
-    shards already running on (possibly warm) workers wind down
-    instead of scanning to their range end.
-    """
-    began = time.perf_counter()
-    out = CountermodelOutcome(levels=tuple(range(1, max_nodes + 1)))
-
-    def stop_pending(tasks: list[SupervisedTask]) -> None:
-        cancel.set()
-        for task in tasks:
-            supervisor.cancel(task)
-
-    watching_chase = chase_task is not None
-    for level_index in range(arena.level_count):
-        node_count, shard_count = arena.level(level_index)
-        tasks = [
-            supervisor.submit(
-                _shard_task_shm,
-                arena.name,
-                level_index,
-                shard_index,
-                budget.deadline,
-                cancel.name,
-                engine=(
-                    f"countermodel[n={node_count} "
-                    f"shm {shard_index}/{shard_count}]"
-                ),
-            )
-            for shard_index in range(shard_count)
-        ]
-        # Resolve shards in range order: the winner is the hit of the
-        # lowest range whose predecessors exhausted hitless — the
-        # sequential scan order, whatever the completion order.
-        resolved = 0
-        while resolved < len(tasks):
-            if watching_chase and chase_task.settled:
-                watching_chase = False
-                chase_state.settle_task(chase_task)
-                if chase_state.definite:
-                    stop_pending(tasks[resolved:])
-                    out.exhausted = False
-                    out.elapsed = time.perf_counter() - began
-                    raise _RaceInterrupted
-            task = tasks[resolved]
-            if task.settled:
-                if task.failed:
-                    # The range is unexplored and unexplorable: same
-                    # honest-UNKNOWN semantics as budget expiry, with
-                    # the fault recorded by the supervisor.
-                    stop_pending(tasks[resolved + 1 :])
-                    out.exhausted = False
-                    out.fault_stop = True
-                    out.elapsed = time.perf_counter() - began
-                    return out
+            else:
                 report = task.result()
                 out.examined += report.examined
                 out.canonical += report.canonical
                 if report.hit is not None:
-                    stop_pending(tasks[resolved + 1 :])
-                    space = CodeSpace(node_count, labels)
+                    space = _code_space(node_count, labels)
                     out.graph = space.to_graph(report.hit)
-                    out.elapsed = time.perf_counter() - began
-                    return out
-                if not report.exhausted:
+                elif not report.exhausted:
                     # Budget expired inside this range: everything
                     # beyond it is unexplored.
-                    stop_pending(tasks[resolved + 1 :])
                     out.exhausted = False
-                    out.elapsed = time.perf_counter() - began
-                    return out
-                resolved += 1
-                continue
-            watch: set[SupervisedTask] = {
-                t for t in tasks[resolved:] if not t.settled
-            }
-            if watching_chase and not chase_task.settled:
-                watch.add(chase_task)
-            supervisor.wait_any(watch)
+                else:
+                    continue
+            _stop(supervisor, cancel, tasks[index + 1 :])
+            out.elapsed = time.perf_counter() - began
+            return out
+    out.elapsed = time.perf_counter() - began
+    return out
+
+
+def _scan_typed(
+    supervisor: WorkerSupervisor,
+    schema: Schema,
+    sigma: tuple[PathConstraint, ...],
+    phi: PathConstraint,
+    limit: int,
+    max_oids: int,
+    max_set_size: int,
+    deadline: float | None,
+    cancel: CancelFlag | None,
+    chase: _Chase,
+) -> CountermodelOutcome:
+    """Stride-sharded ``U_f(Delta)`` scan racing ``chase``.
+
+    One shard per worker (one inline).  Strides interleave, so every
+    shard must finish before the minimal hit index is known; shards
+    early-exit at their own first hit.  A shard that fails every
+    attempt forfeits only exhaustion — a hit found by a surviving
+    shard is still a sound FALSE certificate.
+    """
+    began = time.perf_counter()
+    cancel_name = cancel.name if cancel is not None else None
+    shards = supervisor.jobs
+    tasks = [
+        supervisor.submit(
+            _typed_shard_task,
+            schema,
+            sigma,
+            phi,
+            max_oids,
+            max_set_size,
+            limit,
+            shard_index,
+            shards,
+            deadline,
+            True,
+            cancel_name,
+            engine=f"typed-countermodel[{shard_index}/{shards}]",
+        )
+        for shard_index in range(shards)
+    ]
+    try:
+        chase.check()
+        while not all(t.settled for t in tasks):
+            chase.wait(supervisor, tasks)
+            chase.check()
+    except _ChaseWon:
+        _stop(supervisor, cancel, tasks)
+        raise
+    reports = [t.result() for t in tasks if not t.failed]
+    failed = len(tasks) - len(reports)
+    out = CountermodelOutcome(
+        examined=sum(r.examined for r in reports),
+        exhausted=failed == 0 and all(r.exhausted for r in reports),
+        fault_stop=failed > 0,
+    )
+    hits = [r for r in reports if r.hit_index is not None]
+    if hits:
+        best = min(hits, key=lambda r: r.hit_index)
+        out.graph = best.graph
+        out.certificate = best.instance
     out.elapsed = time.perf_counter() - began
     return out
 
@@ -660,14 +579,14 @@ def parallel_countermodel_search(
     max_respawns: int = 2,
     execution: str = "auto",
 ) -> CountermodelOutcome:
-    """Canonical counter-model search under cost-model dispatch.
+    """Canonical counter-model search under execution dispatch.
 
-    ``jobs`` is a cap (or ``"auto"`` for the CPU count); the cost
-    model picks inline, in-process sharded, or pooled execution from
-    the closed-form scan size — ``execution`` forces a mode instead.
-    Deterministic: returns the same counter-model as the sequential
-    canonical scan for any ``jobs`` and mode (budget expiry and
-    unrecoverable worker faults aside).
+    ``jobs`` is a cap (or ``"auto"`` for the CPU count); the dispatch
+    rule picks inline or pooled execution from the closed-form scan
+    size — ``execution`` forces a mode instead.  Deterministic:
+    returns the same counter-model as the sequential canonical scan
+    for any ``jobs`` and mode (budget expiry and unrecoverable worker
+    faults aside).
     """
     validate_jobs(jobs)
     validate_max_respawns(max_respawns)
@@ -676,56 +595,25 @@ def parallel_countermodel_search(
     if labels is None:
         labels = infer_alphabet(sigma, phi)
     labels = tuple(labels)
-    requested = normalize_jobs(jobs)
     decision = _decide_execution(
         "untyped",
         estimate_untyped_codes(len(labels), max_nodes),
-        requested,
+        normalize_jobs(jobs),
         execution,
     )
-    pool_mode = decision.mode is ExecMode.POOL
-    arena: ScanArena | None = None
-    cancel: CancelFlag | None = None
-    try:
-        with WorkerSupervisor(
-            jobs=decision.jobs if pool_mode else 1,
-            budget=budget,
-            plan=fault_plan,
-            max_respawns=max_respawns,
-        ) as supervisor:
-            if pool_mode:
-                arena = _build_arena(
-                    sigma, phi, labels, max_nodes, decision.jobs
-                )
-                cancel = CancelFlag.create()
-                try:
-                    out = _drain_levels(
-                        supervisor,
-                        labels,
-                        max_nodes,
-                        budget,
-                        None,
-                        _ChaseState(),
-                        arena,
-                        cancel,
-                    )
-                finally:
-                    cancel.set()
-            elif decision.mode is ExecMode.SHARDED:
-                out = _sharded_inline_countermodel(
-                    supervisor, sigma, phi, labels, max_nodes, budget
-                )
-            else:
-                out = _sequential_countermodel(
-                    supervisor, sigma, phi, labels, max_nodes, budget
-                )
-                if out.examined and out.elapsed > 0:
-                    observe_untyped_scan(out.examined, out.elapsed)
-    finally:
-        if cancel is not None:
-            cancel.release()
-        if arena is not None:
-            arena.release()
+    with _supervised(decision, budget, fault_plan, max_respawns) as (
+        supervisor,
+        cancel,
+    ):
+        out = _scan_levels(
+            supervisor,
+            labels,
+            _compile(sigma, phi, labels),
+            max_nodes,
+            budget.deadline,
+            cancel,
+            _Chase(),
+        )
     out.decision = decision
     return out
 
@@ -740,7 +628,7 @@ def parallel_find_countermodel(
     execution: str = "auto",
 ) -> Graph | None:
     """Like :func:`repro.reasoning.models.find_countermodel`, under
-    cost-model dispatch with ``jobs`` as the parallelism cap."""
+    execution dispatch with ``jobs`` as the parallelism cap."""
     return parallel_countermodel_search(
         sigma,
         phi,
@@ -750,136 +638,6 @@ def parallel_find_countermodel(
         budget=budget,
         execution=execution,
     ).graph
-
-
-def _typed_parallel(
-    supervisor: WorkerSupervisor,
-    schema: Schema,
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
-    jobs: int,
-    budget: Budget,
-    limit: int,
-    max_oids: int,
-    max_set_size: int,
-    chase_task: SupervisedTask | None,
-    chase_state: _ChaseState,
-    cancel: CancelFlag | None = None,
-) -> CountermodelOutcome:
-    """Stride-sharded ``U_f(Delta)`` scan racing the chase.
-
-    Strides interleave, so every shard must finish before the minimal
-    hit index is known; shards early-exit at their own first hit.  A
-    shard that fails every attempt forfeits only exhaustion — a hit
-    found by a surviving shard is still a sound FALSE certificate.
-    """
-    began = time.perf_counter()
-    out = CountermodelOutcome()
-    cancel_name = cancel.name if cancel is not None else None
-    tasks = [
-        supervisor.submit(
-            _typed_shard_task,
-            schema,
-            sigma,
-            phi,
-            max_oids,
-            max_set_size,
-            limit,
-            shard_index,
-            jobs,
-            budget.deadline,
-            True,
-            cancel_name,
-            engine=f"typed-countermodel[{shard_index}/{jobs}]",
-        )
-        for shard_index in range(jobs)
-    ]
-    reports: list[TypedShardReport] = []
-    failed_shards = 0
-    watching_chase = chase_task is not None
-    pending = set(tasks)
-    while pending:
-        if watching_chase and chase_task.settled:
-            watching_chase = False
-            chase_state.settle_task(chase_task)
-            # Only a chase TRUE transfers to the typed context; FALSE
-            # from an untyped fixpoint proves nothing over U_f(Delta).
-            if (
-                chase_state.result is not None
-                and chase_state.result.answer is Trilean.TRUE
-            ):
-                if cancel is not None:
-                    cancel.set()
-                for task in pending:
-                    supervisor.cancel(task)
-                out.exhausted = False
-                out.elapsed = time.perf_counter() - began
-                raise _RaceInterrupted
-        settled = {t for t in pending if t.settled}
-        if not settled:
-            watch = set(pending)
-            if watching_chase and not chase_task.settled:
-                watch.add(chase_task)
-            supervisor.wait_any(watch)
-            continue
-        for task in settled:
-            pending.discard(task)
-            if task.failed:
-                failed_shards += 1
-            else:
-                reports.append(task.result())
-    out.examined = sum(r.examined for r in reports)
-    out.exhausted = (
-        all(r.exhausted for r in reports) and failed_shards == 0
-    )
-    out.fault_stop = failed_shards > 0
-    hits = [r for r in reports if r.hit_index is not None]
-    if hits:
-        best = min(hits, key=lambda r: r.hit_index)
-        out.graph = best.graph
-        out.certificate = best.instance
-    out.elapsed = time.perf_counter() - began
-    return out
-
-
-def _sequential_typed(
-    supervisor: WorkerSupervisor,
-    schema: Schema,
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
-    budget: Budget,
-    limit: int,
-    max_oids: int,
-    max_set_size: int,
-    cancel: CancelFlag | None = None,
-) -> CountermodelOutcome:
-    task = supervisor.submit(
-        _typed_shard_task,
-        schema,
-        sigma,
-        phi,
-        max_oids,
-        max_set_size,
-        limit,
-        0,
-        1,
-        budget.deadline,
-        True,
-        cancel.name if cancel is not None else None,
-        engine="typed-countermodel",
-    )
-    if task.failed:
-        return CountermodelOutcome(exhausted=False, fault_stop=True)
-    report = task.result()
-    if report.examined and report.elapsed > 0:
-        observe_typed_scan(report.examined, report.elapsed)
-    return CountermodelOutcome(
-        graph=report.graph,
-        certificate=report.instance,
-        examined=report.examined,
-        exhausted=report.exhausted,
-        elapsed=report.elapsed,
-    )
 
 
 def run_portfolio(
@@ -902,18 +660,17 @@ def run_portfolio(
 
     ``problem`` is an :class:`repro.reasoning.dispatcher
     .ImplicationProblem` in an undecidable (fragment, context) cell.
-    ``jobs`` caps the parallelism (``"auto"`` means the CPU count); a
-    cost model prices the scan from the closed-form ``CodeSpace`` size
-    (or the typed instance limit) against measured scan rates and pool
-    overheads, then runs the engines sequentially in-process, as an
-    in-process sharded scan, or as a race across a supervised process
-    pool with first-winner cancellation — whichever is estimated
-    fastest, so ``jobs > 1`` never loses to ``jobs = 1`` by paying
+    ``jobs`` caps the parallelism (``"auto"`` means the CPU count).
+    The scan runs in a supervised process pool, racing the chase with
+    first-winner cancellation, when at least two CPUs are usable and
+    its closed-form size (``CodeSpace`` codes, or the typed instance
+    limit) passes the threshold of
+    :func:`~repro.reasoning.costmodel.choose_execution`; otherwise the
+    engines run sequentially in-process, so ``jobs > 1`` does not pay
     pool overhead a small scan cannot amortise.  ``execution`` forces
-    a mode (``"inline"``/``"sharded"``/``"pool"``) instead.  Pool
-    shards read their payload from a shared-memory arena; worker
-    crashes are respawned at most ``max_respawns`` times before
-    degrading to in-process execution; ``fault_plan`` (default: the
+    a mode (``"inline"``/``"pool"``) instead.  Worker crashes are
+    respawned at most ``max_respawns`` times before degrading to
+    in-process execution; ``fault_plan`` (default: the
     ``$REPRO_INJECT`` environment spec) enables deterministic fault
     injection.  Every returned result carries per-engine
     :class:`EngineStats`, a
@@ -922,15 +679,15 @@ def run_portfolio(
     ``result.execution``.
 
     ``cancel`` is an optional caller-owned
-    :class:`~repro.reasoning.shm.CancelFlag`: every scan and chase of
-    this run polls it, so an embedding service (the daemon's hung-
+    :class:`~repro.reasoning.runtime.CancelFlag`: every scan and chase
+    of this run polls it, so an embedding service (the daemon's hung-
     solve watchdog) can cooperatively abort the solve from outside.
     The caller keeps ownership — the flag is never released here.
     ``max_worker_mb`` installs an ``RLIMIT_AS`` ceiling in every pool
     worker; ``memory_guard_mb`` is the parent-side guard: when this
     process's RSS is already past it, pooled execution (which would
-    fork more memory-hungry workers) degrades to the in-process
-    sharded scan before the box starts swapping.
+    fork more memory-hungry workers) is demoted to inline before the
+    box starts swapping.
     """
     # Imported here: dispatcher imports this module's Budget/run_portfolio.
     from repro.reasoning.dispatcher import Context, classify
@@ -963,15 +720,16 @@ def run_portfolio(
         if rss is not None and rss >= memory_guard_mb:
             # Forking pool workers duplicates this process's footprint;
             # past the guard that risks swapping the whole box.  The
-            # in-process sharded scan costs no extra resident memory.
+            # inline scan costs no extra resident memory.
             guard_note = (
                 f"memory guard: parent rss {rss:.0f} MiB >= "
-                f"{memory_guard_mb} MiB; pooled execution degraded to "
-                "in-process sharded scan"
+                f"{memory_guard_mb} MiB; pooled execution demoted to "
+                "inline"
             )
             decision = replace(
                 decision,
-                mode=ExecMode.SHARDED,
+                mode=ExecMode.INLINE,
+                jobs=1,
                 reason=guard_note,
                 forced=True,
             )
@@ -991,56 +749,25 @@ def run_portfolio(
     if plan.active:
         notes.append(f"fault injection active: {plan.describe()}")
 
-    pool_mode = decision.mode is ExecMode.POOL
-    arena: ScanArena | None = None
-    owned_cancel = False
-    try:
-        if pool_mode:
-            if cancel is None:
-                cancel = CancelFlag.create()
-                owned_cancel = True
-            if untyped:
-                arena = _build_arena(
-                    sigma, phi, labels, countermodel_nodes, decision.jobs
-                )
-        with WorkerSupervisor(
-            jobs=decision.jobs if pool_mode else 1,
-            budget=budget,
-            plan=plan,
-            max_respawns=max_respawns,
-            max_worker_mb=max_worker_mb,
-        ) as supervisor:
-            try:
-                result = _portfolio_race(
-                    problem,
-                    supervisor,
-                    decision,
-                    sigma,
-                    phi,
-                    labels,
-                    untyped,
-                    budget,
-                    chase_steps,
-                    countermodel_nodes,
-                    typed_search_limit,
-                    typed_max_oids,
-                    typed_max_set_size,
-                    notes,
-                    arena,
-                    cancel,
-                )
-            finally:
-                # Decided (or aborted): stragglers on a warm pool must
-                # wind down before the next solve leases it.  Setting a
-                # caller-owned flag here is safe (the solve is over);
-                # only releasing it is the owner's call.
-                if cancel is not None:
-                    cancel.set()
-    finally:
-        if owned_cancel:
-            cancel.release()
-        if arena is not None:
-            arena.release()
+    with _supervised(
+        decision, budget, plan, max_respawns, cancel, max_worker_mb
+    ) as (supervisor, run_cancel):
+        result = _portfolio_race(
+            problem,
+            supervisor,
+            sigma,
+            phi,
+            labels,
+            untyped,
+            budget,
+            chase_steps,
+            countermodel_nodes,
+            typed_search_limit,
+            typed_max_oids,
+            typed_max_set_size,
+            notes,
+            run_cancel,
+        )
     result.execution = decision
     return result
 
@@ -1048,7 +775,6 @@ def run_portfolio(
 def _portfolio_race(
     problem,
     supervisor: WorkerSupervisor,
-    decision: ExecutionDecision,
     sigma: tuple[PathConstraint, ...],
     phi: PathConstraint,
     labels: tuple[str, ...],
@@ -1060,193 +786,77 @@ def _portfolio_race(
     typed_max_oids: int,
     typed_max_set_size: int,
     notes: list[str],
-    arena: ScanArena | None,
     cancel: CancelFlag | None,
 ) -> ImplicationResult:
     """The race itself, inside an already-configured supervisor."""
-    jobs = decision.jobs
-    chase_state = _ChaseState()
-    chase_task = supervisor.submit(
-        _chase_task,
-        sigma,
-        phi,
-        chase_steps,
-        budget.deadline,
-        cancel.name if cancel is not None else None,
-        engine="chase",
+    chase = _Chase(
+        supervisor.submit(
+            _chase_task,
+            sigma,
+            phi,
+            chase_steps,
+            budget.deadline,
+            cancel.name if cancel is not None else None,
+            engine="chase",
+        ),
+        untyped,
     )
-    if supervisor.inline:
-        # Sequential pipeline: the chase already ran synchronously.
-        chase_state.settle_task(chase_task)
-        if untyped and chase_state.definite:
-            return _finish_chase_win(
-                chase_state, notes, untyped=True, supervisor=supervisor
-            )
-        if (
-            not untyped
-            and chase_state.result is not None
-            and chase_state.result.answer is Trilean.TRUE
-        ):
-            return _finish_chase_win(
-                chase_state, notes, untyped=False, supervisor=supervisor
-            )
-        if untyped:
-            if decision.mode is ExecMode.SHARDED:
-                search = _sharded_inline_countermodel(
-                    supervisor,
-                    sigma,
-                    phi,
-                    labels,
-                    countermodel_nodes,
-                    budget,
-                    cancel,
-                )
-            else:
-                search = _sequential_countermodel(
-                    supervisor,
-                    sigma,
-                    phi,
-                    labels,
-                    countermodel_nodes,
-                    budget,
-                    cancel,
-                )
-                if search.examined and search.elapsed > 0:
-                    observe_untyped_scan(search.examined, search.elapsed)
-        else:
-            search = _sequential_typed(
-                supervisor,
-                problem.schema,
-                sigma,
-                phi,
-                budget,
-                typed_search_limit,
-                typed_max_oids,
-                typed_max_set_size,
-                cancel,
-            )
-        return _combine(
-            chase_state,
-            search,
-            notes,
-            untyped,
-            countermodel_nodes,
-            jobs,
-            supervisor,
-        )
-
     try:
+        # Inline the chase has already run, and may settle the race
+        # before anything is compiled or submitted.
+        chase.check()
         if untyped:
-            search = _drain_levels(
+            search = _scan_levels(
                 supervisor,
                 labels,
+                _compile(sigma, phi, labels),
                 countermodel_nodes,
-                budget,
-                chase_task,
-                chase_state,
-                arena,
+                budget.deadline,
                 cancel,
+                chase,
             )
         else:
-            search = _typed_parallel(
+            search = _scan_typed(
                 supervisor,
                 problem.schema,
                 sigma,
                 phi,
-                jobs,
-                budget,
                 typed_search_limit,
                 typed_max_oids,
                 typed_max_set_size,
-                chase_task,
-                chase_state,
+                budget.deadline,
                 cancel,
+                chase,
             )
-    except _RaceInterrupted:
-        return _finish_chase_win(
-            chase_state, notes, untyped, supervisor
-        )
-    if search.graph is not None:
-        # Refutation certificate in hand; the chase can stop.
-        if cancel is not None:
-            cancel.set()
-        supervisor.cancel(chase_task)
-    elif chase_state.result is None and not chase_state.failed:
-        # Search exhausted/budgeted/faulted without the chase
-        # finishing: its verdict is the only hope left, so wait.
-        supervisor.wait_any({chase_task})
-        if chase_task.settled and not chase_task.cancelled:
-            chase_state.settle_task(chase_task)
-            if untyped and chase_state.definite:
-                return _finish_chase_win(
-                    chase_state,
-                    notes,
-                    untyped=True,
-                    supervisor=supervisor,
-                )
-            if (
-                not untyped
-                and chase_state.result is not None
-                and chase_state.result.answer is Trilean.TRUE
-            ):
-                return _finish_chase_win(
-                    chase_state,
-                    notes,
-                    untyped=False,
-                    supervisor=supervisor,
-                )
-    return _combine(
-        chase_state,
-        search,
-        notes,
-        untyped,
-        countermodel_nodes,
-        jobs,
-        supervisor,
-    )
-
-
-def _search_stats(
-    search: CountermodelOutcome, untyped: bool, jobs: int
-) -> EngineStats:
-    engine = "countermodel" if untyped else "typed-countermodel"
-    detail = f"jobs={jobs}"
-    if untyped:
-        detail += f", canonical={search.canonical}"
-    return EngineStats(
-        engine=engine,
-        outcome=search.outcome_label,
-        candidates=search.examined,
-        elapsed=search.elapsed,
-        detail=detail,
-    )
+        if search.graph is not None:
+            # Refutation certificate in hand; the chase can stop.
+            _stop(supervisor, cancel, [chase.task])
+        elif chase.running:
+            # Search exhausted/budgeted/faulted without the chase
+            # finishing: its verdict is the only hope left, so wait.
+            supervisor.wait_any({chase.task})
+            chase.check()
+    except _ChaseWon:
+        return _finish_chase_win(chase, notes, supervisor)
+    return _combine(chase, search, notes, countermodel_nodes, supervisor)
 
 
 def _collect_stats(
-    chase_state: _ChaseState, search_stats: EngineStats | None
+    chase: _Chase, search_stats: EngineStats | None
 ) -> tuple[EngineStats, ...]:
-    stats = []
-    if chase_state.stats is not None:
-        stats.append(chase_state.stats)
-    else:
-        stats.append(
-            EngineStats(engine="chase", outcome="cancelled")
-        )
+    stats = [chase.stats or EngineStats(engine="chase", outcome="cancelled")]
     if search_stats is not None:
         stats.append(search_stats)
     return tuple(stats)
 
 
 def _finish_chase_win(
-    chase_state: _ChaseState,
-    notes: list[str],
-    untyped: bool,
-    supervisor: WorkerSupervisor,
+    chase: _Chase, notes: list[str], supervisor: WorkerSupervisor
 ) -> ImplicationResult:
-    chased = chase_state.result
-    stats = _collect_stats(chase_state, None)
+    chased = chase.result
+    stats = _collect_stats(chase, None)
     faults = supervisor.fault_report(answered_by="chase")
-    if untyped:
+    if chase.untyped:
         chased.notes = tuple(notes) + chased.notes
         chased.stats = stats
         chased.faults = faults
@@ -1265,18 +875,26 @@ def _finish_chase_win(
 
 
 def _combine(
-    chase_state: _ChaseState,
+    chase: _Chase,
     search: CountermodelOutcome,
     notes: list[str],
-    untyped: bool,
     countermodel_nodes: int,
-    jobs: int,
     supervisor: WorkerSupervisor,
 ) -> ImplicationResult:
-    stats = _collect_stats(chase_state, _search_stats(search, untyped, jobs))
+    untyped = chase.untyped
+    detail = f"jobs={supervisor.jobs}"
+    if untyped:
+        detail += f", canonical={search.canonical}"
+    search_stats = EngineStats(
+        engine="countermodel" if untyped else "typed-countermodel",
+        outcome=search.outcome_label,
+        candidates=search.examined,
+        elapsed=search.elapsed,
+        detail=detail,
+    )
+    stats = _collect_stats(chase, search_stats)
     if search.graph is not None:
-        answered_by = "countermodel" if untyped else "typed-countermodel"
-        faults = supervisor.fault_report(answered_by=answered_by)
+        faults = supervisor.fault_report(answered_by=search_stats.engine)
         if untyped:
             return ImplicationResult(
                 answer=Trilean.FALSE,
@@ -1307,11 +925,11 @@ def _combine(
             f"countermodel search stopped by budget before exhausting "
             f"{countermodel_nodes}-node bound"
         ]
-    if chase_state.failed:
+    if chase.failed:
         notes = notes + [
             "chase engine failed every attempt; its verdict is forfeit"
         ]
-    chased = chase_state.result
+    chased = chase.result
     extra = chased.notes if chased is not None else ()
     method = (
         "chase+bounded-countermodel" if untyped else "chase+typed-countermodel"

@@ -41,11 +41,20 @@ The deterministic fault-injection hooks live in
 :mod:`repro.reasoning.faultinject`; the supervisor consults the plan
 at submission time (task ordinals are assigned by a deterministic
 counter), so injected faults are reproducible run-to-run.
+
+A one-byte shared-memory :class:`CancelFlag` gives the parent a
+cooperative cancellation signal that crosses the process boundary:
+scans and the chase poll it between chunks, so a straggler task on a
+warm pool winds down quickly after the race is decided instead of
+occupying a worker into the next ``solve()``.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
+import itertools
+import os
 import time
 from collections.abc import Iterable
 from concurrent.futures import (
@@ -56,6 +65,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 from typing import Any, Callable
 
 from repro.errors import RetryExhausted, WorkerCrashError
@@ -102,6 +112,134 @@ class Budget:
 
 
 # ---------------------------------------------------------------------------
+# Cooperative cancellation across processes.
+# ---------------------------------------------------------------------------
+#
+# Cleanup contract (the part the fault-tolerance guarantees depend on):
+# segments are *parent-owned*.  The parent unlinks in a ``finally``
+# around the race — worker crash and pool respawn never orphan a
+# segment because workers only ever attach.  A process-wide registry
+# plus an ``atexit`` hook reclaims anything still owned at interpreter
+# exit.
+#
+# Note on the resource tracker: ``SharedMemory(name=...)`` registers
+# unconditionally on attach, a known CPython sharp edge (3.13 grew
+# ``track=False`` for exactly this).  On POSIX the tracker process is
+# shared by the whole tree and its cache is a *set*, so attach-side
+# registrations race the parent's unlink in both directions: an
+# explicit attach-side ``unregister`` can double-unregister (KeyError
+# traceback in the tracker), while leaving the registration in place
+# lets a late-arriving attach-register resurrect an already-unlinked
+# name (ENOENT warning at interpreter exit).  The only
+# order-insensitive protocol on 3.11 is for attaches to never talk to
+# the tracker at all: ownership is strictly create-side, the parent's
+# single registration is cancelled by its single ``unlink()``, and the
+# tracker still reclaims the segment if the parent dies hard.
+
+_SEGMENT_COUNTER = itertools.count()
+
+#: name -> SharedMemory for every segment this process created and
+#: still owns (not yet unlinked).  The atexit hook drains it.
+_OWNED: dict[str, shared_memory.SharedMemory] = {}
+
+
+def _disown_and_unlink(name: str) -> None:
+    shm = _OWNED.pop(name, None)
+    if shm is None:
+        return
+    try:
+        shm.close()
+    except Exception:  # pragma: no cover - defensive
+        pass
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
+    except Exception:  # pragma: no cover - defensive
+        pass
+
+
+def active_owned_segments() -> tuple[str, ...]:
+    """Names of segments this process still owns (leak-test hook)."""
+    return tuple(sorted(_OWNED))
+
+
+@atexit.register
+def _cleanup_owned_segments() -> None:  # pragma: no cover - exit path
+    for name in list(_OWNED):
+        _disown_and_unlink(name)
+
+
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Attach to a segment without a resource-tracker registration."""
+    from multiprocessing import resource_tracker
+
+    original = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = original
+
+
+class CancelFlag:
+    """A one-byte shared cancellation flag (parent-owned)."""
+
+    def __init__(
+        self, shm: shared_memory.SharedMemory, owner: bool
+    ) -> None:
+        self._shm = shm
+        self._owner = owner
+
+    @classmethod
+    def create(cls) -> "CancelFlag":
+        shm = shared_memory.SharedMemory(
+            name=f"repro-cancel-{os.getpid()}-{next(_SEGMENT_COUNTER)}",
+            create=True,
+            size=1,
+        )
+        shm.buf[0] = 0
+        _OWNED[shm.name] = shm
+        return cls(shm, owner=True)
+
+    @classmethod
+    def attach(cls, name: str) -> "CancelFlag":
+        return cls(_attach_untracked(name), owner=False)
+
+    @property
+    def name(self) -> str:
+        return self._shm.name
+
+    def set(self) -> None:
+        with contextlib.suppress(Exception):
+            self._shm.buf[0] = 1
+
+    @property
+    def is_set(self) -> bool:
+        # A released (closed/unlinked) flag reads as cancelled: the
+        # owner tearing the flag down mid-poll is itself a "stop now"
+        # signal, and abandoned solver threads may legitimately poll
+        # after the daemon reclaimed the segment.
+        try:
+            return self._shm.buf[0] != 0
+        except Exception:
+            return True
+
+    def close(self) -> None:
+        try:
+            self._shm.close()
+        except Exception:  # pragma: no cover - defensive
+            pass
+
+    def release(self) -> None:
+        """Owner-side teardown: close and unlink."""
+        if self._owner:
+            _disown_and_unlink(self._shm.name)
+        else:
+            self.close()
+
+
+# ---------------------------------------------------------------------------
 # The warm persistent pool.
 # ---------------------------------------------------------------------------
 #
@@ -113,8 +251,8 @@ class Budget:
 # exceptional exit never returns the pool — broken or straggler-laden
 # pools are abandoned and reaped exactly as before, so the PR 5
 # fault-tolerance guarantees are unchanged.  Warm workers also keep
-# their per-process caches (permutation tables, arena attachments)
-# across solves.
+# their per-process caches (permutation tables, cancel-flag
+# attachments) across solves.
 
 
 @dataclass

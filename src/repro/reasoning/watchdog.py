@@ -14,7 +14,7 @@ reclaim wedged capacity:
   of in-flight solves.  Each watch carries a *deadline*, a *grace*
   (past ``deadline + grace`` the watch fires ``on_cancel``, typically
   tripping the solve's shared-memory
-  :class:`~repro.reasoning.shm.CancelFlag` that ``scan_codes`` /
+  :class:`~repro.reasoning.runtime.CancelFlag` that ``scan_codes`` /
   ``scan_typed_instances`` / ``chase`` already poll) and a *hard
   grace* (past ``cancelled_at + hard_grace`` it fires ``on_hang`` —
   the solve ignored cooperative cancellation and must be abandoned).

@@ -10,7 +10,7 @@ flip a definite verdict).
 
 Three pieces:
 
-* :class:`ChaosPlan` — the same spec grammar as
+* :class:`ChaosPlan` — the spec grammar and seeded draw of
   :class:`~repro.reasoning.faultinject.FaultPlan`, mapping *connection
   ordinals* (accept order) to wire faults: targeted clauses like
   ``drop:3`` or ``delay:2:0.5``, and rate clauses ``rate:0.3[:seed]``
@@ -52,8 +52,8 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 
+from repro.reasoning.faultinject import SEED_STRIDE, FaultAction, OrdinalPlan
 from repro.server.daemon import ImplicationServer, ServerConfig
 
 #: All wire fault kinds; rate plans draw from all of them (unlike
@@ -61,94 +61,19 @@ from repro.server.daemon import ImplicationServer, ServerConfig
 #: kind resolves in bounded time).
 CHAOS_KINDS = ("drop", "close", "partial", "garbage", "delay")
 
-#: Default slow-loris duration for rate-drawn ``delay`` faults.
-_RATE_DELAY_S = 0.1
 
-#: Golden-ratio multiplier decorrelating per-ordinal PRNG streams.
-_SEED_STRIDE = 0x9E3779B1
-
-
-@dataclass(frozen=True)
-class ChaosAction:
-    """What (if anything) to do to one proxied connection."""
-
-    kind: str = "none"
-    param: float = 0.0
-
-    @property
-    def fires(self) -> bool:
-        return self.kind != "none"
-
-
-NO_CHAOS = ChaosAction()
-
-
-@dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(OrdinalPlan):
     """A deterministic map from connection ordinal to wire fault.
 
-    Same grammar as :class:`~repro.reasoning.faultinject.FaultPlan`:
-    comma-separated clauses, each ``KIND:ORDINAL[:PARAM]`` or
-    ``rate:R[:SEED]``.
+    The :class:`~repro.reasoning.faultinject.FaultPlan` grammar and
+    seeded draw over the wire kinds: comma-separated clauses, each
+    ``KIND:ORDINAL[:PARAM]`` or ``rate:R[:SEED]``; a rate-drawn
+    ``delay`` trickles for 0.1 s.
     """
 
-    spec: str = ""
-    targeted: tuple[tuple[int, ChaosAction], ...] = ()
-    rate: float = 0.0
-    seed: int = 0
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "ChaosPlan":
-        targeted: list[tuple[int, ChaosAction]] = []
-        rate = 0.0
-        seed = 0
-        for clause in spec.split(","):
-            clause = clause.strip()
-            if not clause:
-                continue
-            parts = clause.split(":")
-            kind = parts[0]
-            if kind == "rate":
-                if len(parts) not in (2, 3):
-                    raise ValueError(
-                        f"bad chaos clause {clause!r}: "
-                        "expected rate:R[:SEED]"
-                    )
-                rate = float(parts[1])
-                if not 0.0 <= rate <= 1.0:
-                    raise ValueError(f"chaos rate {rate} not in [0, 1]")
-                seed = int(parts[2]) if len(parts) == 3 else 0
-                continue
-            if kind not in CHAOS_KINDS:
-                raise ValueError(
-                    f"unknown chaos kind {kind!r} "
-                    f"(expected one of {', '.join(CHAOS_KINDS)})"
-                )
-            if len(parts) == 2:
-                ordinal, param = int(parts[1]), 0.0
-            elif len(parts) == 3:
-                ordinal, param = int(parts[1]), float(parts[2])
-            else:
-                raise ValueError(
-                    f"bad chaos clause {clause!r}: "
-                    "expected KIND:ORDINAL[:PARAM]"
-                )
-            targeted.append((ordinal, ChaosAction(kind, param)))
-        return cls(
-            spec=spec, targeted=tuple(targeted), rate=rate, seed=seed
-        )
-
-    def action_for(self, ordinal: int) -> ChaosAction:
-        for target, action in self.targeted:
-            if target == ordinal:
-                return action
-        if self.rate > 0.0:
-            rng = random.Random(self.seed * _SEED_STRIDE + ordinal)
-            if rng.random() < self.rate:
-                kind = rng.choice(CHAOS_KINDS)
-                param = _RATE_DELAY_S if kind == "delay" else 0.0
-                return ChaosAction(kind, param)
-        return NO_CHAOS
+    KINDS = {kind: (0, 1) for kind in CHAOS_KINDS}
+    RATE_KINDS = CHAOS_KINDS
+    RATE_DELAY = 0.1
 
 
 class ChaosProxy:
@@ -253,7 +178,7 @@ class ChaosProxy:
             ordinal += 1
             handler.start()
 
-    def _handle(self, client: socket.socket, action: ChaosAction) -> None:
+    def _handle(self, client: socket.socket, action: FaultAction) -> None:
         self._track(client)
         if action.kind == "drop":
             self._untrack_close(client)
@@ -290,7 +215,7 @@ class ChaosProxy:
                     return
                 upstream.sendall(chunk)
                 noise = random.Random(
-                    sum(chunk) * _SEED_STRIDE
+                    sum(chunk) * SEED_STRIDE
                 ).getrandbits(64)
                 client.sendall(b"\xff\xfechaos-%016x\n" % noise)
                 self._pump_bidirectional(client, upstream)
@@ -489,7 +414,9 @@ def _oracle(instances: list[tuple[list[str], str]]) -> list[str]:
     return verdicts
 
 
-def _percentile(values: list[float], q: float) -> float:
+def percentile(values: list[float], q: float) -> float:
+    """The sample at rank ``round(q * (n - 1))`` of ``values`` sorted
+    (0.0 when empty)."""
     if not values:
         return 0.0
     ordered = sorted(values)
@@ -606,7 +533,7 @@ def run_chaos_sweep(
     report["wire"] = {
         **counts,
         "availability": round(availability, 4),
-        "p99_ms": round(_percentile(latencies_ms, 0.99), 3),
+        "p99_ms": round(percentile(latencies_ms, 0.99), 3),
         "proxy": dict(proxy.counters),
         "drain_state": wire_state,
     }

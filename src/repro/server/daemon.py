@@ -72,8 +72,11 @@ from repro.reasoning.canonical import (
     rename_graph,
 )
 from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.runtime import retire_warm_pool, warm_pool_stats
-from repro.reasoning.shm import CancelFlag
+from repro.reasoning.runtime import (
+    CancelFlag,
+    retire_warm_pool,
+    warm_pool_stats,
+)
 from repro.reasoning.watchdog import RetiringSolverPool, SolveWatchdog
 from repro.server import protocol
 from repro.server.singleflight import FlightOutcome, SingleFlightTable
@@ -127,8 +130,8 @@ class ServerConfig:
     watchdog_max_solve_ms: int | None = None
     #: Per-pool-worker RLIMIT_AS ceiling in MiB (None = uncapped).
     max_worker_mb: int | None = None
-    #: Degrade pooled solves to in-process sharded scans once this
-    #: process's RSS passes this many MiB (None = no guard).
+    #: Demote pooled solves to inline once this process's RSS passes
+    #: this many MiB (None = no guard).
     memory_guard_mb: int | None = None
 
 

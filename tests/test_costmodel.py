@@ -1,37 +1,26 @@
-"""Cost-model dispatch: validation, sizing, and strategy choice.
+"""Execution dispatch: validation, sizing, and the pool rule.
 
 The regression under test: PR 2's pool portfolio could *lose* to the
-sequential pipeline because ``jobs`` was treated as a command.  The
-cost model prices every scan from the closed-form ``2^(L*n^2)`` space
-size and only chooses the pool when the parallel gain clears a margin
-over the pool's own fixed costs.
+sequential pipeline because ``jobs`` was treated as a command.  A scan
+is priced from its closed-form ``2^(L*n^2)`` space size (or typed
+instance limit) and pools only on two or more usable CPUs past a
+fixed per-kind size.
 """
 
 import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
 from repro.reasoning import Context, ImplicationProblem, solve
+from repro.reasoning import costmodel
 from repro.reasoning.costmodel import (
-    INLINE_MAX_CODES,
     ExecMode,
     available_cpus,
-    calibration,
     choose_execution,
     estimate_untyped_codes,
     normalize_jobs,
-    observe_typed_scan,
-    observe_untyped_scan,
-    reset_calibration,
     validate_jobs,
     validate_max_respawns,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_calibration():
-    reset_calibration()
-    yield
-    reset_calibration()
 
 
 class TestValidateJobs:
@@ -143,39 +132,6 @@ class TestChooseExecution:
         )
         assert d.jobs <= 4
 
-    def test_medium_space_chunks_in_process(self):
-        d = choose_execution(
-            kind="untyped",
-            work_units=INLINE_MAX_CODES * 4,
-            jobs=2,
-            cpus=1,
-        )
-        assert d.mode is ExecMode.SHARDED
-
-    def test_warm_pool_lowers_the_threshold(self):
-        # A scan too small to amortize a cold spawn is still worth
-        # dispatching onto workers that already exist.
-        kwargs = dict(kind="untyped", work_units=20_000, jobs=2, cpus=2)
-        cold = choose_execution(warm_available=False, **kwargs)
-        warm = choose_execution(warm_available=True, **kwargs)
-        assert cold.mode is ExecMode.INLINE
-        assert warm.mode is ExecMode.POOL and warm.warm
-
-    def test_typed_scans_discount_the_parallel_fraction(self):
-        # Stride shards re-enumerate the full instance stream, so only
-        # half a typed scan parallelizes: at the default 4.5k/s rate an
-        # estimated ~0.3s scan would clear the pool margin at full
-        # fraction but must stay inline at the discounted one, while a
-        # ~1s scan pools either way.
-        border = choose_execution(
-            kind="typed", work_units=1_350, jobs=2, cpus=2
-        )
-        big = choose_execution(
-            kind="typed", work_units=4_500, jobs=2, cpus=2
-        )
-        assert border.mode is ExecMode.INLINE
-        assert big.mode is ExecMode.POOL
-
     def test_forced_pool_requires_two_jobs(self):
         with pytest.raises(ValueError):
             choose_execution(
@@ -202,32 +158,28 @@ class TestChooseExecution:
             choose_execution(kind="quantum", work_units=1, jobs=1)
 
 
-class TestCalibration:
-    def test_observations_move_the_rate(self):
-        before = calibration().untyped_rate
-        observe_untyped_scan(int(before * 4), 1.0)
-        after = calibration().untyped_rate
-        assert after > before
-        assert calibration().untyped_samples == 1
+class TestPoolRule:
+    """Pool iff min(jobs, cpus) >= 2 and the scan exceeds its kind's
+    constant: both sides of each constant, 1 and 2 CPUs, and jobs
+    given as 1, 2 or "auto" (resolved against the same CPU count)."""
 
-    def test_degenerate_observations_are_ignored(self):
-        before = calibration().typed_rate
-        observe_typed_scan(0, 1.0)
-        observe_typed_scan(100, 0.0)
-        assert calibration().typed_rate == before
-        assert calibration().typed_samples == 0
-
-    def test_calibration_feeds_the_decision(self):
-        # Slow the measured throughput far enough and a space that was
-        # inline-cheap becomes pool-worthy.
-        fast = choose_execution(
-            kind="untyped", work_units=20_000, jobs=4, cpus=4
+    @pytest.mark.parametrize("jobs", [1, 2, "auto"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "kind,work,large",
+        [
+            ("untyped", 34_000, False),
+            ("untyped", 34_001, True),
+            ("typed", 1_800, False),
+            ("typed", 1_801, True),
+        ],
+    )
+    def test_table(self, monkeypatch, kind, work, large, cpus, jobs):
+        monkeypatch.setattr(costmodel, "available_cpus", lambda: cpus)
+        d = choose_execution(
+            kind=kind, work_units=work, jobs=normalize_jobs(jobs)
         )
-        for _ in range(40):
-            observe_untyped_scan(100, 1.0)  # ~100 codes/s: dire
-        slow = choose_execution(
-            kind="untyped", work_units=20_000, jobs=4, cpus=4
-        )
-        assert fast.mode is ExecMode.INLINE
-        assert slow.mode is ExecMode.POOL
-        assert slow.estimated_seconds > fast.estimated_seconds
+        pooled = large and cpus == 2 and jobs != 1
+        assert d.mode is (ExecMode.POOL if pooled else ExecMode.INLINE)
+        assert d.jobs == (2 if pooled else 1)
+        assert d.cpus == cpus and d.estimated_work == work

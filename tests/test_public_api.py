@@ -8,6 +8,10 @@ refactors cannot silently drop them.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +135,23 @@ def test_cli_entrypoint_importable():
 
     parser = build_parser()
     assert parser.prog == "repro"
+
+
+def test_cli_import_stays_off_numpy():
+    # A fresh interpreter, so modules other tests loaded do not count.
+    # numpy's only user was the deleted shared-memory scan arena.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted({'numpy', 'repro.reasoning.shm'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,17 +1,15 @@
-"""Warm persistent pool + shared-memory transport: reuse and cleanup.
-
-Satellite (c) of the cost-model PR:
+"""Warm persistent pool + shared-memory cancel flags: reuse and cleanup.
 
 * two consecutive pooled solves must reuse the same worker processes
   (the warm pool survives across ``solve()`` calls — no respawn tax on
   the second solve);
 * a worker crash mid-shard must not leak a single shared-memory
-  segment, because the parent owns every segment and unlinks in a
-  ``finally`` around the race.
+  segment, because the parent owns every cancel flag and unlinks it
+  in a ``finally`` around the race.
 
 Pool execution is forced (``execution="pool"``) throughout: on a small
-instance the cost model would otherwise — correctly — refuse to spawn
-processes at all.
+instance the dispatch rule would otherwise — correctly — refuse to
+spawn processes at all.
 """
 
 import glob
@@ -25,11 +23,11 @@ from repro.reasoning.costmodel import ExecMode
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.portfolio import run_portfolio
 from repro.reasoning.runtime import (
+    active_owned_segments,
     retire_warm_pool,
     warm_pool_pids,
     warm_pool_stats,
 )
-from repro.reasoning.shm import active_owned_segments
 from repro.truth import Trilean
 
 # Same divergent-chase instance as the fault-tolerance suite: the
@@ -59,9 +57,7 @@ def _shm_leftovers():
     """repro-owned names still present in the kernel's shm namespace."""
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         return []
-    return glob.glob("/dev/shm/repro-scan-*") + glob.glob(
-        "/dev/shm/repro-cancel-*"
-    )
+    return glob.glob("/dev/shm/repro-cancel-*")
 
 
 @pytest.fixture(autouse=True)
@@ -91,11 +87,6 @@ class TestWarmReuse:
         # Exactly one lease reused the pool, and nothing respawned.
         assert stats_second["reuses"] == stats_first["reuses"] + 1
         assert stats_second["spawns"] == stats_first["spawns"]
-
-    def test_second_solve_sees_a_warm_decision(self):
-        _pooled_solve()
-        warmed = _pooled_solve()
-        assert warmed.execution.warm
 
     def test_retire_reaps_the_workers(self):
         _pooled_solve()

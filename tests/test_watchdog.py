@@ -32,8 +32,7 @@ from repro.errors import HungSolveError
 from repro.reasoning import Budget, ImplicationProblem
 from repro.reasoning.faultinject import FaultPlan, invoke
 from repro.reasoning.portfolio import run_portfolio
-from repro.reasoning.runtime import retire_warm_pool
-from repro.reasoning.shm import CancelFlag
+from repro.reasoning.runtime import CancelFlag, retire_warm_pool
 from repro.reasoning.watchdog import (
     RetiringSolverPool,
     SolveWatchdog,
@@ -259,10 +258,11 @@ class TestMemoryCeilingAndGuard:
         )
         assert result.answer is Trilean.FALSE
 
-    def test_memory_guard_demotes_pool_to_sharded(self):
+    def test_memory_guard_demotes_pool_to_inline(self):
         # An RSS guard below the current RSS must veto pooled
         # execution up front — and the verdict must survive the
-        # demotion.
+        # demotion.  The decision records what ran: one in-process
+        # worker, not the requested two.
         result = run_portfolio(
             _divergent_problem(),
             jobs=2,
@@ -270,7 +270,8 @@ class TestMemoryCeilingAndGuard:
             memory_guard_mb=1,
         )
         assert result.answer is Trilean.FALSE
-        assert result.execution.mode.value == "sharded"
+        assert result.execution.mode.value == "inline"
+        assert result.execution.jobs == 1
         assert any("memory guard" in note for note in result.notes)
 
     def test_guard_far_above_rss_changes_nothing(self):
