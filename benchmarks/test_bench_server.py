@@ -1,6 +1,6 @@
-"""Server daemon benchmarks: latency under load, dedup, fault safety.
+"""Server daemon benchmarks: latency under load, fault safety.
 
-Three workloads, matching the server PR's acceptance criteria:
+Two workloads:
 
 * **closed-loop load** — N concurrent clients (N in 1, 4, 8) each
   issue a burst of imply requests over real sockets against one
@@ -8,11 +8,6 @@ Three workloads, matching the server PR's acceptance criteria:
   concurrency level; the p99 at the highest concurrency is gated (a
   generous bound — the point is catching a 10x dispatch regression,
   not micro-benchmarking the event loop).
-* **renamed-duplicate dedup** — rounds of alpha-renamed copies of one
-  expensive query arrive concurrently; single-flight must coalesce
-  the copies onto the leader's solve, so the measured dedup hit rate
-  is gated > 0 and the solver-side solve count stays at one per
-  round, not one per request.
 * **fault-injection no-flip** — the same instance mix is answered by
   a clean daemon (ground truth) and then by a daemon running with
   ``rate:0.3`` injection for 100 requests.  Faults may demote a
@@ -45,17 +40,9 @@ WORD_SIGMA = ["a => b", "b => c"]
 WORD_PHI = "a => c"
 
 # Divergent-chase FALSE instance (undecidable cell, counter-model in
-# ~1ms) plus alpha-renamings for the dedup workload.
+# ~1ms).
 BASE_SIGMA = ["() => K", "K :: () => a.a.a", "K :: a.a.a => ()", "a :: a => a"]
 BASE_PHI = "K :: a => ()"
-
-
-def _renamed(label: str, atom: str) -> tuple[list[str], str]:
-    sigma = [
-        line.replace("K", label).replace("a", atom) for line in BASE_SIGMA
-    ]
-    return sigma, BASE_PHI.replace("K", label).replace("a", atom)
-
 
 # Instance mix for the no-flip workload: one TRUE, one FALSE, one
 # guarded FALSE — every definite clean answer is a flip candidate.
@@ -67,8 +54,6 @@ FLIP_INSTANCES = [
 
 CONCURRENCIES = (1, 4, 8)
 REQUESTS_PER_CLIENT = 25
-DEDUP_ROUNDS = 5
-DEDUP_FOLLOWERS = 3
 INJECT_REQUESTS = 100
 P99_BOUND_MS = 500.0
 
@@ -133,9 +118,7 @@ def test_closed_loop_latency_and_throughput():
                         mine = []
                         for _ in range(REQUESTS_PER_CLIENT):
                             start = time.perf_counter()
-                            response = client.imply(
-                                WORD_SIGMA, WORD_PHI, no_dedup=True
-                            )
+                            response = client.imply(WORD_SIGMA, WORD_PHI)
                             mine.append(
                                 (time.perf_counter() - start) * 1e3
                             )
@@ -186,66 +169,6 @@ def test_closed_loop_latency_and_throughput():
     assert worst_p99 < P99_BOUND_MS, (
         f"p99 {worst_p99:.1f}ms above the {P99_BOUND_MS:.0f}ms bound"
     )
-
-
-def test_renamed_duplicate_dedup_hit_rate():
-    alphabets = [
-        ("K", "a"), ("L", "b"), ("M", "c"), ("Q", "d"),
-    ][: DEDUP_FOLLOWERS + 1]
-    with _Harness(solver_threads=1, allow_delay=True) as harness:
-        for _ in range(DEDUP_ROUNDS):
-            barrier_errors: list[BaseException] = []
-
-            def ask(index, label, atom):
-                try:
-                    sigma, phi = _renamed(label, atom)
-                    delay = 250 if index == 0 else 0
-                    with harness.client() as client:
-                        response = client.imply(
-                            sigma, phi, delay_ms=delay
-                        )
-                    assert response["answer"] == "false"
-                except BaseException as exc:  # noqa: BLE001
-                    barrier_errors.append(exc)
-
-            threads = [
-                threading.Thread(target=ask, args=(i, lab, atom))
-                for i, (lab, atom) in enumerate(alphabets)
-            ]
-            threads[0].start()
-            time.sleep(0.1)  # leader must be in flight first
-            for thread in threads[1:]:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not barrier_errors, barrier_errors
-        with harness.client() as client:
-            stats = client.stats()
-
-    dedup = stats["dedup"]
-    solved = stats["counters"]["solved"]
-    total = stats["counters"]["imply"]
-    _BENCH["dedup"] = {
-        "rounds": DEDUP_ROUNDS,
-        "requests": total,
-        "solves": solved,
-        "coalesced": dedup["coalesced"],
-        "hit_rate": round(dedup["hit_rate"], 3),
-    }
-    print_table(
-        "server: renamed-duplicate single-flight",
-        ["metric", "value"],
-        [
-            ["imply requests", total],
-            ["solver runs", solved],
-            ["coalesced followers", dedup["coalesced"]],
-            ["dedup hit rate", f"{dedup['hit_rate']:.0%}"],
-        ],
-    )
-    assert dedup["hit_rate"] > 0
-    assert dedup["coalesced"] == DEDUP_ROUNDS * DEDUP_FOLLOWERS
-    # One solve per round, not one per request.
-    assert solved == DEDUP_ROUNDS
 
 
 def test_fault_injection_never_flips():

@@ -26,9 +26,9 @@ Commands
     multiple endpoints enable client-side failover.
 ``serve [--host H] [--port P] [--max-queue N] [--solver-threads N]``
     Run the long-lived implication server: a JSON-lines protocol
-    (``imply``/``check``/``health``/``stats``/``shutdown``) with
-    bounded-queue admission control, single-flight deduplication of
-    alpha-equivalent concurrent queries, a hung-solve watchdog
+    (``imply``/``check``/``query``/``health``/``stats``/``shutdown``)
+    with bounded-queue admission control, a shared implication cache
+    that answers alpha-renamed repeats, a hung-solve watchdog
     (``--watchdog-grace-ms``), per-worker memory ceilings
     (``--max-worker-mb``), and graceful SIGTERM drain (in-flight work
     finishes, new work is refused, the warm pool is retired).  See
@@ -236,9 +236,6 @@ def _cmd_imply_remote(args: argparse.Namespace) -> int:
         f"fragment:   {response['fragment']}  "
         f"[{response['context']}: {cell}]"
     )
-    dedup = response.get("dedup")
-    if dedup:
-        print(f"dedup:      {dedup['role']}")
     cache = response.get("cache")
     if cache:
         print(f"cache:      {cache['status']} {cache.get('tier', '')}")
@@ -837,8 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject",
         metavar="SPEC",
         help="deterministic fault injection for every solve "
-        "(testing instrument; disables single-flight dedup and "
-        "cache lookups)",
+        "(testing instrument; disables cache lookups)",
     )
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", metavar="DIR")

@@ -7,10 +7,8 @@ monotonic budgets, the cross-request cache) to compose under
 *concurrent* load.  This package provides that composition point:
 
 * :mod:`repro.server.protocol` — the versioned JSON-lines wire format
-  (``imply``/``check``/``health``/``stats``/``shutdown`` requests);
-* :mod:`repro.server.singleflight` — canonical-key request coalescing:
-  concurrent alpha-equivalent queries share one solve, with followers'
-  certificates renamed back into their own alphabets;
+  (``imply``/``check``/``query``/``health``/``stats``/``shutdown``
+  requests);
 * :mod:`repro.server.daemon` — the asyncio server itself: bounded
   admission queue with explicit load-shedding, client-budget deadline
   propagation, graceful SIGTERM drain, warm-pool and cache sharing
@@ -26,7 +24,8 @@ monotonic budgets, the cross-request cache) to compose under
 
 The connection/drain discipline follows EdgeDB's server (bounded
 queues, drain-then-exit) and Twisted's service idioms (one reactor,
-explicit lifecycle); deduplication leans on the
+explicit lifecycle).  Repeated and alpha-renamed requests are served by
+the shared implication cache, which leans on the
 containment-under-constraints observation (Calvanese-De
 Giacomo-Lenzerini) that an implication verdict is a pure function of
 the instance's structure.
@@ -39,14 +38,12 @@ from repro.server.client import (
 )
 from repro.server.daemon import ImplicationServer, ServerConfig
 from repro.server.protocol import PROTOCOL_VERSION
-from repro.server.singleflight import SingleFlightTable
 
 __all__ = [
     "ImplicationServer",
     "PROTOCOL_VERSION",
     "ServerClient",
     "ServerConfig",
-    "SingleFlightTable",
     "parse_endpoints",
     "parse_host_port",
 ]

@@ -347,8 +347,8 @@ class EmbeddedServer:
 # ---------------------------------------------------------------------------
 
 #: Base instances for the sweep, all definite at ``jobs=1``; label
-#: renamings multiply them into distinct canonical keys so dedup does
-#: not collapse the sweep onto a handful of flights.
+#: renamings multiply them into distinct requests, each scored against
+#: its own in-process oracle verdict.
 _BASE_INSTANCES: tuple[tuple[tuple[str, ...], str], ...] = (
     (
         (
@@ -567,12 +567,11 @@ def run_chaos_sweep(
         with client:
             start = time.monotonic()
             wedged = client.imply(
-                *instances[0], jobs=1, budget_ms=budget_ms,
-                no_dedup=True, wedge=True,
+                *instances[0], jobs=1, budget_ms=budget_ms, wedge=True
             )
             wall_ms = (time.monotonic() - start) * 1e3
             reclaim_ms = max(0.0, wall_ms - budget_ms)
-            after = client.imply(*instances[0], jobs=1, no_dedup=True)
+            after = client.imply(*instances[0], jobs=1)
             stats = client.stats()
     finally:
         reclaim_state = embedded.stop()
@@ -638,9 +637,7 @@ def run_chaos_sweep(
         with client:
             before = client.imply(*instances[0], jobs=1)
             killed_state = first.stop()
-            after_kill = client.imply(
-                *instances[1], jobs=1, no_dedup=True
-            )
+            after_kill = client.imply(*instances[1], jobs=1)
             survivor_port = client.port
     finally:
         failover_state = second.stop()

@@ -357,7 +357,6 @@ class ServerClient:
         schema: str | None = None,
         budget_ms: int | None = None,
         jobs: int | str | None = None,
-        no_dedup: bool = False,
         delay_ms: int | None = None,
         wedge: bool = False,
     ) -> dict:
@@ -369,7 +368,6 @@ class ServerClient:
             schema=schema,
             budget_ms=budget_ms,
             jobs=jobs,
-            no_dedup=no_dedup or None,
             delay_ms=delay_ms,
             wedge=wedge or None,
         )

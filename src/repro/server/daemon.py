@@ -10,22 +10,21 @@ drain-then-exit) and Twisted's one-reactor service idiom.
 
 Robustness properties, in order of the request path:
 
-* **Admission control.**  ``imply``/``check`` work enters a bounded
-  queue; when it is full the request is *shed* with an explicit
-  ``overloaded`` response carrying ``retry_after_ms`` — the daemon
-  never buffers unboundedly.  A client budget (``budget_ms``) becomes
-  an absolute monotonic deadline at admission: a request whose budget
-  provably cannot survive the estimated queue wait is rejected up
-  front, and one whose deadline expires *while queued* is rejected at
-  dequeue with an honest UNKNOWN — never solved against a dead budget,
-  never answered with a stale definite verdict.
-* **Single-flight dedup.**  Concurrent requests with the same
-  canonical key coalesce onto one solve
-  (:mod:`repro.server.singleflight`); followers get the leader's
-  outcome with certificates renamed into their own alphabets.
-  Disabled under fault injection (an injected run's purpose is to
-  exercise the runtime, so every request must run) and per-request via
-  ``no_dedup``.
+* **Admission control.**  ``imply``/``query``/``check`` work enters a
+  bounded queue; when it is full the request is *shed* with an
+  explicit ``overloaded`` response carrying ``retry_after_ms`` — the
+  daemon never buffers unboundedly.  A client budget (``budget_ms``,
+  else ``ServerConfig.default_budget_ms``) becomes an absolute
+  monotonic deadline at admission: a request whose budget provably
+  cannot survive the estimated queue wait is rejected up front, and one
+  whose deadline expires *while queued* is rejected at dequeue with an
+  honest UNKNOWN — never solved against a dead budget, never answered
+  with a stale definite verdict.
+* **One path per request.**  Every solver op is parsed on the event
+  loop, admitted, and run on a solver thread.  Canonicalization happens
+  there too, inside ``solve()``, once per request and only for the
+  cache key; a cache hit's counter-model comes back renamed into the
+  requester's alphabet by the cache replay.
 * **Graceful drain.**  SIGTERM, SIGINT or a ``shutdown`` request moves
   the server to ``draining``: admitted work (queued and in-flight)
   completes and is answered, new work is refused with a ``draining``
@@ -43,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import math
 import os
 import signal
 import tempfile
@@ -66,11 +66,6 @@ from repro.reasoning import (
     solve,
 )
 from repro.reasoning.cache import ImplicationCache
-from repro.reasoning.canonical import (
-    CanonicalForm,
-    canonicalize_problem,
-    rename_graph,
-)
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.runtime import (
     CancelFlag,
@@ -79,7 +74,6 @@ from repro.reasoning.runtime import (
 )
 from repro.reasoning.watchdog import RetiringSolverPool, SolveWatchdog
 from repro.server import protocol
-from repro.server.singleflight import FlightOutcome, SingleFlightTable
 
 #: Prior for the queue-wait estimator before any solve has completed.
 #: Deliberately small: an idle server should not shed its first
@@ -136,18 +130,106 @@ class ServerConfig:
 
 
 @dataclass
+class FlightOutcome:
+    """What one admitted request produced.
+
+    ``kind`` is a closed vocabulary: ``solved`` (the solver ran;
+    ``wire`` holds the ``ok`` response's payload), ``rejected`` (the
+    deadline expired before the solve started — the only honest
+    payload is UNKNOWN), ``error`` (the request was admitted but the
+    solver raised), ``hung`` (the watchdog abandoned the solve — same
+    honest UNKNOWN as ``rejected``, plus an auditable ``hung_solve``
+    fault on the wire).  A solved ``imply`` also keeps its
+    :class:`ImplicationResult` in ``result``, so the watchdog can tell
+    a definite answer that arrived late from one it cut short.
+    """
+
+    kind: str
+    result: Any = None
+    wire: dict | None = None
+    reason: str = ""
+    error: str = ""
+    elapsed_ms: float = 0.0
+
+
+@dataclass
 class _Admitted:
-    """One unit of work that passed admission control."""
+    """One unit of solver work: built by a ``_prepare_*`` parser, then
+    queued by ``_admit``."""
 
     op: str
     solve_fn: Callable[[], FlightOutcome]
     deadline: float | None = None
-    key: str | None = None
     future: "asyncio.Future[FlightOutcome] | None" = None
     admitted_at: float = 0.0
     #: The solve's cooperative-cancel flag (daemon-owned; the watchdog
     #: trips it past deadline + grace).  None when unwatched.
     cancel: CancelFlag | None = None
+
+
+def _milliseconds(request: dict, name: str) -> float | None:
+    """The request's ``name`` field as a finite number >= 0, or None
+    when absent.  Anything else (a string, a list, a bool, NaN, a
+    negative or unrepresentably large number) raises ``ValueError``."""
+    value = request.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not 0 <= number < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return number
+
+
+def _budgeted(
+    start: float,
+    deadline: float | None,
+    run: Callable[[float | None], FlightOutcome],
+) -> FlightOutcome:
+    """Run ``run(remaining_seconds)`` on a solver thread; never raises.
+
+    A budget already spent (in the queue, or by the ``delay_ms``
+    instrument) is rejected before ``run`` starts; solver errors become
+    ``error`` outcomes.  ``elapsed_ms`` counts from ``start``.
+    """
+    remaining = None
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return FlightOutcome(
+                kind="rejected",
+                reason="deadline expired before the solve started",
+            )
+    try:
+        outcome = run(remaining)
+    except (ReproError, ValueError) as exc:
+        return FlightOutcome(
+            kind="error", error=f"{type(exc).__name__}: {exc}"
+        )
+    outcome.elapsed_ms = (time.monotonic() - start) * 1e3
+    return outcome
+
+
+def _parse_sigma(request: dict) -> list:
+    sigma_lines = request.get("sigma")
+    if not isinstance(sigma_lines, list) or not all(
+        isinstance(line, str) for line in sigma_lines
+    ):
+        raise ValueError("sigma must be a list of constraint lines")
+    return parse_constraints("\n".join(sigma_lines))
+
+
+def _parse_schema(request: dict) -> Any:
+    schema_text = request.get("schema")
+    if schema_text is None:
+        return None
+    from repro.xml import schema_from_xml_data
+
+    return schema_from_xml_data(schema_text)
 
 
 class ImplicationServer:
@@ -162,7 +244,6 @@ class ImplicationServer:
         self._started_at = 0.0
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue[_Admitted] | None = None
-        self._flights = SingleFlightTable()
         self._workers: list[asyncio.Task] = []
         self._connections: set[asyncio.Task] = set()
         self._drain_event: asyncio.Event | None = None
@@ -183,7 +264,6 @@ class ImplicationServer:
             "shed": 0,
             "rejected_upfront": 0,
             "rejected_deadline": 0,
-            "dedup_followers": 0,
             "drain_refusals": 0,
             "protocol_errors": 0,
             "hung_solves": 0,
@@ -380,11 +460,7 @@ class ImplicationServer:
         if self.state != "serving":
             self.counters["drain_refusals"] += 1
             return protocol.draining_response(request_id)
-        if op == "imply":
-            return await self._handle_imply(request)
-        if op == "query":
-            return await self._handle_query(request)
-        return await self._handle_check(request)
+        return await self._solve_op(request)
 
     def _health_response(self, request_id: Any) -> dict:
         return protocol.ok_response(
@@ -394,7 +470,6 @@ class ImplicationServer:
         )
 
     def _stats_response(self, request_id: Any) -> dict:
-        imply_total = self._flights.led + self._flights.coalesced
         stats: dict = {
             "state": self.state,
             "uptime_ms": round(
@@ -403,16 +478,6 @@ class ImplicationServer:
             "queue": {
                 "depth": self._queue.qsize() if self._queue else 0,
                 "max": self.config.max_queue,
-            },
-            "inflight": self._flights.inflight(),
-            "dedup": {
-                "led": self._flights.led,
-                "coalesced": self._flights.coalesced,
-                "hit_rate": (
-                    self._flights.coalesced / imply_total
-                    if imply_total
-                    else 0.0
-                ),
             },
             "ewma_solve_ms": (
                 None
@@ -430,104 +495,63 @@ class ImplicationServer:
             stats["cache"] = self.config.cache.stats()
         return protocol.ok_response(request_id, **stats)
 
-    # -- imply --------------------------------------------------------
+    # -- the solver ops: imply, query, check --------------------------
 
-    async def _handle_imply(self, request: dict) -> dict:
+    async def _solve_op(self, request: dict) -> dict:
+        """Parse on the loop, admit, solve on a solver thread, answer.
+
+        ``imply``, ``query`` and ``check`` differ only in how they parse
+        and what their solver thread runs; the budget, the admission and
+        the mapping from outcome to response status are this one path.
+        A malformed request is answered with ``error``, and the
+        connection survives it.
+        """
+        op = request["op"]
         request_id = request.get("id")
         try:
-            problem, fragment = self._parse_imply(request)
+            deadline, delay_ms = self._deadline(request)
+            if op == "imply":
+                item = self._prepare_imply(request, deadline, delay_ms)
+            elif op == "query":
+                item = self._prepare_query(request, deadline)
+            else:
+                item = self._prepare_check(request, deadline)
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             self.counters["errors"] += 1
             return protocol.error_response(
-                request_id, f"bad imply request: {exc}"
+                request_id, f"bad {op} request: {exc}"
             )
-        budget_ms = request.get("budget_ms", self.config.default_budget_ms)
+        item.future = asyncio.get_running_loop().create_future()
+        rejection = self._admit(item, request_id)
+        if rejection is not None:
+            self._discard_cancel(item)
+            return rejection
+        outcome = await asyncio.shield(item.future)
+        if outcome.kind == "rejected":
+            return protocol.rejected_response(request_id, outcome.reason)
+        if outcome.kind == "hung":
+            return protocol.hung_response(request_id, outcome.reason)
+        if outcome.kind == "error":
+            return protocol.error_response(request_id, outcome.error)
+        response = protocol.ok_response(request_id, **(outcome.wire or {}))
+        response["elapsed_ms"] = round(outcome.elapsed_ms, 3)
+        return response
+
+    def _deadline(self, request: dict) -> tuple[float | None, float]:
+        """The request's absolute deadline and its ``delay_ms``.
+
+        ``budget_ms`` falls back to ``ServerConfig.default_budget_ms``
+        for every op; both fields are validated by :func:`_milliseconds`.
+        """
+        budget_ms = _milliseconds(request, "budget_ms")
+        if budget_ms is None:
+            budget_ms = self.config.default_budget_ms
         deadline = (
             None
             if budget_ms is None
-            else time.monotonic() + float(budget_ms) / 1e3
+            else time.monotonic() + budget_ms / 1e3
         )
-        delay_ms = int(request.get("delay_ms") or 0)
-
-        # Dedup is off under injection: coalescing would let one
-        # injected run answer for many, hiding the runtime exercise
-        # the injection exists to force.
-        form: CanonicalForm | None = None
-        dedup = self.config.inject is None and not request.get("no_dedup")
-        if dedup:
-            form = canonicalize_problem(problem)
-            is_leader, flight = self._flights.join_or_lead(form.key)
-            if not is_leader:
-                self.counters["dedup_followers"] += 1
-                outcome = await asyncio.shield(flight.future)
-                return self._imply_response(
-                    request_id, outcome, form, fragment, request, "follower"
-                )
-            cancel = self._make_cancel(deadline)
-            admission_error = self._admit(
-                _Admitted(
-                    op="imply",
-                    solve_fn=functools.partial(
-                        self._solve_blocking,
-                        problem,
-                        deadline,
-                        delay_ms,
-                        form,
-                        request,
-                        cancel,
-                    ),
-                    deadline=deadline,
-                    key=form.key,
-                    admitted_at=time.monotonic(),
-                    cancel=cancel,
-                ),
-                request_id,
-                deadline,
-            )
-            if admission_error is not None:
-                if cancel is not None:
-                    with contextlib.suppress(Exception):
-                        cancel.release()
-                self._flights.abandon(form.key)
-                return admission_error
-            outcome = await asyncio.shield(flight.future)
-            return self._imply_response(
-                request_id, outcome, form, fragment, request, "leader"
-            )
-
-        future: asyncio.Future[FlightOutcome] = (
-            asyncio.get_running_loop().create_future()
-        )
-        cancel = self._make_cancel(deadline)
-        admission_error = self._admit(
-            _Admitted(
-                op="imply",
-                solve_fn=functools.partial(
-                    self._solve_blocking,
-                    problem,
-                    deadline,
-                    delay_ms,
-                    None,
-                    request,
-                    cancel,
-                ),
-                deadline=deadline,
-                future=future,
-                admitted_at=time.monotonic(),
-                cancel=cancel,
-            ),
-            request_id,
-            deadline,
-        )
-        if admission_error is not None:
-            if cancel is not None:
-                with contextlib.suppress(Exception):
-                    cancel.release()
-            return admission_error
-        outcome = await asyncio.shield(future)
-        return self._imply_response(
-            request_id, outcome, None, fragment, request, "solo"
-        )
+        return deadline, _milliseconds(request, "delay_ms") or 0.0
 
     def _make_cancel(self, deadline: float | None) -> CancelFlag | None:
         """A cooperative-cancel flag, but only when it can ever fire.
@@ -547,49 +571,46 @@ class ImplicationServer:
         except Exception:  # noqa: BLE001 - degraded: unwatchable cancel
             return None
 
-    def _parse_imply(
-        self, request: dict
-    ) -> tuple[ImplicationProblem, str]:
-        sigma_lines = request.get("sigma")
-        if not isinstance(sigma_lines, list) or not all(
-            isinstance(line, str) for line in sigma_lines
-        ):
-            raise ValueError("sigma must be a list of constraint lines")
+    def _prepare_imply(
+        self, request: dict, deadline: float | None, delay_ms: float
+    ) -> _Admitted:
         phi_line = request.get("phi")
         if not isinstance(phi_line, str):
             raise ValueError("phi must be a constraint line")
-        sigma = parse_constraints("\n".join(sigma_lines))
-        phi = parse_constraint(phi_line)
-        context = request.get("context", "semistructured")
-        schema = None
-        schema_text = request.get("schema")
-        if schema_text is not None:
-            from repro.xml import schema_from_xml_data
-
-            schema = schema_from_xml_data(schema_text)
-        problem = ImplicationProblem(sigma, phi, context, schema=schema)
-        fragment = classify(problem.sigma, problem.phi).value
-        return problem, fragment
+        problem = ImplicationProblem(
+            _parse_sigma(request),
+            parse_constraint(phi_line),
+            request.get("context", "semistructured"),
+            schema=_parse_schema(request),
+        )
+        cancel = self._make_cancel(deadline)
+        return _Admitted(
+            op="imply",
+            solve_fn=functools.partial(
+                self._solve_blocking,
+                problem,
+                deadline,
+                delay_ms,
+                None,
+                request,
+                cancel,
+            ),
+            deadline=deadline,
+            cancel=cancel,
+        )
 
     # -- admission control --------------------------------------------
 
-    def _admit(
-        self,
-        item: _Admitted,
-        request_id: Any,
-        deadline: float | None,
-    ) -> dict | None:
+    def _admit(self, item: _Admitted, request_id: Any) -> dict | None:
         """Admit ``item`` to the bounded queue, or answer why not.
 
         Returns ``None`` on admission, else the shed/reject response.
-        Runs entirely without ``await`` so single-flight leaders can
-        never strand followers between joining and enqueueing.
         """
         assert self._queue is not None
         depth = self._queue.qsize()
         wait_estimate = depth * (self._ewma_solve_s or _EWMA_PRIOR_S)
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
+        if item.deadline is not None:
+            remaining = item.deadline - time.monotonic()
             if remaining <= wait_estimate:
                 # The budget cannot survive the queue: reject up front
                 # instead of letting the deadline die in line.
@@ -597,6 +618,7 @@ class ImplicationServer:
                 return protocol.overloaded_response(
                     request_id, retry_after_ms=int(wait_estimate * 1e3) + 1
                 )
+        item.admitted_at = time.monotonic()
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
@@ -760,22 +782,28 @@ class ImplicationServer:
                 item.cancel.release()
             item.cancel = None
 
-    def _resolve(self, item: _Admitted, outcome: FlightOutcome) -> None:
-        if item.key is not None:
-            self._flights.resolve(item.key, outcome)
-        elif item.future is not None and not item.future.done():
+    @staticmethod
+    def _resolve(item: _Admitted, outcome: FlightOutcome) -> None:
+        if item.future is not None and not item.future.done():
             item.future.set_result(outcome)
 
     def _solve_blocking(
         self,
         problem: ImplicationProblem,
         deadline: float | None,
-        delay_ms: int,
-        form: CanonicalForm | None,
+        delay_ms: float,
+        form: None,
         request: dict,
         cancel: CancelFlag | None = None,
     ) -> FlightOutcome:
-        """Runs on a solver thread; must never raise."""
+        """Solve one ``imply`` request on a solver thread; never raises.
+
+        ``solve()`` computes the request's only canonical form, for the
+        cache key, and a cache hit's counter-model comes back already
+        renamed into this request's alphabet.  So ``form`` is always
+        None; it stays in the signature because perfbench's launcher
+        wraps this method and passes its arguments by position.
+        """
         start = time.monotonic()
         if self.config.allow_delay and request.get("wedge"):
             # Testing instrument: a solve that stopped cooperating —
@@ -800,19 +828,11 @@ class ImplicationServer:
                         reason="cancelled by the watchdog during delay",
                     )
                 time.sleep(min(0.05, left))
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return FlightOutcome(
-                    kind="rejected",
-                    reason="deadline expired before the solve started",
-                )
-        jobs = request.get("jobs", self.config.jobs)
-        try:
+
+        def run(remaining: float | None) -> FlightOutcome:
             result = solve(
                 problem,
-                jobs=jobs,
+                jobs=request.get("jobs", self.config.jobs),
                 deadline=remaining,
                 max_respawns=self.config.max_respawns,
                 inject=self.config.inject,
@@ -821,74 +841,31 @@ class ImplicationServer:
                 max_worker_mb=self.config.max_worker_mb,
                 memory_guard_mb=self.config.memory_guard_mb,
             )
-        except (ReproError, ValueError) as exc:
-            return FlightOutcome(
-                kind="error", error=f"{type(exc).__name__}: {exc}"
-            )
-        canonical_cm = None
-        if form is not None and result.countermodel is not None:
-            with contextlib.suppress(GraphError):
-                canonical_cm = graph_to_dict(
-                    rename_graph(
-                        result.countermodel,
-                        form.label_map,
-                        form.class_map,
-                    )
-                )
-        return FlightOutcome(
-            kind="solved",
-            result=result,
-            canonical_countermodel=canonical_cm,
-            elapsed_ms=(time.monotonic() - start) * 1e3,
-        )
-
-    def _imply_response(
-        self,
-        request_id: Any,
-        outcome: FlightOutcome,
-        form: CanonicalForm | None,
-        fragment: str,
-        request: dict,
-        role: str,
-    ) -> dict:
-        if outcome.kind == "rejected":
-            return protocol.rejected_response(request_id, outcome.reason)
-        if outcome.kind == "hung":
-            return protocol.hung_response(request_id, outcome.reason)
-        if outcome.kind == "error":
-            return protocol.error_response(request_id, outcome.error)
-        result = outcome.result
-        countermodel = None
-        if request.get("want_countermodel", True):
-            if form is not None and outcome.canonical_countermodel:
-                # Rename the shared canonical certificate back into
-                # *this* requester's alphabet.
-                countermodel = graph_to_dict(
-                    rename_graph(
-                        graph_from_dict(outcome.canonical_countermodel),
-                        form.inverse_label_map(),
-                        form.inverse_class_map(),
-                    )
-                )
-            elif form is None and result.countermodel is not None:
+            countermodel = None
+            if (
+                request.get("want_countermodel", True)
+                and result.countermodel is not None
+            ):
                 with contextlib.suppress(GraphError):
                     countermodel = graph_to_dict(result.countermodel)
-        response = protocol.ok_response(
-            request_id,
-            **protocol.result_to_wire(
-                result,
-                fragment,
-                str(request.get("context", "semistructured")),
-                countermodel=countermodel,
-            ),
-        )
-        response["dedup"] = {"role": role}
-        response["elapsed_ms"] = round(outcome.elapsed_ms, 3)
-        return response
+            return FlightOutcome(
+                kind="solved",
+                result=result,
+                wire=protocol.result_to_wire(
+                    result,
+                    classify(problem.sigma, problem.phi).value,
+                    str(request.get("context", "semistructured")),
+                    countermodel=countermodel,
+                ),
+            )
+
+        return _budgeted(start, deadline, run)
 
     # -- query --------------------------------------------------------
 
-    async def _handle_query(self, request: dict) -> dict:
+    def _prepare_query(
+        self, request: dict, deadline: float | None
+    ) -> _Admitted:
         """Constraint-aware query ops: ``contains`` and ``optimize``.
 
         Rides the same admission queue and solver threads as
@@ -896,197 +873,120 @@ class ImplicationServer:
         so repeated containment questions across requests replay
         stored verdicts.
         """
-        request_id = request.get("id")
-        try:
-            action = request.get("action")
-            if action not in ("contains", "optimize"):
-                raise ValueError(
-                    f"action must be 'contains' or 'optimize', "
-                    f"got {action!r}"
-                )
-            sigma_lines = request.get("sigma")
-            if not isinstance(sigma_lines, list) or not all(
-                isinstance(line, str) for line in sigma_lines
-            ):
-                raise ValueError("sigma must be a list of constraint lines")
-            sigma = parse_constraints("\n".join(sigma_lines))
-            context = str(request.get("context", "semistructured"))
-            schema = None
-            schema_text = request.get("schema")
-            if schema_text is not None:
-                from repro.xml import schema_from_xml_data
-
-                schema = schema_from_xml_data(schema_text)
-            if action == "contains":
-                left = request["left"]
-                right = request["right"]
-                if not isinstance(left, str) or not isinstance(right, str):
-                    raise ValueError("left/right must be pattern strings")
-                branches = None
-            else:
-                branches = request.get("branches")
-                if not isinstance(branches, list) or not all(
-                    isinstance(b, str) for b in branches
-                ) or not branches:
-                    raise ValueError(
-                        "branches must be a non-empty list of patterns"
-                    )
-                left = right = None
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            self.counters["errors"] += 1
-            return protocol.error_response(
-                request_id, f"bad query request: {exc}"
+        action = request.get("action")
+        if action not in ("contains", "optimize"):
+            raise ValueError(
+                f"action must be 'contains' or 'optimize', got {action!r}"
             )
-        budget_ms = request.get("budget_ms", self.config.default_budget_ms)
-        deadline = (
-            None
-            if budget_ms is None
-            else time.monotonic() + float(budget_ms) / 1e3
-        )
+        sigma = _parse_sigma(request)
+        context = str(request.get("context", "semistructured"))
+        schema = _parse_schema(request)
+        if action == "contains":
+            left = request["left"]
+            right = request["right"]
+            if not isinstance(left, str) or not isinstance(right, str):
+                raise ValueError("left/right must be pattern strings")
+            branches = None
+        else:
+            branches = request.get("branches")
+            if not isinstance(branches, list) or not all(
+                isinstance(b, str) for b in branches
+            ) or not branches:
+                raise ValueError(
+                    "branches must be a non-empty list of patterns"
+                )
+            left = right = None
 
-        def run_query() -> FlightOutcome:
+        def run(remaining: float | None) -> FlightOutcome:
             from repro.query import (
                 QueryContainmentChecker,
                 WordQueryOptimizer,
                 optimize_rpq_union,
             )
 
-            start = time.monotonic()
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return FlightOutcome(
-                        kind="rejected",
-                        reason="deadline expired before the solve started",
-                    )
-            try:
-                if action == "contains":
-                    checker = QueryContainmentChecker(
-                        sigma,
-                        context=context,
-                        schema=schema,
-                        cache=self.config.cache,
-                        jobs=self.config.jobs,
-                        deadline=remaining,
-                    )
-                    result = checker.contains(left, right)
-                    wire = {
-                        "action": "contains",
-                        "verdict": result.verdict.value,
-                        "method": result.method,
-                        "decidable": result.decidable,
-                        "witness": (
-                            None
-                            if result.witness is None
-                            else str(result.witness)
-                        ),
-                        "notes": list(result.notes),
-                        "stats": dict(checker.stats),
-                    }
-                elif any("|" in b or "*" in b or "(" in b for b in branches):
-                    checker = QueryContainmentChecker(
-                        sigma,
-                        context=context,
-                        schema=schema,
-                        cache=self.config.cache,
-                        jobs=self.config.jobs,
-                        deadline=remaining,
-                    )
-                    report = optimize_rpq_union(branches, checker)
-                    wire = {
-                        "action": "optimize",
-                        "original": list(report.original),
-                        "optimized": list(report.optimized),
-                        "pruned": [list(pair) for pair in report.pruned],
-                        "emptied": list(report.emptied),
-                        "branches_saved": report.branches_saved,
-                        "notes": list(report.notes),
-                        "stats": dict(checker.stats),
-                    }
-                else:
-                    optimizer = WordQueryOptimizer(
-                        sigma,
-                        cache=self.config.cache,
-                        jobs=self.config.jobs,
-                        deadline=remaining,
-                    )
-                    report = optimizer.optimize_union(branches)
-                    wire = {
-                        "action": "optimize",
-                        "original": [str(b) for b in report.original],
-                        "optimized": [str(b) for b in report.optimized],
-                        "pruned": [
-                            [str(a), str(b)] for a, b in report.pruned
-                        ],
-                        "rewrites": [
-                            [str(a), str(b)] for a, b in report.rewrites
-                        ],
-                        "branches_saved": report.branches_saved,
-                        "labels_saved": report.labels_saved,
-                        "notes": list(report.notes),
-                        "stats": dict(optimizer.stats),
-                    }
-            except (ReproError, ValueError) as exc:
-                return FlightOutcome(
-                    kind="error", error=f"{type(exc).__name__}: {exc}"
+            if action == "contains":
+                checker = QueryContainmentChecker(
+                    sigma,
+                    context=context,
+                    schema=schema,
+                    cache=self.config.cache,
+                    jobs=self.config.jobs,
+                    deadline=remaining,
                 )
-            return FlightOutcome(
-                kind="solved",
-                wire=wire,
-                elapsed_ms=(time.monotonic() - start) * 1e3,
-            )
+                result = checker.contains(left, right)
+                wire = {
+                    "action": "contains",
+                    "verdict": result.verdict.value,
+                    "method": result.method,
+                    "decidable": result.decidable,
+                    "witness": (
+                        None
+                        if result.witness is None
+                        else str(result.witness)
+                    ),
+                    "notes": list(result.notes),
+                    "stats": dict(checker.stats),
+                }
+            elif any("|" in b or "*" in b or "(" in b for b in branches):
+                checker = QueryContainmentChecker(
+                    sigma,
+                    context=context,
+                    schema=schema,
+                    cache=self.config.cache,
+                    jobs=self.config.jobs,
+                    deadline=remaining,
+                )
+                report = optimize_rpq_union(branches, checker)
+                wire = {
+                    "action": "optimize",
+                    "original": list(report.original),
+                    "optimized": list(report.optimized),
+                    "pruned": [list(pair) for pair in report.pruned],
+                    "emptied": list(report.emptied),
+                    "branches_saved": report.branches_saved,
+                    "notes": list(report.notes),
+                    "stats": dict(checker.stats),
+                }
+            else:
+                optimizer = WordQueryOptimizer(
+                    sigma,
+                    cache=self.config.cache,
+                    jobs=self.config.jobs,
+                    deadline=remaining,
+                )
+                report = optimizer.optimize_union(branches)
+                wire = {
+                    "action": "optimize",
+                    "original": [str(b) for b in report.original],
+                    "optimized": [str(b) for b in report.optimized],
+                    "pruned": [[str(a), str(b)] for a, b in report.pruned],
+                    "rewrites": [
+                        [str(a), str(b)] for a, b in report.rewrites
+                    ],
+                    "branches_saved": report.branches_saved,
+                    "labels_saved": report.labels_saved,
+                    "notes": list(report.notes),
+                    "stats": dict(optimizer.stats),
+                }
+            return FlightOutcome(kind="solved", wire=wire)
 
-        future: asyncio.Future[FlightOutcome] = (
-            asyncio.get_running_loop().create_future()
+        return _Admitted(
+            op="query",
+            solve_fn=lambda: _budgeted(time.monotonic(), deadline, run),
+            deadline=deadline,
         )
-        admission_error = self._admit(
-            _Admitted(
-                op="query",
-                solve_fn=run_query,
-                deadline=deadline,
-                future=future,
-                admitted_at=time.monotonic(),
-            ),
-            request_id,
-            deadline,
-        )
-        if admission_error is not None:
-            return admission_error
-        outcome = await asyncio.shield(future)
-        if outcome.kind == "rejected":
-            return protocol.rejected_response(request_id, outcome.reason)
-        if outcome.kind == "hung":
-            return protocol.hung_response(request_id, outcome.reason)
-        if outcome.kind == "error":
-            return protocol.error_response(request_id, outcome.error)
-        response = protocol.ok_response(request_id, **(outcome.wire or {}))
-        response["elapsed_ms"] = round(outcome.elapsed_ms, 3)
-        return response
 
     # -- check --------------------------------------------------------
 
-    async def _handle_check(self, request: dict) -> dict:
-        request_id = request.get("id")
-        try:
-            graph = graph_from_dict(request["graph"])
-            constraints = parse_constraints(
-                "\n".join(request.get("constraints", []))
-            )
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            self.counters["errors"] += 1
-            return protocol.error_response(
-                request_id, f"bad check request: {exc}"
-            )
-        budget_ms = request.get("budget_ms")
-        deadline = (
-            None
-            if budget_ms is None
-            else time.monotonic() + float(budget_ms) / 1e3
+    def _prepare_check(
+        self, request: dict, deadline: float | None
+    ) -> _Admitted:
+        graph = graph_from_dict(request["graph"])
+        constraints = parse_constraints(
+            "\n".join(request.get("constraints", []))
         )
 
-        def run_check() -> FlightOutcome:
-            start = time.monotonic()
+        def run(_remaining: float | None) -> FlightOutcome:
             report = check_all(graph, constraints)
             return FlightOutcome(
                 kind="solved",
@@ -1096,32 +996,10 @@ class ImplicationServer:
                     "failed": len(report.failed),
                     "summary": report.summary(),
                 },
-                elapsed_ms=(time.monotonic() - start) * 1e3,
             )
 
-        future: asyncio.Future[FlightOutcome] = (
-            asyncio.get_running_loop().create_future()
+        return _Admitted(
+            op="check",
+            solve_fn=lambda: _budgeted(time.monotonic(), deadline, run),
+            deadline=deadline,
         )
-        admission_error = self._admit(
-            _Admitted(
-                op="check",
-                solve_fn=run_check,
-                deadline=deadline,
-                future=future,
-                admitted_at=time.monotonic(),
-            ),
-            request_id,
-            deadline,
-        )
-        if admission_error is not None:
-            return admission_error
-        outcome = await asyncio.shield(future)
-        if outcome.kind == "rejected":
-            return protocol.rejected_response(request_id, outcome.reason)
-        if outcome.kind == "hung":
-            return protocol.hung_response(request_id, outcome.reason)
-        if outcome.kind == "error":
-            return protocol.error_response(request_id, outcome.error)
-        response = protocol.ok_response(request_id, **(outcome.wire or {}))
-        response["elapsed_ms"] = round(outcome.elapsed_ms, 3)
-        return response

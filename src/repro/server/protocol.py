@@ -14,12 +14,15 @@ Operations
     line), optional ``context`` (``semistructured``/``M``/``M+``/
     ``M+f``), ``schema`` (XML-Data text, required for typed contexts),
     ``budget_ms`` (client deadline, propagated into the solver's
-    ``Budget`` and enforced while queued), ``jobs``, ``no_dedup``
-    (opt out of single-flight coalescing), ``delay_ms`` (testing
-    instrument; honored only when the daemon allows it).
+    ``Budget`` and enforced while queued), ``jobs``, ``delay_ms``
+    (testing instrument; honored only when the daemon allows it).
+    ``budget_ms`` and ``delay_ms`` must be finite numbers >= 0; the
+    daemon's default budget applies when ``budget_ms`` is absent, to
+    ``query`` and ``check`` as well.
 ``check``
     ``graph`` (the ``repro.graph.serialize`` dict format) +
-    ``constraints`` (list of lines); returns the validation summary.
+    ``constraints`` (list of lines), optional ``budget_ms``; returns
+    the validation summary.
 ``query``
     constraint-aware query operations.  ``action`` picks one:
     ``contains`` (``sigma`` lines, ``left``/``right`` patterns,
@@ -96,7 +99,7 @@ def parse_request(line: bytes | str) -> dict:
             raise ProtocolError(f"frame is not UTF-8: {exc}") from None
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ProtocolError(f"frame is not JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError("frame is not a JSON object")
@@ -126,7 +129,7 @@ def parse_response(line: bytes | str) -> dict:
             raise ProtocolError(f"response is not UTF-8: {exc}") from None
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ProtocolError(f"response is not JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError("response is not a JSON object")
@@ -219,9 +222,9 @@ def result_to_wire(
 ) -> dict:
     """The serializable payload of a solved ``imply`` request.
 
-    ``countermodel`` is passed explicitly (already renamed into the
-    requester's alphabet and serialized) because the follower path of
-    single-flight dedup rebuilds it per requester; faults and cache
+    ``countermodel`` is passed explicitly, already serialized, or
+    None when the requester asked for none; it is in the requester's
+    alphabet, as a cache replay renames it.  Faults and cache
     participation travel verbatim so a degraded or replayed answer is
     exactly as auditable remotely as locally.
     """

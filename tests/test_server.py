@@ -1,4 +1,4 @@
-"""The implication server daemon: protocol, admission, dedup, drain.
+"""The implication server daemon: protocol, admission, replay, drain.
 
 The daemon composes every robustness layer of the library under
 concurrent load, so these tests exercise exactly the guarantees the
@@ -6,10 +6,11 @@ layers promise individually:
 
 * admission control sheds instead of buffering, and a client budget
   that dies in the queue yields an honest UNKNOWN/rejected — never a
-  stale definite answer (the PR's satellite requirement);
-* single-flight dedup coalesces alpha-equivalent concurrent queries
-  and renames the shared certificate into each requester's alphabet
-  (re-verified against the Definition 2.1 checker);
+  stale definite answer;
+* concurrent alpha-renamed queries each get a certificate in their own
+  alphabet, fresh or replayed from the shared cache (re-verified
+  against the Definition 2.1 checker), and each request is
+  canonicalized once, on a solver thread;
 * graceful drain finishes admitted work, refuses new work with a
   drain status, retires the warm pool, and exits 0 (checked end-to-end
   over SIGTERM in a subprocess).
@@ -45,14 +46,13 @@ from repro.server import (
     parse_host_port,
 )
 from repro.server import protocol
-from repro.server.singleflight import FlightOutcome, SingleFlightTable
 
 # The divergent-chase instance of the fault/warm-pool suites: FALSE on
 # an undecidable cell, so the portfolio genuinely runs.
 SIGMA = ["() => K", "K :: () => a.a.a", "K :: a.a.a => ()", "a :: a => a"]
 PHI = "K :: a => ()"
 # The same instance under the renaming a->b, K->L: alpha-equivalent,
-# so single-flight must coalesce it with SIGMA/PHI.
+# so the cache answers it from SIGMA/PHI's entry.
 SIGMA_RENAMED = [
     "() => L",
     "L :: () => b.b.b",
@@ -177,28 +177,6 @@ class TestProtocol:
                 parse_host_port(bad)
 
 
-class TestSingleFlightTable:
-    def test_join_resolve_and_abandon(self):
-        async def scenario():
-            table = SingleFlightTable()
-            lead, flight = table.join_or_lead("k1")
-            follow, same = table.join_or_lead("k1")
-            assert lead and not follow and same is flight
-            assert flight.followers == 1
-            assert table.inflight() == 1
-            table.resolve("k1", FlightOutcome(kind="solved"))
-            assert (await flight.future).kind == "solved"
-            assert table.inflight() == 0
-            # A new flight under the same key after resolution.
-            lead2, flight2 = table.join_or_lead("k1")
-            assert lead2 and flight2 is not flight
-            table.abandon("k1")
-            assert (await flight2.future).kind == "error"
-            assert table.coalesced == 1 and table.led == 2
-
-        asyncio.run(scenario())
-
-
 class TestImplyOverTheWire:
     def test_decidable_word_instance(self):
         with ServerHarness(port=0) as harness:
@@ -290,7 +268,7 @@ class TestImplyOverTheWire:
         assert "injected" in kinds
 
 
-class TestSingleFlightDedup:
+class TestConcurrentRenamedRequests:
     def _concurrent_imply(self, harness, specs):
         """Fire imply requests concurrently; returns responses in
         ``specs`` order.  Each spec is (sigma, phi, extra_kwargs)."""
@@ -309,17 +287,22 @@ class TestSingleFlightDedup:
             for i, (s, p, k) in enumerate(specs)
         ]
         threads[0].start()
-        time.sleep(0.15)  # let the leader enter the solver first
+        time.sleep(0.15)  # let the first request enter the solver
         for thread in threads[1:]:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         return [responses[i] for i in range(len(specs))]
 
-    def test_alpha_equivalent_requests_coalesce(self):
+    def test_alpha_renamed_requests_each_verify(self, tmp_path):
+        # One solver thread runs the three in turn: the first solve
+        # stores, and the cache replays the others, renaming the
+        # stored counter-model into each requester's alphabet.
+        cache = ImplicationCache(cache_dir=tmp_path / "cache")
         with ServerHarness(
-            port=0, solver_threads=1, allow_delay=True
+            port=0, solver_threads=1, allow_delay=True, cache=cache
         ) as harness:
             specs = [
                 (SIGMA, PHI, {"delay_ms": 400}),
@@ -327,31 +310,48 @@ class TestSingleFlightDedup:
                 (SIGMA_RENAMED, PHI_RENAMED, {}),
             ]
             responses = self._concurrent_imply(harness, specs)
-            with harness.client() as client:
-                stats = client.stats()
-        roles = [r["dedup"]["role"] for r in responses]
-        assert roles[0] == "leader"
-        assert roles[1:] == ["follower", "follower"]
         assert [r["answer"] for r in responses] == ["false"] * 3
-        # Every requester gets the certificate in its own alphabet.
+        assert sorted(r["cache"]["status"] for r in responses) == [
+            "hit", "hit", "store",
+        ]
         _verify_countermodel(responses[0]["countermodel"], SIGMA, PHI)
         _verify_countermodel(responses[1]["countermodel"], SIGMA, PHI)
         _verify_countermodel(
             responses[2]["countermodel"], SIGMA_RENAMED, PHI_RENAMED
         )
-        assert stats["dedup"]["coalesced"] == 2
-        assert stats["dedup"]["hit_rate"] > 0
 
-    def test_no_dedup_opts_out(self):
-        with ServerHarness(
-            port=0, solver_threads=2, allow_delay=True
-        ) as harness:
-            specs = [
-                (SIGMA, PHI, {"delay_ms": 300, "no_dedup": True}),
-                (SIGMA, PHI, {"no_dedup": True}),
-            ]
-            responses = self._concurrent_imply(harness, specs)
-        assert [r["dedup"]["role"] for r in responses] == ["solo", "solo"]
+    def test_cached_imply_canonicalizes_once_off_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.reasoning import canonical
+
+        original = canonical.canonicalize_problem
+        callers: list[threading.Thread] = []
+
+        def spy(problem):
+            callers.append(threading.current_thread())
+            return original(problem)
+
+        # Every module that imported the function by name calls it
+        # through its own binding, so replace each one.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                vars(module).get("canonicalize_problem") is original
+            ):
+                monkeypatch.setattr(module, "canonicalize_problem", spy)
+        cache = ImplicationCache(cache_dir=tmp_path / "cache")
+        with ServerHarness(port=0, cache=cache) as harness:
+            loop_thread = harness._thread
+            with harness.client() as client:
+                for sigma, phi, status in (
+                    (SIGMA, PHI, "store"),
+                    (SIGMA_RENAMED, PHI_RENAMED, "hit"),
+                ):
+                    callers.clear()
+                    response = client.imply(sigma, phi)
+                    assert response["cache"]["status"] == status
+                    assert len(callers) == 1, callers
+                    assert callers[0] is not loop_thread
 
 
 class TestAdmissionControl:
@@ -365,9 +365,7 @@ class TestAdmissionControl:
             def ask(delay):
                 try:
                     with harness.client(retries=0) as client:
-                        response = client.imply(
-                            SIGMA, PHI, delay_ms=delay, no_dedup=True
-                        )
+                        response = client.imply(SIGMA, PHI, delay_ms=delay)
                     status = response["status"]
                 except ServerUnavailable as exc:
                     assert exc.retry_after_ms is None or (
@@ -397,12 +395,12 @@ class TestAdmissionControl:
         ) as harness:
             blocker = threading.Thread(
                 target=lambda: harness.client().imply(
-                    SIGMA, PHI, delay_ms=400, no_dedup=True
+                    SIGMA, PHI, delay_ms=400
                 )
             )
             filler = threading.Thread(
                 target=lambda: harness.client().imply(
-                    SIGMA, PHI, delay_ms=200, no_dedup=True
+                    SIGMA, PHI, delay_ms=200
                 )
             )
             blocker.start()
@@ -414,7 +412,7 @@ class TestAdmissionControl:
             with harness.client(
                 retries=8, backoff_base=0.1, jitter_seed=7
             ) as client:
-                response = client.imply(SIGMA, PHI, no_dedup=True)
+                response = client.imply(SIGMA, PHI)
             blocker.join(timeout=30)
             filler.join(timeout=30)
         assert response["status"] == "ok"
@@ -428,7 +426,7 @@ class TestAdmissionControl:
         ) as harness:
             blocker = threading.Thread(
                 target=lambda: harness.client().imply(
-                    SIGMA, PHI, delay_ms=300, no_dedup=True
+                    SIGMA, PHI, delay_ms=300
                 )
             )
             blocker.start()
@@ -438,7 +436,6 @@ class TestAdmissionControl:
                     SIGMA_RENAMED,
                     PHI_RENAMED,
                     budget_ms=50,
-                    no_dedup=True,
                 )
             blocker.join(timeout=30)
             with harness.client() as client:
@@ -460,18 +457,42 @@ class TestAdmissionControl:
                     PHI,
                     budget_ms=50,
                     delay_ms=300,
-                    no_dedup=True,
                 )
         assert response["status"] == "rejected"
         assert response["answer"] == "unknown"
         assert "before the solve started" in response["reason"]
 
+    def test_check_gets_the_default_budget(self):
+        # A check without budget_ms gets the daemon's default budget,
+        # like an imply, so it expires in the queue behind a slow solve.
+        with ServerHarness(
+            port=0,
+            solver_threads=1,
+            allow_delay=True,
+            default_budget_ms=100,
+        ) as harness:
+
+            def block():
+                with harness.client() as client:
+                    client.imply(SIGMA, PHI, budget_ms=30_000, delay_ms=400)
+
+            blocker = threading.Thread(target=block)
+            blocker.start()
+            time.sleep(0.1)
+            with harness.client() as client:
+                response = client.check(
+                    to_dict(figure1_graph()), ["book.author => person"]
+                )
+            blocker.join(timeout=30)
+            assert not blocker.is_alive()
+        assert response["status"] == "rejected"
+        assert response["answer"] == "unknown"
+        assert "while queued" in response["reason"]
+
     def test_generous_budget_still_solves(self):
         with ServerHarness(port=0) as harness:
             with harness.client() as client:
-                response = client.imply(
-                    SIGMA, PHI, budget_ms=30_000, no_dedup=True
-                )
+                response = client.imply(SIGMA, PHI, budget_ms=30_000)
         assert response["status"] == "ok"
         assert response["answer"] == "false"
 
@@ -717,6 +738,46 @@ class TestHostileWire:
             response = protocol.parse_response(reply)
             assert response["status"] == "ok" and response["id"] == 7
 
+    def test_malformed_fields_answer_error_on_one_connection(self):
+        imply = {"op": "imply", "sigma": WORD_SIGMA, "phi": WORD_PHI}
+        query = {
+            "op": "query", "action": "contains", "sigma": WORD_SIGMA,
+            "left": "a", "right": "c",
+        }
+        check = {"op": "check", "graph": to_dict(figure1_graph())}
+        bad = [
+            {**imply, "budget_ms": "soon"},
+            {**imply, "budget_ms": [1]},
+            {**imply, "budget_ms": True},
+            {**imply, "budget_ms": -5},
+            {**imply, "budget_ms": float("nan")},
+            {**imply, "budget_ms": float("inf")},
+            {**imply, "budget_ms": 10**400},
+            {**imply, "delay_ms": "soon"},
+            {**imply, "delay_ms": [1]},
+            {**query, "budget_ms": "soon"},
+            {**check, "budget_ms": [1]},
+        ]
+        with ServerHarness(port=0) as harness:
+            with socket.create_connection(
+                ("127.0.0.1", harness.port), timeout=10
+            ) as sock:
+                reader = sock.makefile("rb")
+                for number, fields in enumerate(bad):
+                    sock.sendall(_frame(id=number, **fields))
+                    response = protocol.parse_response(reader.readline())
+                    assert response["status"] == "error", fields
+                    assert response["id"] == number
+                # An integer too long to parse is a malformed frame too.
+                sock.sendall(
+                    b'{"v": 1, "op": "health", "id": 1' + b"0" * 5000 + b"}\n"
+                )
+                response = protocol.parse_response(reader.readline())
+                assert response["status"] == "error"
+                sock.sendall(_frame(op="health", id=99))
+                response = protocol.parse_response(reader.readline())
+                assert response["status"] == "ok" and response["id"] == 99
+
     def test_garbage_then_valid_frame_on_one_connection(self):
         with ServerHarness(port=0) as harness:
             with socket.create_connection(
@@ -759,8 +820,7 @@ class TestHungSolveWatchdog:
             with harness.client(retries=0) as client:
                 for _ in range(threads):
                     wedged = client.imply(
-                        SIGMA, PHI, jobs=1, budget_ms=100,
-                        no_dedup=True, wedge=True,
+                        SIGMA, PHI, jobs=1, budget_ms=100, wedge=True
                     )
                     assert wedged["status"] == "rejected"
                     assert wedged["answer"] == "unknown"
@@ -769,7 +829,7 @@ class TestHungSolveWatchdog:
                         for event in wedged["faults"]["events"]
                     ]
                     assert "hung_solve" in kinds
-                fresh = client.imply(SIGMA, PHI, jobs=1, no_dedup=True)
+                fresh = client.imply(SIGMA, PHI, jobs=1)
                 assert fresh["status"] == "ok"
                 assert fresh["answer"] == "false"
                 stats = client.stats()
@@ -787,9 +847,7 @@ class TestHungSolveWatchdog:
             port=0, solver_threads=1, watchdog_grace_ms=200
         ) as harness:
             with harness.client(retries=0) as client:
-                response = client.imply(
-                    SIGMA, PHI, jobs=1, no_dedup=True, wedge=True
-                )
+                response = client.imply(SIGMA, PHI, jobs=1, wedge=True)
                 assert response["status"] == "ok"
                 assert response["answer"] == "false"
 
@@ -806,8 +864,7 @@ class TestHungSolveWatchdog:
             with harness.client(retries=0) as client:
                 start = time.monotonic()
                 response = client.imply(
-                    SIGMA, PHI, jobs=1, budget_ms=100,
-                    no_dedup=True, delay_ms=30_000,
+                    SIGMA, PHI, jobs=1, budget_ms=100, delay_ms=30_000
                 )
                 elapsed = time.monotonic() - start
                 assert response["status"] == "rejected"
@@ -908,9 +965,7 @@ class TestClientFailoverAndFraming:
                     and time.monotonic() < deadline
                 ):
                     time.sleep(0.02)
-                response = client.imply(
-                    WORD_SIGMA, WORD_PHI, no_dedup=True
-                )
+                response = client.imply(WORD_SIGMA, WORD_PHI)
                 assert response["status"] == "ok"
                 assert response["answer"] == "true"
                 assert client.port == second.port
