@@ -2,11 +2,11 @@
 
 Three workloads, matching the cache's acceptance criteria:
 
-* **cold vs warm** — a chase-heavy guarded TRUE instance (hundreds of
-  milliseconds of genuine portfolio work; the old PR 2 acceptance
-  instance refutes in ~1ms since the PR 6 engine work, so it no
-  longer makes an honest baseline) is solved cold, then an
-  *alpha-renamed* copy is served from the warmed cache.  The warm hit
+* **cold vs warm** — a P_c instance only a 3-node counter-model
+  refutes (about a second of genuine portfolio work at ``jobs=1``: the
+  chase runs its whole budget, then the scan finds the model after
+  100,021 codes) is solved cold, then an *alpha-renamed* copy is
+  served from the warmed cache.  The warm hit
   must be >= 100x faster: the whole point of canonical keys is that a
   renamed repeat costs one canonicalization + one lookup, not a
   re-solve.
@@ -41,15 +41,16 @@ from repro.truth import Trilean
 
 pytestmark = pytest.mark.bench
 
-# A guarded P_w(K) implication the chase only settles after a long
-# derivation (~0.5s at jobs=1) while bounded counter-model search
-# exhausts — the expensive-definite workload the cache exists for.
-SIGMA_TEXT = "() => K\nK :: a => a.b\nK :: a.b.b.b.b.b.b.b => c"
-PHI_TEXT = "K :: a => a.b.b"
+# A refutation nothing shortcuts: the chase diverges (UNKNOWN after its
+# whole budget, the conclusion never forced), and the smallest
+# counter-model has 3 nodes, so the scan must reach deep into its last
+# level — the expensive-definite workload the cache exists for.
+SIGMA_TEXT = "b => b.a\nb :: a.a ~> b"
+PHI_TEXT = "b.b => b.b.b"
 
 #: Alpha-renaming applied to the warm queries; the canonicalizer must
 #: send renamed copies to the cold instance's key.
-RENAMING = {"K": "guard", "a": "hop", "b": "step", "c": "goal"}
+RENAMING = {"a": "hop", "b": "step"}
 
 WARM_REPEATS = 20
 SWEEP_SEEDS = (0, 1)
@@ -74,7 +75,7 @@ def test_cold_vs_warm_hit_latency():
     began = time.perf_counter()
     cold = solve(_expensive_problem(), jobs=1, cache=cache)
     cold_s = time.perf_counter() - began
-    assert cold.answer is Trilean.TRUE
+    assert cold.answer is Trilean.FALSE
     assert cold.cache.status == "store"
 
     warm_times = []
@@ -83,7 +84,7 @@ def test_cold_vs_warm_hit_latency():
         warm = solve(_expensive_problem(RENAMING), jobs=1, cache=cache)
         warm_times.append(time.perf_counter() - began)
         assert warm.cache.status == "hit"
-        assert warm.answer is Trilean.TRUE
+        assert warm.answer is Trilean.FALSE
     warm_s = sorted(warm_times)[len(warm_times) // 2]  # median
 
     speedup = cold_s / warm_s

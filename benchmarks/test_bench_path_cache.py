@@ -97,6 +97,7 @@ def test_incremental_workload_fewer_evaluations(benchmark, books):
         uncached_checker.current_violations()
     )
     assert cached_checker.revalidate()
+    assert uncached_checker.revalidate()
 
     assert uncached.hits == 0
     assert cached.hits > 0

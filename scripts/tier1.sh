@@ -25,17 +25,18 @@ python -m repro fuzz --seed 7 --per-fragment 5 \
 # zero disagreements; scripts/bench.sh runs the multi-seed sweep.
 python -m repro query fuzz --seed 0 --rounds 5
 
-# --jobs auto smoke: cost-model dispatch end-to-end on an undecidable
-# cell (the divergent-chase instance whose 3-node counter-model the
-# portfolio must find), clean and under a hostile fault plan.  Exit 0
-# means a definite answer; injected faults may only demote to UNKNOWN
-# (exit 2), never error out.
+# --jobs auto smoke: dispatch end-to-end on an undecidable cell, clean
+# and under a hostile fault plan.  The chase settles this instance
+# (FALSE: a fixpoint after 3 repairs) before the 3-node scan it races.
+# --no-cache keeps a verdict stored by an earlier run from answering
+# instead.  Exit 0 means a definite answer; injected faults may only
+# demote to UNKNOWN (exit 2), never error out.
 sigma_file="$(mktemp)"
 cache_dir="$(mktemp -d)"
 trap 'rm -f "$sigma_file"; rm -rf "$cache_dir"' EXIT
 printf '() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a\n' \
     > "$sigma_file"
-python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto
+python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto --no-cache
 python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto \
     --inject kill:1,raise:2 || [ $? -eq 2 ]
 

@@ -25,24 +25,27 @@ The result is equivalent to full re-validation (asserted exhaustively
 in the test suite) while touching a small neighbourhood per insert.
 
 All image reads go through ``graph.path_cache``: one ``notify_edge``
-evaluates the same prefix/conclusion images for several constraints
-and witness pairs, and between two inserts the generation stamp
-guarantees nothing stale survives the mutation.  Conclusion checks are
-batched — one forward (or backward) image per witness ``x``, probed by
-membership — instead of a fresh traversal per pair.
+evaluates the same prefix images for several constraints and witness
+pairs, and between two inserts the generation stamp guarantees nothing
+stale survives the mutation.  Each pair is re-checked with
+:func:`~repro.checking.satisfaction.conclusion_holds`, which reads one
+image from ``y``'s side (cached, so pairs sharing a ``y`` share it).
+:func:`pairs_through_edge` (the delta rule) and that probe also drive
+the chase's repair worklists (:mod:`repro.reasoning.chase`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
-from repro.checking.satisfaction import violations
+from repro.checking.satisfaction import conclusion_holds, violations
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph, Node
 from repro.paths import Path
 
 
-def _pairs_through_edge(
+def pairs_through_edge(
     graph: Graph, constraint: PathConstraint, src: Node, dst: Node, label: str
 ) -> set[tuple[Node, Node]]:
     """Witness pairs (x, y) whose alpha- or beta-path can traverse the
@@ -59,27 +62,42 @@ def _pairs_through_edge(
     """
     pairs: set[tuple[Node, Node]] = set()
     evaluator = graph.path_cache
-    prefix_nodes = evaluator.eval_path(constraint.prefix)
-    for i, beta_label in enumerate(constraint.lhs.labels):
-        if beta_label != label:
-            continue
-        xs = evaluator.eval_path_backward(constraint.lhs[:i], src) & prefix_nodes
+    for before, after in _cuts(constraint.lhs, label):
+        xs = _image(evaluator.eval_path_backward, before, src)
+        if xs:
+            xs &= _image(evaluator.eval_path, constraint.prefix, graph.root)
         if not xs:
             continue
-        ys = evaluator.eval_path(constraint.lhs[i + 1 :], start=dst)
+        ys = _image(evaluator.eval_path, after, dst)
         pairs.update((x, y) for x in xs for y in ys)
-    for i, alpha_label in enumerate(constraint.prefix.labels):
-        if alpha_label != label:
-            continue
+    for before, after in _cuts(constraint.prefix, label):
         # Is src actually reachable as an alpha[:i] node?  If not the
         # new edge cannot extend a prefix path.
-        if src not in evaluator.eval_path(constraint.prefix[:i]):
+        if src not in _image(evaluator.eval_path, before, graph.root):
             continue
-        new_xs = evaluator.eval_path(constraint.prefix[i + 1 :], start=dst)
-        for x in new_xs:
-            for y in evaluator.eval_path(constraint.lhs, start=x):
+        for x in _image(evaluator.eval_path, after, dst):
+            for y in _image(evaluator.eval_path, constraint.lhs, x):
                 pairs.add((x, y))
     return pairs
+
+
+@functools.lru_cache(maxsize=1024)
+def _cuts(path: Path, label: str) -> tuple[tuple[Path, Path], ...]:
+    """``(path[:i], path[i+1:])`` for each position i where ``path``
+    reads ``label``.  Memoized: building a :class:`Path` validates
+    every label, which would otherwise dominate a small delta."""
+    return tuple(
+        (path[:i], path[i + 1 :])
+        for i, at in enumerate(path.labels)
+        if at == label
+    )
+
+
+def _image(evaluate, path: Path, node: Node) -> frozenset:
+    """``evaluate(path, node)``, except that the empty path's image (the
+    node itself) is built without a cache lookup: most cuts of a short
+    path have an empty side."""
+    return evaluate(path, node) if path else frozenset((node,))
 
 
 class IncrementalChecker:
@@ -162,21 +180,15 @@ class IncrementalChecker:
         self, constraint: PathConstraint, src: Node, dst: Node, label: str
     ) -> None:
         graph = self._graph
+        # Through the cache: pairs that share a y share its image.
         evaluator = graph.path_cache
         pairs = self._violations[constraint]
-
-        def conclusion_holds(x: Node, y: Node) -> bool:
-            # One cached image per witness x, probed by membership:
-            # forward uses {y : gamma(x, y)}, backward {y : gamma(y, x)}.
-            if constraint.is_forward():
-                return y in evaluator.eval_path(constraint.rhs, start=x)
-            return y in evaluator.eval_path_backward(constraint.rhs, x)
 
         # 1. Repairs: the new edge can complete conclusion paths.
         if label in constraint.rhs.alphabet() and pairs:
             for x, y in list(pairs):
                 self._rechecks += 1
-                if conclusion_holds(x, y):
+                if conclusion_holds(evaluator, constraint, x, y):
                     pairs.discard((x, y))
 
         # 2. New violations: only witness pairs whose alpha/beta paths
@@ -187,9 +199,9 @@ class IncrementalChecker:
         )
         if not touched:
             return
-        for x, y in _pairs_through_edge(graph, constraint, src, dst, label):
+        for x, y in pairs_through_edge(graph, constraint, src, dst, label):
             self._rechecks += 1
-            if conclusion_holds(x, y):
+            if conclusion_holds(evaluator, constraint, x, y):
                 pairs.discard((x, y))
             else:
                 pairs.add((x, y))

@@ -13,14 +13,23 @@ across a constraint set) are served from memoized images; generation
 stamping makes a stale hit impossible.  Backward conclusions are
 evaluated as *one* backward image ``{ y : gamma(y, x) }`` per witness
 ``x`` instead of a forward probe per pair.
+
+:func:`conclusion_holds` is the single-pair probe the delta-driven
+consumers (the chase's worklists, the incremental checker) use: it
+reads one image from ``y``'s side instead of one from ``x``, through
+the graph or its cache as the caller chooses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph, Node
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.cache import PathCache
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,30 @@ def _conclusion_image(
     if constraint.is_forward():
         return evaluator.eval_path(constraint.rhs, start=x)
     return evaluator.eval_path_backward(constraint.rhs, x)
+
+
+def conclusion_holds(
+    evaluator: "Graph | PathCache",
+    constraint: PathConstraint,
+    x: Node,
+    y: Node,
+) -> bool:
+    """Does the witness pair ``(x, y)`` satisfy the conclusion?
+
+    Answered from ``y``'s side: forward ``gamma(x, y)`` looks for ``x``
+    in the backward image ``{ x' : gamma(x', y) }``, backward
+    ``gamma(y, x)`` in the forward image of ``y``.  A witness ``x`` is
+    often the root or a prefix node whose fan-out grows with every
+    repair, while ``y`` sits at the end of a hypothesis path, so the
+    image from ``y`` stays small where the one from ``x`` does not.
+
+    ``evaluator`` is a graph or its ``path_cache`` (the same
+    evaluation surface): a caller that reads each image once passes
+    the graph, one that probes many pairs between mutations the cache.
+    """
+    if constraint.is_forward():
+        return x in evaluator.eval_path_backward(constraint.rhs, y)
+    return x in evaluator.eval_path(constraint.rhs, start=y)
 
 
 def violations(

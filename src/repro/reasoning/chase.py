@@ -17,17 +17,49 @@ conclusion path is empty), so the classic chase applies:
   implication and finite implication.  Otherwise: UNKNOWN — inevitable
   budget honesty, since untyped P_c implication is undecidable
   (Theorem 4.1).
+
+Because TRUE is final at any stage, :func:`chase_implication` checks
+phi's conclusion on the tableau's ``x`` and ``y`` (resolved through
+merges) before the first repair and after each one, and stops as soon
+as it holds.
+
+Repairs are driven by new edges.  A premise's first turn scans it with
+:func:`~repro.checking.satisfaction.violations`, and the violating
+pairs seed its worklist.  From then on only the edges a repair adds
+feed the worklists, through the delta rule
+:func:`~repro.checking.incremental.pairs_through_edge`: adding edges
+never breaks a conclusion, so every new violation runs through a new
+edge.  Each popped candidate is re-checked with the single-pair probe
+:func:`~repro.checking.satisfaction.conclusion_holds` before it is
+repaired.  The probe and the goal check read the graph directly, not
+through its path cache: every repair bumps the graph's generation, so
+each of their images would be cached only to be read once.  A merge
+renames the nodes under queued pairs, so it falls back to full scans.
+A fixpoint (and with it a FALSE) is claimed only after a full
+``violations()`` pass over Sigma finds nothing.
+
+Repairs go premise by premise, in Sigma's order: each premise is
+repaired until it has no violation, then the next, and passes repeat
+until one repairs nothing.  The order is unfair — a premise whose
+repairs diverge starves the premises after it, so such an instance
+stays UNKNOWN at any budget even where a later premise would force
+the conclusion.  It is kept because verdicts at a fixed budget depend
+on it: a fair (round-robin) order turns some of those UNKNOWNs into
+TRUE, which is a change of results, not of speed.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from repro.checking.satisfaction import violations
+from repro.checking.incremental import pairs_through_edge
+from repro.checking.satisfaction import conclusion_holds, violations
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph, Node
+from repro.paths import Path
 from repro.reasoning.result import ImplicationResult
 from repro.truth import Trilean
 
@@ -68,66 +100,141 @@ def chase(
     ``should_stop`` is a cooperative cancellation hook (the portfolio's
     shared cancel flag) checked at the same points as the deadline.
     """
+    return _chase(graph, sigma, max_steps, deadline, should_stop)
+
+
+def _chase(
+    graph: Graph,
+    sigma: Iterable[PathConstraint],
+    max_steps: int,
+    deadline: float | None,
+    should_stop: "Callable[[], bool] | None",
+    goal: "Callable[[ChaseOutcome], bool] | None" = None,
+) -> ChaseOutcome:
+    """The repair loop behind :func:`chase`.
+
+    ``goal`` is polled on the outcome before the first repair and after
+    each one; the chase stops as soon as it holds, with ``fixpoint``
+    False (no fixpoint pass ran).
+    """
     sigma = list(sigma)
     # copy() carries the fresh-node watermark forward, so repair paths
     # added below can never resurrect a node id that merge_nodes()
     # deleted — node_map entries only ever refer to dead ids.
     work = graph.copy()
-    node_map: dict[Node, Node] = {}
-    steps = 0
-    merges = 0
+    outcome = ChaseOutcome(
+        graph=work, fixpoint=False, steps=0, merges=0, node_map={}
+    )
+    if goal is not None and goal(outcome):
+        return outcome
 
     def out_of_budget() -> bool:
-        if steps >= max_steps:
+        if outcome.steps >= max_steps:
             return True
         if should_stop is not None and should_stop():
             return True
         return deadline is not None and time.monotonic() > deadline
 
-    progress = True
+    # Per premise, the candidate pairs that may violate it: every
+    # violating pair is queued.  None means the premise's next turn
+    # starts with a full violations() scan (its first turn, after a
+    # merge, and in the closing fixpoint pass), so new edges need not
+    # feed it.
+    worklists: list[deque | None] = [None] * len(sigma)
+
     clean_pass = False
-    while progress and not out_of_budget():
+    while not out_of_budget():
         progress = False
-        for constraint in sigma:
+        scanned_all = True
+        for index, constraint in enumerate(sigma):
             if out_of_budget():
                 break
-            bad = violations(work, constraint, limit=1)
-            while bad and not out_of_budget():
-                x, y = bad[0]
-                steps += 1
+            pending = worklists[index]
+            if pending is None:
+                pending = deque(violations(work, constraint))
+                worklists[index] = pending
+            else:
+                scanned_all = False
+            while pending and not out_of_budget():
+                x, y = pending.popleft()
+                if conclusion_holds(work, constraint, x, y):
+                    continue
+                outcome.steps += 1
                 progress = True
                 if constraint.rhs.is_empty():
                     # Equality-generating: the conclusion "epsilon(x,y)"
                     # (forward) or "epsilon(y,x)" (backward) forces x=y.
+                    # A merge renames nodes under every queued pair, so
+                    # all premises fall back to a full scan.
                     keep, remove = (x, y) if y != work.root else (y, x)
-                    if keep != remove:
-                        work.merge_nodes(keep, remove)
-                        node_map[remove] = keep
-                        merges += 1
-                elif constraint.is_forward():
-                    work.add_path(x, constraint.rhs, dst=y)
+                    work.merge_nodes(keep, remove)
+                    outcome.node_map[remove] = keep
+                    outcome.merges += 1
+                    worklists[:] = [None] * len(sigma)
+                    pending = deque(violations(work, constraint))
+                    worklists[index] = pending
                 else:
-                    work.add_path(y, constraint.rhs, dst=x)
-                bad = violations(work, constraint, limit=1)
+                    src, dst = (x, y) if constraint.is_forward() else (y, x)
+                    added = _add_path(work, src, constraint.rhs, dst)
+                    _feed(work, sigma, worklists, added)
+                if goal is not None and goal(outcome):
+                    return outcome
         if not progress:
-            # A full pass over Sigma found no violation and performed
-            # no mutation, so the graph is already verified at the
-            # current generation: the fixpoint recheck below is
-            # redundant.
-            clean_pass = True
+            if scanned_all:
+                # A full violations() pass over Sigma found nothing.
+                clean_pass = True
+                break
+            # The worklists ran dry; confirm with one full pass rather
+            # than trust the delta rule for a fixpoint claim.
+            worklists[:] = [None] * len(sigma)
 
-    # On a budget exit the recheck runs for real; images computed by the
-    # last (unmutated) repair scans are served from work.path_cache.
-    fixpoint = clean_pass or all(
+    # On a budget exit the recheck runs for real.
+    outcome.fixpoint = clean_pass or all(
         not violations(work, c, limit=1) for c in sigma
     )
-    return ChaseOutcome(
-        graph=work,
-        fixpoint=fixpoint,
-        steps=steps,
-        merges=merges,
-        node_map=node_map,
-    )
+    return outcome
+
+
+def _add_path(
+    graph: Graph, src: Node, path: Path, dst: Node
+) -> list[tuple[Node, str, Node]]:
+    """Add a fresh ``path`` from ``src`` whose last edge lands on
+    ``dst`` (as :meth:`Graph.add_path`); return the new edges."""
+    edges = []
+    current = src
+    for label in path.labels[:-1]:
+        nxt = graph.fresh_node()
+        graph.add_edge(current, label, nxt)
+        edges.append((current, label, nxt))
+        current = nxt
+    graph.add_edge(current, path.last(), dst)
+    edges.append((current, path.last(), dst))
+    return edges
+
+
+def _feed(
+    graph: Graph,
+    sigma: list[PathConstraint],
+    worklists: "list[deque | None]",
+    edges: list[tuple[Node, str, Node]],
+) -> None:
+    """Queue the witness pairs the new ``edges`` create.
+
+    Edges only ever add witnesses and conclusion paths, so a pair that
+    holds stays holding and every new violation runs through a new
+    edge: the delta rule of :mod:`repro.checking.incremental` finds
+    them all.  Read after the whole repair path is in place, so one
+    cache generation serves every edge and premise.
+    """
+    for constraint, pending in zip(sigma, worklists):
+        if pending is None:
+            continue
+        lhs, prefix = constraint.lhs.labels, constraint.prefix.labels
+        for src, label, dst in edges:
+            if label in lhs or label in prefix:
+                pending.extend(
+                    pairs_through_edge(graph, constraint, src, dst, label)
+                )
 
 
 def tableau_for(phi: PathConstraint) -> tuple[Graph, Node, Node]:
@@ -165,25 +272,19 @@ def chase_implication(
     >>> result.countermodel is not None
     True
     """
-    sigma = list(sigma)
     tableau, x, y = tableau_for(phi)
-    outcome = chase(
-        tableau,
-        sigma,
-        max_steps=max_steps,
-        deadline=deadline,
-        should_stop=should_stop,
+
+    def concluded(outcome: ChaseOutcome) -> bool:
+        return conclusion_holds(
+            outcome.graph, phi, outcome.resolve(x), outcome.resolve(y)
+        )
+
+    outcome = _chase(
+        tableau, sigma, max_steps, deadline, should_stop, goal=concluded
     )
-    x = outcome.resolve(x)
-    y = outcome.resolve(y)
     chased = outcome.graph
 
-    if phi.is_forward():
-        conclusion_holds = chased.satisfies_path(phi.rhs, x, y)
-    else:
-        conclusion_holds = chased.satisfies_path(phi.rhs, y, x)
-
-    if conclusion_holds:
+    if concluded(outcome):
         return ImplicationResult(
             answer=Trilean.TRUE,
             method="chase",

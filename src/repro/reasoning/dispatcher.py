@@ -157,8 +157,10 @@ def _reconcile_with_table1(
     claiming a different complexity class than the paper's cell (or a
     semi-decider claiming decidability) is a routing bug, not a
     stylistic difference.  Conflicts raise; a missing complexity on a
-    decidable cell is filled in from the table.
+    decidable cell is filled in from the table, and the result keeps
+    its ``problem_class`` so callers need not classify again.
     """
+    result.problem_class = problem_class
     decidable, complexity = table1_cell(problem_class, context)
     if result.decidable != decidable:
         raise AssertionError(

@@ -17,6 +17,7 @@ from repro.truth import Trilean
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.structure import Graph
     from repro.reasoning.axioms import IrProof
+    from repro.reasoning.dispatcher import ProblemClass
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,9 @@ class ImplicationResult:
     #: (:class:`repro.reasoning.cache.CacheInfo`); None when no cache
     #: was passed to :func:`repro.reasoning.solve`.
     cache: Any = None
+    #: The Table 1 fragment :func:`repro.reasoning.solve` classified
+    #: the instance into; None for results built outside ``solve()``.
+    problem_class: "ProblemClass | None" = None
 
     @property
     def implied(self) -> bool:

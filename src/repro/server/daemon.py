@@ -60,11 +60,7 @@ from repro.errors import (
 )
 from repro.graph.serialize import from_dict as graph_from_dict
 from repro.graph.serialize import to_dict as graph_to_dict
-from repro.reasoning import (
-    ImplicationProblem,
-    classify,
-    solve,
-)
+from repro.reasoning import ImplicationProblem, solve
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.runtime import (
@@ -853,7 +849,7 @@ class ImplicationServer:
                 result=result,
                 wire=protocol.result_to_wire(
                     result,
-                    classify(problem.sigma, problem.phi).value,
+                    result.problem_class.value,
                     str(request.get("context", "semistructured")),
                     countermodel=countermodel,
                 ),

@@ -353,6 +353,36 @@ class TestConcurrentRenamedRequests:
                     assert len(callers) == 1, callers
                     assert callers[0] is not loop_thread
 
+    def test_imply_classifies_once(self, tmp_path, monkeypatch):
+        # The wire payload's fragment comes from the class solve()
+        # already computed, for a fresh solve and a cache replay alike.
+        from repro.reasoning import dispatcher
+
+        original = dispatcher.classify
+        calls: list = []
+
+        def spy(sigma, phi):
+            calls.append(phi)
+            return original(sigma, phi)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                vars(module).get("classify") is original
+            ):
+                monkeypatch.setattr(module, "classify", spy)
+        cache = ImplicationCache(cache_dir=tmp_path / "cache")
+        with ServerHarness(port=0, cache=cache) as harness:
+            with harness.client() as client:
+                for sigma, phi, status in (
+                    (WORD_SIGMA, WORD_PHI, "store"),
+                    (["x => y", "y => z"], "x => z", "hit"),
+                ):
+                    calls.clear()
+                    response = client.imply(sigma, phi)
+                    assert response["cache"]["status"] == status
+                    assert response["fragment"] == "P_w"
+                    assert len(calls) == 1, calls
+
 
 class TestAdmissionControl:
     def test_queue_full_sheds_with_retry_hint(self):
