@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 verification: the fast correctness suite (ROADMAP.md).
 # Benchmarks live in benchmarks/ (marker: bench) and are NOT run here;
-# use scripts/bench.sh for the performance suite.
+# use scripts/bench.sh for the performance suite.  Tier-1 only imports
+# them (and runs perfbench's own unit tests), so a change that deletes
+# a name they use fails here rather than at the next benchmark run.
 set -eu
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -115,5 +117,10 @@ rm -f "$ready_file"
 # 3-seed sweep with the JSON gate.
 python -m repro chaos --seed 7 --requests 20 --fault-rate 0.3 \
     --watchdog-grace-ms 400
+
+# Benchmark import smokes: perfbench's unit tests, and collection of
+# every benchmark module without running it.
+python -m pytest perfbench -q
+python -m pytest benchmarks -m bench --collect-only -q
 
 exec python -m pytest -x -q "$@"

@@ -24,14 +24,11 @@ from the endpoints of the new edge:
 The result is equivalent to full re-validation (asserted exhaustively
 in the test suite) while touching a small neighbourhood per insert.
 
-All image reads go through ``graph.path_cache``: one ``notify_edge``
-evaluates the same prefix images for several constraints and witness
-pairs, and between two inserts the generation stamp guarantees nothing
-stale survives the mutation.  Each pair is re-checked with
+Each pair is re-checked with
 :func:`~repro.checking.satisfaction.conclusion_holds`, which reads one
-image from ``y``'s side (cached, so pairs sharing a ``y`` share it).
-:func:`pairs_through_edge` (the delta rule) and that probe also drive
-the chase's repair worklists (:mod:`repro.reasoning.chase`).
+image from ``y``'s side.  :func:`pairs_through_edge` (the delta rule)
+and that probe also drive the chase's repair worklists
+(:mod:`repro.reasoning.chase`).
 """
 
 from __future__ import annotations
@@ -61,22 +58,21 @@ def pairs_through_edge(
     hypothesis witnesses.
     """
     pairs: set[tuple[Node, Node]] = set()
-    evaluator = graph.path_cache
     for before, after in _cuts(constraint.lhs, label):
-        xs = _image(evaluator.eval_path_backward, before, src)
+        xs = graph.eval_path_backward(before, src)
         if xs:
-            xs &= _image(evaluator.eval_path, constraint.prefix, graph.root)
+            xs &= graph.eval_path(constraint.prefix)
         if not xs:
             continue
-        ys = _image(evaluator.eval_path, after, dst)
+        ys = graph.eval_path(after, start=dst)
         pairs.update((x, y) for x in xs for y in ys)
     for before, after in _cuts(constraint.prefix, label):
         # Is src actually reachable as an alpha[:i] node?  If not the
         # new edge cannot extend a prefix path.
-        if src not in _image(evaluator.eval_path, before, graph.root):
+        if src not in graph.eval_path(before):
             continue
-        for x in _image(evaluator.eval_path, after, dst):
-            for y in _image(evaluator.eval_path, constraint.lhs, x):
+        for x in graph.eval_path(after, start=dst):
+            for y in graph.eval_path(constraint.lhs, start=x):
                 pairs.add((x, y))
     return pairs
 
@@ -91,13 +87,6 @@ def _cuts(path: Path, label: str) -> tuple[tuple[Path, Path], ...]:
         for i, at in enumerate(path.labels)
         if at == label
     )
-
-
-def _image(evaluate, path: Path, node: Node) -> frozenset:
-    """``evaluate(path, node)``, except that the empty path's image (the
-    node itself) is built without a cache lookup: most cuts of a short
-    path have an empty side."""
-    return evaluate(path, node) if path else frozenset((node,))
 
 
 class IncrementalChecker:
@@ -180,15 +169,13 @@ class IncrementalChecker:
         self, constraint: PathConstraint, src: Node, dst: Node, label: str
     ) -> None:
         graph = self._graph
-        # Through the cache: pairs that share a y share its image.
-        evaluator = graph.path_cache
         pairs = self._violations[constraint]
 
         # 1. Repairs: the new edge can complete conclusion paths.
         if label in constraint.rhs.alphabet() and pairs:
             for x, y in list(pairs):
                 self._rechecks += 1
-                if conclusion_holds(evaluator, constraint, x, y):
+                if conclusion_holds(graph, constraint, x, y):
                     pairs.discard((x, y))
 
         # 2. New violations: only witness pairs whose alpha/beta paths
@@ -201,7 +188,7 @@ class IncrementalChecker:
             return
         for x, y in pairs_through_edge(graph, constraint, src, dst, label):
             self._rechecks += 1
-            if conclusion_holds(evaluator, constraint, x, y):
+            if conclusion_holds(graph, constraint, x, y):
                 pairs.discard((x, y))
             else:
                 pairs.add((x, y))

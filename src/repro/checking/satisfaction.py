@@ -7,29 +7,24 @@ evaluation is a few breadth-first path images — linear in the touched
 edges per witness set — and returns the violating pairs, which the
 chase consumes as repair obligations.
 
-All path images are read through ``graph.path_cache``, so repeated
-checks between mutations (the chase fixpoint test, shared prefixes
-across a constraint set) are served from memoized images; generation
-stamping makes a stale hit impossible.  Backward conclusions are
-evaluated as *one* backward image ``{ y : gamma(y, x) }`` per witness
-``x`` instead of a forward probe per pair.
+Every image is evaluated on the graph when it is read, with no memo:
+the chase and the incremental checker mutate the graph between almost
+every two reads, so stored images would mostly be read once.  Backward
+conclusions are evaluated as *one* backward image
+``{ y : gamma(y, x) }`` per witness ``x`` instead of a forward probe
+per pair.
 
 :func:`conclusion_holds` is the single-pair probe the delta-driven
 consumers (the chase's worklists, the incremental checker) use: it
-reads one image from ``y``'s side instead of one from ``x``, through
-the graph or its cache as the caller chooses.
+reads one image from ``y``'s side instead of one from ``x``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph, Node
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.cache import PathCache
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,7 @@ class CheckResult:
 
 
 def _conclusion_image(
-    evaluator, constraint: PathConstraint, x: Node
+    graph: Graph, constraint: PathConstraint, x: Node
 ) -> frozenset:
     """The set of ``y`` satisfying the conclusion at witness ``x``.
 
@@ -59,12 +54,12 @@ def _conclusion_image(
     a ``satisfies_path`` probe per hypothesis pair).
     """
     if constraint.is_forward():
-        return evaluator.eval_path(constraint.rhs, start=x)
-    return evaluator.eval_path_backward(constraint.rhs, x)
+        return graph.eval_path(constraint.rhs, start=x)
+    return graph.eval_path_backward(constraint.rhs, x)
 
 
 def conclusion_holds(
-    evaluator: "Graph | PathCache",
+    graph: Graph,
     constraint: PathConstraint,
     x: Node,
     y: Node,
@@ -77,14 +72,10 @@ def conclusion_holds(
     often the root or a prefix node whose fan-out grows with every
     repair, while ``y`` sits at the end of a hypothesis path, so the
     image from ``y`` stays small where the one from ``x`` does not.
-
-    ``evaluator`` is a graph or its ``path_cache`` (the same
-    evaluation surface): a caller that reads each image once passes
-    the graph, one that probes many pairs between mutations the cache.
     """
     if constraint.is_forward():
-        return x in evaluator.eval_path_backward(constraint.rhs, y)
-    return x in evaluator.eval_path(constraint.rhs, start=y)
+        return x in graph.eval_path_backward(constraint.rhs, y)
+    return x in graph.eval_path(constraint.rhs, start=y)
 
 
 def violations(
@@ -92,12 +83,11 @@ def violations(
 ) -> list[tuple[Node, Node]]:
     """The (x, y) pairs violating the constraint (up to ``limit``)."""
     out: list[tuple[Node, Node]] = []
-    evaluator = graph.path_cache
-    for x in evaluator.eval_path(constraint.prefix):
-        hypothesis_nodes = evaluator.eval_path(constraint.lhs, start=x)
+    for x in graph.eval_path(constraint.prefix):
+        hypothesis_nodes = graph.eval_path(constraint.lhs, start=x)
         if not hypothesis_nodes:
             continue
-        conclusion_nodes = _conclusion_image(evaluator, constraint, x)
+        conclusion_nodes = _conclusion_image(graph, constraint, x)
         for y in hypothesis_nodes:
             if y not in conclusion_nodes:
                 out.append((x, y))
@@ -117,15 +107,14 @@ def check(graph: Graph, constraint: PathConstraint) -> CheckResult:
     >>> check(g, parse_constraint("book.author => person")).holds
     True
     """
-    evaluator = graph.path_cache
     witnesses = 0
     bad: list[tuple[Node, Node]] = []
-    for x in evaluator.eval_path(constraint.prefix):
-        hypothesis_nodes = evaluator.eval_path(constraint.lhs, start=x)
+    for x in graph.eval_path(constraint.prefix):
+        hypothesis_nodes = graph.eval_path(constraint.lhs, start=x)
         if not hypothesis_nodes:
             continue
         witnesses += len(hypothesis_nodes)
-        conclusion_nodes = _conclusion_image(evaluator, constraint, x)
+        conclusion_nodes = _conclusion_image(graph, constraint, x)
         bad.extend((x, y) for y in hypothesis_nodes if y not in conclusion_nodes)
     return CheckResult(
         constraint=constraint,

@@ -314,10 +314,12 @@ def _cmd_imply(args: argparse.Namespace) -> int:
             cache.flush_counters()
     print(f"answer:     {result.answer.value}")
     print(f"method:     {result.method}")
-    klass = classify(sigma, phi)
-    decidable, complexity = table1_cell(klass, context)
-    status = f"decidable ({complexity})" if decidable else "undecidable"
-    print(f"fragment:   {klass.value}  [{context.value}: {status}]")
+    status = (
+        f"decidable ({result.complexity})" if result.decidable else "undecidable"
+    )
+    print(
+        f"fragment:   {result.problem_class.value}  [{context.value}: {status}]"
+    )
     if result.cache is not None:
         print(f"cache:      {result.cache.describe()}")
     for engine in result.stats:

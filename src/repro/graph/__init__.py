@@ -15,7 +15,6 @@ package provides:
 
 from repro.graph.signature import Signature
 from repro.graph.structure import Graph
-from repro.graph.cache import CacheStats, PathCache
 from repro.graph.builders import (
     figure1_graph,
     from_nested_dict,
@@ -26,8 +25,6 @@ from repro.graph.builders import (
 __all__ = [
     "Signature",
     "Graph",
-    "CacheStats",
-    "PathCache",
     "figure1_graph",
     "from_nested_dict",
     "line_graph",

@@ -21,23 +21,15 @@ Design notes
 * A graph may carry an optional *sort assignment* mapping nodes to
   unary-relation names — this is how the typed abstraction of
   Section 3.2.2 records the ``T(Delta)`` relations.
-* Every mutation bumps a monotone :attr:`Graph.generation` counter.
-  The attached :class:`~repro.graph.cache.PathCache` (lazily created
-  via :attr:`Graph.path_cache`) keys memoized path images on it, so
-  cached images are invalidated exactly when the graph changes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
-from typing import TYPE_CHECKING
 
 from repro.errors import GraphError, UnknownNodeError
 from repro.graph.signature import Signature
 from repro.paths import Path
-
-if TYPE_CHECKING:
-    from repro.graph.cache import CacheStats, PathCache
 
 Node = Hashable
 
@@ -53,66 +45,15 @@ class Graph:
     [1]
     """
 
-    #: Default LRU bound for the attached path cache.
-    DEFAULT_CACHE_MAXSIZE = 4096
-
     def __init__(self, root: Node = "r", nodes: Iterable[Node] = ()) -> None:
         self._succ: dict[Node, dict[str, set[Node]]] = {}
         self._pred: dict[Node, dict[str, set[Node]]] = {}
         self._sorts: dict[Node, str] = {}
         self._next_fresh = 0
-        self._generation = 0
-        self._cache: PathCache | None = None
-        self._cache_maxsize = self.DEFAULT_CACHE_MAXSIZE
         self._root = root
         self._ensure_node(root)
         for node in nodes:
             self._ensure_node(node)
-
-    # -- generations and the path cache --------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Monotone mutation counter.
-
-        Bumped by every mutator (``add_node``, ``add_edge``,
-        ``remove_edge``, ``add_path``, ``merge_nodes``, ``set_sort``);
-        derived graphs (``copy``/``rerooted``/``quotient``) carry it
-        forward.  Two equal generations on the same graph guarantee
-        identical path images, which is the cache-validity contract of
-        :class:`~repro.graph.cache.PathCache`.
-        """
-        return self._generation
-
-    def _touch(self) -> None:
-        self._generation += 1
-
-    @property
-    def path_cache(self) -> "PathCache":
-        """The attached memoizer for path evaluation (lazily created)."""
-        if self._cache is None:
-            from repro.graph.cache import PathCache
-
-            self._cache = PathCache(self, maxsize=self._cache_maxsize)
-        return self._cache
-
-    def configure_path_cache(self, maxsize: int) -> "PathCache":
-        """Replace the attached cache with one bounded at ``maxsize``.
-
-        ``maxsize=0`` yields a pass-through cache that only counts
-        evaluations — the uncached baseline the benchmarks compare
-        against.  The setting is inherited by ``copy``/``rerooted``/
-        ``quotient`` so a whole graph lineage can be (un)cached.
-        """
-        from repro.graph.cache import PathCache
-
-        self._cache_maxsize = maxsize
-        self._cache = PathCache(self, maxsize=maxsize)
-        return self._cache
-
-    def cache_stats(self) -> "CacheStats":
-        """Hit/miss/eviction counters of the attached path cache."""
-        return self.path_cache.stats
 
     # -- node management ----------------------------------------------
 
@@ -130,7 +71,6 @@ class Graph:
             # later merge_nodes()/quotient() removed.
             if type(node) is int and node >= self._next_fresh:
                 self._next_fresh = node + 1
-            self._touch()
         return node
 
     def add_node(self, node: Node | None = None, sort: str | None = None) -> Node:
@@ -144,7 +84,6 @@ class Graph:
         self._ensure_node(node)
         if sort is not None:
             self._sorts[node] = sort
-            self._touch()
         return node
 
     def fresh_node(self) -> Node:
@@ -182,7 +121,6 @@ class Graph:
         """Assign the unary relation (type name) of ``node``."""
         self._require_node(node)
         self._sorts[node] = sort
-        self._touch()
 
     def sort_of(self, node: Node) -> str | None:
         """The unary relation of ``node``, or None if unsorted."""
@@ -209,7 +147,6 @@ class Graph:
         self._ensure_node(dst)
         self._succ[src].setdefault(label, set()).add(dst)
         self._pred[dst].setdefault(label, set()).add(src)
-        self._touch()
         return dst
 
     def add_path(self, src: Node, path: Path | str, dst: Node | None = None) -> Node:
@@ -245,7 +182,6 @@ class Graph:
             del self._succ[src][label]
         if not self._pred[dst][label]:
             del self._pred[dst][label]
-        self._touch()
 
     def has_edge(self, src: Node, label: str, dst: Node) -> bool:
         return dst in self._succ.get(src, {}).get(label, ())
@@ -376,16 +312,14 @@ class Graph:
     # -- structural operations ---------------------------------------------
 
     def _carry_state_to(self, out: "Graph") -> "Graph":
-        """Propagate fresh-counter and cache settings to a derived
-        graph.
+        """Carry the fresh-node watermark to a derived graph.
 
-        The fresh-node watermark must survive derivation: resetting it
+        The watermark must survive derivation: resetting it
         would let ``fresh_node`` on the copy reissue an id that a merge
         deleted, resurrecting a dead node and corrupting any external
         node map (the chase's ``resolve`` chains, notably).
         """
         out._next_fresh = max(out._next_fresh, self._next_fresh)
-        out._cache_maxsize = self._cache_maxsize
         return out
 
     def copy(self) -> "Graph":
@@ -482,7 +416,6 @@ class Graph:
                 self.add_edge(keep if src == remove else src, label, keep)
         del self._succ[remove]
         del self._pred[remove]
-        self._touch()
 
     def is_deterministic(self) -> bool:
         """True when every (node, label) has at most one successor."""

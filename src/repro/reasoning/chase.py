@@ -31,12 +31,9 @@ feed the worklists, through the delta rule
 never breaks a conclusion, so every new violation runs through a new
 edge.  Each popped candidate is re-checked with the single-pair probe
 :func:`~repro.checking.satisfaction.conclusion_holds` before it is
-repaired.  The probe and the goal check read the graph directly, not
-through its path cache: every repair bumps the graph's generation, so
-each of their images would be cached only to be read once.  A merge
-renames the nodes under queued pairs, so it falls back to full scans.
-A fixpoint (and with it a FALSE) is claimed only after a full
-``violations()`` pass over Sigma finds nothing.
+repaired.  A merge renames the nodes under queued pairs, so it falls
+back to full scans.  A fixpoint (and with it a FALSE) is claimed only
+after a full ``violations()`` pass over Sigma finds nothing.
 
 Repairs go premise by premise, in Sigma's order: each premise is
 repaired until it has no violation, then the next, and passes repeat
@@ -223,8 +220,7 @@ def _feed(
     Edges only ever add witnesses and conclusion paths, so a pair that
     holds stays holding and every new violation runs through a new
     edge: the delta rule of :mod:`repro.checking.incremental` finds
-    them all.  Read after the whole repair path is in place, so one
-    cache generation serves every edge and premise.
+    them all.
     """
     for constraint, pending in zip(sigma, worklists):
         if pending is None:

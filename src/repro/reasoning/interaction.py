@@ -23,13 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.constraints.ast import PathConstraint
-from repro.reasoning.dispatcher import (
-    Context,
-    ImplicationProblem,
-    classify,
-    solve,
-    table1_cell,
-)
+from repro.reasoning.dispatcher import Context, ImplicationProblem, solve
 from repro.reasoning.result import ImplicationResult
 from repro.truth import Trilean
 from repro.types.typesys import Schema
@@ -93,15 +87,11 @@ def interaction_report(
         typed_search_limit=typed_search_limit,
     )
 
-    problem_class = classify(sigma, phi)
-    untyped_decidable, _ = table1_cell(problem_class, Context.SEMISTRUCTURED)
-    typed_decidable, _ = table1_cell(problem_class, typed_context)
-
     # Decidability changes dominate (they are the paper's theorems);
     # answer flips within equally-decidable cells come next.
-    if untyped_decidable and not typed_decidable:
+    if untyped.decidable and not typed.decidable:
         kind = InteractionKind.TYPES_HURT
-    elif not untyped_decidable and typed_decidable:
+    elif not untyped.decidable and typed.decidable:
         kind = InteractionKind.TYPES_HELP
     elif typed.answer is Trilean.TRUE and untyped.answer is not Trilean.TRUE:
         kind = InteractionKind.TYPES_HELP

@@ -72,9 +72,6 @@ def infer_alphabet(
 def _is_countermodel(
     graph: Graph, sigma: Sequence[PathConstraint], phi: PathConstraint
 ) -> bool:
-    # Both checks read through graph.path_cache, so constraints in
-    # sigma sharing a prefix (or phi's own prefix) re-use one image per
-    # candidate graph instead of re-walking it per constraint.
     if violations(graph, phi, limit=1):
         return satisfies_all(graph, sigma)
     return False

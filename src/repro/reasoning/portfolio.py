@@ -690,7 +690,7 @@ def run_portfolio(
     box starts swapping.
     """
     # Imported here: dispatcher imports this module's Budget/run_portfolio.
-    from repro.reasoning.dispatcher import Context, classify
+    from repro.reasoning.dispatcher import Context
 
     validate_jobs(jobs)
     validate_max_respawns(max_respawns)
@@ -699,7 +699,6 @@ def run_portfolio(
     sigma = tuple(problem.sigma)
     phi = problem.phi
     context = problem.context
-    problem_class = classify(sigma, phi)
     labels = infer_alphabet(sigma, phi)
     untyped = context is Context.SEMISTRUCTURED
     requested = normalize_jobs(jobs)
@@ -734,8 +733,8 @@ def run_portfolio(
                 forced=True,
             )
     notes = [
-        f"{problem_class.value} over {context.value}: undecidable "
-        "problem class; semi-decision with explicit budgets",
+        f"undecidable problem class over {context.value}; semi-decision "
+        "with explicit budgets",
         f"portfolio: jobs={requested}, "
         + (
             f"deadline in {budget.remaining():.3f}s"

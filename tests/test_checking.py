@@ -6,6 +6,7 @@ from repro.checking import check, check_all, violations
 from repro.checking.engine import satisfies_all
 from repro.constraints import backward, forward, parse_constraint, word
 from repro.graph import Graph
+from repro.graph.builders import figure1_graph
 
 
 class TestFigure1Semantics:
@@ -145,3 +146,30 @@ class TestBatchEngine:
 
     def test_empty_constraint_set(self, fig1):
         assert check_all(fig1, []).ok
+
+
+class TestSinglePassCheck:
+    def test_check_counts_and_violations_consistent(self):
+        from repro.checking.satisfaction import check
+        from repro.constraints import parse_constraint
+
+        g = figure1_graph()
+        phi = parse_constraint("book.author => person")
+        result = check(g, phi)
+        assert result.holds
+        # Empty prefix: the sole witness source is the root, so the
+        # count is the size of the hypothesis image.
+        assert result.witnesses == len(g.eval_path("book.author"))
+
+    def test_backward_conclusion_batched_matches_per_pair(self):
+        from repro.constraints.ast import backward
+
+        g = figure1_graph()
+        phi = backward("book", "author", "wrote")
+        batched = set(violations(g, phi))
+        per_pair = set()
+        for x in g.eval_path("book"):
+            for y in g.eval_path("author", start=x):
+                if not g.satisfies_path("wrote", y, x):
+                    per_pair.add((x, y))
+        assert batched == per_pair

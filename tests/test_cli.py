@@ -108,6 +108,7 @@ class TestImply:
         out = capsys.readouterr().out
         assert rc == 0
         assert "answer:     false" in out
+        assert "fragment:   P_c  [semistructured: undecidable]" in out
         assert "engine:" in out
         assert "portfolio: jobs=2" in out
 

@@ -286,3 +286,22 @@ class TestTable1Reconciliation:
         )
         with pytest.raises(AssertionError, match="Table 1"):
             mod.solve(problem)
+
+    def test_portfolio_solve_classifies_once(self, monkeypatch):
+        # solve() classifies; the portfolio it runs must not again.
+        from repro.reasoning import dispatcher as mod
+
+        original = mod.classify
+        calls: list = []
+
+        def spy(sigma, phi):
+            calls.append(phi)
+            return original(sigma, phi)
+
+        monkeypatch.setattr(mod, "classify", spy)
+        problem = ImplicationProblem(
+            parse_constraints("a :: b => b.b"), parse_constraint("a :: b ~> a")
+        )
+        result = mod.solve(problem, jobs=1)
+        assert result.problem_class is ProblemClass.GENERAL
+        assert len(calls) == 1, calls
