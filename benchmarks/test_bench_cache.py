@@ -35,7 +35,12 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
 from repro.diffcheck.generators import FRAGMENT_GENERATORS, generate_instance
 from repro.diffcheck.runner import fuzz
-from repro.reasoning import ImplicationCache, ImplicationProblem, solve
+from repro.reasoning import (
+    ImplicationCache,
+    ImplicationProblem,
+    SolveOptions,
+    solve,
+)
 from repro.reasoning.canonical import rename_constraint
 from repro.truth import Trilean
 
@@ -121,15 +126,12 @@ def test_repeat_workload_hit_rate():
         for index in range(SWEEP_PER_FRAGMENT)
     ]
 
+    options = SolveOptions(
+        chase_steps=400, countermodel_nodes=2, typed_search_limit=400
+    )
+
     def _solve(problem):
-        return solve(
-            problem,
-            jobs=1,
-            chase_steps=400,
-            countermodel_nodes=2,
-            typed_search_limit=400,
-            cache=cache,
-        )
+        return solve(problem, options, jobs=1, cache=cache)
 
     lookups = hits = skipped = 0
     for sweep in range(1 + RENAMED_PASSES):

@@ -32,7 +32,7 @@ import pytest
 
 from _report import print_table, write_bench_json
 from repro.constraints import parse_constraint, parse_constraints
-from repro.reasoning import Context, ImplicationProblem
+from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.models import (
     CodeSpace,
     brute_force_countermodel,
@@ -92,7 +92,7 @@ def test_small_untyped_cost_model_dispatch():
     for jobs in JOB_COUNTS:
         began = time.perf_counter()
         out = parallel_countermodel_search(
-            sigma, phi, max_nodes=3, jobs=jobs
+            sigma, phi, options=SolveOptions(countermodel_nodes=3), jobs=jobs
         )
         elapsed = time.perf_counter() - began
         assert out.graph is not None
@@ -187,7 +187,7 @@ def test_large_typed_scan_vs_legacy_pool():
     )
     began = time.perf_counter()
     result = run_portfolio(
-        problem, jobs=TYPED_JOBS, typed_search_limit=TYPED_LIMIT
+        problem, SolveOptions(typed_search_limit=TYPED_LIMIT), jobs=TYPED_JOBS
     )
     auto = time.perf_counter() - began
     assert result.answer is Trilean.UNKNOWN  # full-scan worst case

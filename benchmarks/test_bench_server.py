@@ -27,6 +27,7 @@ import time
 import pytest
 
 from _report import print_table, write_bench_json
+from repro.reasoning import SolveOptions
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.runtime import retire_warm_pool
 from repro.server import ImplicationServer, ServerClient, ServerConfig
@@ -190,7 +191,8 @@ def test_fault_injection_never_flips():
     # so the seed must be one whose draw fires at ordinal 0 (seed 7
     # does; seeds 0-2 would deterministically never inject here).
     with _Harness(
-        inject=FaultPlan.from_spec("rate:0.3:7"), solver_threads=2
+        solve=SolveOptions(inject=FaultPlan.from_spec("rate:0.3:7")),
+        solver_threads=2,
     ) as harness:
         lock = threading.Lock()
         errors: list[BaseException] = []

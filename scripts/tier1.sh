@@ -123,4 +123,15 @@ python -m repro chaos --seed 7 --requests 20 --fault-rate 0.3 \
 python -m pytest perfbench -q
 python -m pytest benchmarks -m bench --collect-only -q
 
+# Doctests and examples: the usage shown in docstrings and in
+# examples/*.py must keep running as the API changes.  The examples
+# get a throwaway cache directory so they neither read nor fill the
+# user's cache.
+python -m pytest --doctest-modules src -q
+examples_cache="$(mktemp -d)"
+for example in examples/*.py; do
+    REPRO_CACHE_DIR="$examples_cache" python "$example" > /dev/null
+done
+rm -rf "$examples_cache"
+
 exec python -m pytest -x -q "$@"

@@ -35,7 +35,8 @@ class _Tok:
     text: str
 
 
-def _tokenize(pattern: str) -> list[_Tok]:
+def tokenize(pattern: str) -> list[_Tok]:
+    """``pattern``'s tokens: labels, ``_`` wildcards and operators."""
     tokens: list[_Tok] = []
     pos = 0
     while pos < len(pattern):
@@ -247,6 +248,6 @@ def compile_regex(pattern: str, alphabet: frozenset[str] | set[str] = frozenset(
     >>> nfa.accepts(["book", "editor"])
     True
     """
-    tokens = _tokenize(pattern)
+    tokens = tokenize(pattern)
     frag = _Parser(tokens, frozenset(alphabet)).parse()
     return frag.to_nfa()

@@ -99,8 +99,11 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
 from repro.graph.serialize import from_dict, to_dict, to_dot
 from repro.reasoning import (
+    DEFAULT_SOLVE_OPTIONS,
     Context,
+    FaultPlan,
     ImplicationProblem,
+    SolveOptions,
     classify,
     solve,
     table1_cell,
@@ -164,6 +167,18 @@ def _parse_jobs(text: str) -> int | str:
         raise ValueError(
             f"--jobs must be a positive integer or 'auto', got {text!r}"
         ) from None
+
+
+def _solve_options(args: argparse.Namespace, **settings) -> SolveOptions:
+    """The :class:`SolveOptions` the runtime flags of ``imply`` and
+    ``serve`` ask for, plus command-specific ``settings``."""
+    return SolveOptions(
+        max_respawns=args.max_respawns,
+        inject=FaultPlan.from_spec(args.inject) if args.inject else None,
+        max_worker_mb=args.max_worker_mb,
+        memory_guard_mb=args.memory_guard_mb,
+        **settings,
+    )
 
 
 def _build_cache(args: argparse.Namespace) -> ImplicationCache | None:
@@ -273,8 +288,16 @@ def _cmd_imply(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema) if args.schema else None
     problem = ImplicationProblem(sigma, phi, context, schema=schema)
     jobs = _parse_jobs(args.jobs)
-    decidable, _ = table1_cell(classify(sigma, phi), context)
-    if decidable:
+    options = _solve_options(args, allow_semidecision=not args.strict)
+    cache = _build_cache(args)
+    try:
+        result = solve(
+            problem, options, jobs=jobs, deadline=args.deadline, cache=cache
+        )
+    finally:
+        if cache is not None:
+            cache.flush_counters()
+    if result.decidable:
         # The portfolio knobs only drive the semi-decision pipeline;
         # telling the user beats silently ignoring their flags.
         # ``auto`` stays quiet: it delegates the choice rather than
@@ -291,27 +314,6 @@ def _cmd_imply(args: argparse.Namespace) -> int:
                 "always terminates)",
                 file=sys.stderr,
             )
-    inject = None
-    if args.inject:
-        from repro.reasoning.faultinject import FaultPlan
-
-        inject = FaultPlan.from_spec(args.inject)
-    cache = _build_cache(args)
-    try:
-        result = solve(
-            problem,
-            allow_semidecision=not args.strict,
-            jobs=jobs,
-            deadline=args.deadline,
-            max_respawns=args.max_respawns,
-            inject=inject,
-            cache=cache,
-            max_worker_mb=args.max_worker_mb,
-            memory_guard_mb=args.memory_guard_mb,
-        )
-    finally:
-        if cache is not None:
-            cache.flush_counters()
     print(f"answer:     {result.answer.value}")
     print(f"method:     {result.method}")
     status = (
@@ -400,30 +402,22 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import ImplicationServer, ServerConfig
 
-    inject = None
-    if args.inject:
-        from repro.reasoning.faultinject import FaultPlan
-
-        inject = FaultPlan.from_spec(args.inject)
     config = ServerConfig(
         host=args.host,
         port=args.port,
         max_queue=args.max_queue,
         solver_threads=args.solver_threads,
+        solve=_solve_options(args),
         jobs=_parse_jobs(args.jobs),
-        max_respawns=args.max_respawns,
         default_budget_ms=(
             None if args.deadline is None else int(args.deadline * 1000)
         ),
         cache=_build_cache(args),
-        inject=inject,
         allow_delay=args.allow_delay,
         port_file=args.port_file,
         watchdog_grace_ms=args.watchdog_grace_ms,
         watchdog_hard_grace_ms=args.watchdog_hard_grace_ms,
         watchdog_max_solve_ms=args.watchdog_max_solve_ms,
-        max_worker_mb=args.max_worker_mb,
-        memory_guard_mb=args.memory_guard_mb,
     )
     server = ImplicationServer(config)
 
@@ -555,13 +549,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-_REGEX_META = set("|*+?()_")
-
-
-def _is_regex_pattern(text: str) -> bool:
-    return any(ch in _REGEX_META for ch in text)
-
-
 def _cmd_query_run(args: argparse.Namespace) -> int:
     from repro.query import evaluate_rpq
 
@@ -578,20 +565,26 @@ def _cmd_query_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query_contains(args: argparse.Namespace) -> int:
+def _query_checker(
+    args: argparse.Namespace, sigma: list, cache: ImplicationCache | None
+):
+    """The containment checker of ``query contains``/``optimize``; its
+    ``--deadline`` starts now and bounds the whole query."""
     from repro.query import QueryContainmentChecker
 
-    sigma = _load_constraints(args.constraints)
-    schema = _load_schema(args.schema) if args.schema else None
-    cache = _build_cache(args)
-    checker = QueryContainmentChecker(
+    return QueryContainmentChecker(
         sigma,
         context=args.context,
-        schema=schema,
+        schema=_load_schema(args.schema) if args.schema else None,
         cache=cache,
         jobs=_parse_jobs(args.jobs),
         deadline=args.deadline,
     )
+
+
+def _cmd_query_contains(args: argparse.Namespace) -> int:
+    cache = _build_cache(args)
+    checker = _query_checker(args, _load_constraints(args.constraints), cache)
     try:
         result = checker.contains(args.left, args.right)
     finally:
@@ -613,37 +606,30 @@ def _cmd_query_contains(args: argparse.Namespace) -> int:
 
 
 def _cmd_query_optimize(args: argparse.Namespace) -> int:
+    from repro.query import (
+        WordQueryOptimizer,
+        is_word_pattern,
+        optimize_rpq_union,
+    )
+
     sigma = _load_constraints(args.constraints)
     cache = _build_cache(args)
-    jobs = _parse_jobs(args.jobs)
     try:
-        if any(_is_regex_pattern(b) for b in args.branch):
-            from repro.query import (
-                QueryContainmentChecker,
-                optimize_rpq_union,
-            )
-
-            schema = _load_schema(args.schema) if args.schema else None
-            checker = QueryContainmentChecker(
-                sigma,
-                context=args.context,
-                schema=schema,
-                cache=cache,
-                jobs=jobs,
-                deadline=args.deadline,
-            )
-            report = optimize_rpq_union(args.branch, checker)
-            stats = checker.stats
-        else:
-            from repro.query import WordQueryOptimizer
-
+        if all(is_word_pattern(b) for b in args.branch):
             optimizer = WordQueryOptimizer(
-                sigma, cache=cache, jobs=jobs, deadline=args.deadline
+                sigma,
+                cache=cache,
+                jobs=_parse_jobs(args.jobs),
+                deadline=args.deadline,
             )
             report = optimizer.optimize_union(
                 args.branch, rewrite=not args.no_rewrite
             )
             stats = optimizer.stats
+        else:
+            checker = _query_checker(args, sigma, cache)
+            report = optimize_rpq_union(args.branch, checker)
+            stats = checker.stats
     finally:
         if cache is not None:
             cache.flush_counters()
@@ -696,6 +682,88 @@ def _cmd_query_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+_QUERY_DEADLINE_HELP = "wall-clock budget for the whole query"
+
+
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    """``--context`` and ``--schema``: where an implication is asked."""
+    p.add_argument(
+        "--context",
+        choices=[c.value for c in Context],
+        default=Context.SEMISTRUCTURED.value,
+    )
+    p.add_argument("--schema", help="XML-Data schema file (typed contexts)")
+
+
+def _add_solve_flags(
+    p: argparse.ArgumentParser, jobs: str, deadline_help: str
+) -> None:
+    """The per-call solve flags every solving command shares:
+    ``--jobs`` (default ``jobs``), ``--deadline`` and the cache."""
+    p.add_argument(
+        "--jobs",
+        default=jobs,
+        metavar="N|auto",
+        help="parallelism cap per solve (1 = sequential; 'auto' sizes "
+        "to the machine; a scan runs pooled only when 2+ CPUs are "
+        "usable and it is large)",
+    )
+    p.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=deadline_help,
+    )
+    p.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="bypass the cross-request implication cache entirely",
+    )
+    p.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="on-disk cache location (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro)",
+    )
+
+
+def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
+    """The pool-runtime flags :func:`_solve_options` reads; their
+    defaults are :class:`SolveOptions`'s."""
+    p.add_argument(
+        "--max-respawns",
+        type=int,
+        default=DEFAULT_SOLVE_OPTIONS.max_respawns,
+        metavar="N",
+        help="pool respawns after worker crashes before degrading "
+        "to in-process execution",
+    )
+    p.add_argument(
+        "--inject",
+        metavar="SPEC",
+        help="deterministic fault injection for every solve: kill:ORD, "
+        "raise:ORD, delay:ORD:SECONDS, corrupt:ORD, rate:R[:SEED] "
+        "(comma-separated; testing instrument; disables cache lookups)",
+    )
+    p.add_argument(
+        "--max-worker-mb",
+        type=int,
+        default=DEFAULT_SOLVE_OPTIONS.max_worker_mb,
+        metavar="MB",
+        help="RLIMIT_AS ceiling per pool worker; a worker past it "
+        "dies with MemoryError and rides the crash-recovery path",
+    )
+    p.add_argument(
+        "--memory-guard-mb",
+        type=int,
+        default=DEFAULT_SOLVE_OPTIONS.memory_guard_mb,
+        metavar="MB",
+        help="degrade pooled execution to in-process scans once this "
+        "process's RSS passes MB",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -712,81 +780,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("imply", help="decide an implication question")
     p.add_argument("constraints")
     p.add_argument("query")
-    p.add_argument(
-        "--context",
-        choices=[c.value for c in Context],
-        default=Context.SEMISTRUCTURED.value,
-    )
-    p.add_argument("--schema", help="XML-Data schema file (typed contexts)")
+    _add_problem_flags(p)
     p.add_argument(
         "--strict",
         action="store_true",
         help="refuse semi-decision on undecidable cells",
     )
     p.add_argument("--dump-countermodel", metavar="FILE")
-    p.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N|auto",
-        help="parallelism cap for the semi-decision portfolio "
-        "(1 = sequential; 'auto' sizes to the machine; the scan "
-        "runs pooled only when 2+ CPUs are usable and it is large)",
+    _add_solve_flags(
+        p,
+        jobs="1",
+        deadline_help="wall-clock budget shared by all portfolio engines",
     )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget shared by all portfolio engines",
-    )
-    p.add_argument(
-        "--max-respawns",
-        type=int,
-        default=2,
-        metavar="N",
-        help="pool respawns after worker crashes before degrading "
-        "to in-process execution",
-    )
-    p.add_argument(
-        "--inject",
-        metavar="SPEC",
-        help="deterministic fault injection: kill:ORD, raise:ORD, "
-        "delay:ORD:SECONDS, corrupt:ORD, rate:R[:SEED] "
-        "(comma-separated; testing instrument)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the cross-request implication cache entirely",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="on-disk cache location (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro)",
-    )
+    _add_runtime_flags(p)
     p.add_argument(
         "--server",
         metavar="HOST:PORT[,HOST:PORT...]",
         help="send the query to a running `repro serve` daemon "
         "instead of solving locally; a comma-separated list enables "
         "client-side failover across replicas",
-    )
-    p.add_argument(
-        "--max-worker-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="RLIMIT_AS ceiling per pool worker; a worker past it "
-        "dies with MemoryError and rides the crash-recovery path",
-    )
-    p.add_argument(
-        "--memory-guard-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="degrade pooled execution to in-process scans once this "
-        "process's RSS passes MB",
     )
     p.set_defaults(func=_cmd_imply)
 
@@ -817,29 +829,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent solves (each may use the process pool "
         "underneath per --jobs)",
     )
-    p.add_argument(
-        "--jobs",
-        default="auto",
-        metavar="N|auto",
-        help="per-solve parallelism cap (pooled only for large "
-        "scans on 2+ CPUs)",
+    _add_solve_flags(
+        p,
+        jobs="auto",
+        deadline_help="default per-request budget when the client sends none",
     )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-request budget when the client sends none",
-    )
-    p.add_argument("--max-respawns", type=int, default=2, metavar="N")
-    p.add_argument(
-        "--inject",
-        metavar="SPEC",
-        help="deterministic fault injection for every solve "
-        "(testing instrument; disables cache lookups)",
-    )
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--cache-dir", metavar="DIR")
+    _add_runtime_flags(p)
     p.add_argument(
         "--port-file",
         metavar="FILE",
@@ -875,22 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MS",
         help="implicit watchdog deadline for solves that arrive "
         "without a budget (default: unbudgeted solves are unwatched)",
-    )
-    p.add_argument(
-        "--max-worker-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="RLIMIT_AS ceiling per pool worker; a worker past it "
-        "dies with MemoryError and rides the crash-recovery path",
-    )
-    p.add_argument(
-        "--memory-guard-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="degrade pooled solves to in-process scans once the "
-        "daemon's RSS passes MB",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -1051,16 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("constraints")
     q.add_argument("left")
     q.add_argument("right")
-    q.add_argument(
-        "--context",
-        choices=[c.value for c in Context],
-        default=Context.SEMISTRUCTURED.value,
-    )
-    q.add_argument("--schema", help="XML-Data schema file (typed contexts)")
-    q.add_argument("--jobs", default="auto", metavar="N|auto")
-    q.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
-    q.add_argument("--no-cache", action="store_true")
-    q.add_argument("--cache-dir", metavar="DIR")
+    _add_problem_flags(q)
+    _add_solve_flags(q, jobs="auto", deadline_help=_QUERY_DEADLINE_HELP)
     q.set_defaults(func=_cmd_query_contains)
 
     q = qsub.add_parser(
@@ -1071,21 +1042,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("constraints")
     q.add_argument("branch", nargs="+", help="union branches")
-    q.add_argument(
-        "--context",
-        choices=[c.value for c in Context],
-        default=Context.SEMISTRUCTURED.value,
-    )
-    q.add_argument("--schema", help="XML-Data schema file (typed contexts)")
+    _add_problem_flags(q)
     q.add_argument(
         "--no-rewrite",
         action="store_true",
         help="prune subsumed branches only, keep surviving words as-is",
     )
-    q.add_argument("--jobs", default="auto", metavar="N|auto")
-    q.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
-    q.add_argument("--no-cache", action="store_true")
-    q.add_argument("--cache-dir", metavar="DIR")
+    _add_solve_flags(q, jobs="auto", deadline_help=_QUERY_DEADLINE_HELP)
     q.set_defaults(func=_cmd_query_optimize)
 
     q = qsub.add_parser(

@@ -67,6 +67,7 @@ from repro.reasoning.models import (
     find_countermodel,
     infer_alphabet,
 )
+from repro.reasoning.options import SolveOptions
 from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.typed_m import implies_typed_m
 from repro.reasoning.word import implies_word
@@ -98,6 +99,15 @@ class OracleConfig:
     portfolio_jobs: tuple[int, ...] = (1, 4)
     #: absolute ``time.monotonic()`` deadline shared by the whole pass.
     deadline: float | None = None
+
+    def solve_options(self, **settings) -> SolveOptions:
+        """These budgets as :class:`SolveOptions`, plus ``settings``."""
+        return SolveOptions(
+            chase_steps=self.chase_steps,
+            countermodel_nodes=self.countermodel_nodes,
+            typed_search_limit=self.typed_limit,
+            **settings,
+        )
 
 
 @dataclass(frozen=True)
@@ -365,14 +375,12 @@ def _make_portfolio_engine(jobs: int):
             )
             result = run_portfolio(
                 problem,
-                jobs=jobs,
-                budget=Budget(deadline=cfg.deadline),
-                chase_steps=cfg.chase_steps,
-                countermodel_nodes=cfg.countermodel_nodes,
                 # The cross-validation point of a jobs>1 oracle is the
                 # pooled runtime itself (and, under --inject, its fault
                 # paths), so bypass the cost model's inline shortcut.
-                execution="pool" if jobs > 1 else "auto",
+                cfg.solve_options(execution="pool" if jobs > 1 else "auto"),
+                jobs=jobs,
+                budget=Budget(deadline=cfg.deadline),
             )
             cert_ok, note = _certificate_status(result, inst.sigma, inst.phi)
             return result.answer, cert_ok, note

@@ -250,10 +250,11 @@ def _union_mismatch(
 
     Returns ``(detail, report)`` — detail is None when clean.  Also
     enforces the accounting invariant
-    ``len(report.pruned) == report.branches_saved``.  The per-solve
-    deadline keeps equality-generating chase fallbacks cheap; a solve
-    cut short answers UNKNOWN, which the optimizer must treat as
-    "keep the branch" (exactly the conservatism under test).
+    ``len(report.pruned) == report.branches_saved``.  The deadline
+    bounds the whole optimization, keeping equality-generating chase
+    fallbacks cheap; a solve cut short answers UNKNOWN, which the
+    optimizer must treat as "keep the branch" (exactly the
+    conservatism under test).
     """
     optimizer = WordQueryOptimizer(sigma, deadline=0.25)
     try:

@@ -405,11 +405,9 @@ def _injected_pass(
         plan = FaultPlan.at_rate(rate, plan_seed)
         result = run_portfolio(
             problem,
+            config.solve_options(inject=plan),
             jobs=jobs,
             budget=Budget(deadline=config.deadline),
-            chase_steps=config.chase_steps,
-            countermodel_nodes=config.countermodel_nodes,
-            fault_plan=plan,
         )
         report.injected_runs += 1
         stats.injected_runs += 1
@@ -496,17 +494,10 @@ def _cache_check_pass(
     problem = ImplicationProblem(
         instance.sigma, instance.phi, instance.context, schema=instance.schema
     )
+    options = config.solve_options()
 
     def _solve(cache):
-        return solve(
-            problem,
-            chase_steps=config.chase_steps,
-            countermodel_nodes=config.countermodel_nodes,
-            typed_search_limit=config.typed_limit,
-            jobs=1,
-            deadline=remaining,
-            cache=cache,
-        )
+        return solve(problem, options, jobs=1, deadline=remaining, cache=cache)
 
     try:
         cold = _solve(None)

@@ -24,7 +24,13 @@ from repro.query.optimizer import (
     evaluate_rpq_union,
     optimize_rpq_union,
 )
-from repro.query.rpq import RPQResult, evaluate_nfa, evaluate_rpq, evaluate_word
+from repro.query.rpq import (
+    RPQResult,
+    evaluate_nfa,
+    evaluate_rpq,
+    evaluate_word,
+    is_word_pattern,
+)
 
 __all__ = [
     "ContainmentResult",
@@ -34,6 +40,7 @@ __all__ = [
     "evaluate_rpq",
     "evaluate_word",
     "evaluate_rpq_union",
+    "is_word_pattern",
     "optimize_rpq_union",
     "RPQOptimizationReport",
     "WordQueryOptimizer",

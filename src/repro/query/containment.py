@@ -48,6 +48,8 @@ from repro.errors import ReproError
 from repro.paths import Path
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.dispatcher import Context, ImplicationProblem, solve
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
+from repro.reasoning.runtime import Budget, CancelFlag
 from repro.rewriting.prefix import PrefixRewriteSystem
 from repro.truth import Trilean
 from repro.types.siggen import SchemaSignature
@@ -110,6 +112,12 @@ def _word_rules(
 class QueryContainmentChecker:
     """Decides (or soundly semi-decides) RPQ containment under Sigma.
 
+    The fallback's per-word implications go through ``solve()`` with
+    ``options``, ``jobs``, ``cache`` and ``cancel``.  ``deadline``
+    (seconds) starts when the checker is built and bounds all of them:
+    each solve gets only the time left, and a spent budget answers
+    UNKNOWN.
+
     >>> from repro.constraints import parse_constraints
     >>> sigma = parse_constraints('''
     ...     book.author => person
@@ -133,6 +141,8 @@ class QueryContainmentChecker:
         cache: ImplicationCache | None = None,
         jobs: int | str = "auto",
         deadline: float | None = None,
+        options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
+        cancel: CancelFlag | None = None,
         chase_steps: int = 400,
         enumeration_count: int = 64,
         max_product_pairs: int = 200_000,
@@ -151,7 +161,9 @@ class QueryContainmentChecker:
         )
         self._cache = cache
         self._jobs = jobs
-        self._deadline = deadline
+        self._budget = Budget.from_seconds(deadline)
+        self._options = options
+        self._cancel = cancel
         self._chase_steps = chase_steps
         self._enumeration_count = enumeration_count
         self._max_product_pairs = max_product_pairs
@@ -349,9 +361,11 @@ class QueryContainmentChecker:
         try:
             result = solve(
                 problem,
+                self._options,
                 jobs=self._jobs,
-                deadline=self._deadline,
+                deadline=self._budget.remaining(),
                 cache=self._cache,
+                cancel=self._cancel,
             )
         except ReproError:
             return Trilean.UNKNOWN

@@ -46,6 +46,8 @@ from repro.query.containment import QueryContainmentChecker
 from repro.query.rpq import RPQResult, evaluate_nfa, evaluate_word
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.dispatcher import ImplicationProblem, solve
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
+from repro.reasoning.runtime import Budget, CancelFlag
 from repro.reasoning.word import WordImplicationDecider
 from repro.truth import Trilean
 
@@ -80,6 +82,10 @@ class OptimizationReport:
 class WordQueryOptimizer:
     """Optimizes word queries under a set of word constraints.
 
+    Subsumption questions go through ``solve()`` with ``options``,
+    ``jobs``, ``cache`` and ``cancel``; ``deadline`` (seconds) starts
+    when the optimizer is built and bounds all of them together.
+
     >>> from repro.constraints import parse_constraints
     >>> sigma = parse_constraints('''
     ...     book.author => person
@@ -98,6 +104,8 @@ class WordQueryOptimizer:
         cache: ImplicationCache | None = None,
         jobs: int | str = "auto",
         deadline: float | None = None,
+        options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
+        cancel: CancelFlag | None = None,
     ) -> None:
         self._sigma = tuple(sigma)
         # The rewrite decider only speaks P_w; with guarded constraints
@@ -111,7 +119,9 @@ class WordQueryOptimizer:
         self._rewrites_restricted = len(word_sigma) < len(self._sigma)
         self._cache = cache
         self._jobs = jobs
-        self._deadline = deadline
+        self._budget = Budget.from_seconds(deadline)
+        self._options = options
+        self._cancel = cancel
         self._subsumption_memo: dict[tuple[Path, Path], Trilean] = {}
         self._unsettled: list[str] = []
         #: Dispatcher traffic (the query benchmarks report these).
@@ -143,9 +153,11 @@ class WordQueryOptimizer:
         try:
             result = solve(
                 problem,
+                self._options,
                 jobs=self._jobs,
-                deadline=self._deadline,
+                deadline=self._budget.remaining(),
                 cache=self._cache,
+                cancel=self._cancel,
             )
             answer = result.answer
             if result.cache is not None and result.cache.status == "hit":

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.automata.nfa import NFA
-from repro.automata.regex import compile_regex
+from repro.automata.regex import compile_regex, tokenize
 from repro.graph.structure import Graph, Node
 from repro.paths import Path
 
@@ -32,6 +32,22 @@ class RPQResult:
     answers: frozenset[Node]
     product_states_visited: int
     edges_traversed: int
+
+
+def is_word_pattern(pattern: str) -> bool:
+    """Is ``pattern`` a plain word: only labels joined by dots?
+
+    ``|``, ``*``, ``+``, ``?``, parentheses or the ``_`` wildcard make
+    it a regular pattern, as :func:`compile_regex` reads it.  The CLI
+    and the daemon both route ``optimize`` unions by this rule.
+
+    >>> [is_word_pattern(p) for p in ("first_name", "a.b", "a+", "_")]
+    [True, True, False, False]
+    """
+    return all(
+        token.kind == "label" or token.text == "."
+        for token in tokenize(pattern)
+    )
 
 
 def evaluate_rpq(

@@ -14,7 +14,8 @@ P_c                    undecidable     cubic        undecidable
 Decidable cells are implemented as complete decision procedures;
 undecidable cells are served by sound semi-deciders (chase, proof
 search, bounded counter-model search).  :func:`solve` routes a problem
-to the right procedure and annotates the answer with the cell's status.
+to the right procedure and annotates the answer with the cell's status;
+one :class:`SolveOptions` value says how it runs.
 """
 
 from repro.reasoning.result import ImplicationResult
@@ -49,9 +50,9 @@ from repro.reasoning.dispatcher import (
 from repro.reasoning.portfolio import (
     Budget,
     parallel_countermodel_search,
-    parallel_find_countermodel,
     run_portfolio,
 )
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.costmodel import (
     ExecMode,
     ExecutionDecision,
@@ -70,6 +71,7 @@ __all__ = [
     "Budget",
     "CacheInfo",
     "CanonicalForm",
+    "DEFAULT_SOLVE_OPTIONS",
     "EngineStats",
     "ExecMode",
     "ExecutionDecision",
@@ -78,13 +80,13 @@ __all__ = [
     "FaultReport",
     "ImplicationCache",
     "ImplicationResult",
+    "SolveOptions",
     "WorkerSupervisor",
     "canonicalize_instance",
     "canonicalize_problem",
     "choose_execution",
     "resolve_cache_dir",
     "parallel_countermodel_search",
-    "parallel_find_countermodel",
     "retire_warm_pool",
     "run_portfolio",
     "warm_pool_pids",

@@ -33,10 +33,9 @@ from repro.reasoning.canonical import (
     canonicalize_problem,
     rename_graph,
 )
-from repro.reasoning.chase import DEFAULT_CHASE_STEPS
+from repro.reasoning.costmodel import validate_jobs
 from repro.reasoning.local_extent import implies_local_extent
-from repro.reasoning.costmodel import validate_jobs, validate_max_respawns
-from repro.reasoning.faultinject import FaultPlan
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.result import ImplicationResult
 from repro.reasoning.runtime import CancelFlag
@@ -268,76 +267,55 @@ def _store_fresh(
 
 def solve(
     problem: ImplicationProblem,
-    allow_semidecision: bool = True,
-    chase_steps: int = DEFAULT_CHASE_STEPS,
-    countermodel_nodes: int = 3,
-    typed_search_limit: int = 2_000,
-    with_proof: bool = False,
+    options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
     jobs: int | str = 1,
     deadline: float | None = None,
-    max_respawns: int = 2,
-    inject: "FaultPlan | None" = None,
-    execution: str = "auto",
     cache: "ImplicationCache | None" = None,
     cancel: "CancelFlag | None" = None,
-    max_worker_mb: int | None = None,
-    memory_guard_mb: int | None = None,
 ) -> ImplicationResult:
     """Decide or semi-decide an implication problem.
 
     For decidable (fragment, context) cells the answer is definite.
-    For undecidable cells, with ``allow_semidecision`` a portfolio of
-    semi-deciders runs: the chase (sound both ways, untyped) and
-    isomorphism-pruned counter-model search; in typed contexts an
-    untyped chase TRUE transfers (``U(Delta)`` is a subclass of all
-    structures) while refutation uses typed counter-models only.
+    Undecidable cells raise :class:`UndecidableProblemError` unless
+    ``options.allow_semidecision``; then a portfolio of semi-deciders
+    runs: the chase (sound both ways, untyped) and isomorphism-pruned
+    counter-model search; in typed contexts an untyped chase TRUE
+    transfers (``U(Delta)`` is a subclass of all structures) while
+    refutation uses typed counter-models only.  ``options`` (see
+    :class:`~repro.reasoning.options.SolveOptions`) says how the
+    solve runs; the other arguments are per call.
+
     ``jobs`` caps the portfolio's parallelism — a positive int, or
-    ``"auto"`` for the CPU count; the scan runs in a process pool only
-    when two CPUs are usable and its closed-form size passes a fixed
-    threshold, inline otherwise (see
-    :mod:`repro.reasoning.costmodel`; ``execution`` forces a mode).
-    ``deadline`` is a wall-clock budget in seconds shared by
-    every engine.  Pool execution is supervised: worker crashes
-    respawn the pool at most ``max_respawns`` times before degrading
-    to in-process runs, and ``inject`` (default: the ``$REPRO_INJECT``
-    spec, usually empty) enables deterministic fault injection; every
-    result carries a ``faults`` record.  Without
-    ``allow_semidecision`` an :class:`UndecidableProblemError` is
-    raised.  Nonsensical ``jobs`` or ``max_respawns`` (zero, negative,
-    non-int) raise :class:`ValueError` before any work starts.
+    ``"auto"`` for the CPU count (see :mod:`repro.reasoning.costmodel`
+    for when the scan is pooled); anything else raises
+    :class:`ValueError` before any work starts.  ``deadline`` is a
+    wall-clock budget in seconds shared by every engine.  ``cancel``
+    (a caller-owned :class:`~repro.reasoning.runtime.CancelFlag`) lets
+    an embedding service — the daemon's hung-solve watchdog —
+    cooperatively abort a portfolio solve.  Every result carries a
+    ``faults`` record; decidable cells never fork workers.
 
     ``cache`` plugs in a cross-request
     :class:`~repro.reasoning.cache.ImplicationCache`: a hit replays
     the stored verdict (certificate renamed into this instance's
     alphabet) instead of solving, and fresh definite answers from
     clean runs are stored under the instance's alpha-invariant
-    canonical key.  The key deliberately excludes every budget
-    parameter — a definite answer is a fact about the instance, not
-    about the budget that found it.  Lookups are bypassed under fault
-    injection (the point of an injected run is to exercise the
-    runtime) and when ``with_proof`` asks for a certificate the entry
-    cannot replay; UNKNOWN and fault-degraded results are never
-    stored.  ``result.cache`` records what happened.
-
-    ``cancel`` (a caller-owned
-    :class:`~repro.reasoning.runtime.CancelFlag`) lets an embedding
-    service cooperatively abort a portfolio solve from outside — the
-    daemon's hung-solve watchdog trips it past deadline + grace.
-    ``max_worker_mb`` caps each pool worker's address space
-    (``RLIMIT_AS``); ``memory_guard_mb`` demotes pooled execution to
-    inline when this process's RSS is already past the guard.  All
-    three apply only to the undecidable-cell portfolio path —
-    decidable cells never fork workers.
+    canonical key.  The key deliberately excludes every budget — a
+    definite answer is a fact about the instance, not about the
+    budget that found it.  Lookups are bypassed under fault injection
+    (the point of an injected run is to exercise the runtime) and when
+    ``with_proof`` asks for a certificate the entry cannot replay;
+    UNKNOWN and fault-degraded results are never stored.
+    ``result.cache`` records what happened.
     """
     validate_jobs(jobs)
-    validate_max_respawns(max_respawns)
     problem_class = classify(problem.sigma, problem.phi)
     decidable, _complexity = table1_cell(problem_class, problem.context)
     budget = Budget.from_seconds(deadline)
 
     # Strict mode must raise whether or not the answer is cached: a
     # cached semi-decision verdict does not make the cell decidable.
-    if not decidable and not allow_semidecision:
+    if not decidable and not options.allow_semidecision:
         raise UndecidableProblemError(
             f"the (finite) implication problem for {problem_class.value} in "
             f"the {problem.context.value} context is undecidable "
@@ -348,12 +326,12 @@ def solve(
     form: CanonicalForm | None = None
     bypass: CacheInfo | None = None
     if cache is not None:
-        if inject is not None:
+        if options.inject is not None:
             cache.note_bypass()
             bypass = CacheInfo("bypass", detail="fault injection active")
         else:
             form = canonicalize_problem(problem)
-            if not with_proof:
+            if not options.with_proof:
                 # Proof requests skip the lookup (entries store the
                 # certificate kind, not the proof object) but still
                 # store their definite answer below.
@@ -372,36 +350,28 @@ def solve(
     if problem.context is Context.M:
         assert problem.schema is not None
         result = implies_typed_m(
-            problem.schema, problem.sigma, problem.phi, with_proof=with_proof
+            problem.schema,
+            problem.sigma,
+            problem.phi,
+            with_proof=options.with_proof,
         )
     elif problem.context is Context.SEMISTRUCTURED and decidable:
         if problem_class is ProblemClass.WORD:
             result = implies_word(
                 problem.sigma,
                 problem.phi,
-                with_proof=with_proof,
-                chase_steps=chase_steps,
+                with_proof=options.with_proof,
+                chase_steps=options.chase_steps,
                 deadline=budget.deadline,
             )
         else:
             result = implies_local_extent(
-                list(problem.sigma), problem.phi, with_proof=with_proof
+                list(problem.sigma), problem.phi, with_proof=options.with_proof
             )
     else:
         # Undecidable cell: run the portfolio of semi-deciders.
         result = run_portfolio(
-            problem,
-            jobs=jobs,
-            budget=budget,
-            chase_steps=chase_steps,
-            countermodel_nodes=countermodel_nodes,
-            typed_search_limit=typed_search_limit,
-            max_respawns=max_respawns,
-            fault_plan=inject,
-            execution=execution,
-            cancel=cancel,
-            max_worker_mb=max_worker_mb,
-            memory_guard_mb=memory_guard_mb,
+            problem, options, jobs=jobs, budget=budget, cancel=cancel
         )
 
     if bypass is not None:

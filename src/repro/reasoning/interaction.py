@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.constraints.ast import PathConstraint
 from repro.reasoning.dispatcher import Context, ImplicationProblem, solve
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.result import ImplicationResult
 from repro.truth import Trilean
 from repro.types.typesys import Schema
@@ -65,26 +66,22 @@ def interaction_report(
     sigma: Sequence[PathConstraint],
     phi: PathConstraint,
     schema: Schema,
-    chase_steps: int = 2_000,
-    typed_search_limit: int = 2_000,
+    options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
 ) -> InteractionReport:
     """Solve the instance untyped and over the schema's model, and
     classify the interaction.
 
     The typed context is M when the schema is an M schema, M+
-    otherwise.
+    otherwise.  Both solves run under ``options``.
     """
     sigma = tuple(sigma)
     typed_context = Context.M if schema.is_m_schema() else Context.M_PLUS
 
     untyped = solve(
-        ImplicationProblem(sigma, phi, Context.SEMISTRUCTURED),
-        chase_steps=chase_steps,
+        ImplicationProblem(sigma, phi, Context.SEMISTRUCTURED), options
     )
     typed = solve(
-        ImplicationProblem(sigma, phi, typed_context, schema=schema),
-        chase_steps=chase_steps,
-        typed_search_limit=typed_search_limit,
+        ImplicationProblem(sigma, phi, typed_context, schema=schema), options
     )
 
     # Decidability changes dominate (they are the paper's theorems);

@@ -59,15 +59,13 @@ from dataclasses import dataclass, replace
 
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph
-from repro.reasoning.chase import DEFAULT_CHASE_STEPS, chase_implication
+from repro.reasoning.chase import chase_implication
 from repro.reasoning.costmodel import (
     ExecMode,
     ExecutionDecision,
     choose_execution,
     estimate_untyped_codes,
     normalize_jobs,
-    validate_jobs,
-    validate_max_respawns,
 )
 from repro.reasoning.faultinject import FaultPlan, plan_from_env
 from repro.reasoning.models import (
@@ -79,6 +77,7 @@ from repro.reasoning.models import (
     scan_codes,
     scan_typed_instances,
 )
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.result import EngineStats, ImplicationResult
 from repro.reasoning.runtime import (
     Budget,
@@ -94,7 +93,6 @@ __all__ = [
     "Budget",
     "CountermodelOutcome",
     "parallel_countermodel_search",
-    "parallel_find_countermodel",
     "run_portfolio",
 ]
 
@@ -106,6 +104,11 @@ SHARD_FACTOR = 4
 #: A level this small is scanned as a single shard (pool overhead
 #: would dominate).
 MIN_SHARDED_SPACE = 4096
+
+#: Bounds of the typed scan's ``U_f(Delta)`` instances: object ids per
+#: class and members per set value.
+TYPED_MAX_OIDS = 2
+TYPED_MAX_SET_SIZE = 2
 
 
 @dataclass
@@ -149,20 +152,28 @@ _CANCEL_FLAGS: OrderedDict[str, CancelFlag] = OrderedDict()
 _CODE_SPACES: OrderedDict[tuple, CodeSpace] = OrderedDict()
 
 
-def _stop_hook(cancel_name: str | None):
-    """The ``should_stop`` poll for the named cancel flag (or None)."""
-    if cancel_name is None:
-        return None
-    flag = _CANCEL_FLAGS.get(cancel_name)
+def _attached(name: str) -> CancelFlag:
+    flag = _CANCEL_FLAGS.get(name)
     if flag is None:
-        flag = CancelFlag.attach(cancel_name)
-        _CANCEL_FLAGS[cancel_name] = flag
-        while len(_CANCEL_FLAGS) > 2:
+        flag = CancelFlag.attach(name)
+        _CANCEL_FLAGS[name] = flag
+        while len(_CANCEL_FLAGS) > 4:
             _, old = _CANCEL_FLAGS.popitem(last=False)
             old.close()
     else:
-        _CANCEL_FLAGS.move_to_end(cancel_name)
-    return lambda: flag.is_set
+        _CANCEL_FLAGS.move_to_end(name)
+    return flag
+
+
+def _stop_hook(cancel_names: tuple[str, ...]):
+    """The ``should_stop`` poll for the named cancel flags (or None)."""
+    if not cancel_names:
+        return None
+    flags = [_attached(name) for name in cancel_names]
+    if len(flags) == 1:
+        flag = flags[0]
+        return lambda: flag.is_set
+    return lambda: any(flag.is_set for flag in flags)
 
 
 def _code_space(node_count: int, labels: tuple[str, ...]) -> CodeSpace:
@@ -183,7 +194,7 @@ def _chase_task(
     phi: PathConstraint,
     max_steps: int,
     deadline: float | None,
-    cancel_name: str | None = None,
+    cancel_names: tuple[str, ...] = (),
 ) -> tuple[ImplicationResult, float]:
     began = time.perf_counter()
     result = chase_implication(
@@ -191,7 +202,7 @@ def _chase_task(
         phi,
         max_steps=max_steps,
         deadline=deadline,
-        should_stop=_stop_hook(cancel_name),
+        should_stop=_stop_hook(cancel_names),
     )
     return result, time.perf_counter() - began
 
@@ -203,7 +214,7 @@ def _shard_task(
     start: int,
     stop: int,
     deadline: float | None,
-    cancel_name: str | None = None,
+    cancel_names: tuple[str, ...] = (),
 ) -> ShardReport:
     """Scan codes ``[start, stop)`` of one level.
 
@@ -218,7 +229,7 @@ def _shard_task(
         start,
         stop,
         deadline=deadline,
-        should_stop=_stop_hook(cancel_name),
+        should_stop=_stop_hook(cancel_names),
         compiled_sigma=compiled_sigma,
         compiled_phi=compiled_phi,
     )
@@ -235,7 +246,7 @@ def _typed_shard_task(
     shard_count: int,
     deadline: float | None,
     compiled: bool = False,
-    cancel_name: str | None = None,
+    cancel_names: tuple[str, ...] = (),
 ) -> TypedShardReport:
     return scan_typed_instances(
         schema,
@@ -248,7 +259,7 @@ def _typed_shard_task(
         shard_count=shard_count,
         deadline=deadline,
         compiled=compiled,
-        should_stop=_stop_hook(cancel_name),
+        should_stop=_stop_hook(cancel_names),
     )
 
 
@@ -275,28 +286,20 @@ def _plan_shards(total: int, shard_count: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _decide_execution(
-    kind: str, work_units: int, jobs: int, execution: str
-) -> ExecutionDecision:
-    """Resolve requested ``jobs``/``execution`` to an execution plan.
+@dataclass(frozen=True)
+class _RunCancel:
+    """Tasks poll every flag in ``names``: the caller's (the daemon's
+    watchdog trips it) and, in a pool, the run's ``own``.  The run
+    raises only ``own`` — once the race is decided, and on exit so
+    warm-pool stragglers wind down — never the caller's, so one caller
+    flag can watch several solves (a query's sub-solves)."""
 
-    ``execution`` is ``"auto"`` (apply the dispatch rule) or one of
-    the :class:`ExecMode` values to force a mode — forcing ``"pool"``
-    is how the fault-injection suite keeps exercising real worker
-    processes on workloads the rule would run inline.
-    """
-    forced = None
-    if execution != "auto":
-        try:
-            forced = ExecMode(execution)
-        except ValueError:
-            raise ValueError(
-                f"execution must be 'auto', 'inline' or 'pool', "
-                f"got {execution!r}"
-            ) from None
-    return choose_execution(
-        kind=kind, work_units=work_units, jobs=jobs, forced=forced
-    )
+    names: tuple[str, ...] = ()
+    own: CancelFlag | None = None
+
+    def raise_own(self) -> None:
+        if self.own is not None:
+            self.own.set()
 
 
 @contextmanager
@@ -304,36 +307,30 @@ def _supervised(
     decision: ExecutionDecision,
     budget: Budget,
     plan: FaultPlan | None,
-    max_respawns: int,
+    options: SolveOptions,
     cancel: CancelFlag | None = None,
-    max_worker_mb: int | None = None,
-) -> Iterator[tuple[WorkerSupervisor, CancelFlag | None]]:
-    """The run's supervisor and cancel flag.
-
-    A pooled run without a caller-owned flag gets its own.  On exit
-    the flag is raised so stragglers on a warm pool wind down before
-    the next solve leases it; setting a caller-owned flag is safe (the
-    solve is over), only releasing it is the owner's call.
-    """
-    owned = cancel is None and decision.mode is ExecMode.POOL
-    if owned:
-        cancel = CancelFlag.create()
+) -> Iterator[tuple[WorkerSupervisor, _RunCancel]]:
+    """The run's supervisor and cancellation (``cancel`` is the
+    caller's flag, which the run never sets or releases)."""
+    own = CancelFlag.create() if decision.mode is ExecMode.POOL else None
+    run_cancel = _RunCancel(
+        tuple(flag.name for flag in (cancel, own) if flag is not None), own
+    )
     try:
         with WorkerSupervisor(
             jobs=decision.jobs,
             budget=budget,
             plan=plan,
-            max_respawns=max_respawns,
-            max_worker_mb=max_worker_mb,
+            max_respawns=options.max_respawns,
+            max_worker_mb=options.max_worker_mb,
         ) as supervisor:
             try:
-                yield supervisor, cancel
+                yield supervisor, run_cancel
             finally:
-                if cancel is not None:
-                    cancel.set()
+                run_cancel.raise_own()
     finally:
-        if owned:
-            cancel.release()
+        if own is not None:
+            own.release()
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +406,12 @@ class _Chase:
 
 def _stop(
     supervisor: WorkerSupervisor,
-    cancel: CancelFlag | None,
+    cancel: _RunCancel,
     tasks: list[SupervisedTask],
 ) -> None:
-    """Cancel ``tasks``; raise the flag so running ones wind down."""
-    if cancel is not None:
-        cancel.set()
+    """Cancel ``tasks``; raise the run's flag so running ones wind
+    down."""
+    cancel.raise_own()
     for task in tasks:
         supervisor.cancel(task)
 
@@ -425,7 +422,7 @@ def _scan_levels(
     programs: tuple,
     max_nodes: int,
     deadline: float | None,
-    cancel: CancelFlag | None,
+    cancel: _RunCancel,
     chase: _Chase,
 ) -> CountermodelOutcome:
     """Canonical scan of levels ``1..max_nodes``, racing ``chase``.
@@ -443,7 +440,6 @@ def _scan_levels(
     """
     began = time.perf_counter()
     out = CountermodelOutcome(levels=tuple(range(1, max_nodes + 1)))
-    cancel_name = cancel.name if cancel is not None else None
     for node_count in range(1, max_nodes + 1):
         total = CodeSpace.size(node_count, len(labels))
         shards = 1
@@ -458,7 +454,7 @@ def _scan_levels(
                 start,
                 stop,
                 deadline,
-                cancel_name,
+                cancel.names,
                 engine=f"countermodel[n={node_count} {start}:{stop}]",
             )
             for start, stop in _plan_shards(total, shards)
@@ -504,10 +500,8 @@ def _scan_typed(
     sigma: tuple[PathConstraint, ...],
     phi: PathConstraint,
     limit: int,
-    max_oids: int,
-    max_set_size: int,
     deadline: float | None,
-    cancel: CancelFlag | None,
+    cancel: _RunCancel,
     chase: _Chase,
 ) -> CountermodelOutcome:
     """Stride-sharded ``U_f(Delta)`` scan racing ``chase``.
@@ -519,7 +513,6 @@ def _scan_typed(
     shard is still a sound FALSE certificate.
     """
     began = time.perf_counter()
-    cancel_name = cancel.name if cancel is not None else None
     shards = supervisor.jobs
     tasks = [
         supervisor.submit(
@@ -527,14 +520,14 @@ def _scan_typed(
             schema,
             sigma,
             phi,
-            max_oids,
-            max_set_size,
+            TYPED_MAX_OIDS,
+            TYPED_MAX_SET_SIZE,
             limit,
             shard_index,
             shards,
             deadline,
             True,
-            cancel_name,
+            cancel.names,
             engine=f"typed-countermodel[{shard_index}/{shards}]",
         )
         for shard_index in range(shards)
@@ -572,36 +565,35 @@ def parallel_countermodel_search(
     sigma: Sequence[PathConstraint],
     phi: PathConstraint,
     labels: Sequence[str] | None = None,
-    max_nodes: int = 3,
+    options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
     jobs: int | str = 1,
     budget: Budget | None = None,
-    fault_plan: FaultPlan | None = None,
-    max_respawns: int = 2,
-    execution: str = "auto",
 ) -> CountermodelOutcome:
     """Canonical counter-model search under execution dispatch.
 
-    ``jobs`` is a cap (or ``"auto"`` for the CPU count); the dispatch
-    rule picks inline or pooled execution from the closed-form scan
-    size — ``execution`` forces a mode instead.  Deterministic:
-    returns the same counter-model as the sequential canonical scan
-    for any ``jobs`` and mode (budget expiry and unrecoverable worker
-    faults aside).
+    Scans up to ``options.countermodel_nodes`` nodes.  ``jobs`` is a
+    cap (or ``"auto"`` for the CPU count); the dispatch rule picks
+    inline or pooled execution from the closed-form scan size —
+    ``options.execution`` forces a mode instead, and
+    ``options.inject`` is the fault plan (None: no faults).
+    Deterministic: returns the same counter-model as the sequential
+    canonical scan for any ``jobs`` and mode (budget expiry and
+    unrecoverable worker faults aside).
     """
-    validate_jobs(jobs)
-    validate_max_respawns(max_respawns)
+    requested = normalize_jobs(jobs)
     sigma = tuple(sigma)
     budget = budget or Budget()
     if labels is None:
         labels = infer_alphabet(sigma, phi)
     labels = tuple(labels)
-    decision = _decide_execution(
-        "untyped",
-        estimate_untyped_codes(len(labels), max_nodes),
-        normalize_jobs(jobs),
-        execution,
+    max_nodes = options.countermodel_nodes
+    decision = choose_execution(
+        kind="untyped",
+        work_units=estimate_untyped_codes(len(labels), max_nodes),
+        jobs=requested,
+        forced=options.forced_mode,
     )
-    with _supervised(decision, budget, fault_plan, max_respawns) as (
+    with _supervised(decision, budget, options.inject, options) as (
         supervisor,
         cancel,
     ):
@@ -618,62 +610,30 @@ def parallel_countermodel_search(
     return out
 
 
-def parallel_find_countermodel(
-    sigma: Sequence[PathConstraint],
-    phi: PathConstraint,
-    labels: Sequence[str] | None = None,
-    max_nodes: int = 3,
-    jobs: int | str = 1,
-    budget: Budget | None = None,
-    execution: str = "auto",
-) -> Graph | None:
-    """Like :func:`repro.reasoning.models.find_countermodel`, under
-    execution dispatch with ``jobs`` as the parallelism cap."""
-    return parallel_countermodel_search(
-        sigma,
-        phi,
-        labels=labels,
-        max_nodes=max_nodes,
-        jobs=jobs,
-        budget=budget,
-        execution=execution,
-    ).graph
-
-
 def run_portfolio(
     problem,
+    options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
     jobs: int | str = 1,
     budget: Budget | None = None,
-    chase_steps: int = DEFAULT_CHASE_STEPS,
-    countermodel_nodes: int = 3,
-    typed_search_limit: int = 2_000,
-    typed_max_oids: int = 2,
-    typed_max_set_size: int = 2,
-    max_respawns: int = 2,
-    fault_plan: FaultPlan | None = None,
-    execution: str = "auto",
     cancel: CancelFlag | None = None,
-    max_worker_mb: int | None = None,
-    memory_guard_mb: int | None = None,
 ) -> ImplicationResult:
     """Semi-decide an undecidable-cell implication with a portfolio.
 
     ``problem`` is an :class:`repro.reasoning.dispatcher
-    .ImplicationProblem` in an undecidable (fragment, context) cell.
-    ``jobs`` caps the parallelism (``"auto"`` means the CPU count).
-    The scan runs in a supervised process pool, racing the chase with
-    first-winner cancellation, when at least two CPUs are usable and
-    its closed-form size (``CodeSpace`` codes, or the typed instance
+    .ImplicationProblem` in an undecidable (fragment, context) cell;
+    ``options`` sets the engines' budgets and the pool runtime (see
+    :class:`~repro.reasoning.options.SolveOptions`).  ``jobs`` caps the
+    parallelism (``"auto"`` means the CPU count).  The scan runs in a
+    supervised process pool, racing the chase with first-winner
+    cancellation, when at least two CPUs are usable and its
+    closed-form size (``CodeSpace`` codes, or the typed instance
     limit) passes the threshold of
     :func:`~repro.reasoning.costmodel.choose_execution`; otherwise the
     engines run sequentially in-process, so ``jobs > 1`` does not pay
-    pool overhead a small scan cannot amortise.  ``execution`` forces
-    a mode (``"inline"``/``"pool"``) instead.  Worker crashes are
-    respawned at most ``max_respawns`` times before degrading to
-    in-process execution; ``fault_plan`` (default: the
-    ``$REPRO_INJECT`` environment spec) enables deterministic fault
-    injection.  Every returned result carries per-engine
-    :class:`EngineStats`, a
+    pool overhead a small scan cannot amortise.  When this process's
+    RSS is already past ``options.memory_guard_mb``, pooled execution
+    (which would fork more memory-hungry workers) is demoted to inline.
+    Every returned result carries per-engine :class:`EngineStats`, a
     :class:`~repro.reasoning.result.FaultReport`, and the
     :class:`~repro.reasoning.costmodel.ExecutionDecision` on
     ``result.execution``.
@@ -682,47 +642,39 @@ def run_portfolio(
     :class:`~repro.reasoning.runtime.CancelFlag`: every scan and chase
     of this run polls it, so an embedding service (the daemon's hung-
     solve watchdog) can cooperatively abort the solve from outside.
-    The caller keeps ownership — the flag is never released here.
-    ``max_worker_mb`` installs an ``RLIMIT_AS`` ceiling in every pool
-    worker; ``memory_guard_mb`` is the parent-side guard: when this
-    process's RSS is already past it, pooled execution (which would
-    fork more memory-hungry workers) is demoted to inline before the
-    box starts swapping.
+    The caller keeps ownership — the flag is never set or released
+    here, so it can watch several solves in turn.
     """
     # Imported here: dispatcher imports this module's Budget/run_portfolio.
     from repro.reasoning.dispatcher import Context
 
-    validate_jobs(jobs)
-    validate_max_respawns(max_respawns)
+    requested = normalize_jobs(jobs)
     budget = budget or Budget()
-    plan = fault_plan if fault_plan is not None else plan_from_env()
+    plan = options.inject if options.inject is not None else plan_from_env()
     sigma = tuple(problem.sigma)
     phi = problem.phi
     context = problem.context
     labels = infer_alphabet(sigma, phi)
     untyped = context is Context.SEMISTRUCTURED
-    requested = normalize_jobs(jobs)
     if untyped:
-        decision = _decide_execution(
-            "untyped",
-            estimate_untyped_codes(len(labels), countermodel_nodes),
-            requested,
-            execution,
-        )
+        kind = "untyped"
+        work = estimate_untyped_codes(len(labels), options.countermodel_nodes)
     else:
-        decision = _decide_execution(
-            "typed", typed_search_limit, requested, execution
-        )
+        kind, work = "typed", options.typed_search_limit
+    decision = choose_execution(
+        kind=kind, work_units=work, jobs=requested, forced=options.forced_mode
+    )
+    guard = options.memory_guard_mb
     guard_note = None
-    if memory_guard_mb is not None and decision.mode is ExecMode.POOL:
+    if guard is not None and decision.mode is ExecMode.POOL:
         rss = current_rss_mb()
-        if rss is not None and rss >= memory_guard_mb:
+        if rss is not None and rss >= guard:
             # Forking pool workers duplicates this process's footprint;
             # past the guard that risks swapping the whole box.  The
             # inline scan costs no extra resident memory.
             guard_note = (
                 f"memory guard: parent rss {rss:.0f} MiB >= "
-                f"{memory_guard_mb} MiB; pooled execution demoted to "
+                f"{guard} MiB; pooled execution demoted to "
                 "inline"
             )
             decision = replace(
@@ -748,9 +700,10 @@ def run_portfolio(
     if plan.active:
         notes.append(f"fault injection active: {plan.describe()}")
 
-    with _supervised(
-        decision, budget, plan, max_respawns, cancel, max_worker_mb
-    ) as (supervisor, run_cancel):
+    with _supervised(decision, budget, plan, options, cancel) as (
+        supervisor,
+        run_cancel,
+    ):
         result = _portfolio_race(
             problem,
             supervisor,
@@ -759,11 +712,7 @@ def run_portfolio(
             labels,
             untyped,
             budget,
-            chase_steps,
-            countermodel_nodes,
-            typed_search_limit,
-            typed_max_oids,
-            typed_max_set_size,
+            options,
             notes,
             run_cancel,
         )
@@ -779,13 +728,9 @@ def _portfolio_race(
     labels: tuple[str, ...],
     untyped: bool,
     budget: Budget,
-    chase_steps: int,
-    countermodel_nodes: int,
-    typed_search_limit: int,
-    typed_max_oids: int,
-    typed_max_set_size: int,
+    options: SolveOptions,
     notes: list[str],
-    cancel: CancelFlag | None,
+    cancel: _RunCancel,
 ) -> ImplicationResult:
     """The race itself, inside an already-configured supervisor."""
     chase = _Chase(
@@ -793,9 +738,9 @@ def _portfolio_race(
             _chase_task,
             sigma,
             phi,
-            chase_steps,
+            options.chase_steps,
             budget.deadline,
-            cancel.name if cancel is not None else None,
+            cancel.names,
             engine="chase",
         ),
         untyped,
@@ -809,7 +754,7 @@ def _portfolio_race(
                 supervisor,
                 labels,
                 _compile(sigma, phi, labels),
-                countermodel_nodes,
+                options.countermodel_nodes,
                 budget.deadline,
                 cancel,
                 chase,
@@ -820,9 +765,7 @@ def _portfolio_race(
                 problem.schema,
                 sigma,
                 phi,
-                typed_search_limit,
-                typed_max_oids,
-                typed_max_set_size,
+                options.typed_search_limit,
                 budget.deadline,
                 cancel,
                 chase,
@@ -837,7 +780,9 @@ def _portfolio_race(
             chase.check()
     except _ChaseWon:
         return _finish_chase_win(chase, notes, supervisor)
-    return _combine(chase, search, notes, countermodel_nodes, supervisor)
+    return _combine(
+        chase, search, notes, options.countermodel_nodes, supervisor
+    )
 
 
 def _collect_stats(

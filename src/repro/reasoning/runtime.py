@@ -76,7 +76,16 @@ from repro.reasoning.faultinject import (
     FaultPlan,
     invoke,
 )
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS
 from repro.reasoning.result import FaultEvent, FaultReport
+
+#: Retries of a task that raised, before its last in-process attempt.
+MAX_TASK_RETRIES = 2
+
+#: Respawn backoff: ``BACKOFF_BASE_S * 2**(n - 1)`` seconds before the
+#: n-th respawn, capped at ``BACKOFF_CAP_S`` and at the budget left.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -465,10 +474,7 @@ class WorkerSupervisor:
         jobs: int = 1,
         budget: Budget | None = None,
         plan: FaultPlan | None = None,
-        max_respawns: int = 2,
-        max_task_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
+        max_respawns: int = DEFAULT_SOLVE_OPTIONS.max_respawns,
         keep_warm: bool = True,
         max_worker_mb: int | None = None,
     ) -> None:
@@ -477,9 +483,6 @@ class WorkerSupervisor:
         self.budget = budget or Budget()
         self.plan = plan or FaultPlan()
         self.max_respawns = max_respawns
-        self.max_task_retries = max_task_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: lease the process-wide warm pool (and return it on a clean
         #: exit) instead of cold-spawning and terminating per run.
         self.keep_warm = keep_warm
@@ -775,7 +778,7 @@ class WorkerSupervisor:
             task.attempts,
             f"{type(exc).__name__}: {exc}",
         )
-        if task.attempts <= self.max_task_retries:
+        if task.attempts <= MAX_TASK_RETRIES:
             self.retries += 1
             self._record("task-retry", task.engine, task.attempts)
             if self.inline or self._degraded:
@@ -790,7 +793,7 @@ class WorkerSupervisor:
             self.degradations += 1
             self._record("task-degraded", task.engine, task.attempts)
             # One in-process shot, no further retries.
-            task.attempts = self.max_task_retries + 1
+            task.attempts = MAX_TASK_RETRIES + 1
             try:
                 task._settle(
                     invoke("none", 0.0, True, task.fn, task.args)
@@ -823,9 +826,7 @@ class WorkerSupervisor:
         task._settle_failed(wrapped)
 
     def _backoff(self, attempt: int) -> None:
-        delay = min(
-            self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
-        )
+        delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
         remaining = self.budget.remaining()
         if remaining is not None:
             delay = min(delay, remaining)

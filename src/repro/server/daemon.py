@@ -62,7 +62,7 @@ from repro.graph.serialize import from_dict as graph_from_dict
 from repro.graph.serialize import to_dict as graph_to_dict
 from repro.reasoning import ImplicationProblem, solve
 from repro.reasoning.cache import ImplicationCache
-from repro.reasoning.faultinject import FaultPlan
+from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.runtime import (
     CancelFlag,
     retire_warm_pool,
@@ -92,13 +92,16 @@ class ServerConfig:
     port: int = 0
     max_queue: int = 64
     solver_threads: int = 2
+    #: How every solve runs — ``imply`` and ``query`` alike: respawns,
+    #: fault injection (``inject`` also disables cache lookups),
+    #: worker memory ceiling and memory guard among them.
+    solve: SolveOptions = DEFAULT_SOLVE_OPTIONS
+    #: Per-solve parallelism cap; an ``imply`` request may override it.
     jobs: int | str = "auto"
-    max_respawns: int = 2
     #: Default per-request budget applied when the client sends none
     #: (``None`` = unlimited, the library default).
     default_budget_ms: int | None = None
     cache: ImplicationCache | None = None
-    inject: FaultPlan | None = None
     #: Honor the ``delay_ms`` and ``wedge`` request fields (testing
     #: instruments for queue/drain/watchdog behavior, like
     #: ``--inject`` is for fault paths).  ``delay_ms`` sleeps
@@ -118,11 +121,6 @@ class ServerConfig:
     #: Implicit watchdog deadline for solves that arrived without a
     #: budget (None = unbudgeted solves are not watched).
     watchdog_max_solve_ms: int | None = None
-    #: Per-pool-worker RLIMIT_AS ceiling in MiB (None = uncapped).
-    max_worker_mb: int | None = None
-    #: Demote pooled solves to inline once this process's RSS passes
-    #: this many MiB (None = no guard).
-    memory_guard_mb: int | None = None
 
 
 @dataclass
@@ -828,14 +826,11 @@ class ImplicationServer:
         def run(remaining: float | None) -> FlightOutcome:
             result = solve(
                 problem,
+                self.config.solve,
                 jobs=request.get("jobs", self.config.jobs),
                 deadline=remaining,
-                max_respawns=self.config.max_respawns,
-                inject=self.config.inject,
                 cache=self.config.cache,
                 cancel=cancel,
-                max_worker_mb=self.config.max_worker_mb,
-                memory_guard_mb=self.config.memory_guard_mb,
             )
             countermodel = None
             if (
@@ -865,9 +860,11 @@ class ImplicationServer:
         """Constraint-aware query ops: ``contains`` and ``optimize``.
 
         Rides the same admission queue and solver threads as
-        ``imply``/``check`` and shares the daemon's implication cache,
-        so repeated containment questions across requests replay
-        stored verdicts.
+        ``imply``/``check``, solves under the same options and
+        watchdog cancel flag, and shares the daemon's implication
+        cache, so repeated containment questions across requests
+        replay stored verdicts.  The request's budget bounds the whole
+        query, however many implications it asks.
         """
         action = request.get("action")
         if action not in ("contains", "optimize"):
@@ -892,22 +889,26 @@ class ImplicationServer:
                     "branches must be a non-empty list of patterns"
                 )
             left = right = None
+        cancel = self._make_cancel(deadline)
 
         def run(remaining: float | None) -> FlightOutcome:
             from repro.query import (
                 QueryContainmentChecker,
                 WordQueryOptimizer,
+                is_word_pattern,
                 optimize_rpq_union,
             )
 
+            solving = dict(
+                cache=self.config.cache,
+                jobs=self.config.jobs,
+                deadline=remaining,
+                options=self.config.solve,
+                cancel=cancel,
+            )
             if action == "contains":
                 checker = QueryContainmentChecker(
-                    sigma,
-                    context=context,
-                    schema=schema,
-                    cache=self.config.cache,
-                    jobs=self.config.jobs,
-                    deadline=remaining,
+                    sigma, context=context, schema=schema, **solving
                 )
                 result = checker.contains(left, right)
                 wire = {
@@ -923,14 +924,9 @@ class ImplicationServer:
                     "notes": list(result.notes),
                     "stats": dict(checker.stats),
                 }
-            elif any("|" in b or "*" in b or "(" in b for b in branches):
+            elif not all(is_word_pattern(b) for b in branches):
                 checker = QueryContainmentChecker(
-                    sigma,
-                    context=context,
-                    schema=schema,
-                    cache=self.config.cache,
-                    jobs=self.config.jobs,
-                    deadline=remaining,
+                    sigma, context=context, schema=schema, **solving
                 )
                 report = optimize_rpq_union(branches, checker)
                 wire = {
@@ -944,12 +940,7 @@ class ImplicationServer:
                     "stats": dict(checker.stats),
                 }
             else:
-                optimizer = WordQueryOptimizer(
-                    sigma,
-                    cache=self.config.cache,
-                    jobs=self.config.jobs,
-                    deadline=remaining,
-                )
+                optimizer = WordQueryOptimizer(sigma, **solving)
                 report = optimizer.optimize_union(branches)
                 wire = {
                     "action": "optimize",
@@ -970,6 +961,7 @@ class ImplicationServer:
             op="query",
             solve_fn=lambda: _budgeted(time.monotonic(), deadline, run),
             deadline=deadline,
+            cancel=cancel,
         )
 
     # -- check --------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.diffcheck.runner import fuzz
 from repro.reasoning import (
     ImplicationCache,
     ImplicationProblem,
+    SolveOptions,
     solve,
 )
 from repro.reasoning.cache import (
@@ -58,7 +59,7 @@ def _false_problem():
 
 def _unknown_budgets():
     """Budgets under which ``_hard_true_problem`` returns UNKNOWN."""
-    return {"chase_steps": 1, "countermodel_nodes": 1}
+    return SolveOptions(chase_steps=1, countermodel_nodes=1)
 
 
 def _hard_true_problem():
@@ -108,9 +109,7 @@ class TestMemoryTier:
 
     def test_unknown_never_cached(self):
         cache = ImplicationCache()
-        result = solve(
-            _hard_true_problem(), cache=cache, **_unknown_budgets()
-        )
+        result = solve(_hard_true_problem(), _unknown_budgets(), cache=cache)
         assert result.answer is Trilean.UNKNOWN
         assert result.cache.status == "miss"
         assert "UNKNOWN" in result.cache.detail
@@ -121,9 +120,7 @@ class TestMemoryTier:
         good = solve(_hard_true_problem(), cache=cache)
         assert good.answer is Trilean.TRUE
         assert good.cache.status == "store"
-        starved = solve(
-            _hard_true_problem(), cache=cache, **_unknown_budgets()
-        )
+        starved = solve(_hard_true_problem(), _unknown_budgets(), cache=cache)
         assert starved.cache.status == "hit"
         assert starved.answer is Trilean.TRUE
 
@@ -132,8 +129,8 @@ class TestMemoryTier:
         solve(_true_problem(), cache=cache)  # warm
         injected = solve(
             _true_problem(),
+            SolveOptions(inject=FaultPlan.from_spec("kill:99")),
             cache=cache,
-            inject=FaultPlan.from_spec("kill:99"),
         )
         assert injected.cache.status == "bypass"
         assert cache.stats()["counters"]["bypasses"] == 1
@@ -142,7 +139,9 @@ class TestMemoryTier:
         cache = ImplicationCache()
         warm = solve(_true_problem(), cache=cache)
         assert warm.proof is None
-        proved = solve(_true_problem(), cache=cache, with_proof=True)
+        proved = solve(
+            _true_problem(), SolveOptions(with_proof=True), cache=cache
+        )
         assert proved.cache.status == "store"
         assert proved.proof is not None
         # ...and the cached entry still replays for plain requests.
@@ -178,7 +177,11 @@ class TestMemoryTier:
         cache = ImplicationCache()
         solve(_false_problem(), cache=cache)
         with pytest.raises(UndecidableProblemError):
-            solve(_false_problem(), cache=cache, allow_semidecision=False)
+            solve(
+                _false_problem(),
+                SolveOptions(allow_semidecision=False),
+                cache=cache,
+            )
 
     def test_thread_safety_smoke(self):
         cache = ImplicationCache()

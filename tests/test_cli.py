@@ -361,3 +361,221 @@ class TestQuery:
         payload = json.loads(report_file.read_text())
         assert payload["rounds"] == 3
         assert payload["disagreements"] == []
+
+
+class TestImplyClassifiesOnce:
+    def test_one_classify_per_imply(self, tmp_path, monkeypatch):
+        # The decidable-cell warnings read the solved result's cell
+        # instead of classifying the instance a second time.
+        import sys
+
+        from repro.reasoning import dispatcher
+
+        original = dispatcher.classify
+        calls: list = []
+
+        def spy(sigma, phi):
+            calls.append(phi)
+            return original(sigma, phi)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                vars(module).get("classify") is original
+            ):
+                monkeypatch.setattr(module, "classify", spy)
+        sigma = tmp_path / "s.txt"
+        sigma.write_text("a => b\nb => c\n")
+        assert main(["imply", str(sigma), "a => c", "--no-cache"]) == 0
+        assert len(calls) == 1, calls
+
+
+#: What ``build_parser()`` set for each solving command before the
+#: shared solve flags were declared once; a refactor must keep them.
+PARSER_DEFAULTS = {
+    ("imply", "s", "q"): {
+        "cache_dir": None,
+        "command": "imply",
+        "constraints": "s",
+        "context": "semistructured",
+        "deadline": None,
+        "dump_countermodel": None,
+        "inject": None,
+        "jobs": "1",
+        "max_respawns": 2,
+        "max_worker_mb": None,
+        "memory_guard_mb": None,
+        "no_cache": False,
+        "query": "q",
+        "schema": None,
+        "server": None,
+        "strict": False,
+    },
+    ("serve",): {
+        "allow_delay": False,
+        "cache_dir": None,
+        "command": "serve",
+        "deadline": None,
+        "host": "127.0.0.1",
+        "inject": None,
+        "jobs": "auto",
+        "max_queue": 64,
+        "max_respawns": 2,
+        "max_worker_mb": None,
+        "memory_guard_mb": None,
+        "no_cache": False,
+        "port": 8747,
+        "port_file": None,
+        "solver_threads": 2,
+        "watchdog_grace_ms": 5000,
+        "watchdog_hard_grace_ms": None,
+        "watchdog_max_solve_ms": None,
+    },
+    ("query", "contains", "s", "l", "r"): {
+        "cache_dir": None,
+        "command": "query",
+        "constraints": "s",
+        "context": "semistructured",
+        "deadline": None,
+        "jobs": "auto",
+        "left": "l",
+        "no_cache": False,
+        "query_command": "contains",
+        "right": "r",
+        "schema": None,
+    },
+    ("query", "optimize", "s", "b"): {
+        "branch": ["b"],
+        "cache_dir": None,
+        "command": "query",
+        "constraints": "s",
+        "context": "semistructured",
+        "deadline": None,
+        "jobs": "auto",
+        "no_cache": False,
+        "no_rewrite": False,
+        "query_command": "optimize",
+        "schema": None,
+    },
+}
+
+RUNTIME_FLAGS = [
+    "--max-respawns", "0",
+    "--inject", "delay:0:0.01",
+    "--max-worker-mb", "4096",
+    "--memory-guard-mb", "1",
+]
+
+
+class TestSolveFlags:
+    @pytest.mark.parametrize(
+        "argv", sorted(PARSER_DEFAULTS), ids=" ".join
+    )
+    def test_parser_defaults_unchanged(self, argv):
+        from repro.cli import build_parser
+
+        parsed = vars(build_parser().parse_args(list(argv)))
+        parsed.pop("func")
+        assert parsed == PARSER_DEFAULTS[argv]
+
+    def test_imply_and_serve_build_equal_options(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.cli as cli
+        import repro.server as server
+        from repro.reasoning import SolveOptions
+        from repro.reasoning.faultinject import FaultPlan
+
+        seen = {}
+        real_solve = cli.solve
+
+        def spy_solve(problem, options, **kwargs):
+            seen["imply"] = options
+            return real_solve(problem, options, **kwargs)
+
+        class FakeServer:
+            def __init__(self, config):
+                seen["serve"] = config.solve
+
+            def run(self, announce=None):
+                return 0
+
+        monkeypatch.setattr(cli, "solve", spy_solve)
+        monkeypatch.setattr(server, "ImplicationServer", FakeServer)
+        words = tmp_path / "w.txt"
+        words.write_text("a => b\n")
+        assert main(
+            ["imply", str(words), "a => b", "--no-cache", *RUNTIME_FLAGS]
+        ) == 0
+        assert main(["serve", "--no-cache", *RUNTIME_FLAGS]) == 0
+        assert seen["imply"] == seen["serve"] == SolveOptions(
+            max_respawns=0,
+            inject=FaultPlan.from_spec("delay:0:0.01"),
+            max_worker_mb=4096,
+            memory_guard_mb=1,
+        )
+
+    def test_runtime_flag_defaults_are_the_options_defaults(self):
+        from repro.cli import _solve_options, build_parser
+        from repro.reasoning import DEFAULT_SOLVE_OPTIONS
+
+        parser = build_parser()
+        for argv in (["imply", "s", "q"], ["serve"]):
+            args = parser.parse_args(argv)
+            assert _solve_options(args) == DEFAULT_SOLVE_OPTIONS
+
+    def test_bad_max_respawns_exits_three(self, tmp_path, capsys):
+        words = tmp_path / "w.txt"
+        words.write_text("a => b\n")
+        rc = main(
+            ["imply", str(words), "a => b", "--max-respawns", "-1"]
+        )
+        assert rc == 3
+        assert "max_respawns" in capsys.readouterr().err
+
+
+#: ``optimize`` branches the one shared rule reads as regular
+#: patterns (containment checker) or as words (word optimizer).
+REGEX_BRANCHES = ["a+", "a?", "_", "(a)"]
+WORD_BRANCHES = ["first_name", "a.b"]
+
+
+class TestOptimizeRouting:
+    @pytest.mark.parametrize(
+        "branch,regex",
+        [(b, True) for b in REGEX_BRANCHES]
+        + [(b, False) for b in WORD_BRANCHES],
+    )
+    def test_branch_kind_picks_the_optimizer(
+        self, branch, regex, tmp_path, monkeypatch, capsys
+    ):
+        import repro.query as query
+
+        routed: list[str] = []
+        real_rpq = query.optimize_rpq_union
+        real_word = query.WordQueryOptimizer.optimize_union
+
+        def rpq(branches, checker):
+            routed.append("rpq")
+            return real_rpq(branches, checker)
+
+        def word(self, branches, rewrite=True):
+            routed.append("word")
+            return real_word(self, branches, rewrite=rewrite)
+
+        monkeypatch.setattr(query, "optimize_rpq_union", rpq)
+        monkeypatch.setattr(query.WordQueryOptimizer, "optimize_union", word)
+        sigma = tmp_path / "s.txt"
+        sigma.write_text("a => a\n")
+        rc = main(["query", "optimize", str(sigma), branch, "--no-cache"])
+        assert rc == 0, capsys.readouterr().err
+        assert routed == ["rpq" if regex else "word"]
+
+    def test_plus_is_one_or_more(self, tmp_path, capsys):
+        # ``a+`` contains ``a``, so ``a`` is pruned — the same answer
+        # the daemon gives (tests/test_server.py).
+        sigma = tmp_path / "s.txt"
+        sigma.write_text("a => a\n")
+        rc = main(["query", "optimize", str(sigma), "a+", "a", "--no-cache"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "optimized:  a+\n" in out

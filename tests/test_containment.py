@@ -247,3 +247,92 @@ class TestRPQUnionOptimizer:
         plain, _, _ = evaluate_rpq_union(g, branches, None)
         assert optimized == plain
         assert report is not None and report.branches_saved >= 1
+
+
+class TestWholeQueryDeadline:
+    """A query's ``deadline`` starts when the checker or optimizer is
+    built and bounds every solve it makes, instead of granting each
+    solve a fresh full budget."""
+
+    @staticmethod
+    def _spy_budgets(monkeypatch, module) -> list:
+        original = module.solve
+        budgets: list = []
+
+        def spy(problem, *args, **kwargs):
+            budgets.append(kwargs["deadline"])
+            return original(problem, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve", spy)
+        return budgets
+
+    @staticmethod
+    def _shrinking(budgets: list, granted: float) -> None:
+        assert len(budgets) >= 2, budgets
+        assert budgets[0] <= granted
+        for earlier, later in zip(budgets, budgets[1:]):
+            assert later < earlier, budgets
+
+    def test_containment_fallback_shares_one_budget(self, monkeypatch):
+        from repro.query import containment
+
+        budgets = self._spy_budgets(monkeypatch, containment)
+        # The EGD keeps the cell off the exact word route, and the
+        # uncovered word a.b is tried against both right candidates.
+        checker = QueryContainmentChecker(
+            parse_constraints("a => a.a\nb.b => ()"), deadline=30.0
+        )
+        checker.contains("a.b", "c|d")
+        assert checker.stats["solve_calls"] == len(budgets)
+        self._shrinking(budgets, 30.0)
+
+    def test_word_optimizer_shares_one_budget(self, monkeypatch):
+        from repro.query import WordQueryOptimizer, optimizer
+
+        budgets = self._spy_budgets(monkeypatch, optimizer)
+        words = WordQueryOptimizer(
+            parse_constraints("a => b\nb => c"), deadline=30.0
+        )
+        words.optimize_union(["a", "b", "c"], rewrite=False)
+        self._shrinking(budgets, 30.0)
+
+    def test_spent_budget_gives_unknown_not_a_fresh_budget(
+        self, monkeypatch
+    ):
+        from repro.query import containment
+
+        budgets = self._spy_budgets(monkeypatch, containment)
+        checker = QueryContainmentChecker(
+            parse_constraints("a => a.a\nb.b => ()"), deadline=0.0
+        )
+        result = checker.contains("a.b", "c|d")
+        assert budgets and all(b == 0.0 for b in budgets)
+        assert result.verdict is not Trilean.TRUE
+
+
+class TestSharedCancelFlag:
+    def test_one_cancel_flag_serves_every_sub_solve(self, monkeypatch):
+        # The daemon hands a query's checker one watchdog flag; a
+        # finished sub-solve must not leave it raised for the next.
+        from repro.query import containment
+        from repro.reasoning.runtime import CancelFlag
+
+        original = containment.solve
+        answers: list = []
+
+        def spy(problem, *args, **kwargs):
+            result = original(problem, *args, **kwargs)
+            answers.append(result.answer)
+            return result
+
+        monkeypatch.setattr(containment, "solve", spy)
+        sigma = parse_constraints(
+            "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
+        )
+        cancel = CancelFlag.create()
+        try:
+            checker = QueryContainmentChecker(sigma, jobs=1, cancel=cancel)
+            checker.contains("b", "c|d")
+        finally:
+            cancel.release()
+        assert answers == [Trilean.FALSE, Trilean.FALSE]

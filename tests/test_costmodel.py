@@ -10,7 +10,7 @@ fixed per-kind size.
 import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
-from repro.reasoning import Context, ImplicationProblem, solve
+from repro.reasoning import Context, ImplicationProblem, SolveOptions, solve
 from repro.reasoning import costmodel
 from repro.reasoning.costmodel import (
     ExecMode,
@@ -73,7 +73,7 @@ class TestDispatcherValidation:
     @pytest.mark.parametrize("value", [-1, 0.5, "many"])
     def test_bad_max_respawns(self, value):
         with pytest.raises(ValueError):
-            solve(self._problem(), max_respawns=value)
+            solve(self._problem(), SolveOptions(max_respawns=value))
 
     def test_auto_is_accepted_on_every_cell(self):
         # Decidable cell: validation passes, routing ignores jobs.

@@ -10,6 +10,7 @@ from repro.reasoning import (
     Context,
     ImplicationProblem,
     ProblemClass,
+    SolveOptions,
     classify,
     solve,
     table1_cell,
@@ -133,7 +134,7 @@ class TestRouting:
             parse_constraint("person :: wrote ~> author"),
         )
         with pytest.raises(UndecidableProblemError):
-            solve(problem, allow_semidecision=False)
+            solve(problem, SolveOptions(allow_semidecision=False))
 
     def test_undecidable_semidecision_chase_true(self):
         sigma = parse_constraints("() => K\nK :: a => b")
@@ -172,7 +173,7 @@ class TestRouting:
         problem = ImplicationProblem(
             sigma, phi, context=Context.M_PLUS, schema=bib_schema
         )
-        result = solve(problem, typed_search_limit=2000)
+        result = solve(problem, SolveOptions(typed_search_limit=2000))
         assert result.answer is Trilean.FALSE
         assert result.countermodel is not None
 
@@ -196,7 +197,7 @@ class TestWithProofUniformity:
             ),
             parse_constraint("MIT :: book.author => person"),
         )
-        result = solve(problem, with_proof=True)
+        result = solve(problem, SolveOptions(with_proof=True))
         assert result.answer is Trilean.TRUE
         assert result.method == "local-extent-g1-g2-reduction"
         assert result.proof is not None
@@ -209,13 +210,13 @@ class TestWithProofUniformity:
             ),
             parse_constraint("MIT :: book.author => person"),
         )
-        assert solve(problem, with_proof=False).proof is None
+        assert solve(problem, SolveOptions(with_proof=False)).proof is None
 
     def test_word_route_still_threads_with_proof(self):
         problem = ImplicationProblem(
             parse_constraints("a => b"), parse_constraint("a.c => b.c")
         )
-        assert solve(problem, with_proof=True).proof is not None
+        assert solve(problem, SolveOptions(with_proof=True)).proof is not None
 
 
 class TestTable1Reconciliation:

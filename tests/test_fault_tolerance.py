@@ -25,7 +25,7 @@ import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
-from repro.reasoning import Context, ImplicationProblem
+from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.portfolio import (
     Budget,
@@ -102,9 +102,10 @@ class TestWorkerDeath:
         # this small instance inline) so injection hits real workers.
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(
+                inject=FaultPlan.from_spec("kill:1"), execution="pool"
+            ),
             jobs=2,
-            fault_plan=FaultPlan.from_spec("kill:1"),
-            execution="pool",
         )
         assert result.answer is Trilean.FALSE
         assert not result.faults.clean
@@ -118,10 +119,11 @@ class TestWorkerDeath:
         began = time.monotonic()
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(
+                inject=FaultPlan.from_spec("kill:0,kill:1"), execution="pool"
+            ),
             jobs=2,
             budget=Budget.from_seconds(60.0),
-            fault_plan=FaultPlan.from_spec("kill:0,kill:1"),
-            execution="pool",
         )
         assert result.answer is Trilean.FALSE
         assert time.monotonic() - began < 60.0
@@ -131,14 +133,18 @@ class TestWorkerDeath:
     def test_shard_restart_preserves_determinism(self):
         sigma = parse_constraints(DIVERGENT_SIGMA)
         phi = parse_constraint(DIVERGENT_PHI)
-        clean = parallel_countermodel_search(sigma, phi, max_nodes=3, jobs=1)
+        clean = parallel_countermodel_search(
+            sigma, phi, options=SolveOptions(countermodel_nodes=3), jobs=1
+        )
         shaken = parallel_countermodel_search(
             sigma,
             phi,
-            max_nodes=3,
+            options=SolveOptions(
+                countermodel_nodes=3,
+                inject=FaultPlan.from_spec("kill:0"),
+                execution="pool",
+            ),
             jobs=2,
-            fault_plan=FaultPlan.from_spec("kill:0"),
-            execution="pool",
         )
         assert clean.graph is not None and shaken.graph is not None
         assert clean.graph.node_count() == shaken.graph.node_count()
@@ -177,9 +183,11 @@ class TestUnpicklablePayload:
     def test_injected_corrupt_payload_recovers(self):
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(
+                inject=FaultPlan.from_spec("corrupt:0,corrupt:1"),
+                execution="pool",
+            ),
             jobs=2,
-            fault_plan=FaultPlan.from_spec("corrupt:0,corrupt:1"),
-            execution="pool",
         )
         assert result.answer is Trilean.FALSE
         assert not result.faults.clean
@@ -254,8 +262,9 @@ class TestInjectionSoundness:
         )
         try:
             result = run_portfolio(
-                _divergent_problem(), jobs=2, fault_plan=plan,
-                execution="pool",
+                _divergent_problem(),
+                SolveOptions(inject=plan, execution="pool"),
+                jobs=2,
             )
         except ReproError:
             pass  # typed failure is an acceptable outcome

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.constraints import parse_constraint, parse_constraints
-from repro.reasoning import InteractionKind, interaction_report
+from repro.reasoning import InteractionKind, SolveOptions, interaction_report
 from repro.reductions import encode_mplus
 from repro.monoids import MonoidPresentation
 from repro.truth import Trilean
@@ -47,7 +47,10 @@ class TestTypesHurt:
         enc = encode_mplus(pres)
         phi = enc.test_constraint("u.v", "v.u")
         report = interaction_report(
-            list(enc.sigma), phi, enc.schema, typed_search_limit=200
+            list(enc.sigma),
+            phi,
+            enc.schema,
+            SolveOptions(typed_search_limit=200),
         )
         assert report.typed_context.value == "M+"
         # Untyped: decidable (local extent), answer FALSE.

@@ -25,7 +25,8 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.reasoning import (
     Budget,
     ImplicationProblem,
-    parallel_find_countermodel,
+    SolveOptions,
+    parallel_countermodel_search,
     solve,
 )
 from repro.reasoning.models import (
@@ -191,10 +192,10 @@ class TestPortfolioDeterminism:
     def test_same_countermodel_any_jobs(self):
         sigma = parse_constraints(DIVERGENT_SIGMA)
         phi = parse_constraint(DIVERGENT_PHI)
-        sequential = parallel_find_countermodel(sigma, phi, jobs=1)
+        sequential = parallel_countermodel_search(sigma, phi, jobs=1).graph
         assert sequential is not None
         assert sequential.node_count() == 3
-        parallel = parallel_find_countermodel(sigma, phi, jobs=4)
+        parallel = parallel_countermodel_search(sigma, phi, jobs=4).graph
         assert parallel is not None
         assert _edge_set(sequential) == _edge_set(parallel)
 
@@ -202,7 +203,7 @@ class TestPortfolioDeterminism:
         # Starve the chase so the counter-model engine decides in both
         # modes; answer, method and counter-model must coincide.
         results = [
-            solve(_divergent_problem(), chase_steps=2, jobs=jobs)
+            solve(_divergent_problem(), SolveOptions(chase_steps=2), jobs=jobs)
             for jobs in (1, 4)
         ]
         assert all(r.answer is Trilean.FALSE for r in results)
@@ -211,7 +212,9 @@ class TestPortfolioDeterminism:
         assert _edge_set(seq.countermodel) == _edge_set(par.countermodel)
 
     def test_countermodel_is_genuine(self):
-        result = solve(_divergent_problem(), chase_steps=2, jobs=2)
+        result = solve(
+            _divergent_problem(), SolveOptions(chase_steps=2), jobs=2
+        )
         sigma = parse_constraints(DIVERGENT_SIGMA)
         phi = parse_constraint(DIVERGENT_PHI)
         assert satisfies_all(result.countermodel, sigma)
@@ -220,13 +223,18 @@ class TestPortfolioDeterminism:
 
 class TestPortfolioBudgets:
     def test_expired_budget_is_unknown(self):
-        result = solve(_divergent_problem(), chase_steps=2, deadline=0.0)
+        result = solve(
+            _divergent_problem(), SolveOptions(chase_steps=2), deadline=0.0
+        )
         assert result.answer is Trilean.UNKNOWN
         assert any("budget" in note for note in result.notes)
 
     def test_expired_budget_is_unknown_parallel(self):
         result = solve(
-            _divergent_problem(), chase_steps=2, deadline=0.0, jobs=2
+            _divergent_problem(),
+            SolveOptions(chase_steps=2),
+            deadline=0.0,
+            jobs=2,
         )
         assert result.answer is Trilean.UNKNOWN
 
@@ -244,7 +252,7 @@ class TestPortfolioBudgets:
 
 class TestPortfolioStats:
     def test_stats_present_sequential(self):
-        result = solve(_divergent_problem(), chase_steps=2)
+        result = solve(_divergent_problem(), SolveOptions(chase_steps=2))
         engines = {s.engine for s in result.stats}
         assert engines == {"chase", "countermodel"}
         chase_stats = next(s for s in result.stats if s.engine == "chase")
@@ -255,7 +263,9 @@ class TestPortfolioStats:
         assert "engine[" in result.describe()
 
     def test_stats_present_parallel(self):
-        result = solve(_divergent_problem(), chase_steps=2, jobs=4)
+        result = solve(
+            _divergent_problem(), SolveOptions(chase_steps=2), jobs=4
+        )
         engines = {s.engine for s in result.stats}
         assert engines == {"chase", "countermodel"}
 
@@ -280,7 +290,7 @@ class TestTypedPortfolio:
                 ImplicationProblem(
                     sigma, phi, context="M+", schema=bib_schema
                 ),
-                typed_search_limit=2000,
+                SolveOptions(typed_search_limit=2000),
                 jobs=jobs,
             )
             for jobs in (1, 4)
@@ -308,7 +318,7 @@ class TestWorkerPayloadPickling:
         phi = parse_constraint(DIVERGENT_PHI)
         assert pickle.loads(pickle.dumps(sigma)) == sigma
         assert pickle.loads(pickle.dumps(phi)) == phi
-        graph = parallel_find_countermodel(sigma, phi, jobs=1)
+        graph = parallel_countermodel_search(sigma, phi, jobs=1).graph
         clone = pickle.loads(pickle.dumps(graph))
         assert _edge_set(clone) == _edge_set(graph)
 

@@ -124,7 +124,7 @@ class TestInlineSupervisor:
         assert report.answered_by == "demo"
 
     def test_exhausted_retries_settle_with_typed_error(self):
-        with WorkerSupervisor(jobs=1, max_task_retries=2) as sup:
+        with WorkerSupervisor(jobs=1) as sup:
             task = sup.submit(_always_raises, engine="buggy")
         assert task.failed
         assert isinstance(task.error, RetryExhausted)

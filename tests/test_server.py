@@ -36,6 +36,7 @@ from repro.constraints import parse_constraints
 from repro.errors import ProtocolError, ServerUnavailable
 from repro.graph.builders import figure1_graph
 from repro.graph.serialize import from_dict, to_dict
+from repro.reasoning import SolveOptions
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.runtime import retire_warm_pool, warm_pool_stats
@@ -256,7 +257,8 @@ class TestImplyOverTheWire:
 
     def test_faults_travel_over_the_wire(self):
         with ServerHarness(
-            port=0, inject=FaultPlan.from_spec("raise:0,raise:1")
+            port=0,
+            solve=SolveOptions(inject=FaultPlan.from_spec("raise:0,raise:1")),
         ) as harness:
             with harness.client() as client:
                 response = client.imply(SIGMA, PHI, jobs=2)
@@ -702,6 +704,61 @@ class TestQueryOverTheWire:
                 assert response["status"] == "ok"
                 assert response["optimized"] == ["book.(ref)*.author"]
                 assert response["branches_saved"] == 1
+
+    def test_optimize_routes_branches_like_the_cli(self):
+        # One rule decides whether a branch is a regular pattern (the
+        # containment checker's report carries "emptied") or a word
+        # (the word optimizer's carries "rewrites"), so ``a+`` is
+        # one-or-more here too and absorbs ``a``.
+        with ServerHarness(port=0) as harness:
+            with harness.client() as client:
+                for branch in ("a+", "a?", "_", "(a)"):
+                    response = client.query_optimize(["a => a"], [branch])
+                    assert response["status"] == "ok", response
+                    assert "emptied" in response, branch
+                for branch in ("first_name", "a.b"):
+                    response = client.query_optimize(["a => a"], [branch])
+                    assert response["status"] == "ok", response
+                    assert "rewrites" in response, branch
+                probe = client.query_optimize(["a => a"], ["a+", "a"])
+                assert probe["optimized"] == ["a+"]
+
+    def test_query_solves_under_the_daemons_options(self, monkeypatch):
+        # imply and query alike reach the portfolio with the daemon's
+        # SolveOptions and, when budgeted, the watchdog's cancel flag.
+        import inspect
+
+        from repro.reasoning import dispatcher
+        from repro.reasoning.runtime import CancelFlag
+
+        original = dispatcher.run_portfolio
+        calls: list = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            calls.append(bound.arguments)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dispatcher, "run_portfolio", spy)
+        options = SolveOptions(
+            max_respawns=0,
+            inject=FaultPlan.from_spec("delay:0:0.01"),
+            max_worker_mb=4096,
+            memory_guard_mb=1,
+        )
+        with ServerHarness(port=0, solve=options) as harness:
+            with harness.client() as client:
+                imply = client.imply(SIGMA, PHI, budget_ms=30_000)
+                assert imply["status"] == "ok", imply
+                assert len(calls) == 1
+                query = client.query_contains(
+                    SIGMA, "b", "c|d", budget_ms=30_000
+                )
+                assert query["status"] == "ok", query
+        assert len(calls) == 3
+        for arguments in calls:
+            assert arguments["options"] is options
+            assert isinstance(arguments.get("cancel"), CancelFlag)
 
     def test_bad_action_is_error_not_disconnect(self):
         with ServerHarness(port=0) as harness:

@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
-from repro.reasoning import Context, ImplicationProblem
+from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.costmodel import ExecMode
 from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.portfolio import run_portfolio
@@ -50,7 +50,8 @@ def _problem():
 
 
 def _pooled_solve(**kwargs):
-    return run_portfolio(_problem(), jobs=2, execution="pool", **kwargs)
+    options = SolveOptions(execution="pool", **kwargs)
+    return run_portfolio(_problem(), options, jobs=2)
 
 
 def _shm_leftovers():
@@ -149,14 +150,16 @@ class TestAtexitBackstop:
             "import sys\n"
             "from repro.constraints import parse_constraint, "
             "parse_constraints\n"
-            "from repro.reasoning import Context, ImplicationProblem\n"
+            "from repro.reasoning import Context, ImplicationProblem, "
+            "SolveOptions\n"
             "from repro.reasoning.portfolio import run_portfolio\n"
             "from repro.reasoning.runtime import warm_pool_pids\n"
             f"sigma = parse_constraints({SIGMA!r})\n"
             f"phi = parse_constraint({PHI!r})\n"
             "problem = ImplicationProblem(sigma, phi, "
             "Context.SEMISTRUCTURED)\n"
-            "run_portfolio(problem, jobs=2, execution='pool')\n"
+            "run_portfolio(problem, SolveOptions(execution='pool'), "
+            "jobs=2)\n"
             "pids = warm_pool_pids()\n"
             "assert pids, 'no warm pool to leak'\n"
             "print(' '.join(map(str, pids)))\n"
@@ -199,7 +202,7 @@ class TestCrashCleanup:
         # kill:1 takes out a worker while shards are in flight; the
         # supervisor respawns and the verdict survives — and every
         # parent-owned segment is unlinked on the way out.
-        result = _pooled_solve(fault_plan=FaultPlan.from_spec("kill:1"))
+        result = _pooled_solve(inject=FaultPlan.from_spec("kill:1"))
         assert result.answer is Trilean.FALSE
         assert not result.faults.clean
         assert active_owned_segments() == ()
@@ -207,7 +210,7 @@ class TestCrashCleanup:
 
     def test_repeated_crashes_still_leak_nothing(self):
         for spec in ("kill:0", "kill:0,kill:1", "raise:0,kill:2"):
-            result = _pooled_solve(fault_plan=FaultPlan.from_spec(spec))
+            result = _pooled_solve(inject=FaultPlan.from_spec(spec))
             assert result.answer in (Trilean.FALSE, Trilean.UNKNOWN)
             assert active_owned_segments() == ()
             assert _shm_leftovers() == []

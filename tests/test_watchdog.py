@@ -29,7 +29,7 @@ import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import HungSolveError
-from repro.reasoning import Budget, ImplicationProblem
+from repro.reasoning import Budget, ImplicationProblem, SolveOptions
 from repro.reasoning.faultinject import FaultPlan, invoke
 from repro.reasoning.portfolio import run_portfolio
 from repro.reasoning.runtime import CancelFlag, retire_warm_pool
@@ -231,9 +231,10 @@ class TestHangOomInjection:
         # the worker-crash respawn path and the verdict still settles.
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(
+                inject=FaultPlan.from_spec("oom:0,oom:1"), execution="pool"
+            ),
             jobs=2,
-            fault_plan=FaultPlan.from_spec("oom:0,oom:1"),
-            execution="pool",
         )
         assert result.answer is Trilean.FALSE
         kinds = {e.kind for e in result.faults.events}
@@ -252,9 +253,8 @@ class TestMemoryCeilingAndGuard:
         ceiling = int((current_vms_mb() or 1024) * 4 + 2048)
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(execution="pool", max_worker_mb=ceiling),
             jobs=2,
-            execution="pool",
-            max_worker_mb=ceiling,
         )
         assert result.answer is Trilean.FALSE
 
@@ -265,9 +265,8 @@ class TestMemoryCeilingAndGuard:
         # worker, not the requested two.
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(execution="pool", memory_guard_mb=1),
             jobs=2,
-            execution="pool",
-            memory_guard_mb=1,
         )
         assert result.answer is Trilean.FALSE
         assert result.execution.mode.value == "inline"
@@ -277,9 +276,8 @@ class TestMemoryCeilingAndGuard:
     def test_guard_far_above_rss_changes_nothing(self):
         result = run_portfolio(
             _divergent_problem(),
+            SolveOptions(execution="pool", memory_guard_mb=1 << 20),
             jobs=2,
-            execution="pool",
-            memory_guard_mb=1 << 20,
         )
         assert result.answer is Trilean.FALSE
         assert result.execution.mode.value == "pool"
@@ -299,6 +297,20 @@ class TestCooperativeCancel:
             )
             assert result.answer is Trilean.UNKNOWN
             assert time.monotonic() - start < 5.0
+        finally:
+            cancel.release()
+
+    def test_run_never_sets_the_callers_flag(self):
+        # One caller flag can watch several solves in turn (a daemon
+        # query's sub-solves share its watchdog flag), inline or pooled.
+        cancel = CancelFlag.create()
+        try:
+            for options in (SolveOptions(), SolveOptions(execution="pool")):
+                result = run_portfolio(
+                    _divergent_problem(), options, jobs=2, cancel=cancel
+                )
+                assert result.answer is Trilean.FALSE
+                assert not cancel.is_set
         finally:
             cancel.release()
 

@@ -240,14 +240,14 @@ class TestChaseFallbackBudget:
 
     def test_dispatcher_threads_chase_steps(self):
         from repro.errors import IncompleteFragmentError
-        from repro.reasoning import ImplicationProblem, solve
+        from repro.reasoning import ImplicationProblem, SolveOptions, solve
 
         problem = ImplicationProblem(
             parse_constraints(self.SIGMA), parse_constraint(self.PHI)
         )
         assert solve(problem).answer is Trilean.FALSE
         with pytest.raises(IncompleteFragmentError):
-            solve(problem, chase_steps=1)
+            solve(problem, SolveOptions(chase_steps=1))
 
     def test_expired_deadline_raises(self):
         # Deadlines are absolute time.monotonic() values (a wall-clock
