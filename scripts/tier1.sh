@@ -134,4 +134,7 @@ for example in examples/*.py; do
 done
 rm -rf "$examples_cache"
 
-exec python -m pytest -x -q "$@"
+# Not exec: the shell must outlive pytest so the EXIT trap removes the
+# temp files above.  Under set -e a failing pytest still fails the
+# script.
+python -m pytest -x -q "$@"

@@ -28,11 +28,12 @@ Commands
     Run the long-lived implication server: a JSON-lines protocol
     (``imply``/``check``/``query``/``health``/``stats``/``shutdown``)
     with bounded-queue admission control, a shared implication cache
-    that answers alpha-renamed repeats, a hung-solve watchdog
-    (``--watchdog-grace-ms``), per-worker memory ceilings
-    (``--max-worker-mb``), and graceful SIGTERM drain (in-flight work
-    finishes, new work is refused, the warm pool is retired).  See
-    :mod:`repro.server`.
+    that answers alpha-renamed repeats, a hung-solve watchdog that
+    retires a solver thread still running ``--watchdog-grace-ms`` past
+    its deadline (``--deadline`` gives requests without a budget one),
+    per-worker memory ceilings (``--max-worker-mb``), and graceful
+    SIGTERM drain (in-flight work finishes, new work is refused, the
+    warm pool is retired).  See :mod:`repro.server`.
 ``chaos [--seed N] [--requests N] [--fault-rate R] [--json-out F]``
     Seeded wire-level chaos sweep: real daemons, a real client, and a
     fault-perpetrating TCP proxy; gates on zero verdict flips,
@@ -416,8 +417,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         allow_delay=args.allow_delay,
         port_file=args.port_file,
         watchdog_grace_ms=args.watchdog_grace_ms,
-        watchdog_hard_grace_ms=args.watchdog_hard_grace_ms,
-        watchdog_max_solve_ms=args.watchdog_max_solve_ms,
     )
     server = ImplicationServer(config)
 
@@ -852,24 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=5000,
         metavar="MS",
         help="grace past a solve's deadline before the watchdog "
-        "trips its cooperative cancel flag (0 disables the watchdog)",
-    )
-    p.add_argument(
-        "--watchdog-hard-grace-ms",
-        type=int,
-        default=None,
-        metavar="MS",
-        help="further grace after the cooperative cancel before the "
-        "wedged solver thread is retired and replaced (default: same "
-        "as --watchdog-grace-ms)",
-    )
-    p.add_argument(
-        "--watchdog-max-solve-ms",
-        type=int,
-        default=None,
-        metavar="MS",
-        help="implicit watchdog deadline for solves that arrive "
-        "without a budget (default: unbudgeted solves are unwatched)",
+        "retires its solver thread and answers unknown (0 disables "
+        "the watchdog; only solves with a deadline are watched)",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -99,8 +99,8 @@ class RetryExhausted(RuntimeFaultError):
 
 
 class HungSolveError(RuntimeFaultError):
-    """A solve ran past its deadline + grace and ignored cooperative
-    cancellation; its solver thread was retired by the watchdog.
+    """A solve was still running at its deadline + grace; the watchdog
+    abandoned it and retired its solver thread.
 
     The paper's implication problem is undecidable in the general
     case, so unboundedly long solves are intrinsic to the workload —

@@ -49,7 +49,7 @@ from repro.paths import Path
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.dispatcher import Context, ImplicationProblem, solve
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.runtime import Budget, CancelFlag
+from repro.reasoning.runtime import Budget
 from repro.rewriting.prefix import PrefixRewriteSystem
 from repro.truth import Trilean
 from repro.types.siggen import SchemaSignature
@@ -113,10 +113,9 @@ class QueryContainmentChecker:
     """Decides (or soundly semi-decides) RPQ containment under Sigma.
 
     The fallback's per-word implications go through ``solve()`` with
-    ``options``, ``jobs``, ``cache`` and ``cancel``.  ``deadline``
-    (seconds) starts when the checker is built and bounds all of them:
-    each solve gets only the time left, and a spent budget answers
-    UNKNOWN.
+    ``options``, ``jobs`` and ``cache``.  ``deadline`` (seconds)
+    starts when the checker is built and bounds all of them: each
+    solve gets only the time left, and a spent budget answers UNKNOWN.
 
     >>> from repro.constraints import parse_constraints
     >>> sigma = parse_constraints('''
@@ -142,7 +141,6 @@ class QueryContainmentChecker:
         jobs: int | str = "auto",
         deadline: float | None = None,
         options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
-        cancel: CancelFlag | None = None,
         chase_steps: int = 400,
         enumeration_count: int = 64,
         max_product_pairs: int = 200_000,
@@ -163,7 +161,6 @@ class QueryContainmentChecker:
         self._jobs = jobs
         self._budget = Budget.from_seconds(deadline)
         self._options = options
-        self._cancel = cancel
         self._chase_steps = chase_steps
         self._enumeration_count = enumeration_count
         self._max_product_pairs = max_product_pairs
@@ -365,7 +362,6 @@ class QueryContainmentChecker:
                 jobs=self._jobs,
                 deadline=self._budget.remaining(),
                 cache=self._cache,
-                cancel=self._cancel,
             )
         except ReproError:
             return Trilean.UNKNOWN

@@ -47,7 +47,7 @@ from repro.query.rpq import RPQResult, evaluate_nfa, evaluate_word
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.dispatcher import ImplicationProblem, solve
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.runtime import Budget, CancelFlag
+from repro.reasoning.runtime import Budget
 from repro.reasoning.word import WordImplicationDecider
 from repro.truth import Trilean
 
@@ -83,8 +83,8 @@ class WordQueryOptimizer:
     """Optimizes word queries under a set of word constraints.
 
     Subsumption questions go through ``solve()`` with ``options``,
-    ``jobs``, ``cache`` and ``cancel``; ``deadline`` (seconds) starts
-    when the optimizer is built and bounds all of them together.
+    ``jobs`` and ``cache``; ``deadline`` (seconds) starts when the
+    optimizer is built and bounds all of them together.
 
     >>> from repro.constraints import parse_constraints
     >>> sigma = parse_constraints('''
@@ -105,7 +105,6 @@ class WordQueryOptimizer:
         jobs: int | str = "auto",
         deadline: float | None = None,
         options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
-        cancel: CancelFlag | None = None,
     ) -> None:
         self._sigma = tuple(sigma)
         # The rewrite decider only speaks P_w; with guarded constraints
@@ -121,7 +120,6 @@ class WordQueryOptimizer:
         self._jobs = jobs
         self._budget = Budget.from_seconds(deadline)
         self._options = options
-        self._cancel = cancel
         self._subsumption_memo: dict[tuple[Path, Path], Trilean] = {}
         self._unsettled: list[str] = []
         #: Dispatcher traffic (the query benchmarks report these).
@@ -157,7 +155,6 @@ class WordQueryOptimizer:
                 jobs=self._jobs,
                 deadline=self._budget.remaining(),
                 cache=self._cache,
-                cancel=self._cancel,
             )
             answer = result.answer
             if result.cache is not None and result.cache.status == "hit":

@@ -94,8 +94,8 @@ def chase(
     ``deadline`` is an absolute ``time.monotonic()`` value (the portfolio's
     shared budget); expiry behaves like step-budget exhaustion — the
     chase stops early and the fixpoint recheck runs for real.
-    ``should_stop`` is a cooperative cancellation hook (the portfolio's
-    shared cancel flag) checked at the same points as the deadline.
+    ``should_stop`` is a cooperative cancellation hook (a pool run's
+    cancel flag) checked at the same points as the deadline.
     """
     return _chase(graph, sigma, max_steps, deadline, should_stop)
 

@@ -38,7 +38,6 @@ from repro.reasoning.local_extent import implies_local_extent
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.result import ImplicationResult
-from repro.reasoning.runtime import CancelFlag
 from repro.reasoning.typed_m import implies_typed_m
 from repro.reasoning.word import implies_word
 from repro.truth import Trilean
@@ -271,7 +270,6 @@ def solve(
     jobs: int | str = 1,
     deadline: float | None = None,
     cache: "ImplicationCache | None" = None,
-    cancel: "CancelFlag | None" = None,
 ) -> ImplicationResult:
     """Decide or semi-decide an implication problem.
 
@@ -289,10 +287,8 @@ def solve(
     ``"auto"`` for the CPU count (see :mod:`repro.reasoning.costmodel`
     for when the scan is pooled); anything else raises
     :class:`ValueError` before any work starts.  ``deadline`` is a
-    wall-clock budget in seconds shared by every engine.  ``cancel``
-    (a caller-owned :class:`~repro.reasoning.runtime.CancelFlag`) lets
-    an embedding service — the daemon's hung-solve watchdog —
-    cooperatively abort a portfolio solve.  Every result carries a
+    wall-clock budget in seconds shared by every engine, and the only
+    stop signal a caller gives the solve.  Every result carries a
     ``faults`` record; decidable cells never fork workers.
 
     ``cache`` plugs in a cross-request
@@ -370,9 +366,7 @@ def solve(
             )
     else:
         # Undecidable cell: run the portfolio of semi-deciders.
-        result = run_portfolio(
-            problem, options, jobs=jobs, budget=budget, cancel=cancel
-        )
+        result = run_portfolio(problem, options, jobs=jobs, budget=budget)
 
     if bypass is not None:
         result.cache = bypass

@@ -2,10 +2,10 @@
 
 The CLI, the daemon, the query layer and the fuzz harness each build
 one :class:`SolveOptions` and pass it unchanged through ``solve()``
-and ``run_portfolio()``; the ``jobs`` cap, the deadline, the cache
-and the cancel flag stay per-call arguments.  Building a value costs
-a few µs, a noticeable share of a fast portfolio solve, so callers
-without settings share :data:`DEFAULT_SOLVE_OPTIONS`.
+and ``run_portfolio()``; the ``jobs`` cap, the deadline (a solve's
+only stop signal) and the cache stay per-call arguments.  Building a
+value costs a few µs, a noticeable share of a fast portfolio solve, so
+callers without settings share :data:`DEFAULT_SOLVE_OPTIONS`.
 """
 
 from __future__ import annotations

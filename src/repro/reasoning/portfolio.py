@@ -165,15 +165,13 @@ def _attached(name: str) -> CancelFlag:
     return flag
 
 
-def _stop_hook(cancel_names: tuple[str, ...]):
-    """The ``should_stop`` poll for the named cancel flags (or None)."""
-    if not cancel_names:
+def _stop_hook(cancel_name: str | None):
+    """The ``should_stop`` poll for the run's named cancel flag (or
+    None when the run has no flag)."""
+    if cancel_name is None:
         return None
-    flags = [_attached(name) for name in cancel_names]
-    if len(flags) == 1:
-        flag = flags[0]
-        return lambda: flag.is_set
-    return lambda: any(flag.is_set for flag in flags)
+    flag = _attached(cancel_name)
+    return lambda: flag.is_set
 
 
 def _code_space(node_count: int, labels: tuple[str, ...]) -> CodeSpace:
@@ -194,7 +192,7 @@ def _chase_task(
     phi: PathConstraint,
     max_steps: int,
     deadline: float | None,
-    cancel_names: tuple[str, ...] = (),
+    cancel_name: str | None = None,
 ) -> tuple[ImplicationResult, float]:
     began = time.perf_counter()
     result = chase_implication(
@@ -202,7 +200,7 @@ def _chase_task(
         phi,
         max_steps=max_steps,
         deadline=deadline,
-        should_stop=_stop_hook(cancel_names),
+        should_stop=_stop_hook(cancel_name),
     )
     return result, time.perf_counter() - began
 
@@ -214,7 +212,7 @@ def _shard_task(
     start: int,
     stop: int,
     deadline: float | None,
-    cancel_names: tuple[str, ...] = (),
+    cancel_name: str | None = None,
 ) -> ShardReport:
     """Scan codes ``[start, stop)`` of one level.
 
@@ -229,7 +227,7 @@ def _shard_task(
         start,
         stop,
         deadline=deadline,
-        should_stop=_stop_hook(cancel_names),
+        should_stop=_stop_hook(cancel_name),
         compiled_sigma=compiled_sigma,
         compiled_phi=compiled_phi,
     )
@@ -246,7 +244,7 @@ def _typed_shard_task(
     shard_count: int,
     deadline: float | None,
     compiled: bool = False,
-    cancel_names: tuple[str, ...] = (),
+    cancel_name: str | None = None,
 ) -> TypedShardReport:
     return scan_typed_instances(
         schema,
@@ -259,7 +257,7 @@ def _typed_shard_task(
         shard_count=shard_count,
         deadline=deadline,
         compiled=compiled,
-        should_stop=_stop_hook(cancel_names),
+        should_stop=_stop_hook(cancel_name),
     )
 
 
@@ -286,36 +284,21 @@ def _plan_shards(total: int, shard_count: int) -> list[tuple[int, int]]:
     return ranges
 
 
-@dataclass(frozen=True)
-class _RunCancel:
-    """Tasks poll every flag in ``names``: the caller's (the daemon's
-    watchdog trips it) and, in a pool, the run's ``own``.  The run
-    raises only ``own`` — once the race is decided, and on exit so
-    warm-pool stragglers wind down — never the caller's, so one caller
-    flag can watch several solves (a query's sub-solves)."""
-
-    names: tuple[str, ...] = ()
-    own: CancelFlag | None = None
-
-    def raise_own(self) -> None:
-        if self.own is not None:
-            self.own.set()
-
-
 @contextmanager
 def _supervised(
     decision: ExecutionDecision,
     budget: Budget,
     plan: FaultPlan | None,
     options: SolveOptions,
-    cancel: CancelFlag | None = None,
-) -> Iterator[tuple[WorkerSupervisor, _RunCancel]]:
-    """The run's supervisor and cancellation (``cancel`` is the
-    caller's flag, which the run never sets or releases)."""
-    own = CancelFlag.create() if decision.mode is ExecMode.POOL else None
-    run_cancel = _RunCancel(
-        tuple(flag.name for flag in (cancel, own) if flag is not None), own
-    )
+) -> Iterator[tuple[WorkerSupervisor, CancelFlag | None]]:
+    """The run's supervisor and, in a pool, its own cancel flag.
+
+    Pool tasks poll the flag, the one stop signal besides the deadline
+    that crosses the process boundary.  The run raises it once the
+    race is decided, and on exit so warm-pool stragglers wind down.
+    Inline tasks stop at the deadline alone.
+    """
+    cancel = CancelFlag.create() if decision.mode is ExecMode.POOL else None
     try:
         with WorkerSupervisor(
             jobs=decision.jobs,
@@ -325,12 +308,18 @@ def _supervised(
             max_worker_mb=options.max_worker_mb,
         ) as supervisor:
             try:
-                yield supervisor, run_cancel
+                yield supervisor, cancel
             finally:
-                run_cancel.raise_own()
+                if cancel is not None:
+                    cancel.set()
     finally:
-        if own is not None:
-            own.release()
+        if cancel is not None:
+            cancel.release()
+
+
+def _flag_name(cancel: CancelFlag | None) -> str | None:
+    """What a task needs to attach to the run's flag."""
+    return None if cancel is None else cancel.name
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +395,13 @@ class _Chase:
 
 def _stop(
     supervisor: WorkerSupervisor,
-    cancel: _RunCancel,
+    cancel: CancelFlag | None,
     tasks: list[SupervisedTask],
 ) -> None:
     """Cancel ``tasks``; raise the run's flag so running ones wind
     down."""
-    cancel.raise_own()
+    if cancel is not None:
+        cancel.set()
     for task in tasks:
         supervisor.cancel(task)
 
@@ -422,7 +412,7 @@ def _scan_levels(
     programs: tuple,
     max_nodes: int,
     deadline: float | None,
-    cancel: _RunCancel,
+    cancel: CancelFlag | None,
     chase: _Chase,
 ) -> CountermodelOutcome:
     """Canonical scan of levels ``1..max_nodes``, racing ``chase``.
@@ -454,7 +444,7 @@ def _scan_levels(
                 start,
                 stop,
                 deadline,
-                cancel.names,
+                _flag_name(cancel),
                 engine=f"countermodel[n={node_count} {start}:{stop}]",
             )
             for start, stop in _plan_shards(total, shards)
@@ -501,7 +491,7 @@ def _scan_typed(
     phi: PathConstraint,
     limit: int,
     deadline: float | None,
-    cancel: _RunCancel,
+    cancel: CancelFlag | None,
     chase: _Chase,
 ) -> CountermodelOutcome:
     """Stride-sharded ``U_f(Delta)`` scan racing ``chase``.
@@ -527,7 +517,7 @@ def _scan_typed(
             shards,
             deadline,
             True,
-            cancel.names,
+            _flag_name(cancel),
             engine=f"typed-countermodel[{shard_index}/{shards}]",
         )
         for shard_index in range(shards)
@@ -615,7 +605,6 @@ def run_portfolio(
     options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
     jobs: int | str = 1,
     budget: Budget | None = None,
-    cancel: CancelFlag | None = None,
 ) -> ImplicationResult:
     """Semi-decide an undecidable-cell implication with a portfolio.
 
@@ -636,14 +625,8 @@ def run_portfolio(
     Every returned result carries per-engine :class:`EngineStats`, a
     :class:`~repro.reasoning.result.FaultReport`, and the
     :class:`~repro.reasoning.costmodel.ExecutionDecision` on
-    ``result.execution``.
-
-    ``cancel`` is an optional caller-owned
-    :class:`~repro.reasoning.runtime.CancelFlag`: every scan and chase
-    of this run polls it, so an embedding service (the daemon's hung-
-    solve watchdog) can cooperatively abort the solve from outside.
-    The caller keeps ownership — the flag is never set or released
-    here, so it can watch several solves in turn.
+    ``result.execution``.  The budget's deadline is the only stop
+    signal a caller gives the run; every engine polls it.
     """
     # Imported here: dispatcher imports this module's Budget/run_portfolio.
     from repro.reasoning.dispatcher import Context
@@ -700,9 +683,9 @@ def run_portfolio(
     if plan.active:
         notes.append(f"fault injection active: {plan.describe()}")
 
-    with _supervised(decision, budget, plan, options, cancel) as (
+    with _supervised(decision, budget, plan, options) as (
         supervisor,
-        run_cancel,
+        cancel,
     ):
         result = _portfolio_race(
             problem,
@@ -714,7 +697,7 @@ def run_portfolio(
             budget,
             options,
             notes,
-            run_cancel,
+            cancel,
         )
     result.execution = decision
     return result
@@ -730,7 +713,7 @@ def _portfolio_race(
     budget: Budget,
     options: SolveOptions,
     notes: list[str],
-    cancel: _RunCancel,
+    cancel: CancelFlag | None,
 ) -> ImplicationResult:
     """The race itself, inside an already-configured supervisor."""
     chase = _Chase(
@@ -740,7 +723,7 @@ def _portfolio_race(
             phi,
             options.chase_steps,
             budget.deadline,
-            cancel.names,
+            _flag_name(cancel),
             engine="chase",
         ),
         untyped,

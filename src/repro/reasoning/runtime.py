@@ -42,11 +42,14 @@ The deterministic fault-injection hooks live in
 at submission time (task ordinals are assigned by a deterministic
 counter), so injected faults are reproducible run-to-run.
 
-A one-byte shared-memory :class:`CancelFlag` gives the parent a
-cooperative cancellation signal that crosses the process boundary:
-scans and the chase poll it between chunks, so a straggler task on a
-warm pool winds down quickly after the race is decided instead of
-occupying a worker into the next ``solve()``.
+A one-byte shared-memory :class:`CancelFlag` belongs to one pool run
+(:func:`repro.reasoning.portfolio.run_portfolio` creates it only when
+the scan is pooled): it is the run's one stop signal besides the
+deadline, and the only one that crosses the process boundary.  Scans
+and the chase poll it between chunks, so a straggler task on a warm
+pool winds down quickly after the race is decided instead of
+occupying a worker into the next ``solve()``.  Callers stop a solve
+with its deadline alone.
 """
 
 from __future__ import annotations
@@ -226,9 +229,8 @@ class CancelFlag:
     @property
     def is_set(self) -> bool:
         # A released (closed/unlinked) flag reads as cancelled: the
-        # owner tearing the flag down mid-poll is itself a "stop now"
-        # signal, and abandoned solver threads may legitimately poll
-        # after the daemon reclaimed the segment.
+        # pool run tearing its flag down mid-poll is itself a "stop
+        # now" signal to a straggler still polling it.
         try:
             return self._shm.buf[0] != 0
         except Exception:

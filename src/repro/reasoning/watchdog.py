@@ -1,35 +1,22 @@
-"""Hung-solve watchdog and retirable solver threads.
+"""Retirable solver threads and the parent-side memory probes.
 
 The implication problem this repo reproduces is undecidable in the
 general case, so a solve that simply *never returns* is an intrinsic
 hazard of the workload, not a bug to be fixed once.  A wedged solve is
 worse than a crashed one: a crash breaks a pool and the supervisor
-respawns it (PR 5), but a hang silently consumes a solver slot forever
-while ``health`` still answers ``ok``.
+respawns it, but a hang silently consumes a solver slot forever while
+``health`` still answers ``ok``.
 
-This module provides the two primitives the service layer composes to
-reclaim wedged capacity:
-
-* :class:`SolveWatchdog` — a single daemon thread polling a registry
-  of in-flight solves.  Each watch carries a *deadline*, a *grace*
-  (past ``deadline + grace`` the watch fires ``on_cancel``, typically
-  tripping the solve's shared-memory
-  :class:`~repro.reasoning.runtime.CancelFlag` that ``scan_codes`` /
-  ``scan_typed_instances`` / ``chase`` already poll) and a *hard
-  grace* (past ``cancelled_at + hard_grace`` it fires ``on_hang`` —
-  the solve ignored cooperative cancellation and must be abandoned).
-
-* :class:`RetiringSolverPool` — a thread pool whose threads can be
-  *retired while running*.  Python threads cannot be killed, so
-  "abandon" means: mark the thread retired, detach its future (failing
-  it with the caller's error, typically
-  :class:`~repro.errors.HungSolveError`), and start a replacement
-  thread so capacity is restored immediately.  When the wedged
-  function eventually returns (or raises), the retired thread discards
-  the result — a stale verdict must never reach a caller — and exits.
-
-Both are deliberately independent of the daemon so library users and
-tests can compose them around any blocking call.
+:class:`RetiringSolverPool` is a thread pool whose threads can be
+*retired while running*.  Python threads cannot be killed, so
+"abandon" means: mark the thread retired, detach its future (failing
+it with the caller's error, typically
+:class:`~repro.errors.HungSolveError`), and start a replacement thread
+so capacity is restored immediately.  When the wedged function
+eventually returns (or raises), the retired thread discards the
+result — a stale verdict must never reach a caller — and exits.  The
+daemon's watchdog is one event-loop timer per budgeted solve that
+calls :meth:`RetiringSolverPool.retire_running` at deadline + grace.
 
 :func:`current_rss_mb` / :func:`current_vms_mb` are the parent-side
 memory probes used by the portfolio's pre-spawn memory guard.
@@ -40,133 +27,9 @@ from __future__ import annotations
 import os
 import queue
 import threading
-import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
-
-
-@dataclass
-class WatchedSolve:
-    """One in-flight solve registered with a :class:`SolveWatchdog`.
-
-    The watchdog mutates ``cancelled_at`` / ``hung``; the owner calls
-    :meth:`close` when the solve returns (by whatever path).  All
-    fields use the ``time.monotonic`` clock.
-    """
-
-    deadline: float
-    grace_s: float
-    hard_grace_s: float
-    on_cancel: Callable[[], None]
-    on_hang: Callable[[], None]
-    label: str = ""
-    cancelled_at: Optional[float] = None
-    hung: bool = False
-    closed: bool = False
-
-    @property
-    def tripped(self) -> bool:
-        """Whether the watchdog fired ``on_cancel`` for this solve."""
-        return self.cancelled_at is not None
-
-    def close(self) -> None:
-        """Deregister: the solve returned, stop watching it."""
-        self.closed = True
-
-
-class SolveWatchdog:
-    """A lazy single-thread monitor for in-flight solve deadlines.
-
-    The monitor thread starts on the first :meth:`watch` and is a
-    daemon, so an embedding process never blocks on it at exit.
-    Callbacks run *on the watchdog thread* and must be quick and
-    exception-safe; exceptions are swallowed (a broken callback must
-    not stop the watchdog from policing every other solve).
-    """
-
-    def __init__(self, poll_s: float = 0.05):
-        self.poll_s = poll_s
-        self._lock = threading.Lock()
-        self._watches: list[WatchedSolve] = []
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        #: Number of cooperative-cancel firings (``on_cancel``).
-        self.cancels = 0
-        #: Number of hard-abandon firings (``on_hang``).
-        self.hangs = 0
-
-    def watch(
-        self,
-        deadline: float,
-        grace_s: float,
-        hard_grace_s: float,
-        on_cancel: Callable[[], None],
-        on_hang: Callable[[], None],
-        label: str = "",
-    ) -> WatchedSolve:
-        """Register a solve; returns its handle (``handle.close()``)."""
-        handle = WatchedSolve(
-            deadline=deadline,
-            grace_s=max(0.0, grace_s),
-            hard_grace_s=max(0.0, hard_grace_s),
-            on_cancel=on_cancel,
-            on_hang=on_hang,
-            label=label,
-        )
-        with self._lock:
-            if self._stop.is_set():
-                raise RuntimeError("watchdog is stopped")
-            self._watches.append(handle)
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._loop, name="repro-watchdog", daemon=True
-                )
-                self._thread.start()
-        return handle
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.poll_s):
-            now = time.monotonic()
-            with self._lock:
-                # Prune closed watches; snapshot the live ones so the
-                # callbacks below run outside the lock.
-                self._watches = [w for w in self._watches if not w.closed]
-                pending = list(self._watches)
-            for w in pending:
-                if w.closed:
-                    continue
-                if w.cancelled_at is None:
-                    if now > w.deadline + w.grace_s:
-                        w.cancelled_at = now
-                        self.cancels += 1
-                        try:
-                            w.on_cancel()
-                        except Exception:
-                            pass
-                elif not w.hung and now > w.cancelled_at + w.hard_grace_s:
-                    w.hung = True
-                    self.hangs += 1
-                    try:
-                        w.on_hang()
-                    except Exception:
-                        pass
-
-    def stop(self) -> None:
-        """Stop the monitor thread (idempotent)."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=1.0)
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            watching = sum(1 for w in self._watches if not w.closed)
-        return {
-            "watching": watching,
-            "cancels": self.cancels,
-            "hangs": self.hangs,
-        }
 
 
 @dataclass

@@ -480,7 +480,6 @@ def run_chaos_sweep(
             solver_threads=2,
             allow_delay=True,
             watchdog_grace_ms=grace,
-            watchdog_hard_grace_ms=grace // 2,
         )
     ).start()
     proxy = ChaosProxy("127.0.0.1", embedded.port, plan).start()
@@ -553,7 +552,6 @@ def run_chaos_sweep(
             solver_threads=2,
             allow_delay=True,
             watchdog_grace_ms=grace,
-            watchdog_hard_grace_ms=grace // 2,
         )
     ).start()
     try:

@@ -25,6 +25,11 @@ Robustness properties, in order of the request path:
   there too, inside ``solve()``, once per request and only for the
   cache key; a cache hit's counter-model comes back renamed into the
   requester's alphabet by the cache replay.
+* **Hung-solve watchdog.**  A solve stops at its deadline by itself:
+  every engine polls it.  For one that does not, a timer on the event
+  loop retires its solver thread at deadline + ``watchdog_grace_ms``,
+  starts a replacement, and answers UNKNOWN with a ``hung_solve``
+  fault.
 * **Graceful drain.**  SIGTERM, SIGINT or a ``shutdown`` request moves
   the server to ``draining``: admitted work (queued and in-flight)
   completes and is answered, new work is refused with a ``draining``
@@ -63,12 +68,8 @@ from repro.graph.serialize import to_dict as graph_to_dict
 from repro.reasoning import ImplicationProblem, solve
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.runtime import (
-    CancelFlag,
-    retire_warm_pool,
-    warm_pool_stats,
-)
-from repro.reasoning.watchdog import RetiringSolverPool, SolveWatchdog
+from repro.reasoning.runtime import retire_warm_pool, warm_pool_stats
+from repro.reasoning.watchdog import RetiringSolverPool
 from repro.server import protocol
 
 #: Prior for the queue-wait estimator before any solve has completed.
@@ -86,7 +87,7 @@ _FLUSH_GRACE_S = 0.25
 
 @dataclass
 class ServerConfig:
-    """Everything ``repro serve`` can tune."""
+    """Everything ``repro serve`` can tune, checked when built."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -104,23 +105,31 @@ class ServerConfig:
     cache: ImplicationCache | None = None
     #: Honor the ``delay_ms`` and ``wedge`` request fields (testing
     #: instruments for queue/drain/watchdog behavior, like
-    #: ``--inject`` is for fault paths).  ``delay_ms`` sleeps
-    #: cooperatively (polls the cancel flag); ``wedge`` spins without
-    #: polling, modelling a solve that stopped cooperating.
+    #: ``--inject`` is for fault paths).  ``delay_ms`` sleeps until it
+    #: ends or the deadline passes, as a solve polling its deadline
+    #: would; ``wedge`` ignores the deadline, modelling a solve that
+    #: stopped cooperating.
     allow_delay: bool = False
     #: Write the bound port here after startup (atomic), for smoke
     #: tests and supervisors that start the daemon on port 0.
     port_file: str | None = None
-    #: Grace past a solve's deadline before the watchdog trips its
-    #: cooperative cancel flag.  0 disables the watchdog entirely.
+    #: Grace past a solve's deadline before the watchdog retires its
+    #: solver thread and answers UNKNOWN.  0 disables the watchdog.
+    #: Only solves with a deadline are watched; ``default_budget_ms``
+    #: gives one to requests that send no budget.
     watchdog_grace_ms: int = 5000
-    #: Further grace after the cooperative cancel before the wedged
-    #: solver thread is retired and replaced (None = same as
-    #: ``watchdog_grace_ms``).
-    watchdog_hard_grace_ms: int | None = None
-    #: Implicit watchdog deadline for solves that arrived without a
-    #: budget (None = unbudgeted solves are not watched).
-    watchdog_max_solve_ms: int | None = None
+
+    def __post_init__(self) -> None:
+        # Each bound keeps a daemon from starting broken: no solver
+        # workers, an unbounded queue, a watchdog switched off by its
+        # sign, or every unbudgeted request shed as already expired.
+        least = {"solver_threads": 1, "max_queue": 1, "watchdog_grace_ms": 0}
+        if self.default_budget_ms is not None:
+            least["default_budget_ms"] = 0
+        for name, bound in least.items():
+            value = getattr(self, name)
+            if value < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {value!r}")
 
 
 @dataclass
@@ -133,13 +142,10 @@ class FlightOutcome:
     payload is UNKNOWN), ``error`` (the request was admitted but the
     solver raised), ``hung`` (the watchdog abandoned the solve — same
     honest UNKNOWN as ``rejected``, plus an auditable ``hung_solve``
-    fault on the wire).  A solved ``imply`` also keeps its
-    :class:`ImplicationResult` in ``result``, so the watchdog can tell
-    a definite answer that arrived late from one it cut short.
+    fault on the wire).
     """
 
     kind: str
-    result: Any = None
     wire: dict | None = None
     reason: str = ""
     error: str = ""
@@ -156,9 +162,6 @@ class _Admitted:
     deadline: float | None = None
     future: "asyncio.Future[FlightOutcome] | None" = None
     admitted_at: float = 0.0
-    #: The solve's cooperative-cancel flag (daemon-owned; the watchdog
-    #: trips it past deadline + grace).  None when unwatched.
-    cancel: CancelFlag | None = None
 
 
 def _milliseconds(request: dict, name: str) -> float | None:
@@ -242,8 +245,6 @@ class ImplicationServer:
         self._connections: set[asyncio.Task] = set()
         self._drain_event: asyncio.Event | None = None
         self._solver_pool: RetiringSolverPool | None = None
-        self._watchdog: SolveWatchdog | None = None
-        self._leaked_cancels: list = []
         self._ewma_solve_s: float | None = None
         self.counters = {
             "requests": 0,
@@ -288,8 +289,6 @@ class ImplicationServer:
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
         self._drain_event = asyncio.Event()
         self._solver_pool = RetiringSolverPool(self.config.solver_threads)
-        if self.config.watchdog_grace_ms > 0:
-            self._watchdog = SolveWatchdog()
         self._workers = [
             loop.create_task(self._worker())
             for _ in range(self.config.solver_threads)
@@ -364,22 +363,11 @@ class ImplicationServer:
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
         if self._solver_pool is not None:
             # Never joins: a wedged solver thread (the very thing the
             # watchdog exists for) must not block a clean drain.
             self._solver_pool.shutdown()
             self._solver_pool = None
-        # Reclaim the cancel flags parked by hung solves: a wedged
-        # thread still polling one observes a released flag as
-        # "cancelled" (CancelFlag.is_set is defensive), so unlinking
-        # here is safe and a long-lived embedder leaks no segments.
-        for cancel in self._leaked_cancels:
-            with contextlib.suppress(Exception):
-                cancel.release()
-        self._leaked_cancels = []
         if self.config.cache is not None:
             self.config.cache.flush_counters()
         # The long-lived process owns the warm pool; retire it here so
@@ -483,8 +471,6 @@ class ImplicationServer:
         }
         if self._solver_pool is not None:
             stats["solver_pool"] = self._solver_pool.stats()
-        if self._watchdog is not None:
-            stats["watchdog"] = self._watchdog.stats()
         if self.config.cache is not None:
             stats["cache"] = self.config.cache.stats()
         return protocol.ok_response(request_id, **stats)
@@ -518,7 +504,6 @@ class ImplicationServer:
         item.future = asyncio.get_running_loop().create_future()
         rejection = self._admit(item, request_id)
         if rejection is not None:
-            self._discard_cancel(item)
             return rejection
         outcome = await asyncio.shield(item.future)
         if outcome.kind == "rejected":
@@ -547,24 +532,6 @@ class ImplicationServer:
         )
         return deadline, _milliseconds(request, "delay_ms") or 0.0
 
-    def _make_cancel(self, deadline: float | None) -> CancelFlag | None:
-        """A cooperative-cancel flag, but only when it can ever fire.
-
-        A flag is a shared-memory segment; allocating one per request
-        would tax every solve for a watchdog that may never trip.  So
-        one exists only when the watchdog is on *and* this solve will
-        actually be watched (it has a deadline, or the server imposes
-        an implicit one via ``watchdog_max_solve_ms``).
-        """
-        if self._watchdog is None:
-            return None
-        if deadline is None and self.config.watchdog_max_solve_ms is None:
-            return None
-        try:
-            return CancelFlag.create()
-        except Exception:  # noqa: BLE001 - degraded: unwatchable cancel
-            return None
-
     def _prepare_imply(
         self, request: dict, deadline: float | None, delay_ms: float
     ) -> _Admitted:
@@ -577,7 +544,6 @@ class ImplicationServer:
             request.get("context", "semistructured"),
             schema=_parse_schema(request),
         )
-        cancel = self._make_cancel(deadline)
         return _Admitted(
             op="imply",
             solve_fn=functools.partial(
@@ -587,10 +553,8 @@ class ImplicationServer:
                 delay_ms,
                 None,
                 request,
-                cancel,
             ),
             deadline=deadline,
-            cancel=cancel,
         )
 
     # -- admission control --------------------------------------------
@@ -641,7 +605,6 @@ class ImplicationServer:
                     waited_ms = (
                         time.monotonic() - item.admitted_at
                     ) * 1e3
-                    self._discard_cancel(item)
                     outcome = FlightOutcome(
                         kind="rejected",
                         reason=(
@@ -686,95 +649,36 @@ class ImplicationServer:
     async def _run_solve(self, item: _Admitted) -> FlightOutcome:
         """Run one admitted item on the solver pool, watched.
 
-        The watchdog escalates in two steps: past ``deadline + grace``
-        it trips the solve's cooperative :class:`CancelFlag` (polled
-        by every scan/chase of the portfolio); past a further hard
-        grace it retires the wedged solver thread — the pool spawns a
-        replacement so capacity is restored — and fails the future
-        with :class:`HungSolveError`.  Either way the caller gets an
-        honest UNKNOWN; a definite certificate is kept only when the
-        solve delivered it itself (late but sound answers stand — the
-        certificate is verifiable regardless of how long it took).
+        The solve's deadline is its only stop signal, and every engine
+        polls it.  A solve still running at deadline +
+        ``watchdog_grace_ms`` ignored it: one timer on this loop then
+        retires its solver thread — the pool spawns a replacement, so
+        capacity is restored — and fails the future with
+        :class:`HungSolveError`, answered as an honest UNKNOWN.
         """
         assert self._solver_pool is not None
         pool = self._solver_pool
         future = pool.submit(item.solve_fn)
-        handle = None
-        if self._watchdog is not None:
-            wd_deadline = item.deadline
-            max_ms = self.config.watchdog_max_solve_ms
-            if wd_deadline is None and max_ms is not None:
-                wd_deadline = item.admitted_at + max_ms / 1e3
-            if wd_deadline is not None:
-                hard_ms = self.config.watchdog_hard_grace_ms
-                if hard_ms is None:
-                    hard_ms = self.config.watchdog_grace_ms
-                cancel = item.cancel
-                handle = self._watchdog.watch(
-                    deadline=wd_deadline,
-                    grace_s=self.config.watchdog_grace_ms / 1e3,
-                    hard_grace_s=hard_ms / 1e3,
-                    on_cancel=(
-                        cancel.set if cancel is not None else lambda: None
-                    ),
-                    on_hang=lambda: pool.retire_running(
-                        future,
-                        HungSolveError(
-                            "solve exceeded its deadline and grace, "
-                            "ignored cooperative cancellation, and was "
-                            "abandoned; the solver thread was retired "
-                            "and replaced"
-                        ),
-                    ),
-                    label=item.op,
-                )
-        hung = False
-        try:
-            outcome = await asyncio.wrap_future(future)
-        except HungSolveError as exc:
-            hung = True
-            outcome = FlightOutcome(kind="hung", reason=str(exc))
-        finally:
-            if handle is not None:
-                handle.close()
-        if item.cancel is not None:
-            if hung:
-                # The wedged thread may still be polling the flag, so
-                # releasing it now would pull the buffer out from
-                # under an abandoned reader.  Park it until stop(),
-                # when a released flag reads as "cancelled" to any
-                # straggler and the segment can be reclaimed.
-                self._leaked_cancels.append(item.cancel)
-                item.cancel = None
-            else:
-                self._discard_cancel(item)
-        if hung:
-            self.counters["hung_solves"] += 1
-            return outcome
-        if handle is not None and handle.tripped:
-            if (
-                outcome.kind == "solved"
-                and outcome.result is not None
-                and outcome.result.answer.is_definite
-            ):
-                return outcome
-            self.counters["hung_solves"] += 1
-            return FlightOutcome(
-                kind="hung",
-                reason=(
-                    "solve exceeded its deadline and grace; "
-                    "cooperatively cancelled by the watchdog"
+        grace_s = self.config.watchdog_grace_ms / 1e3
+        timer = None
+        if item.deadline is not None and grace_s > 0:
+            timer = asyncio.get_running_loop().call_later(
+                item.deadline + grace_s - time.monotonic(),
+                pool.retire_running,
+                future,
+                HungSolveError(
+                    "solve ran past its deadline and grace and was "
+                    "abandoned; the solver thread was retired and replaced"
                 ),
-                elapsed_ms=outcome.elapsed_ms,
             )
-        return outcome
-
-    @staticmethod
-    def _discard_cancel(item: _Admitted) -> None:
-        if item.cancel is not None:
-            with contextlib.suppress(Exception):
-                item.cancel.release()
-            item.cancel = None
+        try:
+            return await asyncio.wrap_future(future)
+        except HungSolveError as exc:
+            self.counters["hung_solves"] += 1
+            return FlightOutcome(kind="hung", reason=str(exc))
+        finally:
+            if timer is not None:
+                timer.cancel()
 
     @staticmethod
     def _resolve(item: _Admitted, outcome: FlightOutcome) -> None:
@@ -788,40 +692,37 @@ class ImplicationServer:
         delay_ms: float,
         form: None,
         request: dict,
-        cancel: CancelFlag | None = None,
+        cancel: None = None,
     ) -> FlightOutcome:
         """Solve one ``imply`` request on a solver thread; never raises.
 
         ``solve()`` computes the request's only canonical form, for the
         cache key, and a cache hit's counter-model comes back already
         renamed into this request's alphabet.  So ``form`` is always
-        None; it stays in the signature because perfbench's launcher
-        wraps this method and passes its arguments by position.
+        None, and so is ``cancel``: the deadline is the solve's only
+        stop signal.  Both stay in the signature because perfbench's
+        launcher wraps this method and passes its arguments by
+        position.
         """
         start = time.monotonic()
         if self.config.allow_delay and request.get("wedge"):
             # Testing instrument: a solve that stopped cooperating —
-            # it never polls its cancel flag, so only the watchdog's
-            # hard escalation (thread retirement) can reclaim the
-            # capacity it occupies.  Bounded by daemon lifetime so a
-            # stopped test server never leaks a spinning thread.
+            # it ignores its deadline, so only the watchdog (thread
+            # retirement) can reclaim the capacity it occupies.
+            # Bounded by daemon lifetime so a stopped test server never
+            # leaks a spinning thread.
             while self.state != "stopped":
                 time.sleep(0.05)
             return FlightOutcome(kind="rejected", reason="server stopped")
         if delay_ms > 0 and self.config.allow_delay:
-            # Cooperative counterpart of ``wedge``: sleeps in short
-            # slices and honors the watchdog's cancel between them.
+            # Cooperative counterpart of ``wedge``: sleeps until the
+            # delay ends or the deadline passes, whichever is first, as
+            # a solve polling its deadline would.  ``_budgeted`` then
+            # rejects a spent budget.
             end = time.monotonic() + delay_ms / 1e3
-            while True:
-                left = end - time.monotonic()
-                if left <= 0:
-                    break
-                if cancel is not None and cancel.is_set:
-                    return FlightOutcome(
-                        kind="rejected",
-                        reason="cancelled by the watchdog during delay",
-                    )
-                time.sleep(min(0.05, left))
+            if deadline is not None:
+                end = min(end, deadline)
+            time.sleep(max(0.0, end - time.monotonic()))
 
         def run(remaining: float | None) -> FlightOutcome:
             result = solve(
@@ -830,7 +731,6 @@ class ImplicationServer:
                 jobs=request.get("jobs", self.config.jobs),
                 deadline=remaining,
                 cache=self.config.cache,
-                cancel=cancel,
             )
             countermodel = None
             if (
@@ -841,7 +741,6 @@ class ImplicationServer:
                     countermodel = graph_to_dict(result.countermodel)
             return FlightOutcome(
                 kind="solved",
-                result=result,
                 wire=protocol.result_to_wire(
                     result,
                     result.problem_class.value,
@@ -860,11 +759,11 @@ class ImplicationServer:
         """Constraint-aware query ops: ``contains`` and ``optimize``.
 
         Rides the same admission queue and solver threads as
-        ``imply``/``check``, solves under the same options and
-        watchdog cancel flag, and shares the daemon's implication
-        cache, so repeated containment questions across requests
-        replay stored verdicts.  The request's budget bounds the whole
-        query, however many implications it asks.
+        ``imply``/``check``, solves under the same options, and shares
+        the daemon's implication cache, so repeated containment
+        questions across requests replay stored verdicts.  The
+        request's budget bounds the whole query, however many
+        implications it asks.
         """
         action = request.get("action")
         if action not in ("contains", "optimize"):
@@ -889,7 +788,6 @@ class ImplicationServer:
                     "branches must be a non-empty list of patterns"
                 )
             left = right = None
-        cancel = self._make_cancel(deadline)
 
         def run(remaining: float | None) -> FlightOutcome:
             from repro.query import (
@@ -904,7 +802,6 @@ class ImplicationServer:
                 jobs=self.config.jobs,
                 deadline=remaining,
                 options=self.config.solve,
-                cancel=cancel,
             )
             if action == "contains":
                 checker = QueryContainmentChecker(
@@ -961,7 +858,6 @@ class ImplicationServer:
             op="query",
             solve_fn=lambda: _budgeted(time.monotonic(), deadline, run),
             deadline=deadline,
-            cancel=cancel,
         )
 
     # -- check --------------------------------------------------------

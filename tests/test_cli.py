@@ -427,8 +427,6 @@ PARSER_DEFAULTS = {
         "port_file": None,
         "solver_threads": 2,
         "watchdog_grace_ms": 5000,
-        "watchdog_hard_grace_ms": None,
-        "watchdog_max_solve_ms": None,
     },
     ("query", "contains", "s", "l", "r"): {
         "cache_dir": None,
@@ -531,6 +529,19 @@ class TestSolveFlags:
         )
         assert rc == 3
         assert "max_respawns" in capsys.readouterr().err
+
+    def test_serve_without_solver_threads_exits_three(
+        self, monkeypatch, capsys
+    ):
+        # Checked before any server is built, so no port is bound.
+        import repro.server as server
+
+        built: list = []
+        monkeypatch.setattr(server, "ImplicationServer", built.append)
+        rc = main(["serve", "--no-cache", "--solver-threads", "0"])
+        assert rc == 3
+        assert built == []
+        assert "solver_threads" in capsys.readouterr().err
 
 
 #: ``optimize`` branches the one shared rule reads as regular

@@ -309,30 +309,3 @@ class TestWholeQueryDeadline:
         assert budgets and all(b == 0.0 for b in budgets)
         assert result.verdict is not Trilean.TRUE
 
-
-class TestSharedCancelFlag:
-    def test_one_cancel_flag_serves_every_sub_solve(self, monkeypatch):
-        # The daemon hands a query's checker one watchdog flag; a
-        # finished sub-solve must not leave it raised for the next.
-        from repro.query import containment
-        from repro.reasoning.runtime import CancelFlag
-
-        original = containment.solve
-        answers: list = []
-
-        def spy(problem, *args, **kwargs):
-            result = original(problem, *args, **kwargs)
-            answers.append(result.answer)
-            return result
-
-        monkeypatch.setattr(containment, "solve", spy)
-        sigma = parse_constraints(
-            "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
-        )
-        cancel = CancelFlag.create()
-        try:
-            checker = QueryContainmentChecker(sigma, jobs=1, cancel=cancel)
-            checker.contains("b", "c|d")
-        finally:
-            cancel.release()
-        assert answers == [Trilean.FALSE, Trilean.FALSE]

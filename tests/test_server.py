@@ -529,6 +529,22 @@ class TestAdmissionControl:
         assert response["answer"] == "false"
 
 
+class TestServerConfig:
+    @pytest.mark.parametrize(
+        "field,least",
+        [
+            ("solver_threads", 1),
+            ("max_queue", 1),
+            ("watchdog_grace_ms", 0),
+            ("default_budget_ms", 0),
+        ],
+    )
+    def test_rejects_values_that_break_the_daemon(self, field, least):
+        ServerConfig(**{field: least})
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: least - 1})
+
+
 class TestHealthStatsDrain:
     def test_health_and_stats(self):
         with ServerHarness(port=0) as harness:
@@ -725,11 +741,10 @@ class TestQueryOverTheWire:
 
     def test_query_solves_under_the_daemons_options(self, monkeypatch):
         # imply and query alike reach the portfolio with the daemon's
-        # SolveOptions and, when budgeted, the watchdog's cancel flag.
+        # SolveOptions and, when budgeted, the request's deadline.
         import inspect
 
         from repro.reasoning import dispatcher
-        from repro.reasoning.runtime import CancelFlag
 
         original = dispatcher.run_portfolio
         calls: list = []
@@ -758,7 +773,7 @@ class TestQueryOverTheWire:
         assert len(calls) == 3
         for arguments in calls:
             assert arguments["options"] is options
-            assert isinstance(arguments.get("cancel"), CancelFlag)
+            assert arguments["budget"].deadline is not None
 
     def test_bad_action_is_error_not_disconnect(self):
         with ServerHarness(port=0) as harness:
@@ -902,7 +917,6 @@ class TestHungSolveWatchdog:
             solver_threads=threads,
             allow_delay=True,
             watchdog_grace_ms=200,
-            watchdog_hard_grace_ms=100,
         ) as harness:
             with harness.client(retries=0) as client:
                 for _ in range(threads):
@@ -924,8 +938,6 @@ class TestHungSolveWatchdog:
                 pool = stats["solver_pool"]
                 assert pool["retired"] == threads
                 assert pool["threads"] == threads
-                watchdog = stats["watchdog"]
-                assert watchdog["hangs"] == threads
 
     def test_wedge_is_refused_without_allow_delay(self):
         # Without the testing instrument enabled, a wedge field is
@@ -938,15 +950,15 @@ class TestHungSolveWatchdog:
                 assert response["status"] == "ok"
                 assert response["answer"] == "false"
 
-    def test_cooperative_cancel_during_delay(self):
-        # A delayed (cooperative) solve past its budget is cancelled
-        # at the soft grace; no thread needs to be retired for it.
+    def test_delay_stops_at_its_deadline(self):
+        # A delayed (cooperative) solve stops at its own deadline, long
+        # before deadline + grace: an honest rejection, not a hang, and
+        # no thread needs to be retired for it.
         with ServerHarness(
             port=0,
             solver_threads=1,
             allow_delay=True,
-            watchdog_grace_ms=150,
-            watchdog_hard_grace_ms=5_000,
+            watchdog_grace_ms=5_000,
         ) as harness:
             with harness.client(retries=0) as client:
                 start = time.monotonic()
@@ -956,8 +968,13 @@ class TestHungSolveWatchdog:
                 elapsed = time.monotonic() - start
                 assert response["status"] == "rejected"
                 assert response["answer"] == "unknown"
-                assert elapsed < 10.0
+                assert response["reason"].endswith(
+                    "before the solve started"
+                ), response
+                assert "faults" not in response
+                assert elapsed < 2.5
                 stats = client.stats()
+                assert stats["counters"]["hung_solves"] == 0
                 assert stats["solver_pool"]["retired"] == 0
 
     def test_watchdog_disabled_keeps_legacy_behavior(self):
@@ -965,10 +982,41 @@ class TestHungSolveWatchdog:
             port=0, solver_threads=1, watchdog_grace_ms=0
         ) as harness:
             with harness.client(retries=0) as client:
-                response = client.imply(SIGMA, PHI, jobs=1)
+                response = client.imply(
+                    SIGMA, PHI, jobs=1, budget_ms=30_000
+                )
                 assert response["status"] == "ok"
+                assert response["answer"] == "false"
                 stats = client.stats()
-                assert "watchdog" not in stats
+                assert stats["solver_pool"]["retired"] == 0
+
+    def test_decidable_traffic_creates_no_shared_memory(self, monkeypatch):
+        # A budgeted solve stops at its deadline, so the daemon needs
+        # no cancel flag for it: a decidable imply and a query on a
+        # daemon with the default watchdog create no shm segment (and
+        # so start no resource-tracker process).
+        from repro.reasoning.runtime import CancelFlag
+
+        created: list = []
+        original = CancelFlag.create.__func__
+
+        def spy(cls):
+            flag = original(cls)
+            created.append(flag.name)
+            return flag
+
+        monkeypatch.setattr(CancelFlag, "create", classmethod(spy))
+        with ServerHarness(port=0) as harness:
+            with harness.client(retries=0) as client:
+                imply = client.imply(WORD_SIGMA, WORD_PHI, budget_ms=30_000)
+                assert imply["status"] == "ok", imply
+                assert imply["answer"] == "true"
+                query = client.query_contains(
+                    WORD_SIGMA, "a", "c", budget_ms=30_000
+                )
+                assert query["status"] == "ok", query
+                assert query["verdict"] == "true"
+        assert created == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""The hung-solve watchdog layer and the worker memory ceilings.
+"""Retirable solver threads and the worker memory ceilings.
 
 The paper's undecidable cells mean a solve may simply never return —
 no amount of budget discipline fixes a computation that stops
-cooperating.  These tests pin the two reclamation mechanisms this PR
-adds and their one non-negotiable property: reclamation produces
-honest UNKNOWNs and restored capacity, never fabricated verdicts.
+cooperating.  These tests pin the reclamation primitives and their
+one non-negotiable property: reclamation produces honest UNKNOWNs and
+restored capacity, never fabricated verdicts.  The daemon's watchdog
+itself (one event-loop timer per budgeted solve) is tested over the
+wire in ``tests/test_server.py``.
 
-* :class:`SolveWatchdog` escalates in two steps (cooperative cancel,
-  then thread retirement) and never fires on a closed handle;
 * :class:`RetiringSolverPool` replaces a retired thread so capacity
   survives abandonment, and a retirement that races a completed solve
   is a no-op;
@@ -16,8 +16,7 @@ honest UNKNOWNs and restored capacity, never fabricated verdicts.
   wedge a fuzz sweep, not test anything);
 * the ``RLIMIT_AS`` ceiling maps a worker's MemoryError onto the
   existing crash-recovery path, and the parent-side RSS guard demotes
-  pooled execution before forking more memory-hungry workers;
-* a pre-tripped cancel flag aborts a portfolio solve into UNKNOWN.
+  pooled execution before forking more memory-hungry workers.
 """
 
 from __future__ import annotations
@@ -29,13 +28,12 @@ import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import HungSolveError
-from repro.reasoning import Budget, ImplicationProblem, SolveOptions
+from repro.reasoning import ImplicationProblem, SolveOptions
 from repro.reasoning.faultinject import FaultPlan, invoke
 from repro.reasoning.portfolio import run_portfolio
-from repro.reasoning.runtime import CancelFlag, retire_warm_pool
+from repro.reasoning.runtime import retire_warm_pool
 from repro.reasoning.watchdog import (
     RetiringSolverPool,
-    SolveWatchdog,
     current_rss_mb,
     current_vms_mb,
 )
@@ -65,79 +63,6 @@ def _wait_until(predicate, timeout=5.0, interval=0.01):
             return True
         time.sleep(interval)
     return predicate()
-
-
-class TestSolveWatchdog:
-    def test_escalates_cancel_then_hang(self):
-        fired: list[str] = []
-        dog = SolveWatchdog(poll_s=0.01)
-        try:
-            handle = dog.watch(
-                deadline=time.monotonic() + 0.05,
-                grace_s=0.05,
-                hard_grace_s=0.1,
-                on_cancel=lambda: fired.append("cancel"),
-                on_hang=lambda: fired.append("hang"),
-                label="test",
-            )
-            assert _wait_until(lambda: fired == ["cancel"])
-            assert handle.tripped
-            assert not handle.hung
-            assert _wait_until(lambda: fired == ["cancel", "hang"])
-            assert handle.hung
-            # Each callback fires exactly once, ever.
-            time.sleep(0.1)
-            assert fired == ["cancel", "hang"]
-            stats = dog.stats()
-            assert stats["cancels"] == 1 and stats["hangs"] == 1
-        finally:
-            dog.stop()
-
-    def test_closed_handle_never_fires(self):
-        fired: list[str] = []
-        dog = SolveWatchdog(poll_s=0.01)
-        try:
-            handle = dog.watch(
-                deadline=time.monotonic() + 0.05,
-                grace_s=0.05,
-                hard_grace_s=0.05,
-                on_cancel=lambda: fired.append("cancel"),
-                on_hang=lambda: fired.append("hang"),
-            )
-            handle.close()
-            time.sleep(0.3)
-            assert fired == []
-            assert not handle.tripped
-            assert dog.stats()["watching"] == 0
-        finally:
-            dog.stop()
-
-    def test_callback_exception_does_not_kill_the_watchdog(self):
-        fired: list[str] = []
-
-        def explode() -> None:
-            raise RuntimeError("watchdog callbacks are fallible")
-
-        dog = SolveWatchdog(poll_s=0.01)
-        try:
-            dog.watch(
-                deadline=time.monotonic(),
-                grace_s=0.0,
-                hard_grace_s=10.0,
-                on_cancel=explode,
-                on_hang=lambda: fired.append("never"),
-            )
-            second = dog.watch(
-                deadline=time.monotonic(),
-                grace_s=0.0,
-                hard_grace_s=10.0,
-                on_cancel=lambda: fired.append("cancel"),
-                on_hang=lambda: fired.append("never"),
-            )
-            assert _wait_until(lambda: "cancel" in fired)
-            assert second.tripped
-        finally:
-            dog.stop()
 
 
 class TestRetiringSolverPool:
@@ -282,44 +207,3 @@ class TestMemoryCeilingAndGuard:
         assert result.answer is Trilean.FALSE
         assert result.execution.mode.value == "pool"
 
-
-class TestCooperativeCancel:
-    def test_preset_cancel_aborts_to_unknown(self):
-        cancel = CancelFlag.create()
-        try:
-            cancel.set()
-            start = time.monotonic()
-            result = run_portfolio(
-                _divergent_problem(),
-                jobs=1,
-                budget=Budget.from_seconds(30.0),
-                cancel=cancel,
-            )
-            assert result.answer is Trilean.UNKNOWN
-            assert time.monotonic() - start < 5.0
-        finally:
-            cancel.release()
-
-    def test_run_never_sets_the_callers_flag(self):
-        # One caller flag can watch several solves in turn (a daemon
-        # query's sub-solves share its watchdog flag), inline or pooled.
-        cancel = CancelFlag.create()
-        try:
-            for options in (SolveOptions(), SolveOptions(execution="pool")):
-                result = run_portfolio(
-                    _divergent_problem(), options, jobs=2, cancel=cancel
-                )
-                assert result.answer is Trilean.FALSE
-                assert not cancel.is_set
-        finally:
-            cancel.release()
-
-    def test_unset_cancel_does_not_disturb_the_solve(self):
-        cancel = CancelFlag.create()
-        try:
-            result = run_portfolio(
-                _divergent_problem(), jobs=1, cancel=cancel
-            )
-            assert result.answer is Trilean.FALSE
-        finally:
-            cancel.release()
