@@ -6,7 +6,7 @@ Commands
     Validate a graph (JSON, the ``repro.graph.serialize`` dict format)
     against a constraint file (line syntax); exit 1 on violations.
 ``imply CONSTRAINTS QUERY [--context CTX] [--schema XMLDATA]
-[--jobs N|auto] [--deadline S] [--inject SPEC] [--max-respawns N]``
+[--jobs N|auto] [--deadline S] [--inject SPEC]``
     Decide/semi-decide an implication question; prints the answer,
     method and Table 1 cell.  ``--schema`` takes an XML-Data file and
     is required for typed contexts.  On undecidable cells ``--jobs``
@@ -14,8 +14,7 @@ Commands
     (``auto`` sizes it to the machine; the scan runs in a process pool
     only when two CPUs are usable and the scan is large, inline
     otherwise), ``--deadline`` caps the whole portfolio
-    in wall-clock seconds, ``--max-respawns`` bounds pool respawns
-    after worker crashes, and ``--inject`` enables deterministic fault
+    in wall-clock seconds, and ``--inject`` enables deterministic fault
     injection (``kill:3``, ``delay:2:0.5``, ``corrupt:1``, ``raise:0``,
     ``rate:0.3[:seed]``; comma-separated).  Answers are served from
     and stored to the cross-request implication cache
@@ -174,7 +173,6 @@ def _solve_options(args: argparse.Namespace, **settings) -> SolveOptions:
     """The :class:`SolveOptions` the runtime flags of ``imply`` and
     ``serve`` ask for, plus command-specific ``settings``."""
     return SolveOptions(
-        max_respawns=args.max_respawns,
         inject=FaultPlan.from_spec(args.inject) if args.inject else None,
         max_worker_mb=args.max_worker_mb,
         memory_guard_mb=args.memory_guard_mb,
@@ -730,14 +728,6 @@ def _add_solve_flags(
 def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
     """The pool-runtime flags :func:`_solve_options` reads; their
     defaults are :class:`SolveOptions`'s."""
-    p.add_argument(
-        "--max-respawns",
-        type=int,
-        default=DEFAULT_SOLVE_OPTIONS.max_respawns,
-        metavar="N",
-        help="pool respawns after worker crashes before degrading "
-        "to in-process execution",
-    )
     p.add_argument(
         "--inject",
         metavar="SPEC",

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.dfa import DFA
 from repro.automata.regex import compile_regex
 from repro.graph.structure import Graph, Node
-from repro.query.rpq import evaluate_rpq
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,8 @@ class RegularConstraint:
 
     def check(self, graph: Graph) -> "RegularCheckResult":
         """Evaluate both sides by automaton-graph product and compare."""
+        from repro.query.rpq import evaluate_rpq
+
         lhs_result = evaluate_rpq(graph, self.lhs)
         rhs_result = evaluate_rpq(graph, self.rhs)
         bad = lhs_result.answers - rhs_result.answers
@@ -66,9 +66,12 @@ class RegularConstraint:
         The converse fails — containment of reachable sets is weaker —
         which is exactly why these constraints carry information.
         """
-        lhs_dfa = DFA.from_nfa(compile_regex(self.lhs, alphabet))
-        rhs_dfa = DFA.from_nfa(compile_regex(self.rhs, alphabet))
-        return DFA.product(lhs_dfa, rhs_dfa, accept="diff").is_empty()
+        return (
+            compile_regex(self.lhs, alphabet).subset_witness(
+                compile_regex(self.rhs, alphabet), extra_alphabet=alphabet
+            )
+            is None
+        )
 
     def __str__(self) -> str:
         return f"{self.lhs} => {self.rhs}"

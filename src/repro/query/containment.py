@@ -30,10 +30,17 @@ supplies exactly on the decidable cells:
   the containment, honest UNKNOWN otherwise — never a guess, never a
   crash.
 
-The product construction is on-the-fly (no explicit powerset), so
-query automata of the sizes real queries produce are cheap; a
-``max_product_pairs`` valve turns a pathological blow-up into UNKNOWN
-instead of an OOM.
+All three cells run one routine: saturate ``pre*(L(right))`` under
+the cell's rewriting system and search the product with ``L(left)``
+for a word it misses.  The exact cells take their systems from the
+deciders that answer the same cell's implications
+(:class:`~repro.reasoning.word.WordImplicationDecider` and
+:class:`~repro.reasoning.typed_m.TypedImplicationDecider`, which also
+checks the M schema, Paths(Delta) and unsatisfiable premises); only
+the fallback builds its own, from Sigma's sound forward rules.  The
+product is on-the-fly (no explicit powerset), so query automata of
+the sizes real queries produce are cheap; a ``max_product_pairs``
+valve turns a pathological blow-up into UNKNOWN instead of an OOM.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.dispatcher import Context, ImplicationProblem, solve
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.runtime import Budget
+from repro.reasoning.typed_m import TypedImplicationDecider
+from repro.reasoning.word import WordImplicationDecider
 from repro.rewriting.prefix import PrefixRewriteSystem
 from repro.truth import Trilean
 from repro.types.siggen import SchemaSignature
@@ -107,6 +116,37 @@ def _word_rules(
         else:
             residue.append(psi)
     return rules, residue
+
+
+def _egd_free_words(sigma: tuple[PathConstraint, ...]) -> bool:
+    """All-word, EGD-free Sigma: [AV97] derivability is complete."""
+    return all(psi.is_word_constraint() for psi in sigma) and not any(
+        psi.rhs.is_empty() and not psi.lhs.is_empty() for psi in sigma
+    )
+
+
+#: The note a product verdict carries, per cell method: (TRUE, FALSE).
+#: The fallback's uncovered word is no refutation, so it has no FALSE
+#: note; :meth:`QueryContainmentChecker._settle` takes over instead.
+_VERDICT_NOTES = {
+    "word-prestar-product": (
+        "L(left) c pre*(L(right)) under Sigma's rules; "
+        "complete for EGD-free P_w [AV97]",
+        "witness word matches left but derives into no word "
+        "of right; the chased witness tableau is a countermodel",
+    ),
+    "typed-M-word-image-product": (
+        "every valid left word is image-equivalent to a "
+        "valid right word (Lemmas 4.7/4.8; complete by "
+        "the Theorem 4.9 canonical quotient)",
+        "witness is a valid path equivalent to no valid "
+        "right word; the U(Delta) quotient separates it",
+    ),
+    "sound-word-saturation": (
+        "proved by saturation over Sigma's sound word rules",
+        None,
+    ),
+}
 
 
 class QueryContainmentChecker:
@@ -172,6 +212,31 @@ class QueryContainmentChecker:
         if self._signature is not None:
             self._alphabet |= self._signature.edge_labels
         self._covered_memo: dict[str, NFA] = {}
+        # The cell: its rewriting system, and whether its product
+        # verdicts are definite.
+        self._notes: tuple[str, ...] = ()
+        self._vacuous = False
+        if self._context is Context.M:
+            decider = TypedImplicationDecider(schema, self._sigma)
+            self._system = decider.system
+            self._vacuous = not decider.premises_satisfiable
+            self._method, self._decidable = "typed-M-word-image-product", True
+        elif (
+            self._context is Context.SEMISTRUCTURED
+            and _egd_free_words(self._sigma)
+        ):
+            self._system = WordImplicationDecider(self._sigma).system
+            self._method, self._decidable = "word-prestar-product", True
+        else:
+            rules, residue = _word_rules(self._sigma)
+            self._system = PrefixRewriteSystem(rules)
+            self._method, self._decidable = "sound-word-saturation", False
+            if residue:
+                self._notes = (
+                    f"{len(residue)} backward constraint(s) contribute no "
+                    "sound word rule outside M; verdicts stay sound but "
+                    "incomplete",
+                )
 
     @property
     def sigma(self) -> tuple[PathConstraint, ...]:
@@ -201,14 +266,44 @@ class QueryContainmentChecker:
     def contains(
         self, left: str | Path, right: str | Path
     ) -> ContainmentResult:
-        """Three-valued ``answers(left) c answers(right)`` under Sigma."""
+        """Three-valued ``answers(left) c answers(right)`` under Sigma:
+        is ``L(left)`` inside ``pre*(L(right))``?"""
         left, right = str(left), str(right)
         left_nfa = self.compile(left)
-        if self._context is Context.M:
-            return self._contains_typed_m(left, right, left_nfa)
-        if self._context is Context.SEMISTRUCTURED and self._exact_word_cell():
-            return self._contains_exact_word(left, right, left_nfa)
-        return self._contains_fallback(left, right, left_nfa)
+        method, decidable, notes = self._method, self._decidable, self._notes
+        if self._vacuous:
+            return ContainmentResult(
+                left, right, Trilean.TRUE, method, decidable,
+                notes=("premises unsatisfiable over U(Delta); "
+                       "vacuously contained",),
+            )
+        covered = self._covered_memo.get(right)
+        if covered is None:
+            covered = self._system.pre_star_of_nfa(self.compile(right))
+            self._covered_memo[right] = covered
+        try:
+            witness = left_nfa.subset_witness(
+                covered,
+                extra_alphabet=self._alphabet,
+                max_pairs=self._max_product_pairs,
+            )
+        except RuntimeError as exc:
+            return ContainmentResult(
+                left, right, Trilean.UNKNOWN, method, decidable,
+                notes=notes + (f"product budget exhausted: {exc}",),
+            )
+        proved, refuted = _VERDICT_NOTES[method]
+        if witness is None:
+            return ContainmentResult(
+                left, right, Trilean.TRUE, method, decidable,
+                notes=notes + (proved,),
+            )
+        if decidable:
+            return ContainmentResult(
+                left, right, Trilean.FALSE, method, decidable,
+                witness=Path(witness), notes=notes + (refuted,),
+            )
+        return self._settle(left, right, left_nfa, covered, Path(witness))
 
     def equivalence(self, left: str | Path, right: str | Path) -> Trilean:
         """Kleene conjunction of both containment directions."""
@@ -225,124 +320,6 @@ class QueryContainmentChecker:
         if self._signature is None:
             return False
         return self.compile(pattern).is_empty()
-
-    # -- exact cells ---------------------------------------------------
-
-    def _exact_word_cell(self) -> bool:
-        """All-word, EGD-free Sigma: [AV97] derivability is complete."""
-        return all(psi.is_word_constraint() for psi in self._sigma) and not any(
-            psi.rhs.is_empty() and not psi.lhs.is_empty()
-            for psi in self._sigma
-        )
-
-    def _covered_automaton(self, right: str, builder) -> NFA:
-        cached = self._covered_memo.get(right)
-        if cached is None:
-            cached = builder()
-            self._covered_memo[right] = cached
-        return cached
-
-    def _contains_exact_word(
-        self, left: str, right: str, left_nfa: NFA
-    ) -> ContainmentResult:
-        system = PrefixRewriteSystem(
-            [(psi.lhs, psi.rhs) for psi in self._sigma]
-        )
-        covered = self._covered_automaton(
-            right, lambda: system.pre_star_of_nfa(self.compile(right))
-        )
-        try:
-            witness = left_nfa.subset_witness(
-                covered,
-                extra_alphabet=self._alphabet,
-                max_pairs=self._max_product_pairs,
-            )
-        except RuntimeError as exc:
-            return ContainmentResult(
-                left, right, Trilean.UNKNOWN,
-                method="word-prestar-product",
-                decidable=True,
-                notes=(f"product budget exhausted: {exc}",),
-            )
-        if witness is None:
-            return ContainmentResult(
-                left, right, Trilean.TRUE,
-                method="word-prestar-product",
-                decidable=True,
-                notes=("L(left) c pre*(L(right)) under Sigma's rules; "
-                       "complete for EGD-free P_w [AV97]",),
-            )
-        return ContainmentResult(
-            left, right, Trilean.FALSE,
-            method="word-prestar-product",
-            decidable=True,
-            witness=Path(witness),
-            notes=("witness word matches left but derives into no word "
-                   "of right; the chased witness tableau is a "
-                   "countermodel",),
-        )
-
-    def _contains_typed_m(
-        self, left: str, right: str, left_nfa: NFA
-    ) -> ContainmentResult:
-        assert self._signature is not None
-        images: list[tuple[Path, Path]] = []
-        unsatisfiable = False
-        for psi in self._sigma:
-            from repro.reasoning.typed_m import word_image
-
-            self._signature.require_valid_path(psi.prefix)
-            self._signature.require_valid_path(psi.prefix.concat(psi.lhs))
-            img_left, img_right = word_image(psi)
-            self._signature.require_valid_path(img_left)
-            self._signature.require_valid_path(img_right)
-            images.append((img_left, img_right))
-            if self._signature.type_of_path(
-                img_left
-            ) != self._signature.type_of_path(img_right):
-                unsatisfiable = True
-        if unsatisfiable:
-            return ContainmentResult(
-                left, right, Trilean.TRUE,
-                method="typed-M-word-image-product",
-                decidable=True,
-                notes=("premises unsatisfiable over U(Delta); "
-                       "vacuously contained",),
-            )
-        system = PrefixRewriteSystem(images, symmetric=True)
-        covered = self._covered_automaton(
-            right, lambda: system.post_star_of_nfa(self.compile(right))
-        )
-        try:
-            witness = left_nfa.subset_witness(
-                covered,
-                extra_alphabet=self._alphabet,
-                max_pairs=self._max_product_pairs,
-            )
-        except RuntimeError as exc:
-            return ContainmentResult(
-                left, right, Trilean.UNKNOWN,
-                method="typed-M-word-image-product",
-                decidable=True,
-                notes=(f"product budget exhausted: {exc}",),
-            )
-        if witness is None:
-            return ContainmentResult(
-                left, right, Trilean.TRUE,
-                method="typed-M-word-image-product",
-                decidable=True,
-                notes=("every valid left word is image-equivalent to a "
-                       "valid right word (Lemmas 4.7/4.8; complete by "
-                       "the Theorem 4.9 canonical quotient)",),
-            )
-        return ContainmentResult(
-            left, right, Trilean.FALSE,
-            method="typed-M-word-image-product",
-            decidable=True,
-            witness=Path(witness),
-            notes=("witness is a valid path equivalent to no valid "
-                   "right word; the U(Delta) quotient separates it",),
-        )
 
     # -- the sound three-valued fallback --------------------------------
 
@@ -395,47 +372,18 @@ class QueryContainmentChecker:
         right_answers = evaluate_rpq(model, right).answers
         return not left_answers <= right_answers
 
-    def _contains_fallback(
-        self, left: str, right: str, left_nfa: NFA
+    def _settle(
+        self, left: str, right: str, left_nfa: NFA, covered: NFA,
+        witness: Path,
     ) -> ContainmentResult:
-        rules, residue = _word_rules(self._sigma)
-        system = PrefixRewriteSystem(rules)
-        notes: list[str] = []
-        if residue:
-            notes.append(
-                f"{len(residue)} backward constraint(s) contribute no "
-                "sound word rule outside M; verdicts stay sound but "
-                "incomplete"
-            )
-        covered = self._covered_automaton(
-            right, lambda: system.pre_star_of_nfa(self.compile(right))
-        )
-        try:
-            witness = left_nfa.subset_witness(
-                covered,
-                extra_alphabet=self._alphabet,
-                max_pairs=self._max_product_pairs,
-            )
-        except RuntimeError as exc:
-            return ContainmentResult(
-                left, right, Trilean.UNKNOWN,
-                method="sound-word-saturation",
-                decidable=False,
-                notes=tuple(notes) + (f"product budget exhausted: {exc}",),
-            )
-        if witness is None:
-            return ContainmentResult(
-                left, right, Trilean.TRUE,
-                method="sound-word-saturation",
-                decidable=False,
-                notes=tuple(notes)
-                + ("proved by saturation over Sigma's sound word rules",),
-            )
+        """The fallback after its saturation missed ``witness``.
 
-        # The saturation missed at least one word.  When the left
-        # language is finite, route every uncovered word through the
-        # dispatcher (cache, cost model, budgets) against enumerated
-        # right candidates — TRUE stays sound.
+        When the left language is finite, route every uncovered word
+        through the dispatcher (cache, budgets) against enumerated right
+        candidates — TRUE stays sound.  Then try to refute with a
+        chased witness model.
+        """
+        notes = list(self._notes)
         if not left_nfa.has_cycle_on_live_path():
             max_len = max(len(left_nfa.states), 1)
             unsettled: Path | None = None
@@ -444,7 +392,7 @@ class QueryContainmentChecker:
                 Path(w)
                 for w in right_nfa.enumerate_words(
                     max_len + max(
-                        (len(r) for _, r in system.rules), default=0
+                        (len(r) for _, r in self._system.rules), default=0
                     ) + 2,
                     self._enumeration_count,
                 )
@@ -473,7 +421,7 @@ class QueryContainmentChecker:
                 )
             witness_path = unsettled
         else:
-            witness_path = Path(witness)
+            witness_path = witness
             notes.append(
                 "left language is infinite; enumeration-based coverage "
                 "skipped"

@@ -34,8 +34,9 @@ through a :class:`~repro.query.containment.QueryContainmentChecker`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.constraints.ast import PathConstraint
 from repro.constraints.ast import word as word_constraint
@@ -50,6 +51,63 @@ from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.runtime import Budget
 from repro.reasoning.word import WordImplicationDecider
 from repro.truth import Trilean
+
+
+_Branch = TypeVar("_Branch", Path, str)
+
+
+def _prune_union(
+    branches: Iterable[_Branch],
+    subsumption: Callable[[_Branch, _Branch], Trilean],
+    empty: Callable[[_Branch], bool] = lambda branch: False,
+) -> tuple[list[_Branch], list[tuple[_Branch, _Branch]], list[_Branch], int]:
+    """The union-pruning loop of both optimizers.
+
+    Visits the branches in sorted order.  A repeated branch is recorded
+    as absorbing itself, a branch ``empty`` accepts is set aside, and a
+    branch that ``subsumption`` proves contained in another is dropped;
+    under mutual subsumption the least one stays.  Returns the kept
+    branches, the (dropped, absorbed-by) pairs, the empty branches and
+    the number of UNKNOWN subsumption answers.
+    """
+    pruned: list[tuple[_Branch, _Branch]] = []
+    emptied: list[_Branch] = []
+    ordered: list[_Branch] = []
+    seen: set[_Branch] = set()
+    for branch in sorted(branches):
+        if branch in seen:
+            pruned.append((branch, branch))
+            continue
+        seen.add(branch)
+        if empty(branch):
+            emptied.append(branch)
+        else:
+            ordered.append(branch)
+
+    kept: list[_Branch] = []
+    unknowns = 0
+    for candidate in ordered:
+        absorbed_by = None
+        for other in ordered:
+            if other == candidate:
+                continue
+            verdict = subsumption(candidate, other)
+            if verdict is Trilean.UNKNOWN:
+                unknowns += 1
+                continue
+            if verdict is Trilean.TRUE:
+                if (
+                    subsumption(other, candidate) is Trilean.TRUE
+                    and candidate < other
+                ):
+                    continue
+                absorbed_by = other
+                break
+        if absorbed_by is None:
+            kept.append(candidate)
+        else:
+            pruned.append((candidate, absorbed_by))
+    return kept, pruned, emptied, unknowns
 
 
 @dataclass
@@ -208,38 +266,8 @@ class WordQueryOptimizer:
         """
         original = tuple(Path.coerce(b) for b in branches)
         unsettled_before = len(self._unsettled)
-        pruned_pairs: list[tuple[Path, Path]] = []
-        # Deduplicate with accounting, keep deterministic order.
-        ordered: list[Path] = []
-        seen: set[Path] = set()
-        duplicates = 0
-        for branch in sorted(original):
-            if branch in seen:
-                pruned_pairs.append((branch, branch))
-                duplicates += 1
-                continue
-            seen.add(branch)
-            ordered.append(branch)
-
-        kept: list[Path] = []
-        for candidate in ordered:
-            absorbed_by = None
-            for other in ordered:
-                if other == candidate:
-                    continue
-                if self.subsumption(candidate, other) is Trilean.TRUE:
-                    # Mutual subsumption: keep the shortlex-least.
-                    if (
-                        self.subsumption(other, candidate) is Trilean.TRUE
-                        and candidate < other
-                    ):
-                        continue
-                    absorbed_by = other
-                    break
-            if absorbed_by is None:
-                kept.append(candidate)
-            else:
-                pruned_pairs.append((candidate, absorbed_by))
+        kept, pruned_pairs, _, _ = _prune_union(original, self.subsumption)
+        duplicates = len(original) - len(set(original))
         subsumed = len(pruned_pairs) - duplicates
 
         rewrites: list[tuple[Path, Path]] = []
@@ -340,51 +368,17 @@ def optimize_rpq_union(
     containment keeps the lexicographically-least pattern string.
     """
     original = tuple(str(b) for b in branches)
-    pruned: list[tuple[str, str]] = []
-    emptied: list[str] = []
+    kept, pruned, emptied, unknowns = _prune_union(
+        original,
+        lambda narrow, wide: checker.contains(narrow, wide).verdict,
+        checker.provably_empty,
+    )
     notes: list[str] = []
-
-    ordered: list[str] = []
-    seen: set[str] = set()
-    for branch in sorted(original):
-        if branch in seen:
-            pruned.append((branch, branch))
-            continue
-        seen.add(branch)
-        if checker.provably_empty(branch):
-            emptied.append(branch)
-            continue
-        ordered.append(branch)
     if emptied:
         notes.append(
             f"dropped {len(emptied)} branch(es) whose language misses "
             "Paths(Delta) entirely"
         )
-
-    kept: list[str] = []
-    unknowns = 0
-    for candidate in ordered:
-        absorbed_by = None
-        for other in ordered:
-            if other == candidate:
-                continue
-            verdict = checker.contains(candidate, other).verdict
-            if verdict is Trilean.UNKNOWN:
-                unknowns += 1
-                continue
-            if verdict is Trilean.TRUE:
-                if (
-                    checker.contains(other, candidate).verdict
-                    is Trilean.TRUE
-                    and candidate < other
-                ):
-                    continue
-                absorbed_by = other
-                break
-        if absorbed_by is None:
-            kept.append(candidate)
-        else:
-            pruned.append((candidate, absorbed_by))
     if unknowns:
         notes.append(
             f"{unknowns} containment question(s) unsettled; branches "

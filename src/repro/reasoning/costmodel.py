@@ -48,7 +48,6 @@ __all__ = [
     "estimate_untyped_codes",
     "normalize_jobs",
     "validate_jobs",
-    "validate_max_respawns",
 ]
 
 
@@ -97,7 +96,7 @@ def estimate_untyped_codes(label_count: int, max_nodes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# jobs / max_respawns validation (dispatcher satellite).
+# jobs validation.
 # ---------------------------------------------------------------------------
 
 
@@ -129,20 +128,6 @@ def normalize_jobs(jobs: object) -> int:
     if validated == "auto":
         return available_cpus()
     return validated  # type: ignore[return-value]
-
-
-def validate_max_respawns(max_respawns: object) -> int:
-    """Validate ``max_respawns``: a non-negative int."""
-    if isinstance(max_respawns, bool) or not isinstance(max_respawns, int):
-        raise ValueError(
-            f"max_respawns must be a non-negative integer, "
-            f"got {max_respawns!r}"
-        )
-    if max_respawns < 0:
-        raise ValueError(
-            f"max_respawns must be >= 0, got {max_respawns}"
-        )
-    return max_respawns
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.reasoning.chase import DEFAULT_CHASE_STEPS
-from repro.reasoning.costmodel import ExecMode, validate_max_respawns
+from repro.reasoning.costmodel import ExecMode
 from repro.reasoning.faultinject import FaultPlan
 
 __all__ = ["DEFAULT_SOLVE_OPTIONS", "SolveOptions"]
@@ -31,13 +31,13 @@ class SolveOptions:
     ``chase_steps`` bounds the chase, ``countermodel_nodes`` the
     untyped counter-model scan and ``typed_search_limit`` the typed
     one; ``with_proof`` asks decidable routes for an I_r certificate.
-    Pool execution respawns crashed workers at most ``max_respawns``
-    times before degrading to in-process runs; ``inject`` is a
-    deterministic fault plan (None: the ``$REPRO_INJECT`` spec,
-    usually empty; a plan also bypasses cache lookups); ``execution``
-    pins ``"inline"`` or ``"pool"`` instead of the ``"auto"`` rule —
-    pinning the pool is how the fault-injection suite keeps real
-    worker processes on workloads the rule would run inline.
+    ``inject`` is a deterministic fault plan (None: the
+    ``$REPRO_INJECT`` spec, usually empty; a plan also bypasses cache
+    lookups); ``execution`` pins ``"inline"`` or ``"pool"`` instead of
+    the ``"auto"`` rule — pinning the pool is how the fault-injection
+    suite keeps real worker processes on workloads the rule would run
+    inline.  Pool respawns are not a setting: see
+    :data:`repro.reasoning.runtime.MAX_RESPAWNS`.
     ``max_worker_mb`` caps each pool worker's address space and
     ``memory_guard_mb`` demotes pooled execution to inline once this
     process's RSS passes it.
@@ -48,14 +48,12 @@ class SolveOptions:
     countermodel_nodes: int = 3
     typed_search_limit: int = 2_000
     with_proof: bool = False
-    max_respawns: int = 2
     inject: FaultPlan | None = None
     execution: str = "auto"
     max_worker_mb: int | None = None
     memory_guard_mb: int | None = None
 
     def __post_init__(self) -> None:
-        validate_max_respawns(self.max_respawns)
         if self.execution not in _EXECUTIONS:
             raise ValueError(
                 f"execution must be 'auto', 'inline' or 'pool', "

@@ -304,7 +304,6 @@ def _supervised(
             jobs=decision.jobs,
             budget=budget,
             plan=plan,
-            max_respawns=options.max_respawns,
             max_worker_mb=options.max_worker_mb,
         ) as supervisor:
             try:

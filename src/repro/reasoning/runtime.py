@@ -14,7 +14,7 @@ failure.
 interaction:
 
 * **crash isolation** — a broken pool is caught, the dead generation
-  abandoned, and a fresh pool respawned (at most ``max_respawns``
+  abandoned, and a fresh pool respawned (at most ``MAX_RESPAWNS``
   times, with capped exponential backoff clipped to the remaining
   budget);
 * **restartable tasks** — every submission keeps its full call spec,
@@ -79,11 +79,14 @@ from repro.reasoning.faultinject import (
     FaultPlan,
     invoke,
 )
-from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS
 from repro.reasoning.result import FaultEvent, FaultReport
 
 #: Retries of a task that raised, before its last in-process attempt.
 MAX_TASK_RETRIES = 2
+
+#: Pool respawns after worker crashes, before a run degrades to
+#: in-process execution.
+MAX_RESPAWNS = 2
 
 #: Respawn backoff: ``BACKOFF_BASE_S * 2**(n - 1)`` seconds before the
 #: n-th respawn, capped at ``BACKOFF_CAP_S`` and at the budget left.
@@ -476,7 +479,6 @@ class WorkerSupervisor:
         jobs: int = 1,
         budget: Budget | None = None,
         plan: FaultPlan | None = None,
-        max_respawns: int = DEFAULT_SOLVE_OPTIONS.max_respawns,
         keep_warm: bool = True,
         max_worker_mb: int | None = None,
     ) -> None:
@@ -484,7 +486,6 @@ class WorkerSupervisor:
         self.inline = jobs <= 1
         self.budget = budget or Budget()
         self.plan = plan or FaultPlan()
-        self.max_respawns = max_respawns
         #: lease the process-wide warm pool (and return it on a clean
         #: exit) instead of cold-spawning and terminating per run.
         self.keep_warm = keep_warm
@@ -703,7 +704,7 @@ class WorkerSupervisor:
             if task.future is not None:
                 task.crash_exposures += 1
                 task.future = None
-        if self._respawns >= self.max_respawns or self.budget.expired:
+        if self._respawns >= MAX_RESPAWNS or self.budget.expired:
             self._degrade(lost)
             return
         self._respawns += 1
@@ -712,7 +713,7 @@ class WorkerSupervisor:
             "pool-respawn",
             engine,
             attempt=self._respawns,
-            detail=f"respawn {self._respawns}/{self.max_respawns}",
+            detail=f"respawn {self._respawns}/{MAX_RESPAWNS}",
         )
         for task in lost:
             if task.settled or task.future is not None:
@@ -729,7 +730,7 @@ class WorkerSupervisor:
                 "pool-degraded",
                 "pool",
                 attempt=self._respawns,
-                detail=f"respawns exhausted ({self.max_respawns})"
+                detail=f"respawns exhausted ({MAX_RESPAWNS})"
                 if not self.budget.expired
                 else "budget expired during recovery",
             )

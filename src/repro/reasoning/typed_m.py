@@ -121,6 +121,11 @@ class TypedImplicationDecider:
         return self._sigma
 
     @property
+    def system(self) -> PrefixRewriteSystem:
+        """The symmetric system of Sigma's word images."""
+        return self._system
+
+    @property
     def premises_satisfiable(self) -> bool:
         """False when some premise forces a node to carry two sorts
         (then no structure in U(Delta) models Sigma)."""

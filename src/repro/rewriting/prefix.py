@@ -130,57 +130,36 @@ class PrefixRewriteSystem:
         """An NFA accepting ``post*(word)``; memoized per word."""
         word = Path.coerce(word)
         cached = self._post_cache.get(word)
-        if cached is not None:
-            return cached
-        nfa = self._saturate(word)
-        self._post_cache[word] = nfa
-        return nfa
-
-    def _saturate(self, word: Path) -> NFA:
-        nfa = NFA.for_word(word.labels)
-        q0 = nfa.initial
-        # Pre-build the spine of each rule's right-hand side: reading
-        # rhs[:-1] from the initial state lands on the spine tip; the
-        # saturation loop then only has to add the final edge per
-        # (rule, target-state) pair.  Rules with |rhs| <= 1 need no
-        # spine.  This eager spine is sound: no word is accepted
-        # through a spine until some final edge lands on an accepting
-        # continuation.
-        tails: list[tuple[object, object]] = []  # (src_state, last_symbol)
-        for index, (_, rhs) in enumerate(self._rules):
-            if len(rhs) == 0:
-                tails.append((q0, EPSILON))
-            elif len(rhs) == 1:
-                tails.append((q0, rhs.labels[0]))
-            else:
-                prev = q0
-                for j, symbol in enumerate(rhs.labels[:-1]):
-                    state = ("r", index, j)
-                    nfa.add_transition(prev, symbol, state)
-                    prev = state
-                tails.append((prev, rhs.labels[-1]))
-
-        changed = True
-        while changed:
-            changed = False
-            for index, (lhs, _) in enumerate(self._rules):
-                src, symbol = tails[index]
-                for q in nfa.states_reachable_reading(lhs.labels):
-                    if nfa.add_transition(src, symbol, q):
-                        changed = True
-        return nfa
+        if cached is None:
+            cached = self._saturate(NFA.for_word(word.labels))
+            self._post_cache[word] = cached
+        return cached
 
     def post_star_of_nfa(self, nfa: NFA) -> NFA:
         """An NFA accepting ``post*(L(nfa))``: every word derivable
-        from *some* member of the seed language.
+        from *some* member of the seed language.  The seed automaton is
+        not mutated."""
+        return self._saturate(nfa.copy())
 
-        Generalizes :meth:`post_star_automaton` from a one-word seed to
-        an arbitrary NFA — same spine construction, same saturation
-        loop, same termination argument (states never grow beyond the
-        seed's states plus one spine per rule, so only finitely many
-        final edges can be added).  The seed automaton is not mutated.
+    def pre_star_of_nfa(self, nfa: NFA) -> NFA:
+        """An NFA accepting ``pre*(L(nfa))``: every word that derives
+        *into* the seed language (``post*`` of the inverse system; a
+        symmetric system is its own inverse)."""
+        inverse = self if self._symmetric else self.inverse()
+        return inverse._saturate(nfa.copy())
+
+    def _saturate(self, out: NFA) -> NFA:
+        """Grow ``out`` in place to accept ``post*(L(out))``.
+
+        Pre-build the spine of each rule's right-hand side: reading
+        ``rhs[:-1]`` from the initial state lands on the spine tip, so
+        the fixpoint loop only adds the final edge per (rule,
+        target-state) pair.  Rules with ``|rhs| <= 1`` need no spine.
+        The eager spine is sound: no word is accepted through a spine
+        until some final edge lands on an accepting continuation.
+        States never grow beyond the seed's plus one spine per rule, so
+        only finitely many final edges can be added.
         """
-        out = nfa.copy()
         q0 = out.initial
         # Spine states must be fresh even when the seed is itself a
         # saturation result (chained post* calls), hence the nonce.
@@ -191,7 +170,7 @@ class PrefixRewriteSystem:
             for s in existing
         ):
             nonce += 1
-        tails: list[tuple[object, object]] = []
+        tails: list[tuple[object, object]] = []  # (src_state, last_symbol)
         for index, (_, rhs) in enumerate(self._rules):
             if len(rhs) == 0:
                 tails.append((q0, EPSILON))
@@ -213,11 +192,6 @@ class PrefixRewriteSystem:
                     if out.add_transition(src, symbol, q):
                         changed = True
         return out
-
-    def pre_star_of_nfa(self, nfa: NFA) -> NFA:
-        """An NFA accepting ``pre*(L(nfa))``: every word that derives
-        *into* the seed language (``post*`` of the inverse system)."""
-        return self.inverse().post_star_of_nfa(nfa)
 
     def derives(self, source: Path | str, target: Path | str) -> bool:
         """Is ``target`` reachable from ``source``?

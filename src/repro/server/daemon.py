@@ -65,6 +65,12 @@ from repro.errors import (
 )
 from repro.graph.serialize import from_dict as graph_from_dict
 from repro.graph.serialize import to_dict as graph_to_dict
+from repro.query import (
+    QueryContainmentChecker,
+    WordQueryOptimizer,
+    is_word_pattern,
+    optimize_rpq_union,
+)
 from repro.reasoning import ImplicationProblem, solve
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
@@ -93,9 +99,9 @@ class ServerConfig:
     port: int = 0
     max_queue: int = 64
     solver_threads: int = 2
-    #: How every solve runs — ``imply`` and ``query`` alike: respawns,
-    #: fault injection (``inject`` also disables cache lookups),
-    #: worker memory ceiling and memory guard among them.
+    #: How every solve runs — ``imply`` and ``query`` alike: fault
+    #: injection (``inject`` also disables cache lookups), worker
+    #: memory ceiling and memory guard among them.
     solve: SolveOptions = DEFAULT_SOLVE_OPTIONS
     #: Per-solve parallelism cap; an ``imply`` request may override it.
     jobs: int | str = "auto"
@@ -790,13 +796,6 @@ class ImplicationServer:
             left = right = None
 
         def run(remaining: float | None) -> FlightOutcome:
-            from repro.query import (
-                QueryContainmentChecker,
-                WordQueryOptimizer,
-                is_word_pattern,
-                optimize_rpq_union,
-            )
-
             solving = dict(
                 cache=self.config.cache,
                 jobs=self.config.jobs,

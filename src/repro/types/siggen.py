@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.automata.dfa import DFA
+from repro.automata.nfa import NFA
 from repro.errors import PathNotInSchemaError
 from repro.paths import Path
 from repro.types.typesys import (
@@ -106,21 +106,11 @@ class SchemaSignature:
     def transition(self, state: Type, label: str) -> Type | None:
         return self._transitions.get((state, label))
 
-    def paths_dfa(self) -> DFA:
-        """A DFA (all states accepting) whose language is Paths(Delta)."""
-        dfa = DFA(initial=self.sort_name(self.root_type))
-        for (src, label), dst in self._transitions.items():
-            dfa.add_transition(self.sort_name(src), label, self.sort_name(dst))
-        for state in self._states:
-            dfa.add_final(self.sort_name(state))
-        return dfa
-
-    def paths_nfa(self) -> "NFA":
-        """The Paths(Delta) automaton as an :class:`NFA` (all states
-        accepting), ready for product constructions with query
-        automata and the ``post*`` saturation engine."""
-        from repro.automata.nfa import NFA
-
+    def paths_nfa(self) -> NFA:
+        """The Paths(Delta) automaton: the type graph on sort names,
+        every state accepting.  It is deterministic, and ready for
+        products with query automata and the ``post*`` saturation
+        engine."""
         nfa = NFA(initial=self.sort_name(self.root_type))
         for (src, label), dst in self._transitions.items():
             nfa.add_transition(

@@ -401,7 +401,6 @@ PARSER_DEFAULTS = {
         "dump_countermodel": None,
         "inject": None,
         "jobs": "1",
-        "max_respawns": 2,
         "max_worker_mb": None,
         "memory_guard_mb": None,
         "no_cache": False,
@@ -419,7 +418,6 @@ PARSER_DEFAULTS = {
         "inject": None,
         "jobs": "auto",
         "max_queue": 64,
-        "max_respawns": 2,
         "max_worker_mb": None,
         "memory_guard_mb": None,
         "no_cache": False,
@@ -457,7 +455,6 @@ PARSER_DEFAULTS = {
 }
 
 RUNTIME_FLAGS = [
-    "--max-respawns", "0",
     "--inject", "delay:0:0.01",
     "--max-worker-mb", "4096",
     "--memory-guard-mb", "1",
@@ -506,7 +503,6 @@ class TestSolveFlags:
         ) == 0
         assert main(["serve", "--no-cache", *RUNTIME_FLAGS]) == 0
         assert seen["imply"] == seen["serve"] == SolveOptions(
-            max_respawns=0,
             inject=FaultPlan.from_spec("delay:0:0.01"),
             max_worker_mb=4096,
             memory_guard_mb=1,
@@ -520,15 +516,6 @@ class TestSolveFlags:
         for argv in (["imply", "s", "q"], ["serve"]):
             args = parser.parse_args(argv)
             assert _solve_options(args) == DEFAULT_SOLVE_OPTIONS
-
-    def test_bad_max_respawns_exits_three(self, tmp_path, capsys):
-        words = tmp_path / "w.txt"
-        words.write_text("a => b\n")
-        rc = main(
-            ["imply", str(words), "a => b", "--max-respawns", "-1"]
-        )
-        assert rc == 3
-        assert "max_respawns" in capsys.readouterr().err
 
     def test_serve_without_solver_threads_exits_three(
         self, monkeypatch, capsys

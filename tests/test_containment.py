@@ -3,9 +3,12 @@ optimizer built on it."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.constraints import parse_constraints
+from repro.constraints import parse_constraints, word
+from repro.errors import ModelRestrictionError
 from repro.graph import figure1_graph
 from repro.paths import Path
 from repro.query import (
@@ -14,9 +17,15 @@ from repro.query import (
     evaluate_rpq_union,
     optimize_rpq_union,
 )
+from repro.reasoning import Context, ImplicationProblem, solve
 from repro.reasoning.cache import ImplicationCache
 from repro.truth import Trilean
-from repro.types.examples import feature_structure_schema
+from repro.types import SchemaSignature
+from repro.types.examples import (
+    example_3_1_schema,
+    feature_structure_schema,
+    random_m_schema,
+)
 
 
 def word_sigma():
@@ -207,6 +216,75 @@ class TestTypedM:
     def test_typed_context_requires_schema(self):
         with pytest.raises(ValueError):
             QueryContainmentChecker((), context="M")
+
+    def test_schema_outside_m_is_refused_like_solve(self):
+        # Example 3.1 uses set types, so it is no M schema.  The
+        # symmetric word-image product is sound only over M: it would
+        # answer TRUE here, where M+ has a verified counter-instance.
+        schema = example_3_1_schema()
+        sigma = parse_constraints(
+            "person.member => book.member.author.member"
+        )
+        with pytest.raises(ModelRestrictionError):
+            QueryContainmentChecker(sigma, context="M", schema=schema)
+
+
+class TestAgreesWithSolve:
+    """On the exact cells, containment of two words is their word
+    constraint's implication: ``contains(u, v)`` must answer what
+    ``solve(u => v)`` answers."""
+
+    @staticmethod
+    def _agree(sigma, pairs, context=Context.SEMISTRUCTURED, schema=None):
+        checker = QueryContainmentChecker(
+            sigma, context=context, schema=schema
+        )
+        for u, v in pairs:
+            expected = solve(
+                ImplicationProblem(sigma, word(u, v), context, schema=schema)
+            ).answer
+            result = checker.contains(str(u), str(v))
+            assert result.decidable
+            assert result.verdict is expected, (
+                [str(c) for c in sigma], str(u), str(v), result.method
+            )
+
+    def test_semistructured_egd_free_words(self):
+        rng = random.Random(0)
+
+        def draw(min_size):
+            return Path(
+                [rng.choice("abc") for _ in range(rng.randint(min_size, 3))]
+            )
+
+        for _ in range(500):
+            sigma = [word(draw(0), draw(1)) for _ in range(rng.randint(0, 3))]
+            self._agree(sigma, [(draw(0), draw(0)) for _ in range(4)])
+
+    def test_typed_m_paths_delta_words(self):
+        rng = random.Random(0)
+        for seed in range(150):
+            schema = random_m_schema(rng.randint(1, 3), 2, seed=seed)
+            signature = SchemaSignature(schema)
+            paths = list(signature.sample_paths(3))
+            by_sort: dict = {}
+            for path in paths:
+                by_sort.setdefault(signature.type_of_path(path), []).append(
+                    path
+                )
+            pools = [group for group in by_sort.values() if len(group) >= 2]
+
+            def pick():
+                # Mostly same-sort pairs; now and then any pair, whose
+                # sorts may differ (an unsatisfiable premise, or a
+                # query no model satisfies).
+                if pools and rng.random() < 0.85:
+                    return rng.sample(rng.choice(pools), 2)
+                return rng.choice(paths), rng.choice(paths)
+
+            sigma = [word(*pick()) for _ in range(rng.randint(0, 3))]
+            pairs = [pick() for _ in range(4)]
+            self._agree(sigma, pairs, Context.M, schema)
 
 
 class TestRPQUnionOptimizer:

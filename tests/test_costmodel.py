@@ -10,7 +10,7 @@ fixed per-kind size.
 import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
-from repro.reasoning import Context, ImplicationProblem, SolveOptions, solve
+from repro.reasoning import Context, ImplicationProblem, solve
 from repro.reasoning import costmodel
 from repro.reasoning.costmodel import (
     ExecMode,
@@ -19,7 +19,6 @@ from repro.reasoning.costmodel import (
     estimate_untyped_codes,
     normalize_jobs,
     validate_jobs,
-    validate_max_respawns,
 )
 
 
@@ -44,17 +43,6 @@ class TestValidateJobs:
         assert normalize_jobs(3) == 3
 
 
-class TestValidateMaxRespawns:
-    @pytest.mark.parametrize("value", [0, 1, 5])
-    def test_non_negative_ints_pass(self, value):
-        assert validate_max_respawns(value) == value
-
-    @pytest.mark.parametrize("value", [-1, 1.5, True, None, "2"])
-    def test_nonsense_raises(self, value):
-        with pytest.raises(ValueError):
-            validate_max_respawns(value)
-
-
 class TestDispatcherValidation:
     """Satellite regression: solve() rejects bad knobs before any work."""
 
@@ -69,11 +57,6 @@ class TestDispatcherValidation:
     def test_bad_jobs(self, jobs):
         with pytest.raises(ValueError):
             solve(self._problem(), jobs=jobs)
-
-    @pytest.mark.parametrize("value", [-1, 0.5, "many"])
-    def test_bad_max_respawns(self, value):
-        with pytest.raises(ValueError):
-            solve(self._problem(), SolveOptions(max_respawns=value))
 
     def test_auto_is_accepted_on_every_cell(self):
         # Decidable cell: validation passes, routing ignores jobs.

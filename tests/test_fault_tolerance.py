@@ -32,6 +32,7 @@ from repro.reasoning.portfolio import (
     parallel_countermodel_search,
     run_portfolio,
 )
+from repro.reasoning import runtime
 from repro.reasoning.runtime import WorkerSupervisor, retire_warm_pool
 from repro.truth import Trilean
 
@@ -150,14 +151,15 @@ class TestWorkerDeath:
         assert clean.graph.node_count() == shaken.graph.node_count()
         _assert_no_orphans()
 
-    def test_respawns_exhausted_degrades_and_reports(self):
-        # With max_respawns=0 the first crash forces in-process
+    def test_respawns_exhausted_degrades_and_reports(self, monkeypatch):
+        # With no respawns left the first crash forces in-process
         # degradation; the value survives and the fault report says
         # how it was obtained.  (Driven through the supervisor
         # directly so the crash cannot be raced away by a fast
         # winning engine.)
+        monkeypatch.setattr(runtime, "MAX_RESPAWNS", 0)
         plan = FaultPlan.from_spec("kill:0")
-        with WorkerSupervisor(jobs=2, plan=plan, max_respawns=0) as sup:
+        with WorkerSupervisor(jobs=2, plan=plan) as sup:
             task = sup.submit(_typename, 7, engine="victim")
             sup.wait_any([task])
         assert task.result() == "int"

@@ -21,11 +21,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "settings",
         [
-            {"max_respawns": -1},
-            {"max_respawns": 0.5},
-            {"max_respawns": "many"},
-            {"max_respawns": True},
-            {"max_respawns": None},
             {"execution": "turbo"},
             {"execution": "POOL"},
             {"execution": ""},
@@ -40,13 +35,13 @@ class TestValidation:
         "settings",
         [
             {},
-            {"max_respawns": 0},
-            {"max_respawns": 7},
             {"execution": "auto"},
             {"execution": "inline"},
             {"execution": "pool"},
             {"inject": FaultPlan.from_spec("kill:1")},
             {"max_worker_mb": 512, "memory_guard_mb": 64},
+            {"chase_steps": 10, "countermodel_nodes": 2},
+            {"allow_semidecision": False, "with_proof": True},
         ],
     )
     def test_good_settings_build(self, settings):
@@ -56,7 +51,7 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            DEFAULT_SOLVE_OPTIONS.max_respawns = 0  # type: ignore[misc]
+            DEFAULT_SOLVE_OPTIONS.chase_steps = 0  # type: ignore[misc]
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
@@ -74,7 +69,6 @@ class TestDefaults:
         assert options.countermodel_nodes == 3
         assert options.typed_search_limit == 2_000
         assert options.with_proof is False
-        assert options.max_respawns == 2
         assert options.inject is None
         assert options.execution == "auto"
         assert options.max_worker_mb is None
@@ -87,7 +81,6 @@ class TestDefaults:
             "countermodel_nodes",
             "typed_search_limit",
             "with_proof",
-            "max_respawns",
             "inject",
             "execution",
             "max_worker_mb",

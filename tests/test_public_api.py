@@ -74,7 +74,7 @@ PACKAGE_EXPORTS = {
         "partition_bounded",
         "RegularConstraint",
     ],
-    "repro.automata": ["NFA", "DFA", "compile_regex"],
+    "repro.automata": ["NFA", "compile_regex"],
     "repro.rewriting": ["PrefixRewriteSystem", "RewriteStep"],
     "repro.monoids": [
         "MonoidPresentation",
@@ -137,13 +137,13 @@ def test_cli_entrypoint_importable():
     assert parser.prog == "repro"
 
 
-def test_cli_import_stays_off_numpy():
-    # A fresh interpreter, so modules other tests loaded do not count.
-    # numpy's only user was the deleted shared-memory scan arena.
+def _modules_loaded_by(statement: str, watched: set[str]) -> str:
+    """Which of ``watched`` a fresh interpreter loads running
+    ``statement``, so modules other tests loaded do not count."""
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
-        "import sys, repro.cli; "
-        "print(sorted({'numpy', 'repro.reasoning.shm'} & set(sys.modules)))"
+        f"import sys; {statement}; "
+        f"print([m for m in {sorted(watched)!r} if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -154,4 +154,18 @@ def test_cli_import_stays_off_numpy():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_stays_off_numpy():
+    # numpy's only user was the deleted shared-memory scan arena.
+    watched = {"numpy", "repro.reasoning.shm"}
+    assert _modules_loaded_by("import repro.cli", watched) == "[]"
+
+
+def test_constraints_import_stays_off_the_upper_layers():
+    # Parsing a constraint needs no query layer, no reasoning layer and
+    # no process pool; a regular constraint imports the query layer
+    # only when it checks a graph.
+    watched = {"repro.query", "repro.reasoning", "multiprocessing"}
+    assert _modules_loaded_by("import repro.constraints", watched) == "[]"

@@ -756,7 +756,6 @@ class TestQueryOverTheWire:
 
         monkeypatch.setattr(dispatcher, "run_portfolio", spy)
         options = SolveOptions(
-            max_respawns=0,
             inject=FaultPlan.from_spec("delay:0:0.01"),
             max_worker_mb=4096,
             memory_guard_mb=1,

@@ -150,12 +150,12 @@ class TestSignature:
         with pytest.raises(PathNotInSchemaError):
             sig.require_valid_path("sentence.bogus")
 
-    def test_paths_dfa_agrees_with_type_of_path(self, bib_schema):
+    def test_paths_nfa_agrees_with_type_of_path(self, bib_schema):
         sig = SchemaSignature(bib_schema)
-        dfa = sig.paths_dfa()
+        nfa = sig.paths_nfa()
         for path in sig.sample_paths(3):
-            assert dfa.accepts(path.labels) == sig.is_valid_path(path)
-        assert not dfa.accepts(["book", "author"])
+            assert nfa.accepts(path.labels) == sig.is_valid_path(path)
+        assert not nfa.accepts(["book", "author"])
 
     def test_sample_paths_are_valid_and_complete(self, fs_schema):
         sig = SchemaSignature(fs_schema)
