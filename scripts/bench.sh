@@ -165,3 +165,21 @@ print(
     "chaos regression gate ok"
 )
 EOF
+
+# Kernel-growth gate: the typed-M decider's fitted growth exponent over
+# the |Sigma| sweep must stay within Theorem 4.2's cubic bound.
+python - <<'EOF'
+import json
+
+bench = json.load(open("BENCH_kernels.json"))
+bound = bench["typed_m_exponent_bound"]
+exponents = {name: f["exponent"] for name, f in bench["families"].items()}
+assert exponents["typed-M"] <= bound, (
+    f"kernel gate: typed-M growth exponent {exponents['typed-M']} "
+    f"above the cubic bound {bound}"
+)
+print(
+    " ".join(f"{name}={value}" for name, value in exponents.items())
+    + f" (typed-M bound {bound}): kernel growth gate ok"
+)
+EOF

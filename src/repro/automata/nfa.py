@@ -3,7 +3,8 @@
 States are arbitrary hashable values; the alphabet is implicit (every
 symbol that labels some transition).  Mutability is deliberate: the
 ``post*`` saturation of :mod:`repro.rewriting.prefix` grows an NFA in
-place until fixpoint.
+place, adding its spines and then its final edges
+(:meth:`NFA.add_transitions`, one batch per rule tail).
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ class NFA:
     def has_transition(self, src: State, symbol: object, dst: State) -> bool:
         return dst in self._delta.get(src, {}).get(symbol, ())
 
+    def add_transitions(
+        self, src: State, symbol: object, dsts: Iterable[State]
+    ) -> None:
+        """Add a transition from ``src`` on ``symbol`` to each of ``dsts``."""
+        delta = self._delta
+        targets = delta.setdefault(src, {}).setdefault(symbol, set())
+        for dst in dsts:
+            delta.setdefault(dst, {})
+            targets.add(dst)
+
     def add_word_path(
         self, src: State, word: Iterable[str], dst: State
     ) -> None:
@@ -150,10 +161,6 @@ class NFA:
             if not current:
                 break
         return current
-
-    def states_reachable_reading(self, word: Iterable[str]) -> frozenset[State]:
-        """Alias of :meth:`run`, named for the saturation engine."""
-        return self.run(word)
 
     def accepts(self, word: Iterable[str]) -> bool:
         return bool(self.run(word) & self._finals)

@@ -11,12 +11,16 @@ symmetric.
 ``post*(w)`` — the set of words reachable from ``w`` — is a regular
 language.  We compute an NFA for it by the classic saturation
 construction: starting from the one-word automaton for ``w``, with a
-pre-built spine for each rule's right-hand side, repeatedly add, for
-every rule ``u -> v`` and every state ``q`` reachable from the initial
-state by reading ``u``, the final edge that makes ``v`` read from the
-initial state land on ``q``.  States never grow beyond the initial
-chain plus the rule spines, so the construction reaches a fixpoint in
-polynomial time.
+pre-built spine for each rule's right-hand side, add, for every rule
+``u -> v`` and every state ``q`` reachable from the initial state by
+reading ``u``, the final edge that makes ``v`` read from the initial
+state land on ``q``.  The Bouajjani–Esparza–Maler worklist reaches the
+least such automaton without re-reading any left side: the left sides
+share a trie, each (trie node, state) pair is expanded once, and a new
+final edge feeds only the trie nodes that already reach its source.
+States never grow beyond the initial chain plus the rule spines, so
+the construction is polynomial.  ``pre*`` is ``post*`` of the inverse
+system, and a seed may be any NFA (``post_star_of_nfa``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ from dataclasses import dataclass
 
 from repro.automata.nfa import EPSILON, NFA
 from repro.paths import Path
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -152,13 +164,28 @@ class PrefixRewriteSystem:
         """Grow ``out`` in place to accept ``post*(L(out))``.
 
         Pre-build the spine of each rule's right-hand side: reading
-        ``rhs[:-1]`` from the initial state lands on the spine tip, so
-        the fixpoint loop only adds the final edge per (rule,
-        target-state) pair.  Rules with ``|rhs| <= 1`` need no spine.
-        The eager spine is sound: no word is accepted through a spine
-        until some final edge lands on an accepting continuation.
-        States never grow beyond the seed's plus one spine per rule, so
-        only finitely many final edges can be added.
+        ``rhs[:-1]`` from the initial state lands on the spine tip (the
+        rule's *tail source*), so saturation only adds final edges.
+        Rules with ``|rhs| <= 1`` need no spine.  The eager spine is
+        sound: no word is accepted through a spine until some final
+        edge lands on an accepting continuation.
+
+        The final edges are the least fixpoint of: for every rule
+        ``u -> v`` and every state ``q`` that reading ``u`` from the
+        initial state reaches, ``v``'s final edge lands on ``q``.  A
+        worklist reaches it without re-reading any left side
+        (Bouajjani–Esparza–Maler post* saturation).  The left sides
+        share a trie, and ``reach[k]`` is the epsilon-closed set of
+        states that reading trie node ``k``'s prefix reaches, a bitset
+        over the numbered states.  Invariant: a state enters
+        ``reach[k]`` once and is expanded there once, in a batch
+        (``pending[k]``).  Expanding it feeds its moves to ``k``
+        (epsilon) and to ``k``'s children (labels), and gives each rule
+        ending at ``k`` its final edge onto it.  A new final edge from a
+        tail source feeds only the trie nodes that have already
+        expanded that source; the others read it when they do.  With
+        ``Q`` the seed's states plus the spines, that is at most
+        ``|trie| * |Q|`` expansions and ``|rules| * |Q|`` final edges.
         """
         q0 = out.initial
         # Spine states must be fresh even when the seed is itself a
@@ -183,14 +210,89 @@ class PrefixRewriteSystem:
                     out.add_transition(prev, symbol, state)
                     prev = state
                 tails.append((prev, rhs.labels[-1]))
-        changed = True
-        while changed:
-            changed = False
-            for index, (lhs, _) in enumerate(self._rules):
-                src, symbol = tails[index]
-                for q in out.states_reachable_reading(lhs.labels):
-                    if out.add_transition(src, symbol, q):
-                        changed = True
+
+        # Number the states, the initial one 0; succ[i] maps a symbol
+        # (or EPSILON) to the bitset of state i's targets on it.  Every
+        # tail source is the initial state or a spine state, so it has
+        # a number.
+        edges = list(out.transitions())
+        number: dict[object, int] = {q0: 0}
+        for src, _, dst in edges:
+            number.setdefault(src, len(number))
+            number.setdefault(dst, len(number))
+        states = list(number)
+        succ: list[dict[object, int]] = [{} for _ in states]
+        for src, symbol, dst in edges:
+            row = succ[number[src]]
+            row[symbol] = row.get(symbol, 0) | 1 << number[dst]
+
+        # The trie of left sides.  children[k] maps a label to a child
+        # node and EPSILON to k itself, so one lookup says where a move
+        # of either kind lands; ends[k] lists the tails (source number,
+        # last symbol) of the rules whose lhs ends at node k.
+        children: list[dict[object, int]] = [{EPSILON: 0}]
+        ends: list[list[tuple[int, object]]] = [[]]
+        for (lhs, _), (src, symbol) in zip(self._rules, tails):
+            node = 0
+            for label in lhs.labels:
+                child = children[node].get(label)
+                if child is None:
+                    child = len(children)
+                    children[node][label] = child
+                    children.append({EPSILON: child})
+                    ends.append([])
+                node = child
+            ends[node].append((number[src], symbol))
+        # Each tail's targets before saturation, to write back the rest.
+        before = {
+            tail: succ[tail[0]].get(tail[1], 0)
+            for node_ends in ends
+            for tail in node_ends
+        }
+        # expanded[src]: the trie nodes that have expanded a tail source.
+        expanded: dict[int, list[int]] = {src: [] for src, _ in before}
+        reach = [0] * len(children)
+        pending = [0] * len(children)
+        work: list[int] = []  # the trie nodes with a pending batch
+
+        def feed(node: int, mask: int) -> None:
+            fresh = mask & ~reach[node]
+            if fresh:
+                reach[node] |= fresh
+                if not pending[node]:
+                    work.append(node)
+                pending[node] |= fresh
+
+        feed(0, 1)  # the root reaches the initial state, numbered 0
+        while work:
+            node = work.pop()
+            batch, pending[node] = pending[node], 0
+            kids = children[node]
+            for state in _members(batch):
+                holders = expanded.get(state)
+                if holders is not None:
+                    holders.append(node)
+                for symbol, targets in succ[state].items():
+                    dest = kids.get(symbol)
+                    if dest is not None:
+                        feed(dest, targets)
+            for src, symbol in ends[node]:
+                row = succ[src].get(symbol, 0)
+                added = batch & ~row
+                if not added:
+                    continue
+                succ[src][symbol] = row | added
+                for holder in expanded[src]:
+                    dest = children[holder].get(symbol)
+                    if dest is not None:
+                        feed(dest, added)
+
+        for (src, symbol), old in before.items():
+            added = succ[src].get(symbol, 0) & ~old
+            if added:
+                out.add_transitions(
+                    states[src], symbol, [states[i] for i in _members(added)]
+                )
         return out
 
     def derives(self, source: Path | str, target: Path | str) -> bool:

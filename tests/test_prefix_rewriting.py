@@ -1,19 +1,28 @@
 """Tests for the prefix-rewriting ``post*`` saturation engine.
 
-The key property: ``derives`` (automaton saturation) agrees with an
+Two key properties: ``derives`` (automaton saturation) agrees with an
 independent breadth-first closure of the one-step relation on every
-instance small enough to close exhaustively.
+instance small enough to close exhaustively, and the worklist kernel
+builds exactly the automaton of the naive fixpoint loop
+(:func:`naive_saturate`) on every seed.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata import NFA, compile_regex
+from repro.automata.nfa import EPSILON
+from repro.constraints import word
 from repro.paths import Path
+from repro.reasoning import TypedImplicationDecider
 from repro.rewriting import PrefixRewriteSystem
+from repro.types.examples import random_m_schema
+from repro.types.siggen import SchemaSignature
 
 labels = st.sampled_from(["a", "b", "c"])
 words = st.lists(labels, min_size=0, max_size=3).map(Path)
@@ -215,3 +224,127 @@ def test_derivation_exists_iff_derives(rule_list, source, target):
         assert system.check_derivation(source, target, steps)
     else:
         assert steps is None
+
+
+# -- the worklist kernel against the naive fixpoint loop ---------------------
+
+
+def naive_saturate(system: PrefixRewriteSystem, out: NFA) -> NFA:
+    """Reference oracle: grow ``out`` to ``post*(L(out))`` by the naive
+    fixpoint loop.  Each pass re-reads every rule's left side from the
+    initial state and adds the rule's final edge onto every state
+    reached, until a pass adds nothing.  Spines and their nonce are
+    built exactly as the kernel builds them."""
+    rules = list(system.rules)
+    if system.symmetric:
+        rules.extend((rhs, lhs) for lhs, rhs in system.rules)
+    q0 = out.initial
+    existing = out.states
+    nonce = 0
+    while any(
+        isinstance(s, tuple) and s[:2] == ("post*", nonce) for s in existing
+    ):
+        nonce += 1
+    tails: list[tuple[object, object]] = []
+    for index, (_, rhs) in enumerate(rules):
+        if len(rhs) == 0:
+            tails.append((q0, EPSILON))
+        elif len(rhs) == 1:
+            tails.append((q0, rhs.labels[0]))
+        else:
+            prev = q0
+            for j, symbol in enumerate(rhs.labels[:-1]):
+                state = ("post*", nonce, index, j)
+                out.add_transition(prev, symbol, state)
+                prev = state
+            tails.append((prev, rhs.labels[-1]))
+    changed = True
+    while changed:
+        changed = False
+        for index, (lhs, _) in enumerate(rules):
+            src, symbol = tails[index]
+            for q in out.run(lhs.labels):
+                if out.add_transition(src, symbol, q):
+                    changed = True
+    return out
+
+
+def assert_same_automaton(got: NFA, want: NFA) -> None:
+    assert got.initial == want.initial
+    assert set(got.transitions()) == set(want.transitions())
+    assert got.finals == want.finals
+    assert got.states == want.states
+
+
+def check_kernel(system: PrefixRewriteSystem, seed: NFA) -> None:
+    """post* and pre* of ``seed`` equal the naive loop's, and the seed
+    is left as it was."""
+    before = set(seed.transitions())
+    assert_same_automaton(
+        system.post_star_of_nfa(seed), naive_saturate(system, seed.copy())
+    )
+    inverse = system if system.symmetric else system.inverse()
+    assert_same_automaton(
+        system.pre_star_of_nfa(seed), naive_saturate(inverse, seed.copy())
+    )
+    assert set(seed.transitions()) == before
+
+
+regexes = st.recursive(
+    labels,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: f"({t[0]}|{t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]}.{t[1]}"),
+        inner.map(lambda r: f"({r})*"),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def seed_automata(draw) -> NFA:
+    """A word automaton, a compiled regex (with epsilon moves), or a
+    saturation result to be saturated again (its spines are taken, so
+    the kernel must pick a fresh nonce)."""
+    kind = draw(st.sampled_from(["word", "regex", "saturated"]))
+    if kind == "word":
+        return NFA.for_word(draw(words).labels)
+    if kind == "regex":
+        return compile_regex(draw(regexes))
+    first = PrefixRewriteSystem(draw(rules), symmetric=draw(st.booleans()))
+    return first.post_star_automaton(draw(words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules, st.booleans(), seed_automata())
+def test_worklist_kernel_matches_naive_loop(rule_list, symmetric, seed):
+    """Rule lists include empty left sides (the ``() => u`` rules of
+    ``closure_system``) and empty right sides (epsilon tails)."""
+    check_kernel(PrefixRewriteSystem(rule_list, symmetric=symmetric), seed)
+
+
+def test_worklist_kernel_matches_naive_loop_at_benchmark_sizes():
+    """Seeded systems at the sizes of the decide-cold benchmark: 48
+    P_w rules over three labels, and the symmetric system of 32
+    typed-M premises over a 12-class M schema."""
+    rng = random.Random(0)
+
+    def path(pool: list[str]) -> Path:
+        return Path([rng.choice(pool) for _ in range(rng.randint(1, 3))])
+
+    pool = ["a", "b", "c"]
+    untyped = PrefixRewriteSystem([(path(pool), path(pool)) for _ in range(48)])
+    for _ in range(4):
+        check_kernel(untyped, NFA.for_word(path(pool).labels))
+
+    signature = SchemaSignature(random_m_schema(12, 2, seed=rng.randrange(1 << 30)))
+    groups: dict[object, list[Path]] = {}
+    for candidate in signature.sample_paths(4):
+        if not candidate.is_empty():
+            groups.setdefault(signature.type_of_path(candidate), []).append(candidate)
+    sorts = [paths for paths in groups.values() if len(paths) >= 2]
+    sigma = [word(*rng.sample(rng.choice(sorts), 2)) for _ in range(32)]
+    typed = TypedImplicationDecider(signature.schema, sigma).system
+    for _ in range(4):
+        left, _ = rng.sample(rng.choice(sorts), 2)
+        check_kernel(typed, NFA.for_word(left.labels))
