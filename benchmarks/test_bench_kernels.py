@@ -17,6 +17,12 @@ deciding a fixed batch of queries.  A least-squares fit of log(time)
 against log(|Sigma|) gives each family's growth exponent; the times and
 exponents go to ``BENCH_kernels.json``, and ``scripts/bench.sh`` gates
 on the typed-M exponent staying at most 3.
+
+The same sweep times the instance's cache key, ``canonicalize_instance``
+on the premises and the first query (best of three), so the JSON sets
+key cost against kernel cost per size (``canon_times_ms`` and a fitted
+``canon_exponent`` per family).  ``scripts/bench.sh`` gates each key
+exponent at most 2: a per-premise quadratic in the key would show.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ from _workloads import (
     typed_m_workload,
 )
 from repro.reasoning import (
+    Context,
     TypedImplicationDecider,
     WordImplicationDecider,
+    canonicalize_instance,
     implies_local_extent,
 )
 
@@ -45,26 +53,40 @@ QUERIES = 5
 REPEATS = 3
 #: Theorem 4.2's cubic bound on the typed-M cell.
 TYPED_M_EXPONENT_BOUND = 3.0
+#: Keys must stay at most quadratic in |Sigma| (they are near linear).
+CANON_EXPONENT_BOUND = 2.0
 
 
 def _p_w(size: int):
+    """(decide, key) thunks for one P_w instance of ``size`` premises."""
     sigma = random_word_constraints(size, max_len=4, seed=size)
     queries = random_word_constraints(QUERIES, max_len=5, seed=size + 999)
-    return lambda: [WordImplicationDecider(sigma).implies(q) for q in queries]
+    return (
+        lambda: [WordImplicationDecider(sigma).implies(q) for q in queries],
+        lambda: canonicalize_instance(sigma, queries[0]),
+    )
 
 
 def _typed_m(size: int):
     schema, sigma, queries = typed_m_workload(size // 4, size, seed=size)
     queries = queries[:QUERIES]
-    return lambda: [
-        TypedImplicationDecider(schema, sigma).implies(q) for q in queries
-    ]
+    return (
+        lambda: [
+            TypedImplicationDecider(schema, sigma).implies(q) for q in queries
+        ],
+        lambda: canonicalize_instance(
+            sigma, queries[0], Context.M.value, schema
+        ),
+    )
 
 
 def _local_extent(size: int):
     core, decoys, queries = local_extent_workload(size, seed=size)
     sigma = core + decoys
-    return lambda: [implies_local_extent(sigma, q).answer for q in queries]
+    return (
+        lambda: [implies_local_extent(sigma, q).answer for q in queries],
+        lambda: canonicalize_instance(sigma, queries[0]),
+    )
 
 
 FAMILIES = {"P_w": _p_w, "typed-M": _typed_m, "local-extent": _local_extent}
@@ -97,20 +119,43 @@ def fit_exponent(sizes: list[int], seconds: list[float]) -> float:
 def test_kernel_growth_exponents(benchmark):
     families = {}
     for name, build in FAMILIES.items():
-        seconds = [_best_seconds(build(size)) for size in SIZES]
+        thunks = [build(size) for size in SIZES]
+        seconds = [_best_seconds(decide) for decide, _ in thunks]
+        keys = [_best_seconds(key) for _, key in thunks]
         families[name] = {
             "ms": [round(value * 1e3, 3) for value in seconds],
             "exponent": round(fit_exponent(SIZES, seconds), 3),
+            "canon_times_ms": [round(value * 1e3, 3) for value in keys],
+            "canon_exponent": round(fit_exponent(SIZES, keys), 3),
         }
     print_table(
         f"Decider time for {QUERIES} queries (3 for local extent) "
-        "vs premise count, best of 3",
-        ["|Sigma|", *FAMILIES],
+        "and key time vs premise count, best of 3",
         [
-            [size, *(f"{families[name]['ms'][i]:.2f} ms" for name in FAMILIES)]
+            "|Sigma|",
+            *(head for name in FAMILIES for head in (name, f"{name} key")),
+        ],
+        [
+            [
+                size,
+                *(
+                    f"{families[name][field][i]:.2f} ms"
+                    for name in FAMILIES
+                    for field in ("ms", "canon_times_ms")
+                ),
+            ]
             for i, size in enumerate(SIZES)
         ]
-        + [["exponent", *(families[name]["exponent"] for name in FAMILIES)]],
+        + [
+            [
+                "exponent",
+                *(
+                    families[name][field]
+                    for name in FAMILIES
+                    for field in ("exponent", "canon_exponent")
+                ),
+            ]
+        ],
     )
     write_bench_json(
         "kernels",
@@ -119,9 +164,13 @@ def test_kernel_growth_exponents(benchmark):
             "queries": QUERIES,
             "repeats": REPEATS,
             "typed_m_exponent_bound": TYPED_M_EXPONENT_BOUND,
+            "canon_exponent_bound": CANON_EXPONENT_BOUND,
             "families": families,
         },
     )
     assert families["typed-M"]["exponent"] <= TYPED_M_EXPONENT_BOUND
+    for name in FAMILIES:
+        assert families[name]["canon_exponent"] <= CANON_EXPONENT_BOUND
 
-    benchmark(_typed_m(128))
+    decide, _ = _typed_m(128)
+    benchmark(decide)

@@ -167,19 +167,29 @@ print(
 EOF
 
 # Kernel-growth gate: the typed-M decider's fitted growth exponent over
-# the |Sigma| sweep must stay within Theorem 4.2's cubic bound.
+# the |Sigma| sweep must stay within Theorem 4.2's cubic bound, and each
+# family's cache-key (canonicalization) exponent at most quadratic.
 python - <<'EOF'
 import json
 
 bench = json.load(open("BENCH_kernels.json"))
 bound = bench["typed_m_exponent_bound"]
-exponents = {name: f["exponent"] for name, f in bench["families"].items()}
+canon_bound = bench["canon_exponent_bound"]
+families = bench["families"]
+exponents = {name: f["exponent"] for name, f in families.items()}
 assert exponents["typed-M"] <= bound, (
     f"kernel gate: typed-M growth exponent {exponents['typed-M']} "
     f"above the cubic bound {bound}"
 )
+canon = {name: f["canon_exponent"] for name, f in families.items()}
+for name, value in canon.items():
+    assert value <= canon_bound, (
+        f"kernel gate: {name} key exponent {value} above {canon_bound}"
+    )
 print(
     " ".join(f"{name}={value}" for name, value in exponents.items())
-    + f" (typed-M bound {bound}): kernel growth gate ok"
+    + f" (typed-M bound {bound}); keys "
+    + " ".join(f"{name}={value}" for name, value in canon.items())
+    + f" (bound {canon_bound}): kernel growth gate ok"
 )
 EOF

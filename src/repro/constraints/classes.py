@@ -46,14 +46,21 @@ def is_bounded_by(phi: PathConstraint, rho: Path | str, guard: str) -> bool:
     """Definition 2.3: ``phi`` is *bounded by* ``rho`` and ``K`` iff it
     has the forward form ``rho.K :: beta => gamma`` with ``beta`` not
     empty and ``K`` not a prefix of ``beta``."""
-    rho = Path.coerce(rho)
-    if not phi.is_forward():
-        return False
-    if phi.prefix != rho.append(guard):
-        return False
-    if phi.lhs.is_empty():
-        return False
-    return not Path.single(guard).is_prefix_of(phi.lhs)
+    return _is_bounded(phi, Path.coerce(rho).append(guard).labels, guard)
+
+
+def _is_bounded(
+    phi: PathConstraint, guarded: tuple[str, ...], guard: str
+) -> bool:
+    """:func:`is_bounded_by` on label tuples: ``guarded`` holds the
+    labels of ``rho . K``."""
+    lhs = phi.lhs.labels
+    return (
+        phi.is_forward()
+        and phi.prefix.labels == guarded
+        and bool(lhs)
+        and lhs[0] != guard
+    )
 
 
 @dataclass(frozen=True)
@@ -84,27 +91,31 @@ def check_prefix_bounded_set(
     ``rho :: beta => K``.
     """
     rho = Path.coerce(rho)
-    guard_path = Path.single(guard)
+    # Labels only: no per-constraint Path is built.
+    rho_labels = rho.labels
+    depth = len(rho_labels)
+    guarded = rho.append(guard).labels
     bounded: list[PathConstraint] = []
     rest: list[PathConstraint] = []
     offenders: list[tuple[PathConstraint, str]] = []
     for phi in constraints:
-        if is_bounded_by(phi, rho, guard):
+        if _is_bounded(phi, guarded, guard):
             bounded.append(phi)
             continue
-        if not rho.is_prefix_of(phi.prefix):
+        prefix = phi.prefix.labels
+        if prefix[:depth] != rho_labels:
             offenders.append((phi, f"prefix {phi.prefix} does not extend {rho}"))
             continue
-        rho_prime = phi.prefix.strip_prefix(rho)
-        if guard_path.is_prefix_of(rho_prime):
+        if len(prefix) > depth and prefix[depth] == guard:
+            rho_prime = Path(prefix[depth:])
             offenders.append(
                 (phi, f"prefix remainder {rho_prime} starts with the guard {guard}")
             )
             continue
-        if rho_prime.is_empty():
+        if len(prefix) == depth:
             # Definition 2.3's special case: the constraint must be
             # `rho :: beta => K` (forward, conclusion exactly K).
-            if phi.is_forward() and phi.rhs == guard_path:
+            if phi.is_forward() and phi.rhs.labels == (guard,):
                 rest.append(phi)
             else:
                 offenders.append(

@@ -16,14 +16,6 @@ branches.  This package provides the query side:
   containment-checker-driven pruning of regular-pattern unions.
 """
 
-from repro.query.containment import ContainmentResult, QueryContainmentChecker
-from repro.query.optimizer import (
-    OptimizationReport,
-    RPQOptimizationReport,
-    WordQueryOptimizer,
-    evaluate_rpq_union,
-    optimize_rpq_union,
-)
 from repro.query.rpq import (
     RPQResult,
     evaluate_nfa,
@@ -46,3 +38,24 @@ __all__ = [
     "WordQueryOptimizer",
     "OptimizationReport",
 ]
+
+
+#: Names served on first use: both modules import the reasoning layer,
+#: which evaluating a query does not need.
+_LAZY = {
+    "ContainmentResult": "repro.query.containment",
+    "QueryContainmentChecker": "repro.query.containment",
+    "OptimizationReport": "repro.query.optimizer",
+    "RPQOptimizationReport": "repro.query.optimizer",
+    "WordQueryOptimizer": "repro.query.optimizer",
+    "evaluate_rpq_union": "repro.query.optimizer",
+    "optimize_rpq_union": "repro.query.optimizer",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module 'repro.query' has no attribute {name!r}")

@@ -13,12 +13,19 @@ cache key used by :mod:`repro.reasoning.cache`.
 
 The algorithm mirrors graph canonicalization:
 
-1. *Color refinement.*  Every label (and class name) gets a color
-   derived purely from where it occurs — positions inside premise and
-   conclusion paths, record fields and class references in the schema
-   — with constraint/type shapes rendered under the current coloring.
-   Iterating to a fixpoint partitions the alphabet into structural
-   equivalence classes without ever looking at the original names.
+1. *Color refinement.*  The instance is encoded once as integers
+   (label and class ids, constraints as id tuples, schema types as
+   nested int tuples).  Every label (and class name) gets an integer
+   color derived purely from where it occurs — positions inside
+   premise and conclusion paths, record fields and class references
+   in the schema — with constraint and type shapes taken under the
+   current coloring.  Each round, a color is the rank of the sorted
+   distinct signatures (old color plus occurrences); no digest is
+   taken and no name or id enters a signature (McKay & Piperno,
+   *Practical graph isomorphism II*, 2014).  Iterating until the
+   number of colors stops growing partitions the alphabet into
+   structural equivalence classes without ever looking at the
+   original names.
 2. *Tie-break search.*  Residual symmetries (labels the refinement
    cannot distinguish — they really are interchangeable, or nearly so)
    are resolved by enumerating the remaining assignments and keeping
@@ -38,7 +45,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 
 from repro.constraints.ast import Direction, PathConstraint
@@ -55,7 +62,7 @@ from repro.types.typesys import (
 
 #: Bump when the canonical serialization format changes; folded into
 #: the serialized text, so old cache entries stop matching.
-CANON_VERSION = 1
+CANON_VERSION = 2
 
 #: Default ceiling on the tie-break search (product over ambiguous
 #: groups of group-size factorials).  7! — instances from the seeded
@@ -167,228 +174,304 @@ def rename_graph(
 
 
 # ---------------------------------------------------------------------------
-# Shapes under a coloring.
+# The integer encoding.
 # ---------------------------------------------------------------------------
 
+#: Tags of an encoded schema type: ``(_CLASS, class id)``,
+#: ``(_SET, element)``, ``(_RECORD, ((label id, field), ...))`` and
+#: ``(_ATOM, index among the sorted atomic type names)``.
+_CLASS, _SET, _RECORD, _ATOM = range(4)
 
-def _path_shape(path: Path, lcolor: Mapping[str, str]) -> str:
-    return ".".join(lcolor[label] for label in path.labels)
+#: A context path's step into a set type (label colors are >= 0).
+_SET_STEP = -1
 
-
-def _psi_shape(psi: PathConstraint, lcolor: Mapping[str, str]) -> str:
-    direction = "F" if psi.direction is Direction.FORWARD else "B"
-    return "|".join(
-        (
-            _path_shape(psi.prefix, lcolor),
-            _path_shape(psi.lhs, lcolor),
-            _path_shape(psi.rhs, lcolor),
-            direction,
-        )
-    )
+#: The owner of occurrences inside DBtype (class colors are >= 0).
+_DB_OWNER = -1
 
 
-def _type_shape(
-    tau: Type, lcolor: Mapping[str, str], ccolor: Mapping[str, str]
-) -> str:
-    if isinstance(tau, ClassRef):
-        return "c:" + ccolor[tau.name]
-    if isinstance(tau, SetType):
-        return "{" + _type_shape(tau.element, lcolor, ccolor) + "}"
-    if isinstance(tau, RecordType):
-        inner = sorted(
-            f"{lcolor[label]}:{_type_shape(field, lcolor, ccolor)}"
-            for label, field in tau.fields
-        )
-        return "[" + ",".join(inner) + "]"
-    return "b:" + tau.name  # type: ignore[attr-defined]
+class _Encoded:
+    """One instance as integers.
 
-
-def _digest(payload: object) -> str:
-    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# Color refinement.
-# ---------------------------------------------------------------------------
-
-
-def _collect_schema_occurrences(
-    tau: Type,
-    owner: str,
-    ctx: tuple[str, ...],
-    lsig: dict[str, list],
-    csig: dict[str, list],
-    lcolor: Mapping[str, str],
-    ccolor: Mapping[str, str],
-) -> None:
-    """Record, per label/class, where it occurs inside one type tree.
-
-    ``ctx`` is the color path from the owner down to ``tau`` — built
-    from colors only, so occurrences are name-invariant.
+    Labels and classes get ids; phi and each distinct premise become
+    ``(tag, forward, prefix ids, lhs ids, rhs ids)`` with tag 0 for
+    phi (always first) and 1 for a premise; each schema type becomes a
+    nested int tuple.  Ids come from names, so they index lists but
+    never enter a signature: only colors and shape ranks do.
     """
-    if isinstance(tau, ClassRef):
-        csig[tau.name].append(("ref", owner, ctx))
-    elif isinstance(tau, SetType):
-        _collect_schema_occurrences(
-            tau.element, owner, ctx + ("{}",), lsig, csig, lcolor, ccolor
-        )
-    elif isinstance(tau, RecordType):
-        for label, field in tau.fields:
-            lsig[label].append(
-                ("field", owner, ctx, _type_shape(field, lcolor, ccolor))
+
+    def __init__(
+        self,
+        sigma: Sequence[PathConstraint],
+        phi: PathConstraint,
+        schema: Schema | None,
+    ) -> None:
+        label_ids: dict[str, int] = {}
+        path_ids: dict[tuple[str, ...], tuple[int, ...]] = {}
+
+        def ids(path: Path) -> tuple[int, ...]:
+            labels = path.labels
+            known = path_ids.get(labels)
+            if known is None:
+                known = path_ids[labels] = tuple(
+                    [
+                        label_ids.setdefault(label, len(label_ids))
+                        for label in labels
+                    ]
+                )
+            return known
+
+        tagged = [(0, phi)] + [(1, psi) for psi in dict.fromkeys(sigma)]
+        self.constraints = [
+            (
+                tag,
+                psi.direction is Direction.FORWARD,
+                ids(psi.prefix),
+                ids(psi.lhs),
+                ids(psi.rhs),
             )
-            _collect_schema_occurrences(
+            for tag, psi in tagged
+        ]
+        #: One more than the longest constraint path.
+        self.width = 1 + max(map(len, path_ids))
+        self.classes: list[str] = []
+        self.atoms: list[str] = []
+        self.db: tuple | None = None
+        self.bodies: list[tuple] = []
+        if schema is not None:
+            self.classes = sorted(schema.class_names)
+            self.atoms = sorted(schema.atomic_names)
+            class_ids = {name: i for i, name in enumerate(self.classes)}
+            atom_ids = {name: i for i, name in enumerate(self.atoms)}
+
+            def encode(tau: Type) -> tuple:
+                if isinstance(tau, ClassRef):
+                    return (_CLASS, class_ids[tau.name])
+                if isinstance(tau, SetType):
+                    return (_SET, encode(tau.element))
+                if isinstance(tau, RecordType):
+                    return (
+                        _RECORD,
+                        tuple(
+                            (
+                                label_ids.setdefault(label, len(label_ids)),
+                                encode(field),
+                            )
+                            for label, field in tau.fields
+                        ),
+                    )
+                name = tau.name  # type: ignore[attr-defined]
+                return (_ATOM, atom_ids[name])
+
+            self.db = encode(schema.db_type)
+            self.bodies = [encode(schema.body_of(n)) for n in self.classes]
+        self.labels = list(label_ids)
+        self.rigid = (
+            [label_ids[MEMBERSHIP_LABEL]]
+            if schema is not None and MEMBERSHIP_LABEL in label_ids
+            else []
+        )
+
+    def refine(self) -> tuple[list[int], list[int]]:
+        """Label and class colors of the stable partition.
+
+        A round ranks the distinct constraint shapes under the current
+        coloring, gives each label the signature (old color, sorted
+        constraint occurrences, sorted schema occurrences) and each
+        class the signature (old color, sorted references, body
+        shape), and recolors by signature rank.  A signature holds the
+        old color, so each round refines the last, and the partition
+        is stable once the number of colors stops growing.
+        """
+        lcolor = [0] * len(self.labels)
+        for color, label in enumerate(self.rigid, start=1):
+            lcolor[label] = color
+        ccolor = [0] * len(self.classes)
+        # Position p of field f (prefix, lhs, rhs) in a constraint whose
+        # shape has rank r is one int, r * 3 * width + f * width + p.
+        width = self.width
+        counts = (len(set(lcolor)), len(set(ccolor)))
+        # A partition into singletons cannot be refined further.
+        discrete = (len(lcolor), len(ccolor))
+        while counts != discrete:
+            shape_rank = _ranks(
+                [
+                    (
+                        tag,
+                        forward,
+                        tuple([lcolor[label] for label in prefix]),
+                        tuple([lcolor[label] for label in lhs]),
+                        tuple([lcolor[label] for label in rhs]),
+                    )
+                    for tag, forward, prefix, lhs, rhs in self.constraints
+                ]
+            )
+            occurrences: list[list[int]] = [[] for _ in self.labels]
+            for rank, (_, _, prefix, lhs, rhs) in zip(
+                shape_rank, self.constraints
+            ):
+                slot = rank * 3 * width
+                for position, label in enumerate(prefix, slot):
+                    occurrences[label].append(position)
+                for position, label in enumerate(lhs, slot + width):
+                    occurrences[label].append(position)
+                for position, label in enumerate(rhs, slot + 2 * width):
+                    occurrences[label].append(position)
+            lsig: list[tuple] = [
+                (color, tuple(sorted(occ)))
+                for color, occ in zip(lcolor, occurrences)
+            ]
+            csig: list[tuple] = []
+            if self.db is not None:
+                fields: list[list] = [[] for _ in self.labels]
+                refs: list[list] = [[] for _ in self.classes]
+                owners = [(_DB_OWNER, self.db), *zip(ccolor, self.bodies)]
+                for owner, tau in owners:
+                    _schema_occurrences(
+                        tau, owner, (), fields, refs, lcolor, ccolor
+                    )
+                lsig = [
+                    (*sig, tuple(sorted(occ)))
+                    for sig, occ in zip(lsig, fields)
+                ]
+                csig = [
+                    (
+                        ccolor[c],
+                        tuple(sorted(refs[c])),
+                        _shape(body, lcolor, ccolor),
+                    )
+                    for c, body in enumerate(self.bodies)
+                ]
+            lcolor, ccolor = _ranks(lsig), _ranks(csig)
+            grown = (len(set(lcolor)), len(set(ccolor)))
+            if grown == counts:
+                break
+            counts = grown
+        return lcolor, ccolor
+
+    def render(
+        self,
+        context_value: str,
+        lname: Sequence[str],
+        cname: Sequence[str],
+        class_order: Sequence[int],
+    ) -> str:
+        """The serialization under canonical names; ``class_order``
+        lists class ids by canonical index."""
+
+        def psi(constraint: tuple) -> str:
+            _, forward, prefix, lhs, rhs = constraint
+            return "|".join(
+                (
+                    ".".join([lname[label] for label in prefix]),
+                    ".".join([lname[label] for label in lhs]),
+                    ".".join([lname[label] for label in rhs]),
+                    "F" if forward else "B",
+                )
+            )
+
+        lines = [f"canon={CANON_VERSION}", f"ctx={context_value}"]
+        lines.append("phi=" + psi(self.constraints[0]))
+        for rendered in sorted({psi(c) for c in self.constraints[1:]}):
+            lines.append("sigma=" + rendered)
+        if self.db is not None:
+            lines.append("db=" + self._render_type(self.db, lname, cname))
+            for c in class_order:
+                body = self._render_type(self.bodies[c], lname, cname)
+                lines.append(f"{cname[c]}={body}")
+            lines.append("atoms=" + ",".join(self.atoms))
+        return "\n".join(lines)
+
+    def _render_type(
+        self, tau: tuple, lname: Sequence[str], cname: Sequence[str]
+    ) -> str:
+        kind = tau[0]
+        if kind == _CLASS:
+            return "c:" + cname[tau[1]]
+        if kind == _SET:
+            return "{" + self._render_type(tau[1], lname, cname) + "}"
+        if kind == _RECORD:
+            inner = sorted(
+                f"{lname[label]}:{self._render_type(field, lname, cname)}"
+                for label, field in tau[1]
+            )
+            return "[" + ",".join(inner) + "]"
+        return "b:" + self.atoms[tau[1]]
+
+
+def _ranks(signatures: list) -> list[int]:
+    """Each signature's rank among the distinct signatures."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return [rank[sig] for sig in signatures]
+
+
+def _shape(tau: tuple, lcolor: list[int], ccolor: list[int]) -> tuple:
+    """An encoded type under a coloring (record fields as a multiset)."""
+    kind = tau[0]
+    if kind == _CLASS:
+        return (_CLASS, ccolor[tau[1]])
+    if kind == _SET:
+        return (_SET, _shape(tau[1], lcolor, ccolor))
+    if kind == _RECORD:
+        fields = [
+            (lcolor[label], _shape(field, lcolor, ccolor))
+            for label, field in tau[1]
+        ]
+        return (_RECORD, tuple(sorted(fields)))
+    return tau  # atomic types are rigid
+
+
+def _schema_occurrences(
+    tau: tuple,
+    owner: int,
+    ctx: tuple[int, ...],
+    fields: list[list],
+    refs: list[list],
+    lcolor: list[int],
+    ccolor: list[int],
+) -> None:
+    """Record where each label and class occurs inside one type tree.
+
+    ``owner`` is the color of the class whose body holds ``tau`` (or
+    ``_DB_OWNER``) and ``ctx`` the color path from it down to ``tau``.
+    """
+    kind = tau[0]
+    if kind == _CLASS:
+        refs[tau[1]].append((owner, ctx))
+    elif kind == _SET:
+        _schema_occurrences(
+            tau[1], owner, ctx + (_SET_STEP,), fields, refs, lcolor, ccolor
+        )
+    elif kind == _RECORD:
+        for label, field in tau[1]:
+            fields[label].append((owner, ctx, _shape(field, lcolor, ccolor)))
+            _schema_occurrences(
                 field,
                 owner,
                 ctx + (lcolor[label],),
-                lsig,
-                csig,
+                fields,
+                refs,
                 lcolor,
                 ccolor,
             )
 
 
-def _partition(colors: Mapping[str, str]) -> frozenset[frozenset[str]]:
-    groups: dict[str, set[str]] = {}
-    for name, color in colors.items():
-        groups.setdefault(color, set()).add(name)
-    return frozenset(frozenset(g) for g in groups.values())
-
-
-def _refine_colors(
-    premises: Sequence[PathConstraint],
-    phi: PathConstraint,
-    schema: Schema | None,
-    labels: Sequence[str],
-    classes: Sequence[str],
-    rigid: frozenset[str],
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Iterate occurrence-signature coloring to a stable partition."""
-    lcolor = {
-        label: (f"R:{label}" if label in rigid else "L") for label in labels
-    }
-    ccolor = {name: "C" for name in classes}
-
-    for _ in range(len(labels) + len(classes) + 2):
-        lsig: dict[str, list] = {label: [] for label in labels}
-        csig: dict[str, list] = {name: [] for name in classes}
-
-        constraints = [("Q", phi)] + [("P", psi) for psi in premises]
-        for tag, psi in constraints:
-            shape = tag + ":" + _psi_shape(psi, lcolor)
-            for field_name, path in (
-                ("pf", psi.prefix),
-                ("lhs", psi.lhs),
-                ("rhs", psi.rhs),
-            ):
-                for index, label in enumerate(path.labels):
-                    lsig[label].append((shape, field_name, index))
-
-        if schema is not None:
-            owners = [("DB", schema.db_type)] + [
-                (ccolor[name], schema.body_of(name))
-                for name in classes
-            ]
-            for owner, tau in owners:
-                _collect_schema_occurrences(
-                    tau, owner, (), lsig, csig, lcolor, ccolor
-                )
-            for name in classes:
-                csig[name].append(
-                    ("body", _type_shape(schema.body_of(name), lcolor, ccolor))
-                )
-
-        new_lcolor = {
-            label: (
-                f"R:{label}"
-                if label in rigid
-                else _digest((lcolor[label], sorted(map(repr, lsig[label]))))
-            )
-            for label in labels
-        }
-        new_ccolor = {
-            name: _digest((ccolor[name], sorted(map(repr, csig[name]))))
-            for name in classes
-        }
-        stable = _partition(new_lcolor) == _partition(lcolor) and _partition(
-            new_ccolor
-        ) == _partition(ccolor)
-        lcolor, ccolor = new_lcolor, new_ccolor
-        if stable:
-            break
-    return lcolor, ccolor
-
-
 # ---------------------------------------------------------------------------
-# Serialization under an assignment + the tie-break search.
+# The tie-break search.
 # ---------------------------------------------------------------------------
-
-
-def _render_instance(
-    premises: Sequence[PathConstraint],
-    phi: PathConstraint,
-    schema: Schema | None,
-    context_value: str,
-    lmap: Mapping[str, str],
-    cmap: Mapping[str, str],
-) -> str:
-    lines = [f"canon={CANON_VERSION}", f"ctx={context_value}"]
-    lines.append("phi=" + _render_psi(phi, lmap))
-    for rendered in sorted({_render_psi(psi, lmap) for psi in premises}):
-        lines.append("sigma=" + rendered)
-    if schema is not None:
-        lines.append(
-            "db=" + _render_type_named(schema.db_type, lmap, cmap)
-        )
-        for name in sorted(schema.class_names, key=lambda n: cmap[n]):
-            lines.append(
-                cmap[name]
-                + "="
-                + _render_type_named(schema.body_of(name), lmap, cmap)
-            )
-        lines.append("atoms=" + ",".join(sorted(schema.atomic_names)))
-    return "\n".join(lines)
-
-
-def _render_psi(psi: PathConstraint, lmap: Mapping[str, str]) -> str:
-    direction = "F" if psi.direction is Direction.FORWARD else "B"
-    return "|".join(
-        (
-            ".".join(lmap[label] for label in psi.prefix.labels),
-            ".".join(lmap[label] for label in psi.lhs.labels),
-            ".".join(lmap[label] for label in psi.rhs.labels),
-            direction,
-        )
-    )
-
-
-def _render_type_named(
-    tau: Type, lmap: Mapping[str, str], cmap: Mapping[str, str]
-) -> str:
-    if isinstance(tau, ClassRef):
-        return "c:" + cmap[tau.name]
-    if isinstance(tau, SetType):
-        return "{" + _render_type_named(tau.element, lmap, cmap) + "}"
-    if isinstance(tau, RecordType):
-        inner = sorted(
-            f"{lmap[label]}:{_render_type_named(field, lmap, cmap)}"
-            for label, field in tau.fields
-        )
-        return "[" + ",".join(inner) + "]"
-    return "b:" + tau.name  # type: ignore[attr-defined]
 
 
 def _grouped(
-    names: Sequence[str], colors: Mapping[str, str], rigid: frozenset[str]
-) -> list[list[str]]:
-    """Non-rigid names grouped by color; groups ordered by color."""
-    groups: dict[str, list[str]] = {}
-    for name in names:
-        if name in rigid:
-            continue
-        groups.setdefault(colors[name], []).append(name)
+    names: Sequence[str], colors: Sequence[int], rigid: Sequence[int]
+) -> list[list[int]]:
+    """Non-rigid ids grouped by color; groups in color order, the ids
+    of a group in name order."""
+    groups: dict[int, list[int]] = {}
+    for index, color in enumerate(colors):
+        if index not in rigid:
+            groups.setdefault(color, []).append(index)
     return [
-        sorted(groups[color]) for color in sorted(groups)
+        sorted(groups[color], key=names.__getitem__)
+        for color in sorted(groups)
     ]
 
 
@@ -407,87 +490,62 @@ def canonicalize_instance(
     exceed ``search_cap``, in which case the key is still
     deterministic and ``fallback`` is set.
     """
-    premises = sorted(set(sigma))
-    rigid = (
-        frozenset({MEMBERSHIP_LABEL}) if schema is not None else frozenset()
-    )
-
-    label_set: set[str] = set(phi.alphabet())
-    for psi in premises:
-        label_set |= psi.alphabet()
-    classes: list[str] = []
-    if schema is not None:
-        classes = sorted(schema.class_names)
-        for tau in schema.all_types():
-            if isinstance(tau, RecordType):
-                label_set.update(label for label, _ in tau.fields)
-    labels = sorted(label_set)
-
-    lcolor, ccolor = _refine_colors(
-        premises, phi, schema, labels, classes, rigid
-    )
-
-    label_groups = _grouped(labels, lcolor, rigid)
-    class_groups = _grouped(classes, ccolor, frozenset())
+    encoded = _Encoded(sigma, phi, schema)
+    lcolor, ccolor = encoded.refine()
+    label_groups = _grouped(encoded.labels, lcolor, encoded.rigid)
+    class_groups = _grouped(encoded.classes, ccolor, ())
     assignments = 1
     for group in label_groups + class_groups:
         assignments *= factorial(len(group))
 
-    rigid_map = {label: f"!{label}" for label in rigid}
+    # Rigid labels keep their "!name"; render() names every other one.
+    lname = [f"!{label}" for label in encoded.labels]
+    cname = [""] * len(encoded.classes)
 
-    def build_maps(
-        label_order: Sequence[Sequence[str]],
-        class_order: Sequence[Sequence[str]],
-    ) -> tuple[dict[str, str], dict[str, str]]:
-        lmap = dict(rigid_map)
-        index = 0
-        for group in label_order:
-            for label in group:
-                lmap[label] = f"l{index}"
-                index += 1
-        cmap = {}
-        index = 0
-        for group in class_order:
-            for name in group:
-                cmap[name] = f"C{index}"
-                index += 1
-        return lmap, cmap
+    def render(
+        label_order: Sequence[Sequence[int]],
+        class_order: Sequence[Sequence[int]],
+    ) -> str:
+        for index, label in enumerate(chain.from_iterable(label_order)):
+            lname[label] = f"l{index}"
+        classes = list(chain.from_iterable(class_order))
+        for index, name in enumerate(classes):
+            cname[name] = f"C{index}"
+        return encoded.render(context_value, lname, cname, classes)
 
-    if assignments > search_cap:
+    fallback = assignments > search_cap
+    if fallback:
         # Deterministic fallback: original-name order inside each
         # ambiguous group.  Same instance -> same key, but an
         # alpha-renamed copy may key differently.
-        lmap, cmap = build_maps(label_groups, class_groups)
-        text = _render_instance(
-            premises, phi, schema, context_value, lmap, cmap
-        )
-        return CanonicalForm(
-            key=hashlib.sha256(text.encode()).hexdigest(),
-            text=text,
-            label_map=lmap,
-            class_map=cmap,
-            fallback=True,
-        )
-
-    best: tuple[str, dict[str, str], dict[str, str]] | None = None
-    label_perms = [list(permutations(g)) for g in label_groups]
-    class_perms = [list(permutations(g)) for g in class_groups]
-    for label_order in product(*label_perms):
-        for class_order in product(*class_perms):
-            lmap, cmap = build_maps(label_order, class_order)
-            text = _render_instance(
-                premises, phi, schema, context_value, lmap, cmap
-            )
-            if best is None or text < best[0]:
-                best = (text, lmap, cmap)
-    assert best is not None  # at least the empty assignment exists
-    text, lmap, cmap = best
+        best = (label_groups, class_groups)
+        text = render(*best)
+    else:
+        best, text = None, None
+        label_perms = product(*(permutations(g) for g in label_groups))
+        for label_order in label_perms:
+            class_perms = product(*(permutations(g) for g in class_groups))
+            for class_order in class_perms:
+                candidate = render(label_order, class_order)
+                if text is None or candidate < text:
+                    best, text = (label_order, class_order), candidate
+        assert best is not None  # at least the empty assignment exists
+    label_order, class_order = best
+    label_map: dict[str, str] = {}
+    if schema is not None:
+        label_map[MEMBERSHIP_LABEL] = f"!{MEMBERSHIP_LABEL}"
+    for index, label in enumerate(chain.from_iterable(label_order)):
+        label_map[encoded.labels[label]] = f"l{index}"
+    class_map = {
+        encoded.classes[name]: f"C{index}"
+        for index, name in enumerate(chain.from_iterable(class_order))
+    }
     return CanonicalForm(
         key=hashlib.sha256(text.encode()).hexdigest(),
         text=text,
-        label_map=lmap,
-        class_map=cmap,
-        fallback=False,
+        label_map=label_map,
+        class_map=class_map,
+        fallback=fallback,
     )
 
 

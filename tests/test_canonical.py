@@ -13,21 +13,40 @@ The cache's whole correctness story rests on two properties of
 
 from __future__ import annotations
 
+import hashlib
 import random
+from math import factorial
 
 import pytest
 
-from repro.constraints.ast import backward, forward, word
+from repro.constraints.ast import (
+    Direction,
+    PathConstraint,
+    backward,
+    forward,
+    word,
+)
 from repro.diffcheck.generators import FRAGMENT_GENERATORS, generate_instance
+from repro.paths import Path
 from repro.reasoning.canonical import (
     DEFAULT_SEARCH_CAP,
+    _Encoded,
     canonicalize_instance,
     canonicalize_problem,
     rename_constraint,
     rename_schema,
 )
 from repro.reasoning.dispatcher import Context, ImplicationProblem
-from repro.types.typesys import MEMBERSHIP_LABEL, RecordType
+from repro.types.examples import example_3_1_schema, random_m_schema
+from repro.types.siggen import SchemaSignature
+from repro.types.typesys import (
+    MEMBERSHIP_LABEL,
+    AtomicType,
+    ClassRef,
+    RecordType,
+    Schema,
+    SetType,
+)
 
 
 def _instance_labels(instance):
@@ -237,3 +256,343 @@ class TestFallback:
         renamed = [rename_constraint(psi, mapping) for psi in sigma]
         rng.shuffle(renamed)
         assert canonicalize_instance(renamed, phi).key == base.key
+
+
+# -- the integer refinement against the digest refinement it replaced --------
+
+
+def _path_shape(path, lcolor):
+    return ".".join(lcolor[label] for label in path.labels)
+
+
+def _psi_shape(psi, lcolor):
+    direction = "F" if psi.direction is Direction.FORWARD else "B"
+    return "|".join(
+        (
+            _path_shape(psi.prefix, lcolor),
+            _path_shape(psi.lhs, lcolor),
+            _path_shape(psi.rhs, lcolor),
+            direction,
+        )
+    )
+
+
+def _type_shape(tau, lcolor, ccolor):
+    if isinstance(tau, ClassRef):
+        return "c:" + ccolor[tau.name]
+    if isinstance(tau, SetType):
+        return "{" + _type_shape(tau.element, lcolor, ccolor) + "}"
+    if isinstance(tau, RecordType):
+        inner = sorted(
+            f"{lcolor[label]}:{_type_shape(field, lcolor, ccolor)}"
+            for label, field in tau.fields
+        )
+        return "[" + ",".join(inner) + "]"
+    return "b:" + tau.name
+
+
+def _digest(payload):
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def _collect_schema_occurrences(tau, owner, ctx, lsig, csig, lcolor, ccolor):
+    if isinstance(tau, ClassRef):
+        csig[tau.name].append(("ref", owner, ctx))
+    elif isinstance(tau, SetType):
+        _collect_schema_occurrences(
+            tau.element, owner, ctx + ("{}",), lsig, csig, lcolor, ccolor
+        )
+    elif isinstance(tau, RecordType):
+        for label, field in tau.fields:
+            lsig[label].append(
+                ("field", owner, ctx, _type_shape(field, lcolor, ccolor))
+            )
+            _collect_schema_occurrences(
+                field, owner, ctx + (lcolor[label],), lsig, csig, lcolor, ccolor
+            )
+
+
+def _partition(colors):
+    groups = {}
+    for name, color in colors.items():
+        groups.setdefault(color, set()).add(name)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
+def naive_refine_colors(premises, phi, schema, labels, classes, rigid):
+    """Reference oracle: the refinement the integer one replaced.  Each
+    round renders every constraint and type shape as a string of
+    colors, and a label's (class's) new color is the sha256 digest of
+    its old color and its sorted rendered occurrences; it stops when the
+    partition is unchanged."""
+    lcolor = {
+        label: (f"R:{label}" if label in rigid else "L") for label in labels
+    }
+    ccolor = {name: "C" for name in classes}
+    for _ in range(len(labels) + len(classes) + 2):
+        lsig = {label: [] for label in labels}
+        csig = {name: [] for name in classes}
+        for tag, psi in [("Q", phi)] + [("P", psi) for psi in premises]:
+            shape = tag + ":" + _psi_shape(psi, lcolor)
+            for field_name, path in (
+                ("pf", psi.prefix),
+                ("lhs", psi.lhs),
+                ("rhs", psi.rhs),
+            ):
+                for index, label in enumerate(path.labels):
+                    lsig[label].append((shape, field_name, index))
+        if schema is not None:
+            owners = [("DB", schema.db_type)] + [
+                (ccolor[name], schema.body_of(name)) for name in classes
+            ]
+            for owner, tau in owners:
+                _collect_schema_occurrences(
+                    tau, owner, (), lsig, csig, lcolor, ccolor
+                )
+            for name in classes:
+                csig[name].append(
+                    ("body", _type_shape(schema.body_of(name), lcolor, ccolor))
+                )
+        new_lcolor = {
+            label: (
+                f"R:{label}"
+                if label in rigid
+                else _digest((lcolor[label], sorted(map(repr, lsig[label]))))
+            )
+            for label in labels
+        }
+        new_ccolor = {
+            name: _digest((ccolor[name], sorted(map(repr, csig[name]))))
+            for name in classes
+        }
+        stable = _partition(new_lcolor) == _partition(lcolor) and _partition(
+            new_ccolor
+        ) == _partition(ccolor)
+        lcolor, ccolor = new_lcolor, new_ccolor
+        if stable:
+            break
+    return lcolor, ccolor
+
+
+def assert_refinement_matches_oracle(sigma, phi, schema):
+    """The integer refinement partitions the labels and the classes as
+    the oracle does, so the key falls back exactly when the oracle's
+    search would exceed the cap."""
+    rigid = frozenset({MEMBERSHIP_LABEL}) if schema is not None else frozenset()
+    labels = set(phi.alphabet())
+    for psi in sigma:
+        labels |= psi.alphabet()
+    classes = []
+    if schema is not None:
+        classes = sorted(schema.class_names)
+        for tau in schema.all_types():
+            if isinstance(tau, RecordType):
+                labels.update(label for label, _ in tau.fields)
+    want_l, want_c = naive_refine_colors(
+        sorted(set(sigma)), phi, schema, sorted(labels), classes, rigid
+    )
+
+    encoded = _Encoded(sigma, phi, schema)
+    lcolor, ccolor = encoded.refine()
+    got_l = dict(zip(encoded.labels, lcolor))
+    got_c = dict(zip(encoded.classes, ccolor))
+    assert _partition(got_l) == _partition(want_l)
+    assert _partition(got_c) == _partition(want_c)
+
+    search = 1
+    for group in _partition(want_l) | _partition(want_c):
+        if not group & rigid:
+            search *= factorial(len(group))
+    context = "M" if schema is not None else "semistructured"
+    form = canonicalize_instance(sigma, phi, context, schema)
+    assert form.fallback == (search > DEFAULT_SEARCH_CAP)
+
+
+def decide_cold_shapes(seed: int, per_kind: int) -> list[ImplicationProblem]:
+    """Instances of the decide-cold benchmark's three shapes, sizes
+    cycled over its ranges: P_w with 24-48 word constraints over three
+    labels; typed-M with 16-32 equivalences over ``random_m_schema``
+    with 8-12 classes; local extent, the MIT core plus 100-300 decoys
+    on seven sites."""
+    rng = random.Random(f"decide-cold-shapes:{seed}")
+
+    def path(pool, low=1, high=3):
+        return Path([rng.choice(pool) for _ in range(rng.randint(low, high))])
+
+    def size(low, high, n):
+        return low + (high - low) * n // max(1, per_kind - 1)
+
+    letters = ["a", "b", "c"]
+    sites = ["book", "person", "author", "wrote", "ref"]
+    core = [
+        forward("MIT", "book.author", "person"),
+        forward("MIT", "person.wrote", "book"),
+        forward("MIT", "book.ref", "book.ref"),
+    ]
+    problems = []
+    for n in range(per_kind):
+        sigma = [
+            word(path(letters), path(letters)) for _ in range(size(24, 48, n))
+        ]
+        problems.append(
+            ImplicationProblem(sigma, word(path(letters), path(letters)))
+        )
+
+        schema = random_m_schema(size(8, 12, n), 2, seed=rng.randrange(1 << 30))
+        signature = SchemaSignature(schema)
+        groups = {}
+        for candidate in signature.sample_paths(4):
+            if not candidate.is_empty():
+                groups.setdefault(
+                    signature.type_of_path(candidate), []
+                ).append(candidate)
+        pools = [paths for paths in groups.values() if len(paths) >= 2]
+        sigma = [
+            word(*rng.sample(rng.choice(pools), 2))
+            for _ in range(size(16, 32, n))
+        ]
+        phi = word(*rng.sample(rng.choice(pools), 2))
+        problems.append(ImplicationProblem(sigma, phi, Context.M, schema))
+
+        decoys = [
+            (forward if rng.random() < 0.5 else backward)(
+                f"site{index % 7}", path(sites), path(sites)
+            )
+            for index in range(size(100, 300, n))
+        ]
+        lhs = rng.choice(["book.ref", "book.author.wrote"])
+        phi = forward("MIT", lhs, "book")
+        problems.append(ImplicationProblem(core + decoys, phi))
+    return problems
+
+
+def _random_mplus_type(rng, classes, labels, depth):
+    kind = rng.randrange(4 if depth < 2 else 2)
+    if kind == 0:
+        return AtomicType(rng.choice(["int", "string"]))
+    if kind == 1:
+        return ClassRef(rng.choice(classes))
+    if kind == 2:
+        return SetType(_random_mplus_type(rng, classes, labels, depth + 1))
+    return RecordType(
+        [
+            (label, _random_mplus_type(rng, classes, labels, depth + 1))
+            for label in rng.sample(labels, rng.randint(1, 2))
+        ]
+    )
+
+
+def _random_mplus_body(rng, classes, labels):
+    if rng.random() < 0.3:
+        return SetType(_random_mplus_type(rng, classes, labels, 1))
+    return RecordType(
+        [
+            (label, _random_mplus_type(rng, classes, labels, 1))
+            for label in rng.sample(labels, rng.randint(1, min(3, len(labels))))
+        ]
+    )
+
+
+def symmetric_instances(seed: int, count: int):
+    """Small instances with many ties, where a single detail of a
+    signature (tag, direction, field, position, set step, context
+    path) can be all that separates two labels or classes: a few
+    constraints over up to four labels, half of them in M+ context
+    over a random schema of sets and nested records."""
+    rng = random.Random(f"symmetric:{seed}")
+    for _ in range(count):
+        schema = None
+        labels = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+        if rng.random() < 0.5:
+            classes = ["P", "Q", "R"][: rng.randint(1, 3)]
+            schema = Schema(
+                {n: _random_mplus_body(rng, classes, labels) for n in classes},
+                _random_mplus_body(rng, classes, labels),
+            )
+            labels = labels + [MEMBERSHIP_LABEL]
+
+        def path():
+            return Path(rng.choices(labels, k=rng.randint(0, 2)))
+
+        def constraint():
+            direction = rng.choice([Direction.FORWARD, Direction.BACKWARD])
+            return PathConstraint(path(), path(), path(), direction)
+
+        sigma = [constraint() for _ in range(rng.randint(0, 3))]
+        phi = rng.choice(sigma) if sigma and rng.random() < 0.3 else constraint()
+        yield sigma, phi, schema
+
+
+class TestRefinementOracle:
+    @pytest.mark.parametrize("fragment", sorted(FRAGMENT_GENERATORS))
+    def test_generator_instances_match(self, fragment):
+        for seed in range(4):
+            rng = random.Random(f"{seed}:{fragment}")
+            for _ in range(25):
+                inst = FRAGMENT_GENERATORS[fragment](rng)
+                schema = (
+                    inst.schema
+                    if inst.context is not Context.SEMISTRUCTURED
+                    else None
+                )
+                assert_refinement_matches_oracle(inst.sigma, inst.phi, schema)
+
+    def test_decide_cold_shapes_match(self):
+        for problem in decide_cold_shapes(0, 12):
+            assert_refinement_matches_oracle(
+                problem.sigma, problem.phi, problem.schema
+            )
+
+    def test_symmetric_instances_match(self):
+        for sigma, phi, schema in symmetric_instances(0, 400):
+            assert_refinement_matches_oracle(sigma, phi, schema)
+
+    def test_hand_built_instances_match(self, fs_schema):
+        """Interchangeable labels (a search, and past the cap a
+        fallback), the rigid ``member`` label, and Example 3.1's M+
+        schema."""
+        for count in (3, 9):
+            sigma = [word((f"l{i}",), (f"l{i}",)) for i in range(count)]
+            assert_refinement_matches_oracle(sigma, sigma[0], None)
+        sigma = [forward((), (MEMBERSHIP_LABEL,), (MEMBERSHIP_LABEL,))]
+        assert_refinement_matches_oracle(sigma, sigma[0], fs_schema)
+        sigma = [backward("book.member", "author.member", "wrote.member")]
+        phi = forward("person.member", "wrote.member", "wrote.member")
+        assert_refinement_matches_oracle(sigma, phi, example_3_1_schema())
+
+    def test_each_signature_part_separates(self, fs_schema):
+        """Instances where one part of a signature is all that tells
+        two labels (or two classes) apart."""
+        # the tag: phi's label against a premise's
+        assert_refinement_matches_oracle([word("b", "b")], word("a", "a"), None)
+        # the direction
+        sigma = [word("a", "a"), backward("", "b", "b")]
+        assert_refinement_matches_oracle(sigma, word("c", "c"), None)
+        # the field: prefix against hypothesis
+        sigma = [forward("a", "b", "c")]
+        assert_refinement_matches_oracle(sigma, sigma[0], None)
+        # the old color: rigid ``member`` against a label used alike
+        sigma = [word(MEMBERSHIP_LABEL, MEMBERSHIP_LABEL), word("zz", "zz")]
+        assert_refinement_matches_oracle(sigma, word("", ""), fs_schema)
+        # the context path: P and Q differ only in which field holds them
+        body = RecordType([("x", AtomicType("int"))])
+        schema = Schema(
+            {"P": body, "Q": body},
+            RecordType([("a", ClassRef("P")), ("b", ClassRef("Q"))]),
+        )
+        assert_refinement_matches_oracle([], word("a", "a"), schema)
+
+
+def test_decide_cold_shapes_keys_identical():
+    """Renaming, shuffling and duplicating premises never changes the
+    key of a decide-cold-shaped instance."""
+    rng = random.Random(99)
+    for problem in decide_cold_shapes(1, 6):
+        base = canonicalize_problem(problem)
+        assert not base.fallback
+        for _ in range(3):
+            label_map, class_map = _random_bijections(problem, rng)
+            variant = canonicalize_problem(
+                _renamed_problem(problem, label_map, class_map, rng)
+            )
+            assert variant.key == base.key

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import (
@@ -21,7 +21,11 @@ from repro.constraints import (
     partition_bounded,
     word,
 )
-from repro.constraints.classes import check_prefix_bounded_set, is_in_pw_rho
+from repro.constraints.classes import (
+    BoundednessReport,
+    check_prefix_bounded_set,
+    is_in_pw_rho,
+)
 from repro.errors import ConstraintSyntaxError
 from repro.paths import EPSILON, Path
 
@@ -260,3 +264,89 @@ def test_bounded_implies_classified(rho, lhs, rhs, guard):
         inferred_rho, inferred_guard = infer_bounds(phi)
         assert inferred_rho == rho
         assert inferred_guard == guard
+
+
+# -- the tuple-based boundedness check against the Path-based loop -----------
+
+
+def naive_check_prefix_bounded_set(constraints, rho, guard):
+    """Reference oracle: the Definition 2.3 loop on ``Path`` values
+    that the label-tuple check replaced, ``is_bounded_by`` inlined."""
+    rho = Path.coerce(rho)
+    guard_path = Path.single(guard)
+    bounded, rest, offenders = [], [], []
+    for phi in constraints:
+        if (
+            phi.is_forward()
+            and phi.prefix == rho.append(guard)
+            and not phi.lhs.is_empty()
+            and not guard_path.is_prefix_of(phi.lhs)
+        ):
+            bounded.append(phi)
+            continue
+        if not rho.is_prefix_of(phi.prefix):
+            offenders.append((phi, f"prefix {phi.prefix} does not extend {rho}"))
+            continue
+        rho_prime = phi.prefix.strip_prefix(rho)
+        if guard_path.is_prefix_of(rho_prime):
+            offenders.append(
+                (phi, f"prefix remainder {rho_prime} starts with the guard {guard}")
+            )
+            continue
+        if rho_prime.is_empty():
+            if phi.is_forward() and phi.rhs == guard_path:
+                rest.append(phi)
+            else:
+                offenders.append(
+                    (
+                        phi,
+                        "prefix equals rho but the constraint is not of "
+                        f"the form rho :: beta => {guard}",
+                    )
+                )
+            continue
+        rest.append(phi)
+    return BoundednessReport(
+        rho=rho,
+        guard=guard,
+        ok=not offenders,
+        bounded=tuple(bounded),
+        rest=tuple(rest),
+        offenders=tuple(offenders),
+    )
+
+
+bound_labels = st.sampled_from(["K", "l", "m", "a"])
+bound_paths = st.lists(bound_labels, max_size=3).map(Path)
+
+
+@st.composite
+def bounded_sets(draw):
+    """(constraints, rho, guard) covering every branch of Definition
+    2.3: prefix rho.K (bounded when the lhs is neither empty nor
+    guard-led, and forward), prefix rho with and without ``=> K``, a
+    remainder led by the guard or not, and a prefix not extending rho;
+    forward and backward throughout."""
+    guard = draw(st.sampled_from(["K", "G"]))
+    rho = draw(st.lists(bound_labels, max_size=2).map(Path))
+    guard_led = bound_paths.map(lambda p: Path.single(guard).concat(p))
+    prefixes = st.one_of(
+        st.just(rho.append(guard)),
+        st.just(rho),
+        bound_paths.filter(lambda p: not p.is_empty()).map(rho.concat),
+        guard_led.map(rho.concat),
+        bound_paths,
+    )
+    lhss = st.one_of(st.just(EPSILON), guard_led, bound_paths)
+    rhss = st.one_of(st.just(Path.single(guard)), bound_paths)
+    constraint = st.builds(PathConstraint, prefixes, lhss, rhss, directions)
+    return draw(st.lists(constraint, max_size=6)), rho, guard
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_sets())
+def test_boundedness_check_matches_path_loop(case):
+    constraints, rho, guard = case
+    assert check_prefix_bounded_set(
+        constraints, rho, guard
+    ) == naive_check_prefix_bounded_set(constraints, rho, guard)

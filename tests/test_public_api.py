@@ -169,3 +169,12 @@ def test_constraints_import_stays_off_the_upper_layers():
     # only when it checks a graph.
     watched = {"repro.query", "repro.reasoning", "multiprocessing"}
     assert _modules_loaded_by("import repro.constraints", watched) == "[]"
+
+
+def test_query_evaluation_stays_off_the_reasoning_layer():
+    # Evaluating a path query is an automaton-graph product; the
+    # containment checker and the optimizer, which import the reasoning
+    # layer, load on first use.
+    watched = {"repro.reasoning", "repro.query.containment", "multiprocessing"}
+    statement = "from repro.query import evaluate_rpq"
+    assert _modules_loaded_by(statement, watched) == "[]"
