@@ -40,9 +40,11 @@ python -m pytest tests -m stress -q
 python -m pytest benchmarks/ -m bench -s "$@"
 
 # Parallel-regression gate: with cost-model dispatch, asking for more
-# jobs must never cost more than it buys.  The benchmark asserts this
-# too; gating again on the emitted JSON keeps the check honest if the
-# benchmark's internal assertion is ever refactored away.
+# jobs must never cost more than it buys.  The timings are medians of
+# interleaved cold-pool repetitions (the runs sit beside them in
+# "repetitions_seconds").  The benchmark asserts this too; gating again
+# on the emitted JSON keeps the check honest if the benchmark's
+# internal assertion is ever refactored away.
 python - <<'EOF'
 import json
 

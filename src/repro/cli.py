@@ -16,8 +16,8 @@ Commands
     otherwise), ``--deadline`` caps the whole portfolio
     in wall-clock seconds, and ``--inject`` enables deterministic fault
     injection (``kill:3``, ``delay:2:0.5``, ``corrupt:1``, ``raise:0``,
-    ``rate:0.3[:seed]``; comma-separated).  Answers are served from
-    and stored to the cross-request implication cache
+    ``oom:4``, ``rate:0.3[:seed]``; comma-separated).  Answers are
+    served from and stored to the cross-request implication cache
     (``--cache-dir``/``$REPRO_CACHE_DIR``, default ``~/.cache/repro``;
     ``--no-cache`` bypasses it).
     With ``--server HOST:PORT[,HOST:PORT...]`` the query is sent to a
@@ -30,9 +30,8 @@ Commands
     that answers alpha-renamed repeats, a hung-solve watchdog that
     retires a solver thread still running ``--watchdog-grace-ms`` past
     its deadline (``--deadline`` gives requests without a budget one),
-    per-worker memory ceilings (``--max-worker-mb``), and graceful
-    SIGTERM drain (in-flight work finishes, new work is refused, the
-    warm pool is retired).  See :mod:`repro.server`.
+    and graceful SIGTERM drain (in-flight work finishes, new work is
+    refused, the warm pool is retired).  See :mod:`repro.server`.
 ``chaos [--seed N] [--requests N] [--fault-rate R] [--json-out F]``
     Seeded wire-level chaos sweep: real daemons, a real client, and a
     fault-perpetrating TCP proxy; gates on zero verdict flips,
@@ -99,7 +98,6 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
 from repro.graph.serialize import from_dict, to_dict, to_dot
 from repro.reasoning import (
-    DEFAULT_SOLVE_OPTIONS,
     Context,
     FaultPlan,
     ImplicationProblem,
@@ -174,8 +172,6 @@ def _solve_options(args: argparse.Namespace, **settings) -> SolveOptions:
     ``serve`` ask for, plus command-specific ``settings``."""
     return SolveOptions(
         inject=FaultPlan.from_spec(args.inject) if args.inject else None,
-        max_worker_mb=args.max_worker_mb,
-        memory_guard_mb=args.memory_guard_mb,
         **settings,
     )
 
@@ -726,30 +722,15 @@ def _add_solve_flags(
 
 
 def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
-    """The pool-runtime flags :func:`_solve_options` reads; their
-    defaults are :class:`SolveOptions`'s."""
+    """``--inject``, the runtime flag :func:`_solve_options` reads; its
+    default is :class:`SolveOptions`'s."""
     p.add_argument(
         "--inject",
         metavar="SPEC",
         help="deterministic fault injection for every solve: kill:ORD, "
-        "raise:ORD, delay:ORD:SECONDS, corrupt:ORD, rate:R[:SEED] "
-        "(comma-separated; testing instrument; disables cache lookups)",
-    )
-    p.add_argument(
-        "--max-worker-mb",
-        type=int,
-        default=DEFAULT_SOLVE_OPTIONS.max_worker_mb,
-        metavar="MB",
-        help="RLIMIT_AS ceiling per pool worker; a worker past it "
-        "dies with MemoryError and rides the crash-recovery path",
-    )
-    p.add_argument(
-        "--memory-guard-mb",
-        type=int,
-        default=DEFAULT_SOLVE_OPTIONS.memory_guard_mb,
-        metavar="MB",
-        help="degrade pooled execution to in-process scans once this "
-        "process's RSS passes MB",
+        "raise:ORD, delay:ORD:SECONDS, corrupt:ORD, oom:ORD, "
+        "rate:R[:SEED] (comma-separated; testing instrument; disables "
+        "cache lookups)",
     )
 
 

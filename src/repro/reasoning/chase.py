@@ -95,7 +95,7 @@ def chase(
     shared budget); expiry behaves like step-budget exhaustion — the
     chase stops early and the fixpoint recheck runs for real.
     ``should_stop`` is a cooperative cancellation hook (a pool run's
-    cancel flag) checked at the same points as the deadline.
+    stop-word poll) checked at the same points as the deadline.
     """
     return _chase(graph, sigma, max_steps, deadline, should_stop)
 

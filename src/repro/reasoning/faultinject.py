@@ -9,8 +9,8 @@ delays and mid-task exceptions reproducible on demand:
   submission counter of a :class:`~repro.reasoning.runtime
   .WorkerSupervisor`) to a :class:`FaultAction`;
 * targeted plans pin one fault to one ordinal (``kill:3``,
-  ``raise:0``, ``delay:2:0.5``, ``corrupt:1``; comma-separated specs
-  compose);
+  ``raise:0``, ``delay:2:0.5``, ``corrupt:1``, ``oom:4``;
+  comma-separated specs compose);
 * rate plans (``rate:0.3`` or ``rate:0.3:seed``) draw a fault kind
   per ordinal from a seeded PRNG, for fuzzing the fault paths at
   volume;
@@ -39,20 +39,15 @@ Every fault kind:
             executor's feeder and the future errors without the task
             ever reaching a worker (a no-op in-process: nothing is
             pickled there)
-``hang``    the task wedges — it sleeps in small increments, ignoring
-            deadlines and cooperative cancellation, forever
-            (``hang:ORD``) or for ``param`` seconds (``hang:ORD:SECS``)
-            before running; this models the undecidability-induced
-            non-returning solve the watchdog layer exists for
-``oom``     the task raises :class:`MemoryError`, exactly what a worker
-            whose ``RLIMIT_AS`` ceiling is hit observes — exercising
-            the OOM → :class:`~repro.errors.WorkerCrashError` mapping
+``oom``     the task raises :class:`MemoryError`, what a worker that
+            runs out of memory observes — exercising the
+            OOM → :class:`~repro.errors.WorkerCrashError` mapping
 ==========  ============================================================
 
-Rate plans (``rate:R``) draw only from the original four transient
-kinds; ``hang``/``oom`` fire only when targeted explicitly, because a
-randomly drawn infinite hang would wedge an entire fuzz sweep rather
-than test anything.
+Rate plans (``rate:R``) draw only from the four transient kinds;
+``oom`` fires only when targeted explicitly.  A solve that ignores its
+deadline is faked by the daemon's ``wedge`` request field instead
+(:mod:`repro.server`).
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Self
+from typing import ClassVar, TypeVar
 
 from repro.errors import InjectedFault
 
@@ -71,6 +66,8 @@ ENV_VAR = "REPRO_INJECT"
 
 #: Golden-ratio multiplier decorrelating per-ordinal PRNG streams.
 SEED_STRIDE = 0x9E3779B1
+
+_Plan = TypeVar("_Plan", bound="OrdinalPlan")
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class OrdinalPlan:
     RATE_DELAY: ClassVar[float] = 0.0
 
     @classmethod
-    def from_spec(cls, spec: str) -> Self:
+    def from_spec(cls: type[_Plan], spec: str) -> _Plan:
         """Parse ``kill:3,delay:2:0.5,...`` or ``rate:0.3[:seed]``.
 
         Raises :class:`ValueError` on malformed specs — injection is a
@@ -156,7 +153,7 @@ class OrdinalPlan:
         return cls(spec=spec, targeted=tuple(targeted), rate=rate, seed=seed)
 
     @classmethod
-    def at_rate(cls, rate: float, seed: int = 0) -> Self:
+    def at_rate(cls: type[_Plan], rate: float, seed: int = 0) -> _Plan:
         """A pure rate plan (the ``repro fuzz --inject-rate`` mode)."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"inject rate {rate} outside [0, 1]")
@@ -190,9 +187,8 @@ class FaultPlan(OrdinalPlan):
     Immutable and picklable — but note the plan is consulted in the
     *submitting* process (the supervisor), never in workers, so the
     injection decision for a task is fixed before the task crosses
-    the process boundary.  ``delay`` takes its seconds, ``hang``
-    optionally; rate plans draw neither ``hang`` (it would wedge whole
-    sweeps) nor ``oom`` (targeted ceiling tests only).
+    the process boundary.  ``delay`` takes its seconds; rate plans
+    never draw ``oom`` (targeted tests only).
     """
 
     KINDS = {
@@ -200,7 +196,6 @@ class FaultPlan(OrdinalPlan):
         "raise": (0,),
         "delay": (1,),
         "corrupt": (0,),
-        "hang": (0, 1),
         "oom": (0,),
     }
     RATE_KINDS = ("kill", "raise", "delay", "corrupt")
@@ -245,13 +240,6 @@ def invoke(action_kind: str, param: float, in_process: bool, fn, args,
         raise InjectedFault("injected mid-task fault")
     elif action_kind == "delay":
         time.sleep(param)
-    elif action_kind == "hang":
-        # Sleep in small increments so a *bounded* hang wakes up on
-        # time, but never consult any deadline or cancel flag: a hang
-        # is precisely a task that stopped cooperating.
-        end = None if param <= 0 else time.monotonic() + param
-        while end is None or time.monotonic() < end:
-            time.sleep(0.05)
     elif action_kind == "oom":
-        raise MemoryError("injected worker memory-ceiling hit")
+        raise MemoryError("injected worker out-of-memory")
     return fn(*args)

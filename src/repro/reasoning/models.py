@@ -447,13 +447,13 @@ def scan_codes(
     ``require_reachable`` (the level-search default) codes with
     root-unreachable nodes are skipped after decoding.  ``deadline``
     is an absolute ``time.monotonic()`` value checked every ``check_every``
-    codes, as is ``should_stop`` (the cooperative cancellation hook a
-    pool worker polls from a shared
-    :class:`~repro.reasoning.runtime.CancelFlag`); either stops the
-    scan with ``exhausted=False``.  Callers that already compiled the
-    constraints against ``space.labels`` (the portfolio compiles once
-    per solve and ships the result to every shard) pass
-    ``compiled_sigma``/``compiled_phi`` to skip recompilation.
+    codes, as is ``should_stop`` (the cooperative cancellation hook
+    :func:`~repro.reasoning.runtime.stop_hook` gives a pool worker);
+    either stops the scan with ``exhausted=False``.  Callers that
+    already compiled the constraints against ``space.labels`` (the
+    portfolio compiles once per solve and ships the result to every
+    shard) pass ``compiled_sigma``/``compiled_phi`` to skip
+    recompilation.
     Deterministic: the hit is the smallest counter-model code in
     range, independent of sharding.
     """
@@ -525,7 +525,7 @@ def _materialise_hit(
     free insurance against a drift between the two.
     """
     graph = space.to_graph(code)
-    if not _is_countermodel(graph, list(sigma), phi):  # pragma: no cover
+    if not _is_countermodel(graph, list(sigma), phi):
         raise RuntimeError(
             f"bitcode checker accepted code {code} at n={space.node_count} "
             "but the reference checker rejects it"

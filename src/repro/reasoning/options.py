@@ -37,10 +37,10 @@ class SolveOptions:
     the ``"auto"`` rule — pinning the pool is how the fault-injection
     suite keeps real worker processes on workloads the rule would run
     inline.  Pool respawns are not a setting: see
-    :data:`repro.reasoning.runtime.MAX_RESPAWNS`.
-    ``max_worker_mb`` caps each pool worker's address space and
-    ``memory_guard_mb`` demotes pooled execution to inline once this
-    process's RSS passes it.
+    :data:`repro.reasoning.runtime.MAX_RESPAWNS`.  Memory is not a
+    setting either: an ``RLIMIT_AS`` set on this process (``ulimit -v``)
+    is inherited by every pool worker, and ``"inline"`` keeps a solve
+    in-process.
     """
 
     allow_semidecision: bool = True
@@ -50,8 +50,6 @@ class SolveOptions:
     with_proof: bool = False
     inject: FaultPlan | None = None
     execution: str = "auto"
-    max_worker_mb: int | None = None
-    memory_guard_mb: int | None = None
 
     def __post_init__(self) -> None:
         if self.execution not in _EXECUTIONS:

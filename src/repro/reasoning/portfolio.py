@@ -12,9 +12,10 @@ two engines as a *portfolio*:
 * typed contexts shard the ``U_f(Delta)`` instance stream by stride
   instead (one shard inline, one per worker in the pool);
 * the first engine to produce a *definite* certificate wins, pending
-  work is cancelled, and per-engine statistics (candidates examined,
-  elapsed time, outcome) are surfaced on the returned
-  :class:`ImplicationResult`.
+  work is cancelled, running pool tasks stop at their next poll of the
+  pool's stop word (:func:`repro.reasoning.runtime.stop_hook`), and
+  per-engine statistics (candidates examined, elapsed time, outcome)
+  are surfaced on the returned :class:`ImplicationResult`.
 
 Inline and pooled execution run the same two scan loops
 (:func:`_scan_levels`, :func:`_scan_typed`) against a
@@ -32,8 +33,9 @@ backoff, resubmits lost shards from their ``(start, stop)`` ranges,
 degrades to in-process execution when respawns are exhausted, and
 records every event in the result's ``faults`` field.  Soundness is
 structural: TRUE/FALSE always rides on an independently verifiable
-certificate, so infrastructure failure can only ever demote an answer
-to UNKNOWN, never flip it.
+certificate, and every counter-model a scan reports is re-checked with
+the Definition 2.1 checker before FALSE is answered, so infrastructure
+failure can only ever demote an answer to UNKNOWN, never flip it.
 
 Determinism: the counter-model engine's answer is a function of the
 instance alone, not of scheduling.  Shards report the smallest hit in
@@ -53,15 +55,13 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph
 from repro.reasoning.chase import chase_implication
 from repro.reasoning.costmodel import (
-    ExecMode,
     ExecutionDecision,
     choose_execution,
     estimate_untyped_codes,
@@ -72,6 +72,7 @@ from repro.reasoning.models import (
     CodeSpace,
     ShardReport,
     TypedShardReport,
+    _materialise_hit,
     compile_constraints,
     infer_alphabet,
     scan_codes,
@@ -81,11 +82,10 @@ from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.result import EngineStats, ImplicationResult
 from repro.reasoning.runtime import (
     Budget,
-    CancelFlag,
     SupervisedTask,
     WorkerSupervisor,
+    stop_hook,
 )
-from repro.reasoning.watchdog import current_rss_mb
 from repro.truth import Trilean
 from repro.types.typesys import Schema
 
@@ -140,38 +140,16 @@ class CountermodelOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Tasks (top-level, picklable) and their process-local caches.
+# Tasks (top-level, picklable) and their process-local cache.
 #
 # A warm pool survives across solve() calls, so workers amortise the
-# per-payload state: cancel-flag attachments and the CodeSpace
-# permutation tables.  The caches are tiny LRUs; the parent's copy
-# serves inline scans and the decoding of hits.
+# CodeSpace permutation tables in a tiny LRU; the parent's copy serves
+# inline scans and the decoding of hits.  A task's ``run`` is its
+# supervisor's run number, which :func:`stop_hook` turns into the
+# worker's stop poll.
 # ---------------------------------------------------------------------------
 
-_CANCEL_FLAGS: OrderedDict[str, CancelFlag] = OrderedDict()
 _CODE_SPACES: OrderedDict[tuple, CodeSpace] = OrderedDict()
-
-
-def _attached(name: str) -> CancelFlag:
-    flag = _CANCEL_FLAGS.get(name)
-    if flag is None:
-        flag = CancelFlag.attach(name)
-        _CANCEL_FLAGS[name] = flag
-        while len(_CANCEL_FLAGS) > 4:
-            _, old = _CANCEL_FLAGS.popitem(last=False)
-            old.close()
-    else:
-        _CANCEL_FLAGS.move_to_end(name)
-    return flag
-
-
-def _stop_hook(cancel_name: str | None):
-    """The ``should_stop`` poll for the run's named cancel flag (or
-    None when the run has no flag)."""
-    if cancel_name is None:
-        return None
-    flag = _attached(cancel_name)
-    return lambda: flag.is_set
 
 
 def _code_space(node_count: int, labels: tuple[str, ...]) -> CodeSpace:
@@ -192,7 +170,7 @@ def _chase_task(
     phi: PathConstraint,
     max_steps: int,
     deadline: float | None,
-    cancel_name: str | None = None,
+    run: int | None = None,
 ) -> tuple[ImplicationResult, float]:
     began = time.perf_counter()
     result = chase_implication(
@@ -200,7 +178,7 @@ def _chase_task(
         phi,
         max_steps=max_steps,
         deadline=deadline,
-        should_stop=_stop_hook(cancel_name),
+        should_stop=stop_hook(run),
     )
     return result, time.perf_counter() - began
 
@@ -212,7 +190,7 @@ def _shard_task(
     start: int,
     stop: int,
     deadline: float | None,
-    cancel_name: str | None = None,
+    run: int | None = None,
 ) -> ShardReport:
     """Scan codes ``[start, stop)`` of one level.
 
@@ -227,7 +205,7 @@ def _shard_task(
         start,
         stop,
         deadline=deadline,
-        should_stop=_stop_hook(cancel_name),
+        should_stop=stop_hook(run),
         compiled_sigma=compiled_sigma,
         compiled_phi=compiled_phi,
     )
@@ -244,7 +222,7 @@ def _typed_shard_task(
     shard_count: int,
     deadline: float | None,
     compiled: bool = False,
-    cancel_name: str | None = None,
+    run: int | None = None,
 ) -> TypedShardReport:
     return scan_typed_instances(
         schema,
@@ -257,7 +235,7 @@ def _typed_shard_task(
         shard_count=shard_count,
         deadline=deadline,
         compiled=compiled,
-        should_stop=_stop_hook(cancel_name),
+        should_stop=stop_hook(run),
     )
 
 
@@ -282,43 +260,6 @@ def _plan_shards(total: int, shard_count: int) -> list[tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
-
-
-@contextmanager
-def _supervised(
-    decision: ExecutionDecision,
-    budget: Budget,
-    plan: FaultPlan | None,
-    options: SolveOptions,
-) -> Iterator[tuple[WorkerSupervisor, CancelFlag | None]]:
-    """The run's supervisor and, in a pool, its own cancel flag.
-
-    Pool tasks poll the flag, the one stop signal besides the deadline
-    that crosses the process boundary.  The run raises it once the
-    race is decided, and on exit so warm-pool stragglers wind down.
-    Inline tasks stop at the deadline alone.
-    """
-    cancel = CancelFlag.create() if decision.mode is ExecMode.POOL else None
-    try:
-        with WorkerSupervisor(
-            jobs=decision.jobs,
-            budget=budget,
-            plan=plan,
-            max_worker_mb=options.max_worker_mb,
-        ) as supervisor:
-            try:
-                yield supervisor, cancel
-            finally:
-                if cancel is not None:
-                    cancel.set()
-    finally:
-        if cancel is not None:
-            cancel.release()
-
-
-def _flag_name(cancel: CancelFlag | None) -> str | None:
-    """What a task needs to attach to the run's flag."""
-    return None if cancel is None else cancel.name
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +333,21 @@ class _Chase:
         supervisor.wait_any(watch)
 
 
-def _stop(
-    supervisor: WorkerSupervisor,
-    cancel: CancelFlag | None,
-    tasks: list[SupervisedTask],
-) -> None:
-    """Cancel ``tasks``; raise the run's flag so running ones wind
+def _stop(supervisor: WorkerSupervisor, tasks: list[SupervisedTask]) -> None:
+    """Cancel ``tasks``; clear the run's stop word so running ones wind
     down."""
-    if cancel is not None:
-        cancel.set()
+    supervisor.stop()
     for task in tasks:
         supervisor.cancel(task)
 
 
 def _scan_levels(
     supervisor: WorkerSupervisor,
+    sigma: tuple[PathConstraint, ...],
+    phi: PathConstraint,
     labels: tuple[str, ...],
-    programs: tuple,
     max_nodes: int,
     deadline: float | None,
-    cancel: CancelFlag | None,
     chase: _Chase,
 ) -> CountermodelOutcome:
     """Canonical scan of levels ``1..max_nodes``, racing ``chase``.
@@ -425,9 +361,11 @@ def _scan_levels(
     chase decides.  All waiting goes through the supervisor, so worker
     crashes, respawns and degraded re-runs are invisible here: a task
     is either settled with a report, settled failed (a typed error),
-    or cancelled.
+    or cancelled.  A hit is re-checked with the Definition 2.1 checker
+    before it becomes the outcome's graph.
     """
     began = time.perf_counter()
+    programs = _compile(sigma, phi, labels)
     out = CountermodelOutcome(levels=tuple(range(1, max_nodes + 1)))
     for node_count in range(1, max_nodes + 1):
         total = CodeSpace.size(node_count, len(labels))
@@ -443,7 +381,7 @@ def _scan_levels(
                 start,
                 stop,
                 deadline,
-                _flag_name(cancel),
+                supervisor.run,
                 engine=f"countermodel[n={node_count} {start}:{stop}]",
             )
             for start, stop in _plan_shards(total, shards)
@@ -455,7 +393,7 @@ def _scan_levels(
                     chase.wait(supervisor, tasks[index:])
                     chase.check()
             except _ChaseWon:
-                _stop(supervisor, cancel, tasks[index:])
+                _stop(supervisor, tasks[index:])
                 raise
             if task.failed:
                 # The range is unexplored and unexplorable: same
@@ -469,14 +407,14 @@ def _scan_levels(
                 out.canonical += report.canonical
                 if report.hit is not None:
                     space = _code_space(node_count, labels)
-                    out.graph = space.to_graph(report.hit)
+                    out.graph = _materialise_hit(space, report.hit, sigma, phi)
                 elif not report.exhausted:
                     # Budget expired inside this range: everything
                     # beyond it is unexplored.
                     out.exhausted = False
                 else:
                     continue
-            _stop(supervisor, cancel, tasks[index + 1 :])
+            _stop(supervisor, tasks[index + 1 :])
             out.elapsed = time.perf_counter() - began
             return out
     out.elapsed = time.perf_counter() - began
@@ -490,7 +428,6 @@ def _scan_typed(
     phi: PathConstraint,
     limit: int,
     deadline: float | None,
-    cancel: CancelFlag | None,
     chase: _Chase,
 ) -> CountermodelOutcome:
     """Stride-sharded ``U_f(Delta)`` scan racing ``chase``.
@@ -516,7 +453,7 @@ def _scan_typed(
             shards,
             deadline,
             True,
-            _flag_name(cancel),
+            supervisor.run,
             engine=f"typed-countermodel[{shard_index}/{shards}]",
         )
         for shard_index in range(shards)
@@ -527,7 +464,7 @@ def _scan_typed(
             chase.wait(supervisor, tasks)
             chase.check()
     except _ChaseWon:
-        _stop(supervisor, cancel, tasks)
+        _stop(supervisor, tasks)
         raise
     reports = [t.result() for t in tasks if not t.failed]
     failed = len(tasks) - len(reports)
@@ -582,17 +519,16 @@ def parallel_countermodel_search(
         jobs=requested,
         forced=options.forced_mode,
     )
-    with _supervised(decision, budget, options.inject, options) as (
-        supervisor,
-        cancel,
-    ):
+    with WorkerSupervisor(
+        jobs=decision.jobs, budget=budget, plan=options.inject
+    ) as supervisor:
         out = _scan_levels(
             supervisor,
+            sigma,
+            phi,
             labels,
-            _compile(sigma, phi, labels),
             max_nodes,
             budget.deadline,
-            cancel,
             _Chase(),
         )
     out.decision = decision
@@ -618,10 +554,8 @@ def run_portfolio(
     limit) passes the threshold of
     :func:`~repro.reasoning.costmodel.choose_execution`; otherwise the
     engines run sequentially in-process, so ``jobs > 1`` does not pay
-    pool overhead a small scan cannot amortise.  When this process's
-    RSS is already past ``options.memory_guard_mb``, pooled execution
-    (which would fork more memory-hungry workers) is demoted to inline.
-    Every returned result carries per-engine :class:`EngineStats`, a
+    pool overhead a small scan cannot amortise.  Every returned result
+    carries per-engine :class:`EngineStats`, a
     :class:`~repro.reasoning.result.FaultReport`, and the
     :class:`~repro.reasoning.costmodel.ExecutionDecision` on
     ``result.execution``.  The budget's deadline is the only stop
@@ -646,26 +580,6 @@ def run_portfolio(
     decision = choose_execution(
         kind=kind, work_units=work, jobs=requested, forced=options.forced_mode
     )
-    guard = options.memory_guard_mb
-    guard_note = None
-    if guard is not None and decision.mode is ExecMode.POOL:
-        rss = current_rss_mb()
-        if rss is not None and rss >= guard:
-            # Forking pool workers duplicates this process's footprint;
-            # past the guard that risks swapping the whole box.  The
-            # inline scan costs no extra resident memory.
-            guard_note = (
-                f"memory guard: parent rss {rss:.0f} MiB >= "
-                f"{guard} MiB; pooled execution demoted to "
-                "inline"
-            )
-            decision = replace(
-                decision,
-                mode=ExecMode.INLINE,
-                jobs=1,
-                reason=guard_note,
-                forced=True,
-            )
     notes = [
         f"undecidable problem class over {context.value}; semi-decision "
         "with explicit budgets",
@@ -677,15 +591,12 @@ def run_portfolio(
         ),
         f"execution: {decision.describe()}",
     ]
-    if guard_note is not None:
-        notes.append(guard_note)
     if plan.active:
         notes.append(f"fault injection active: {plan.describe()}")
 
-    with _supervised(decision, budget, plan, options) as (
-        supervisor,
-        cancel,
-    ):
+    with WorkerSupervisor(
+        jobs=decision.jobs, budget=budget, plan=plan
+    ) as supervisor:
         result = _portfolio_race(
             problem,
             supervisor,
@@ -696,7 +607,6 @@ def run_portfolio(
             budget,
             options,
             notes,
-            cancel,
         )
     result.execution = decision
     return result
@@ -712,7 +622,6 @@ def _portfolio_race(
     budget: Budget,
     options: SolveOptions,
     notes: list[str],
-    cancel: CancelFlag | None,
 ) -> ImplicationResult:
     """The race itself, inside an already-configured supervisor."""
     chase = _Chase(
@@ -722,7 +631,7 @@ def _portfolio_race(
             phi,
             options.chase_steps,
             budget.deadline,
-            _flag_name(cancel),
+            supervisor.run,
             engine="chase",
         ),
         untyped,
@@ -734,11 +643,11 @@ def _portfolio_race(
         if untyped:
             search = _scan_levels(
                 supervisor,
+                sigma,
+                phi,
                 labels,
-                _compile(sigma, phi, labels),
                 options.countermodel_nodes,
                 budget.deadline,
-                cancel,
                 chase,
             )
         else:
@@ -749,12 +658,11 @@ def _portfolio_race(
                 phi,
                 options.typed_search_limit,
                 budget.deadline,
-                cancel,
                 chase,
             )
         if search.graph is not None:
             # Refutation certificate in hand; the chase can stop.
-            _stop(supervisor, cancel, [chase.task])
+            _stop(supervisor, [chase.task])
         elif chase.running:
             # Search exhausted/budgeted/faulted without the chase
             # finishing: its verdict is the only hope left, so wait.

@@ -42,22 +42,23 @@ The deterministic fault-injection hooks live in
 at submission time (task ordinals are assigned by a deterministic
 counter), so injected faults are reproducible run-to-run.
 
-A one-byte shared-memory :class:`CancelFlag` belongs to one pool run
-(:func:`repro.reasoning.portfolio.run_portfolio` creates it only when
-the scan is pooled): it is the run's one stop signal besides the
-deadline, and the only one that crosses the process boundary.  Scans
-and the chase poll it between chunks, so a straggler task on a warm
-pool winds down quickly after the race is decided instead of
-occupying a worker into the next ``solve()``.  Callers stop a solve
-with its deadline alone.
+Each pool has one shared integer, its *stop word*, which the pool
+initializer installs in every worker.  A supervisor writes its run
+number into the word of the pool it leases and clears it once the race
+is decided and at shutdown; a pooled task polls :func:`stop_hook`
+between chunks and stops once the word no longer holds its run.  So a
+straggler on a warm pool winds down quickly after its race instead of
+occupying a worker into the next ``solve()``.  The word is the only
+stop signal besides the deadline that crosses the process boundary;
+callers stop a solve with its deadline alone.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import itertools
-import os
+import multiprocessing
+import threading
 import time
 from collections.abc import Iterable
 from concurrent.futures import (
@@ -68,8 +69,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import RetryExhausted, WorkerCrashError
 from repro.reasoning.faultinject import (
@@ -80,6 +80,9 @@ from repro.reasoning.faultinject import (
     invoke,
 )
 from repro.reasoning.result import FaultEvent, FaultReport
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ctypes import c_longlong
 
 #: Retries of a task that raised, before its last in-process attempt.
 MAX_TASK_RETRIES = 2
@@ -127,133 +130,6 @@ class Budget:
 
 
 # ---------------------------------------------------------------------------
-# Cooperative cancellation across processes.
-# ---------------------------------------------------------------------------
-#
-# Cleanup contract (the part the fault-tolerance guarantees depend on):
-# segments are *parent-owned*.  The parent unlinks in a ``finally``
-# around the race — worker crash and pool respawn never orphan a
-# segment because workers only ever attach.  A process-wide registry
-# plus an ``atexit`` hook reclaims anything still owned at interpreter
-# exit.
-#
-# Note on the resource tracker: ``SharedMemory(name=...)`` registers
-# unconditionally on attach, a known CPython sharp edge (3.13 grew
-# ``track=False`` for exactly this).  On POSIX the tracker process is
-# shared by the whole tree and its cache is a *set*, so attach-side
-# registrations race the parent's unlink in both directions: an
-# explicit attach-side ``unregister`` can double-unregister (KeyError
-# traceback in the tracker), while leaving the registration in place
-# lets a late-arriving attach-register resurrect an already-unlinked
-# name (ENOENT warning at interpreter exit).  The only
-# order-insensitive protocol on 3.11 is for attaches to never talk to
-# the tracker at all: ownership is strictly create-side, the parent's
-# single registration is cancelled by its single ``unlink()``, and the
-# tracker still reclaims the segment if the parent dies hard.
-
-_SEGMENT_COUNTER = itertools.count()
-
-#: name -> SharedMemory for every segment this process created and
-#: still owns (not yet unlinked).  The atexit hook drains it.
-_OWNED: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _disown_and_unlink(name: str) -> None:
-    shm = _OWNED.pop(name, None)
-    if shm is None:
-        return
-    try:
-        shm.close()
-    except Exception:  # pragma: no cover - defensive
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-    except Exception:  # pragma: no cover - defensive
-        pass
-
-
-def active_owned_segments() -> tuple[str, ...]:
-    """Names of segments this process still owns (leak-test hook)."""
-    return tuple(sorted(_OWNED))
-
-
-@atexit.register
-def _cleanup_owned_segments() -> None:  # pragma: no cover - exit path
-    for name in list(_OWNED):
-        _disown_and_unlink(name)
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment without a resource-tracker registration."""
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class CancelFlag:
-    """A one-byte shared cancellation flag (parent-owned)."""
-
-    def __init__(
-        self, shm: shared_memory.SharedMemory, owner: bool
-    ) -> None:
-        self._shm = shm
-        self._owner = owner
-
-    @classmethod
-    def create(cls) -> "CancelFlag":
-        shm = shared_memory.SharedMemory(
-            name=f"repro-cancel-{os.getpid()}-{next(_SEGMENT_COUNTER)}",
-            create=True,
-            size=1,
-        )
-        shm.buf[0] = 0
-        _OWNED[shm.name] = shm
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "CancelFlag":
-        return cls(_attach_untracked(name), owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def set(self) -> None:
-        with contextlib.suppress(Exception):
-            self._shm.buf[0] = 1
-
-    @property
-    def is_set(self) -> bool:
-        # A released (closed/unlinked) flag reads as cancelled: the
-        # pool run tearing its flag down mid-poll is itself a "stop
-        # now" signal to a straggler still polling it.
-        try:
-            return self._shm.buf[0] != 0
-        except Exception:
-            return True
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except Exception:  # pragma: no cover - defensive
-            pass
-
-    def release(self) -> None:
-        """Owner-side teardown: close and unlink."""
-        if self._owner:
-            _disown_and_unlink(self._shm.name)
-        else:
-            self.close()
-
-
-# ---------------------------------------------------------------------------
 # The warm persistent pool.
 # ---------------------------------------------------------------------------
 #
@@ -265,114 +141,119 @@ class CancelFlag:
 # exceptional exit never returns the pool — broken or straggler-laden
 # pools are abandoned and reaped exactly as before, so the PR 5
 # fault-tolerance guarantees are unchanged.  Warm workers also keep
-# their per-process caches (permutation tables, cancel-flag
-# attachments) across solves.
+# their per-process caches (permutation tables) across solves.
 
 
 @dataclass
 class _WarmPoolState:
     pool: ProcessPoolExecutor
+    word: c_longlong
     jobs: int
     leased: bool = False
-    max_worker_mb: int | None = None
 
 
 _WARM: _WarmPoolState | None = None
 _WARM_SPAWNS = 0
 _WARM_REUSES = 0
 
+#: Guards the warm slot: a daemon's solver threads lease concurrently,
+#: and two runs sharing one pool would share its stop word.
+_WARM_LOCK = threading.Lock()
 
-def _limit_worker_memory(max_worker_mb: int) -> None:
-    """Pool initializer: cap this worker's address space (RLIMIT_AS).
+#: This worker's pool stop word (None in the parent).
+_STOP_WORD: c_longlong | None = None
 
-    Runs inside the freshly started worker process.  A scan that
-    balloons past the ceiling observes an ordinary ``MemoryError``
-    (or, if the allocator dies harder, an abrupt worker death) — both
-    ride the existing respawn/degrade/quarantine path instead of
-    OOM-killing the whole box.  Never raises: a platform without
-    ``resource`` (or a hard limit below the request) silently keeps
-    the tightest limit available.
+#: Run numbers of supervisors; 0 in a stop word means "no run".
+_RUNS = itertools.count(1)
+
+
+def _install_stop_word(word: c_longlong) -> None:
+    """Pool initializer: keep the pool's stop word in this worker."""
+    global _STOP_WORD
+    _STOP_WORD = word
+
+
+def stop_hook(run: int | None) -> Callable[[], bool] | None:
+    """The ``should_stop`` poll for a task of supervisor run ``run``.
+
+    In a pool worker the task stops once the pool's stop word no
+    longer holds ``run``: the race was decided, or the run ended and
+    the pool went back to the warm slot or to a later run.  In the
+    parent (inline and degraded tasks) and for ``run=None`` there is no
+    poll, so the task stops at its deadline alone.
     """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return
-    limit = int(max_worker_mb) << 20
-    try:
-        _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        if hard != resource.RLIM_INFINITY and hard < limit:
-            limit = hard
-        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-    except (ValueError, OSError):  # pragma: no cover - defensive
-        pass
+    word = _STOP_WORD
+    if word is None or run is None:
+        return None
+    return lambda: word.value != run
 
 
-def _spawn_pool(jobs: int, max_worker_mb: int | None) -> ProcessPoolExecutor:
-    """A fresh pool, with the per-worker memory ceiling installed."""
-    if max_worker_mb is None:
-        return ProcessPoolExecutor(max_workers=jobs)
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_limit_worker_memory,
-        initargs=(max_worker_mb,),
+def _spawn_pool(jobs: int) -> tuple[ProcessPoolExecutor, c_longlong]:
+    """A fresh pool and the stop word its workers poll."""
+    # The word's arena file is unlinked as soon as it is created, so
+    # it leaves nothing in /dev/shm and needs no resource tracker.
+    word = multiprocessing.RawValue("q", 0)
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, initializer=_install_stop_word, initargs=(word,)
     )
+    return pool, word
 
 
 def _warm_acquire(
-    jobs: int, max_worker_mb: int | None = None
-) -> tuple[ProcessPoolExecutor, bool]:
+    jobs: int,
+) -> tuple[ProcessPoolExecutor, c_longlong, bool]:
     """Lease the warm pool (or spawn a tracked replacement).
 
-    Returns ``(pool, tracked)``; a ``tracked`` pool should be returned
-    via :func:`_warm_return` on clean shutdown.  An untracked pool
-    (the warm pool was already leased by another supervisor) is the
-    caller's to tear down.  A warm pool only satisfies a lease whose
-    memory ceiling matches — rlimits are installed at worker start and
-    cannot be retrofitted onto live processes.
+    Returns ``(pool, word, tracked)``; a ``tracked`` pool should be
+    returned via :func:`_warm_return` on clean shutdown.  An untracked
+    pool (the warm pool was already leased by another supervisor) is
+    the caller's to tear down.
     """
     global _WARM, _WARM_SPAWNS, _WARM_REUSES
-    state = _WARM
-    if state is not None and not state.leased:
-        broken = getattr(state.pool, "_broken", False)
-        if (
-            not broken
-            and state.jobs >= jobs
-            and state.max_worker_mb == max_worker_mb
-        ):
-            state.leased = True
-            _WARM_REUSES += 1
-            return state.pool, True
-        # Too small, broken, or wrong ceiling: retire and spawn fresh.
-        _WARM = None
-        _abandon_pool(state.pool)
-        state = None
-    pool = _spawn_pool(jobs, max_worker_mb)
-    if state is None and (_WARM is None or not _WARM.leased):
-        _WARM = _WarmPoolState(
-            pool=pool, jobs=jobs, leased=True, max_worker_mb=max_worker_mb
-        )
-        _WARM_SPAWNS += 1
-        return pool, True
-    return pool, False  # pragma: no cover - concurrent lease
+    retired = None
+    with _WARM_LOCK:
+        state = _WARM
+        if state is not None and not state.leased:
+            broken = getattr(state.pool, "_broken", False)
+            if not broken and state.jobs >= jobs:
+                state.leased = True
+                _WARM_REUSES += 1
+                return state.pool, state.word, True
+            # Too small or broken: retire and spawn fresh.
+            _WARM, retired = None, state.pool
+        # No worker starts before the first submission, so spawning
+        # under the lock is cheap.
+        pool, word = _spawn_pool(jobs)
+        tracked = _WARM is None
+        if tracked:
+            _WARM = _WarmPoolState(
+                pool=pool, word=word, jobs=jobs, leased=True
+            )
+            _WARM_SPAWNS += 1
+    if retired is not None:
+        _abandon_pool(retired)
+    return pool, word, tracked
 
 
 def _warm_return(pool: ProcessPoolExecutor, healthy: bool) -> None:
     """End a lease: keep a healthy pool warm, abandon anything else."""
     global _WARM
-    state = _WARM
-    if state is not None and state.pool is pool:
-        if healthy and not getattr(pool, "_broken", False):
-            state.leased = False
-            return
-        _WARM = None
+    with _WARM_LOCK:
+        state = _WARM
+        if state is not None and state.pool is pool:
+            if healthy and not getattr(pool, "_broken", False):
+                state.leased = False
+                return
+            _WARM = None
     _abandon_pool(pool)
 
 
 def _warm_discard(pool: ProcessPoolExecutor) -> None:
     """Forget a pool that broke while leased (caller abandons it)."""
     global _WARM
-    if _WARM is not None and _WARM.pool is pool:
-        _WARM = None
+    with _WARM_LOCK:
+        if _WARM is not None and _WARM.pool is pool:
+            _WARM = None
 
 
 def retire_warm_pool() -> None:
@@ -383,7 +264,8 @@ def retire_warm_pool() -> None:
     solve simply cold-spawns again.
     """
     global _WARM
-    state, _WARM = _WARM, None
+    with _WARM_LOCK:
+        state, _WARM = _WARM, None
     if state is not None:
         _abandon_pool(state.pool)
 
@@ -480,7 +362,6 @@ class WorkerSupervisor:
         budget: Budget | None = None,
         plan: FaultPlan | None = None,
         keep_warm: bool = True,
-        max_worker_mb: int | None = None,
     ) -> None:
         self.jobs = max(1, jobs)
         self.inline = jobs <= 1
@@ -489,9 +370,10 @@ class WorkerSupervisor:
         #: lease the process-wide warm pool (and return it on a clean
         #: exit) instead of cold-spawning and terminating per run.
         self.keep_warm = keep_warm
-        #: per-worker RLIMIT_AS ceiling in MiB (None = uncapped).
-        self.max_worker_mb = max_worker_mb
+        #: this run's number, written into the stop word of its pool.
+        self.run = next(_RUNS)
         self._pool: ProcessPoolExecutor | None = None
+        self._word: c_longlong | None = None
         self._pool_tracked = False
         self._pool_gen = 0
         self._respawns = 0
@@ -513,15 +395,22 @@ class WorkerSupervisor:
         # next solve — abandon and reap, exactly the old behavior.
         self.shutdown(abandon=exc_info and exc_info[0] is not None)
 
+    def stop(self) -> None:
+        """Clear the pool's stop word: this run's pooled tasks stop at
+        their next poll."""
+        if self._word is not None:
+            self._word.value = 0
+
     def shutdown(self, abandon: bool = False) -> None:
         """End this run's pool lease; never raises.
 
         A healthy tracked warm-pool lease is returned with workers
-        alive (cancelled stragglers observe the cooperative cancel
-        flag and idle quickly); anything else — untracked, degraded,
-        or ``abandon=True`` — is torn down and reaped.
+        alive (stragglers see the cleared stop word and idle quickly);
+        anything else — untracked, degraded, or ``abandon=True`` — is
+        torn down and reaped.
         """
-        pool, self._pool = self._pool, None
+        self.stop()
+        pool, self._pool, self._word = self._pool, None, None
         if pool is None:
             return
         if self._pool_tracked and not abandon and not self._degraded:
@@ -630,12 +519,13 @@ class WorkerSupervisor:
     def _pool_or_spawn(self) -> ProcessPoolExecutor:
         if self._pool is None:
             if self.keep_warm:
-                self._pool, self._pool_tracked = _warm_acquire(
-                    self.jobs, self.max_worker_mb
+                self._pool, self._word, self._pool_tracked = _warm_acquire(
+                    self.jobs
                 )
             else:
-                self._pool = _spawn_pool(self.jobs, self.max_worker_mb)
+                self._pool, self._word = _spawn_pool(self.jobs)
                 self._pool_tracked = False
+            self._word.value = self.run
         return self._pool
 
     def _submit_to_pool(self, task: SupervisedTask) -> None:
@@ -667,10 +557,10 @@ class WorkerSupervisor:
         elif isinstance(error, BrokenExecutor):
             self._handle_pool_break(task.engine, error)
         elif isinstance(error, MemoryError):
-            # The worker hit its RLIMIT_AS ceiling.  Its heap is
-            # untrustworthy even though the process survived, so ride
-            # the same respawn/degrade/quarantine path as an abrupt
-            # worker death rather than retrying on the bloated pool.
+            # The worker ran out of memory.  Its heap is untrustworthy
+            # even though the process survived, so ride the same
+            # respawn/degrade/quarantine path as an abrupt worker death
+            # rather than retrying on the bloated pool.
             self._record(
                 "worker-oom",
                 task.engine,
@@ -679,7 +569,7 @@ class WorkerSupervisor:
             )
             self._handle_pool_break(
                 task.engine,
-                WorkerCrashError(f"worker memory ceiling hit: {error}"),
+                WorkerCrashError(f"worker out of memory: {error}"),
             )
         else:
             self._task_failure(task, error)
@@ -693,7 +583,7 @@ class WorkerSupervisor:
             engine,
             detail=f"{type(exc).__name__}: {exc}",
         )
-        pool, self._pool = self._pool, None
+        pool, self._pool, self._word = self._pool, None, None
         if pool is not None:
             # A broken pool is never kept warm: forget it, then reap.
             _warm_discard(pool)

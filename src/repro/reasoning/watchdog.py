@@ -1,4 +1,4 @@
-"""Retirable solver threads and the parent-side memory probes.
+"""Retirable solver threads for the daemon's hung-solve watchdog.
 
 The implication problem this repo reproduces is undecidable in the
 general case, so a solve that simply *never returns* is an intrinsic
@@ -17,14 +17,10 @@ eventually returns (or raises), the retired thread discards the
 result — a stale verdict must never reach a caller — and exits.  The
 daemon's watchdog is one event-loop timer per budgeted solve that
 calls :meth:`RetiringSolverPool.retire_running` at deadline + grace.
-
-:func:`current_rss_mb` / :func:`current_vms_mb` are the parent-side
-memory probes used by the portfolio's pre-spawn memory guard.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from concurrent.futures import Future, InvalidStateError
@@ -187,41 +183,3 @@ class RetiringSolverPool:
                 "retired": self._retired,
             }
 
-
-def _proc_status_kb(key: str) -> Optional[float]:
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith(key + ":"):
-                    return float(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
-
-
-def current_rss_mb() -> Optional[float]:
-    """This process's resident set size in MiB (None off-Linux)."""
-    pages = _proc_statm_field(1)
-    if pages is None:
-        kb = _proc_status_kb("VmRSS")
-        return None if kb is None else kb / 1024.0
-    return pages * os.sysconf("SC_PAGE_SIZE") / float(1 << 20)
-
-
-def current_vms_mb() -> Optional[float]:
-    """This process's virtual memory size in MiB (None off-Linux).
-
-    ``RLIMIT_AS`` is an address-space (virtual) ceiling, so tests
-    sizing a worker ceiling relative to the current process should
-    start from this, not from RSS.
-    """
-    kb = _proc_status_kb("VmSize")
-    return None if kb is None else kb / 1024.0
-
-
-def _proc_statm_field(index: int) -> Optional[float]:
-    try:
-        with open("/proc/self/statm", "r", encoding="ascii") as fh:
-            return float(fh.read().split()[index])
-    except (OSError, ValueError, IndexError):
-        return None

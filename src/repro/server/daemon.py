@@ -100,8 +100,7 @@ class ServerConfig:
     max_queue: int = 64
     solver_threads: int = 2
     #: How every solve runs — ``imply`` and ``query`` alike: fault
-    #: injection (``inject`` also disables cache lookups), worker
-    #: memory ceiling and memory guard among them.
+    #: injection (``inject`` also disables cache lookups) among them.
     solve: SolveOptions = DEFAULT_SOLVE_OPTIONS
     #: Per-solve parallelism cap; an ``imply`` request may override it.
     jobs: int | str = "auto"

@@ -401,8 +401,6 @@ PARSER_DEFAULTS = {
         "dump_countermodel": None,
         "inject": None,
         "jobs": "1",
-        "max_worker_mb": None,
-        "memory_guard_mb": None,
         "no_cache": False,
         "query": "q",
         "schema": None,
@@ -418,8 +416,6 @@ PARSER_DEFAULTS = {
         "inject": None,
         "jobs": "auto",
         "max_queue": 64,
-        "max_worker_mb": None,
-        "memory_guard_mb": None,
         "no_cache": False,
         "port": 8747,
         "port_file": None,
@@ -454,11 +450,7 @@ PARSER_DEFAULTS = {
     },
 }
 
-RUNTIME_FLAGS = [
-    "--inject", "delay:0:0.01",
-    "--max-worker-mb", "4096",
-    "--memory-guard-mb", "1",
-]
+RUNTIME_FLAGS = ["--inject", "delay:0:0.01"]
 
 
 class TestSolveFlags:
@@ -504,8 +496,6 @@ class TestSolveFlags:
         assert main(["serve", "--no-cache", *RUNTIME_FLAGS]) == 0
         assert seen["imply"] == seen["serve"] == SolveOptions(
             inject=FaultPlan.from_spec("delay:0:0.01"),
-            max_worker_mb=4096,
-            memory_guard_mb=1,
         )
 
     def test_runtime_flag_defaults_are_the_options_defaults(self):

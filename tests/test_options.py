@@ -39,7 +39,6 @@ class TestValidation:
             {"execution": "inline"},
             {"execution": "pool"},
             {"inject": FaultPlan.from_spec("kill:1")},
-            {"max_worker_mb": 512, "memory_guard_mb": 64},
             {"chase_steps": 10, "countermodel_nodes": 2},
             {"allow_semidecision": False, "with_proof": True},
         ],
@@ -71,8 +70,6 @@ class TestDefaults:
         assert options.with_proof is False
         assert options.inject is None
         assert options.execution == "auto"
-        assert options.max_worker_mb is None
-        assert options.memory_guard_mb is None
 
     def test_fields_are_exactly_the_solve_settings(self):
         assert [f.name for f in dataclasses.fields(SolveOptions)] == [
@@ -83,8 +80,6 @@ class TestDefaults:
             "with_proof",
             "inject",
             "execution",
-            "max_worker_mb",
-            "memory_guard_mb",
         ]
 
     def test_solve_and_portfolio_default_to_the_shared_instance(self):

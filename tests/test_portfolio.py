@@ -31,6 +31,7 @@ from repro.reasoning import (
 )
 from repro.reasoning.models import (
     CodeSpace,
+    ShardReport,
     _is_countermodel,
     all_graphs,
     brute_force_countermodel,
@@ -219,6 +220,29 @@ class TestPortfolioDeterminism:
         phi = parse_constraint(DIVERGENT_PHI)
         assert satisfies_all(result.countermodel, sigma)
         assert not check(result.countermodel, phi).holds
+
+    def test_scan_hit_is_rechecked_before_false(self, monkeypatch):
+        # A scan that reports the empty 1-node graph, which violates
+        # `() => K`, must not become a FALSE: the portfolio re-checks
+        # every hit with the Definition 2.1 checker.
+        from repro.reasoning import portfolio
+
+        def lying_scan(space, sigma, phi, start, stop, **kwargs):
+            return ShardReport(
+                node_count=space.node_count,
+                start=start,
+                stop=stop,
+                hit=0,
+                examined=1,
+                canonical=1,
+                exhausted=True,
+            )
+
+        monkeypatch.setattr(portfolio, "scan_codes", lying_scan)
+        with pytest.raises(RuntimeError, match="reference checker rejects"):
+            portfolio.run_portfolio(
+                _divergent_problem(), SolveOptions(chase_steps=1)
+            )
 
 
 class TestPortfolioBudgets:

@@ -7,6 +7,7 @@ refactors cannot silently drop them.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -178,3 +179,108 @@ def test_query_evaluation_stays_off_the_reasoning_layer():
     watched = {"repro.reasoning", "repro.query.containment", "multiprocessing"}
     statement = "from repro.query import evaluate_rpq"
     assert _modules_loaded_by(statement, watched) == "[]"
+
+
+#: A pool's stop word is an anonymous shared integer: nothing loads the
+#: named-segment machinery or its resource tracker.
+NAMED_SHM_MODULES = {
+    "multiprocessing.shared_memory",
+    "multiprocessing.resource_tracker",
+}
+
+
+def test_cli_import_stays_off_named_shared_memory():
+    assert _modules_loaded_by("import repro.cli", NAMED_SHM_MODULES) == "[]"
+
+
+def test_pooled_solve_stays_off_named_shared_memory():
+    sigma = "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
+    statement = (
+        "from repro.constraints import parse_constraint, parse_constraints; "
+        "from repro.reasoning import ImplicationProblem, SolveOptions; "
+        "from repro.reasoning.portfolio import run_portfolio; "
+        f"problem = ImplicationProblem(parse_constraints({sigma!r}), "
+        "parse_constraint('K :: a => ()')); "
+        "result = run_portfolio(problem, SolveOptions(execution='pool'), "
+        "jobs=2); "
+        "assert result.execution.mode.value == 'pool'"
+    )
+    assert _modules_loaded_by(statement, NAMED_SHM_MODULES) == "[]"
+
+
+#: The oldest Python ``pyproject.toml`` declares (``requires-python``).
+PYTHON_FLOOR = (3, 10)
+
+#: Names added after :data:`PYTHON_FLOOR`, by the module that has them.
+NEWER_NAMES = {
+    "typing": {
+        "Self",
+        "LiteralString",
+        "Never",
+        "assert_never",
+        "reveal_type",
+        "NotRequired",
+        "Required",
+        "Unpack",
+        "TypeVarTuple",
+    },
+    "enum": {"StrEnum"},
+    "asyncio": {"TaskGroup", "timeout"},
+    "datetime": {"UTC"},
+}
+NEWER_MODULES = {"tomllib"}
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+
+
+def _runtime_nodes(tree: ast.AST):
+    """Every node of ``tree`` outside ``if TYPE_CHECKING:`` bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and _is_type_checking(child.test):
+                stack.extend(child.orelse)
+            else:
+                stack.append(child)
+
+
+def _newer_names_used(tree: ast.AST) -> list[str]:
+    """Imports and module attributes of ``tree`` missing at the floor."""
+    used = []
+    for node in _runtime_nodes(tree):
+        if isinstance(node, ast.Import):
+            used += [a.name for a in node.names if a.name in NEWER_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module in NEWER_MODULES:
+                used.append(node.module)
+            newer = NEWER_NAMES.get(node.module, set())
+            used += [
+                f"{node.module}.{a.name}" for a in node.names if a.name in newer
+            ]
+        elif isinstance(node, ast.Attribute) and isinstance(
+            node.value, ast.Name
+        ):
+            if node.attr in NEWER_NAMES.get(node.value.id, set()):
+                used.append(f"{node.value.id}.{node.attr}")
+    return used
+
+
+def test_sources_run_on_the_declared_python_floor():
+    # Parsing at the floor's grammar catches newer syntax; the name scan
+    # catches a runtime import that would raise ImportError there.
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(
+            path.read_text(), str(path), feature_version=PYTHON_FLOOR
+        )
+        used = _newer_names_used(tree)
+        if used:
+            offenders[str(path.relative_to(src))] = used
+    assert offenders == {}

@@ -91,7 +91,15 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize(
         "spec",
-        ["kill", "kill:x", "delay:1", "frobnicate:2", "rate:1.5", "rate"],
+        [
+            "kill",
+            "kill:x",
+            "delay:1",
+            "frobnicate:2",
+            "rate:1.5",
+            "rate",
+            "hang:0",
+        ],
     )
     def test_malformed_specs_are_rejected(self, spec):
         with pytest.raises(ValueError):

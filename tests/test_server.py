@@ -755,11 +755,7 @@ class TestQueryOverTheWire:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(dispatcher, "run_portfolio", spy)
-        options = SolveOptions(
-            inject=FaultPlan.from_spec("delay:0:0.01"),
-            max_worker_mb=4096,
-            memory_guard_mb=1,
-        )
+        options = SolveOptions(inject=FaultPlan.from_spec("delay:0:0.01"))
         with ServerHarness(port=0, solve=options) as harness:
             with harness.client() as client:
                 imply = client.imply(SIGMA, PHI, budget_ms=30_000)
@@ -989,22 +985,16 @@ class TestHungSolveWatchdog:
                 stats = client.stats()
                 assert stats["solver_pool"]["retired"] == 0
 
-    def test_decidable_traffic_creates_no_shared_memory(self, monkeypatch):
-        # A budgeted solve stops at its deadline, so the daemon needs
-        # no cancel flag for it: a decidable imply and a query on a
-        # daemon with the default watchdog create no shm segment (and
-        # so start no resource-tracker process).
-        from repro.reasoning.runtime import CancelFlag
+    def test_decidable_traffic_creates_no_shared_memory(self):
+        # A budgeted solve stops at its deadline, so a decidable imply
+        # and a query on a daemon with the default watchdog leave no
+        # entry in /dev/shm.
+        def shm_entries():
+            if not os.path.isdir("/dev/shm"):  # pragma: no cover
+                return set()
+            return set(os.listdir("/dev/shm"))
 
-        created: list = []
-        original = CancelFlag.create.__func__
-
-        def spy(cls):
-            flag = original(cls)
-            created.append(flag.name)
-            return flag
-
-        monkeypatch.setattr(CancelFlag, "create", classmethod(spy))
+        before = shm_entries()
         with ServerHarness(port=0) as harness:
             with harness.client(retries=0) as client:
                 imply = client.imply(WORD_SIGMA, WORD_PHI, budget_ms=30_000)
@@ -1015,7 +1005,7 @@ class TestHungSolveWatchdog:
                 )
                 assert query["status"] == "ok", query
                 assert query["verdict"] == "true"
-        assert created == []
+        assert shm_entries() - before == set()
 
 
 # ---------------------------------------------------------------------------

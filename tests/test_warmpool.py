@@ -1,19 +1,26 @@
-"""Warm persistent pool + shared-memory cancel flags: reuse and cleanup.
+"""Warm persistent pool + its stop word: reuse, stopping and cleanup.
 
 * two consecutive pooled solves must reuse the same worker processes
   (the warm pool survives across ``solve()`` calls — no respawn tax on
   the second solve);
-* a worker crash mid-shard must not leak a single shared-memory
-  segment, because the parent owns every cancel flag and unlinks it
-  in a ``finally`` around the race.
+* a straggler stops soon after its supervisor clears the pool's stop
+  word, and neither the next run on the same workers nor a concurrent
+  run on another pool reads as stopped;
+* concurrent threads never lease the warm pool twice, since two runs
+  on one pool would share its stop word;
+* a pooled solve, clean or through worker crashes, leaves nothing in
+  ``/dev/shm``: the stop word's arena file is unlinked as soon as it is
+  created.
 
 Pool execution is forced (``execution="pool"``) throughout: on a small
 instance the dispatch rule would otherwise — correctly — refuse to
 spawn processes at all.
 """
 
-import glob
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -21,10 +28,12 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.costmodel import ExecMode
 from repro.reasoning.faultinject import FaultPlan
+from repro.reasoning import runtime
 from repro.reasoning.portfolio import run_portfolio
 from repro.reasoning.runtime import (
-    active_owned_segments,
+    WorkerSupervisor,
     retire_warm_pool,
+    stop_hook,
     warm_pool_pids,
     warm_pool_stats,
 )
@@ -54,11 +63,23 @@ def _pooled_solve(**kwargs):
     return run_portfolio(_problem(), options, jobs=2)
 
 
-def _shm_leftovers():
-    """repro-owned names still present in the kernel's shm namespace."""
+def _shm_entries():
+    """The names in the kernel's shm namespace (empty off Linux)."""
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return glob.glob("/dev/shm/repro-cancel-*")
+        return set()
+    return set(os.listdir("/dev/shm"))
+
+
+def _straggler(run):
+    """A pool task that polls its stop hook for up to 30 s; returns
+    the seconds it ran (None when it got no hook)."""
+    should_stop = stop_hook(run)
+    if should_stop is None:
+        return None
+    began = time.monotonic()
+    while not should_stop() and time.monotonic() - began < 30.0:
+        time.sleep(0.01)
+    return time.monotonic() - began
 
 
 @pytest.fixture(autouse=True)
@@ -106,9 +127,58 @@ class TestWarmReuse:
                 continue
 
     def test_no_segments_survive_a_clean_solve(self):
+        before = _shm_entries()
         _pooled_solve()
-        assert active_owned_segments() == ()
-        assert _shm_leftovers() == []
+        assert _shm_entries() - before == set()
+
+
+class TestStopWord:
+    def test_straggler_stops_soon_after_stop(self):
+        with WorkerSupervisor(jobs=2) as supervisor:
+            task = supervisor.submit(
+                _straggler, supervisor.run, engine="straggler"
+            )
+            # Still polling: nothing but the stop word ends it early.
+            assert supervisor.wait_any({task}, timeout=0.5) == set()
+            stopped = time.monotonic()
+            supervisor.stop()
+            assert supervisor.wait_any({task}, timeout=10) == {task}
+            assert time.monotonic() - stopped < 2.0
+        assert task.result() is not None
+
+    def test_next_run_on_the_same_workers_is_not_stopped(self):
+        with WorkerSupervisor(jobs=2) as first:
+            first.submit(_straggler, first.run, engine="first")
+        pids = warm_pool_pids()
+        assert pids
+        with WorkerSupervisor(jobs=2) as second:
+            task = second.submit(_straggler, second.run, engine="second")
+            assert second.worker_pids() == pids
+            assert second.wait_any({task}, timeout=0.5) == set()
+            second.stop()
+            assert second.wait_any({task}, timeout=10) == {task}
+        assert task.result() is not None
+
+    def test_stop_leaves_a_concurrent_untracked_pool_alone(self):
+        with WorkerSupervisor(jobs=2) as first:
+            first_task = first.submit(_straggler, first.run, engine="first")
+            with WorkerSupervisor(jobs=2) as second:
+                # The warm pool is leased, so this run spawns its own.
+                second_task = second.submit(
+                    _straggler, second.run, engine="second"
+                )
+                assert set(second.worker_pids()).isdisjoint(
+                    first.worker_pids()
+                )
+                first.stop()
+                assert first.wait_any({first_task}, timeout=10) == {
+                    first_task
+                }
+                assert second.wait_any({second_task}, timeout=0.5) == set()
+                second.stop()
+                assert second.wait_any({second_task}, timeout=10) == {
+                    second_task
+                }
 
 
 class TestAtexitBackstop:
@@ -196,21 +266,66 @@ class TestAtexitBackstop:
         assert not alive, f"atexit backstop leaked workers: {alive}"
 
 
+class _FakePool:
+    @property
+    def _broken(self):
+        # Read inside the lease check: yielding here lets another
+        # thread in wherever that check is not atomic.
+        time.sleep(0.0005)
+        return False
+
+
+class TestConcurrentLeases:
+    def test_the_warm_pool_is_leased_once(self, monkeypatch):
+        # A daemon's solver threads lease concurrently, and two runs on
+        # one pool would stop each other through its stop word.  Fake
+        # pools keep the rounds cheap; more threads than cores and a
+        # tiny switch interval widen any check-then-act window.
+        monkeypatch.setattr(
+            runtime, "_spawn_pool", lambda jobs: (_FakePool(), None)
+        )
+        monkeypatch.setattr(runtime, "_abandon_pool", lambda pool: None)
+        monkeypatch.setattr(runtime, "_WARM", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                warm = _FakePool()
+                runtime._WARM = runtime._WarmPoolState(warm, None, jobs=2)
+                leases = []
+                barrier = threading.Barrier(4)
+
+                def lease():
+                    barrier.wait(timeout=10)
+                    leases.append(runtime._warm_acquire(2))
+
+                threads = [threading.Thread(target=lease) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [pool is warm for pool, _, _ in leases].count(True) == 1
+                assert [tracked for _, _, tracked in leases].count(True) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+
 @pytest.mark.stress
 class TestCrashCleanup:
     def test_os_exit_crash_mid_shard_leaks_no_segments(self):
         # kill:1 takes out a worker while shards are in flight; the
-        # supervisor respawns and the verdict survives — and every
-        # parent-owned segment is unlinked on the way out.
+        # supervisor respawns and the verdict survives — and neither
+        # pool generation leaves an entry in /dev/shm.
+        before = _shm_entries()
         result = _pooled_solve(inject=FaultPlan.from_spec("kill:1"))
         assert result.answer is Trilean.FALSE
         assert not result.faults.clean
-        assert active_owned_segments() == ()
-        assert _shm_leftovers() == []
+        assert _shm_entries() - before == set()
 
     def test_repeated_crashes_still_leak_nothing(self):
+        before = _shm_entries()
         for spec in ("kill:0", "kill:0,kill:1", "raise:0,kill:2"):
             result = _pooled_solve(inject=FaultPlan.from_spec(spec))
             assert result.answer in (Trilean.FALSE, Trilean.UNKNOWN)
-            assert active_owned_segments() == ()
-            assert _shm_leftovers() == []
+            assert _shm_entries() - before == set()

@@ -1,4 +1,4 @@
-"""Retirable solver threads and the worker memory ceilings.
+"""Retirable solver threads and the ``oom`` fault kind.
 
 The paper's undecidable cells mean a solve may simply never return —
 no amount of budget discipline fixes a computation that stops
@@ -11,12 +11,9 @@ wire in ``tests/test_server.py``.
 * :class:`RetiringSolverPool` replaces a retired thread so capacity
   survives abandonment, and a retirement that races a completed solve
   is a no-op;
-* ``hang``/``oom`` fault injection wedges or OOMs real tasks, and
-  rate plans never draw either (a randomly drawn infinite hang would
-  wedge a fuzz sweep, not test anything);
-* the ``RLIMIT_AS`` ceiling maps a worker's MemoryError onto the
-  existing crash-recovery path, and the parent-side RSS guard demotes
-  pooled execution before forking more memory-hungry workers.
+* ``oom`` fault injection raises MemoryError in a real task, the
+  supervisor maps a worker's MemoryError onto the existing
+  crash-recovery path, and rate plans never draw ``oom``.
 """
 
 from __future__ import annotations
@@ -32,11 +29,7 @@ from repro.reasoning import ImplicationProblem, SolveOptions
 from repro.reasoning.faultinject import FaultPlan, invoke
 from repro.reasoning.portfolio import run_portfolio
 from repro.reasoning.runtime import retire_warm_pool
-from repro.reasoning.watchdog import (
-    RetiringSolverPool,
-    current_rss_mb,
-    current_vms_mb,
-)
+from repro.reasoning.watchdog import RetiringSolverPool
 from repro.truth import Trilean
 
 DIVERGENT_SIGMA = "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
@@ -125,30 +118,15 @@ class TestRetiringSolverPool:
 
 
 class TestHangOomInjection:
-    def test_hang_spec_parses_bounded_and_unbounded(self):
-        plan = FaultPlan.from_spec("hang:2,hang:3:0.25")
-        actions = dict(plan.targeted)
-        assert actions[2].kind == "hang" and actions[2].param == 0.0
-        assert actions[3].kind == "hang" and actions[3].param == 0.25
-
     def test_oom_spec_raises_memory_error(self):
         action = FaultPlan.from_spec("oom:0").action_for(0)
         with pytest.raises(MemoryError):
             invoke(action.kind, action.param, True, lambda: None, ())
 
-    def test_bounded_hang_runs_task_afterwards(self):
-        action = FaultPlan.from_spec("hang:0:0.05").action_for(0)
-        start = time.monotonic()
-        assert (
-            invoke(action.kind, action.param, True, lambda: "ran", ())
-            == "ran"
-        )
-        assert time.monotonic() - start >= 0.05
-
     def test_rate_plans_never_draw_hang_or_oom(self):
         plan = FaultPlan.from_spec("rate:1.0:17")
         kinds = {plan.action_for(i).kind for i in range(300)}
-        assert "hang" not in kinds and "oom" not in kinds
+        assert "oom" not in kinds
         assert kinds <= {"kill", "raise", "delay", "corrupt"}
 
     def test_injected_oom_rides_the_crash_path(self):
@@ -164,46 +142,3 @@ class TestHangOomInjection:
         assert result.answer is Trilean.FALSE
         kinds = {e.kind for e in result.faults.events}
         assert "worker-oom" in kinds
-
-    def test_rss_and_vms_probes_answer(self):
-        rss = current_rss_mb()
-        vms = current_vms_mb()
-        assert rss is not None and rss > 0
-        assert vms is not None and vms >= rss * 0.5
-
-
-class TestMemoryCeilingAndGuard:
-    def test_generous_worker_ceiling_still_solves(self):
-        # A ceiling far above the worker's needs must be invisible.
-        ceiling = int((current_vms_mb() or 1024) * 4 + 2048)
-        result = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(execution="pool", max_worker_mb=ceiling),
-            jobs=2,
-        )
-        assert result.answer is Trilean.FALSE
-
-    def test_memory_guard_demotes_pool_to_inline(self):
-        # An RSS guard below the current RSS must veto pooled
-        # execution up front — and the verdict must survive the
-        # demotion.  The decision records what ran: one in-process
-        # worker, not the requested two.
-        result = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(execution="pool", memory_guard_mb=1),
-            jobs=2,
-        )
-        assert result.answer is Trilean.FALSE
-        assert result.execution.mode.value == "inline"
-        assert result.execution.jobs == 1
-        assert any("memory guard" in note for note in result.notes)
-
-    def test_guard_far_above_rss_changes_nothing(self):
-        result = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(execution="pool", memory_guard_mb=1 << 20),
-            jobs=2,
-        )
-        assert result.answer is Trilean.FALSE
-        assert result.execution.mode.value == "pool"
-
