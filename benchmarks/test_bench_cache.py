@@ -3,9 +3,9 @@
 Three workloads, matching the cache's acceptance criteria:
 
 * **cold vs warm** — a P_c instance only a 3-node counter-model
-  refutes (about a second of genuine portfolio work at ``jobs=1``: the
-  chase runs its whole budget, then the scan finds the model after
-  100,021 codes) is solved cold, then an *alpha-renamed* copy is
+  refutes (tens of milliseconds of genuine portfolio work at
+  ``jobs=1``: the chase runs its whole budget, then the tableau search
+  finds the model) is solved cold, then an *alpha-renamed* copy is
   served from the warmed cache.  The warm hit
   must be >= 100x faster: the whole point of canonical keys is that a
   renamed repeat costs one canonicalization + one lookup, not a
@@ -48,8 +48,8 @@ pytestmark = pytest.mark.bench
 
 # A refutation nothing shortcuts: the chase diverges (UNKNOWN after its
 # whole budget, the conclusion never forced), and the smallest
-# counter-model has 3 nodes, so the scan must reach deep into its last
-# level — the expensive-definite workload the cache exists for.
+# counter-model has 3 nodes, so the search must try every smaller
+# bound first — the expensive-definite workload the cache exists for.
 SIGMA_TEXT = "b => b.a\nb :: a.a ~> b"
 PHI_TEXT = "b.b => b.b.b"
 

@@ -1,19 +1,15 @@
-"""Portfolio benchmarks: execution dispatch, pruning, typed scaling.
+"""Portfolio benchmarks: the untyped search, typed scaling.
 
-Two workloads, matching the two halves of the parallel-slower-than-
-serial fix:
+Two workloads:
 
 * **small untyped** — the PR 2 acceptance instance (smallest counter-
-  model: 3 nodes, a 262144-code top level).  The seed sequential
-  search is the honest baseline; each job count then runs through the
-  dispatch rule (``execution="auto"``), which is exactly what a user
-  gets.  The regression being locked out: ``jobs=2`` used to pay cold
-  pool spawn + per-shard pickling on a scan far too small to amortise
-  it (measured 0.84s vs 0.20s at ``jobs=1`` on one CPU) — now one CPU
-  never pools, and ``jobs=2`` must land within 10% (plus 50 ms) of
-  ``jobs=1``.  Each job count is timed as the median of
-  ``REPETITIONS`` interleaved cold-pool runs, because one sample per
-  job count let host noise decide the gate.
+  model: 3 nodes).  The seed sequential search (every labelled graph,
+  no pruning) is the honest baseline; the tableau search of
+  :func:`~repro.reasoning.models.find_countermodel` must find a
+  counter-model with as few nodes and beat the seed >= 100x, timed as
+  the median of ``REPETITIONS`` runs.  The ``exhaustive`` shape of
+  the semidecide benchmark, which has no counter-model within 3 nodes,
+  records how long the search takes to exhaust that bound.
 * **large typed** — a full 2000-instance ``U_f(Delta)`` scan over the
   Example 3.1 schema.  The legacy driver (PR 2's cold stride-sharded
   pool, reference evaluator) is raced against the shipped auto path
@@ -21,7 +17,7 @@ serial fix:
   >= 4x.
 
 The per-solve execution decision (mode, jobs, estimate, reason) is
-recorded in ``BENCH_portfolio.json`` next to every timing, so a
+recorded in ``BENCH_portfolio.json`` next to the typed timing, so a
 regression in dispatch policy shows up as a mode flip in the diff, not
 just as a mysterious slowdown.
 """
@@ -37,16 +33,12 @@ from _report import print_table, write_bench_json
 from repro.constraints import parse_constraint, parse_constraints
 from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.models import (
-    CodeSpace,
     brute_force_countermodel,
+    find_countermodel,
     infer_alphabet,
     scan_codes,
 )
-from repro.reasoning.portfolio import (
-    _typed_shard_task,
-    parallel_countermodel_search,
-    run_portfolio,
-)
+from repro.reasoning.portfolio import _typed_shard_task, run_portfolio
 from repro.reasoning.runtime import WorkerSupervisor, retire_warm_pool
 from repro.truth import Trilean
 from repro.types.examples import example_3_1_schema
@@ -59,6 +51,11 @@ pytestmark = pytest.mark.bench
 SIGMA_TEXT = "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
 PHI_TEXT = "K :: a => ()"
 
+# The semidecide benchmark's `exhaustive` race template: implied, and
+# the chase diverges, so the search must exhaust its 3-node bound.
+EXHAUSTIVE_SIGMA_TEXT = "a => a.b\na ~> b"
+EXHAUSTIVE_PHI_TEXT = "a ~> b"
+
 # The typed workload: no counter-model exists inside the enumeration
 # bounds and untyped-chase FALSE does not transfer to M+, so every
 # driver must grind through the full instance stream — the worst case
@@ -68,9 +65,7 @@ TYPED_PHI_TEXT = "book.member => person"
 TYPED_LIMIT = 2000
 TYPED_JOBS = 8
 
-JOB_COUNTS = (1, 2, 4, 8)
-
-#: Interleaved timed runs per job count; the gate reads their median.
+#: Timed runs of the search; the gate reads their median.
 REPETITIONS = 5
 
 _BENCH: dict = {}
@@ -80,9 +75,17 @@ def _instance():
     return parse_constraints(SIGMA_TEXT), parse_constraint(PHI_TEXT)
 
 
-def test_small_untyped_cost_model_dispatch():
+def _median_seconds(fn) -> tuple[float, list[float], object]:
+    samples, value = [], None
+    for _ in range(REPETITIONS):
+        began = time.perf_counter()
+        value = fn()
+        samples.append(time.perf_counter() - began)
+    return statistics.median(samples), samples, value
+
+
+def test_small_untyped_search_vs_seed():
     sigma, phi = _instance()
-    retire_warm_pool()
 
     began = time.perf_counter()
     baseline_graph = brute_force_countermodel(sigma, phi, max_nodes=3)
@@ -90,76 +93,58 @@ def test_small_untyped_cost_model_dispatch():
     assert baseline_graph is not None
     assert baseline_graph.node_count() == 3
 
-    rows = [["seed sequential", "-", "-", f"{baseline:.3f}", "1.00x"]]
-    speedups: dict[str, float] = {}
-    timings: dict[str, float] = {"seed_sequential": baseline}
-    samples: dict[str, list[float]] = {f"jobs_{j}": [] for j in JOB_COUNTS}
-    modes: dict[str, dict] = {}
-    reference_edges = None
-    for _ in range(REPETITIONS):
-        for jobs in JOB_COUNTS:
-            # Every repetition pays the cold pool spawn the gate is about.
-            retire_warm_pool()
-            began = time.perf_counter()
-            out = parallel_countermodel_search(
-                sigma,
-                phi,
-                options=SolveOptions(countermodel_nodes=3),
-                jobs=jobs,
-            )
-            elapsed = time.perf_counter() - began
-            assert out.graph is not None
-            edges = sorted(out.graph.edges())
-            if reference_edges is None:
-                reference_edges = edges
-            assert edges == reference_edges  # determinism across jobs
-            samples[f"jobs_{jobs}"].append(elapsed)
-            modes[f"jobs_{jobs}"] = out.decision.to_dict()
-    for jobs in JOB_COUNTS:
-        elapsed = statistics.median(samples[f"jobs_{jobs}"])
-        speedups[str(jobs)] = baseline / elapsed
-        timings[f"jobs_{jobs}"] = elapsed
-        rows.append(
-            [
-                f"portfolio jobs={jobs}",
-                str(jobs),
-                modes[f"jobs_{jobs}"]["mode"],
-                f"{elapsed:.3f}",
-                f"{baseline / elapsed:.2f}x",
-            ]
-        )
+    search, samples, graph = _median_seconds(
+        lambda: find_countermodel(sigma, phi, max_nodes=3)
+    )
+    assert graph is not None
+    assert graph.node_count() == baseline_graph.node_count()
+    speedup = baseline / search
+
+    ex_sigma = parse_constraints(EXHAUSTIVE_SIGMA_TEXT)
+    ex_phi = parse_constraint(EXHAUSTIVE_PHI_TEXT)
+    ex_labels = infer_alphabet(ex_sigma, ex_phi)
+    exhaust, ex_samples, report = _median_seconds(
+        lambda: scan_codes(ex_sigma, ex_phi, ex_labels, 3)
+    )
+    assert report.exhausted and report.graph is None
 
     print_table(
-        "cost-model portfolio vs seed sequential "
+        "tableau search vs seed sequential "
         f"(sigma: {SIGMA_TEXT!r}, phi: {PHI_TEXT!r}; "
-        f"median of {REPETITIONS} runs per job count)",
-        ["engine", "jobs", "mode", "seconds", "speedup"],
-        rows,
+        f"search: median of {REPETITIONS} runs)",
+        ["engine", "seconds", "speedup"],
+        [
+            ["seed sequential", f"{baseline:.3f}", "1.00x"],
+            ["tableau search", f"{search:.6f}", f"{speedup:.0f}x"],
+            [
+                f"exhaust 3 nodes ({report.states} states)",
+                f"{exhaust:.6f}",
+                "-",
+            ],
+        ],
     )
 
     _BENCH["small_untyped"] = {
         "instance": {"sigma": SIGMA_TEXT, "phi": PHI_TEXT},
-        "countermodel_nodes": baseline_graph.node_count(),
-        "timings_seconds": timings,
-        "repetitions_seconds": samples,
-        "speedup": speedups,
-        "modes": modes,
+        "countermodel_nodes": graph.node_count(),
+        "timings_seconds": {"seed_sequential": baseline, "search": search},
+        "repetitions_seconds": {"search": samples},
+        "speedup": speedup,
     }
-    _BENCH["pruning"] = _pruning_rows(sigma, phi)
+    _BENCH["exhaustive"] = {
+        "instance": {
+            "sigma": EXHAUSTIVE_SIGMA_TEXT,
+            "phi": EXHAUSTIVE_PHI_TEXT,
+        },
+        "max_nodes": 3,
+        "states": report.states,
+        "seconds": exhaust,
+        "repetitions_seconds": ex_samples,
+    }
 
-    # Extra jobs must never cost more than they buy.  10% tolerance
-    # plus a 50ms absolute floor for timer noise on sub-second scans,
-    # on the medians.
-    assert timings["jobs_2"] <= 1.1 * timings["jobs_1"] + 0.05, (
-        f"jobs=2 ({timings['jobs_2']:.3f}s) lost to "
-        f"jobs=1 ({timings['jobs_1']:.3f}s)"
-    )
-    # PR 2 acceptance, carried forward against the honest baseline:
-    # the canonical engine beats the seed >= 4x at every job count.
-    for jobs in JOB_COUNTS:
-        assert speedups[str(jobs)] >= 4.0, (
-            f"jobs={jobs} only {speedups[str(jobs)]:.2f}x over seed"
-        )
+    # PR 2 acceptance, raised from >= 4x with the tableau search: the
+    # search beats the seed >= 100x.
+    assert speedup >= 100.0, f"search only {speedup:.1f}x over seed"
 
 
 def _legacy_typed_pool_seconds(schema, sigma, phi) -> float:
@@ -257,33 +242,3 @@ def test_large_typed_scan_vs_legacy_pool():
         f"auto path only {speedup:.2f}x over the legacy pool "
         f"({auto:.3f}s vs {legacy:.3f}s)"
     )
-
-
-def _pruning_rows(sigma, phi) -> dict[str, dict[str, int]]:
-    labels = infer_alphabet(sigma, phi)
-    pruning: dict[str, dict[str, int]] = {}
-    rows = []
-    for node_count in (1, 2, 3):
-        space = CodeSpace(node_count, labels)
-        canonical = sum(1 for _ in space.canonical_codes())
-        report = scan_codes(space, sigma, phi)
-        pruning[str(node_count)] = {
-            "total_codes": space.total,
-            "canonical_codes": canonical,
-            "scanned_candidates": report.examined,
-        }
-        rows.append(
-            [
-                str(node_count),
-                str(space.total),
-                str(canonical),
-                str(report.examined),
-                f"{space.total / max(1, report.examined):.2f}x",
-            ]
-        )
-    print_table(
-        f"isomorphism + reachability pruning (labels={list(labels)})",
-        ["nodes", "codes", "canonical", "scanned", "reduction"],
-        rows,
-    )
-    return pruning

@@ -29,7 +29,8 @@ python -m repro query fuzz --seed 0 --rounds 5
 
 # --jobs auto smoke: dispatch end-to-end on an undecidable cell, clean
 # and under a hostile fault plan.  The chase settles this instance
-# (FALSE: a fixpoint after 3 repairs) before the 3-node scan it races.
+# (FALSE: a fixpoint after 3 repairs) before the counter-model search
+# runs.
 # --no-cache keeps a verdict stored by an earlier run from answering
 # instead.  Exit 0 means a definite answer; injected faults may only
 # demote to UNKNOWN (exit 2), never error out.

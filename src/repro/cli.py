@@ -11,9 +11,10 @@ Commands
     method and Table 1 cell.  ``--schema`` takes an XML-Data file and
     is required for typed contexts.  On undecidable cells ``--jobs``
     caps the parallelism of the chase / counter-model race
-    (``auto`` sizes it to the machine; the scan runs in a process pool
-    only when two CPUs are usable and the scan is large, inline
-    otherwise), ``--deadline`` caps the whole portfolio
+    (``auto`` sizes it to the machine; untyped semi-decision runs
+    in-process at any ``--jobs``, and only the typed M+/M+_f scan runs
+    in a process pool, when two CPUs are usable and the scan is
+    large), ``--deadline`` caps the whole portfolio
     in wall-clock seconds, and ``--inject`` enables deterministic fault
     injection (``kill:3``, ``delay:2:0.5``, ``corrupt:1``, ``raise:0``,
     ``oom:4``, ``rate:0.3[:seed]``; comma-separated).  Answers are
@@ -698,8 +699,8 @@ def _add_solve_flags(
         default=jobs,
         metavar="N|auto",
         help="parallelism cap per solve (1 = sequential; 'auto' sizes "
-        "to the machine; a scan runs pooled only when 2+ CPUs are "
-        "usable and it is large)",
+        "to the machine; only a typed M+/M+_f scan runs pooled, when "
+        "2+ CPUs are usable and it is large)",
     )
     p.add_argument(
         "--deadline",

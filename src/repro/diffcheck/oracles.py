@@ -13,9 +13,10 @@ engine              answers
                     context only its TRUE transfers (U(Delta) is a subclass
                     of all structures), so a typed chase FALSE is demoted to
                     UNKNOWN
-``countermodel``    canonical-bitcode search — FALSE on a hit, else UNKNOWN
-``brute-force``     the pre-canonical oracle scan, run when the candidate
-                    space is small enough to enumerate graph-by-graph
+``countermodel``    tableau counter-model search — FALSE on a hit, else
+                    UNKNOWN
+``brute-force``     the oracle scan over every labelled graph, run when the
+                    candidate space is small enough to enumerate
 ``portfolio-jN``    :func:`run_portfolio` at ``jobs=N``
 ``enumerate-M``     the ``U_f(Delta)`` instance enumerator — FALSE on a
                     typed counter-model, else UNKNOWN

@@ -13,7 +13,7 @@ P_c                    undecidable     cubic        undecidable
 
 Decidable cells are implemented as complete decision procedures;
 undecidable cells are served by sound semi-deciders (chase, proof
-search, bounded counter-model search).  :func:`solve` routes a problem
+search, tableau counter-model search).  :func:`solve` routes a problem
 to the right procedure and annotates the answer with the cell's status;
 one :class:`SolveOptions` value says how it runs.
 """
@@ -47,11 +47,7 @@ from repro.reasoning.dispatcher import (
     solve,
     table1_cell,
 )
-from repro.reasoning.portfolio import (
-    Budget,
-    parallel_countermodel_search,
-    run_portfolio,
-)
+from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.costmodel import (
     ExecMode,
@@ -86,7 +82,6 @@ __all__ = [
     "canonicalize_problem",
     "choose_execution",
     "resolve_cache_dir",
-    "parallel_countermodel_search",
     "retire_warm_pool",
     "run_portfolio",
     "warm_pool_pids",

@@ -1,32 +1,30 @@
-"""Execution dispatch for the portfolio's counter-model scans.
+"""Execution dispatch for the portfolio's counter-model searches.
 
 The process-pool portfolio of PR 2 could *lose* to the sequential
 pipeline: on a small instance, cold pool spawn plus per-shard pickling
 dominates the scan itself (measured on the bench instance:
 ``jobs=1`` 0.21s vs ``jobs=2`` 0.41s on one CPU).  So ``jobs`` is a
-*cap*, not a command: the closed-form ``2^(L*n^2)`` size of a
-:class:`~repro.reasoning.models.CodeSpace` (or the typed instance
-limit) makes the scan work known before any process is spawned, and
-one rule a reader can check by hand picks the mode (:class:`ExecMode`):
+*cap*, not a command, and one rule a reader can check by hand picks
+the mode (:class:`ExecMode`):
 
 ``inline``
-    Every task runs in-process, one scan per enumeration level.
+    Every task runs in-process, one after the other.
 ``pool``
     The supervised, warm process pool of
-    :mod:`repro.reasoning.runtime`, each level cut into code ranges.
+    :mod:`repro.reasoning.runtime`, the chase racing the search.
 
-**The rule.**  ``pool`` iff ``min(jobs, available CPUs) >= 2`` and the
-scan's size exceeds :data:`POOL_MIN_WORK` for its kind.  The constants
-are the cold-pool crossover for 2 workers of the calibrated model this
-rule replaced, at that model's default rates: a pool saves
-``W / rate * f * (1 - 1/P)`` seconds and had to save more than twice
-its 0.05 s cold spawn, so at ``P = 2``
-
-* untyped (170k codes/s, ``f = 1``): ``W / 170_000 / 2 > 0.1`` →
-  ``W > 34_000`` codes;
-* typed (4.5k instances/s, ``f = 0.5`` because every stride shard
-  re-enumerates the whole instance stream): ``W / 4_500 / 4 > 0.1`` →
-  ``W > 1_800`` instances.
+**The rule.**  An untyped solve runs ``inline``: its tableau search
+(:func:`repro.reasoning.models.scan_codes`) usually settles in
+milliseconds, and nothing prices it before it runs.  A typed solve
+pools iff ``min(jobs, available CPUs) >= 2`` and its instance limit
+exceeds :data:`POOL_MIN_WORK`.  That constant is the cold-pool
+crossover for 2 workers of the calibrated model this rule replaced,
+at that model's default rate: a pool saves ``W / rate * f * (1 -
+1/P)`` seconds and had to save more than twice its 0.05 s cold spawn,
+so at ``P = 2`` with 4.5k instances/s and ``f = 0.5`` (every stride
+shard re-enumerates the whole instance stream),
+``W / 4_500 / 4 > 0.1`` → ``W > 1_800`` instances.  A pinned
+``execution="pool"`` pools either kind.
 
 The decision is returned as an :class:`ExecutionDecision` and recorded
 on every :class:`~repro.reasoning.result.ImplicationResult`, so
@@ -45,26 +43,21 @@ __all__ = [
     "POOL_MIN_WORK",
     "available_cpus",
     "choose_execution",
-    "estimate_untyped_codes",
     "normalize_jobs",
     "validate_jobs",
 ]
 
 
 class ExecMode(enum.Enum):
-    """How a portfolio solve executes its counter-model scan."""
+    """How a portfolio solve executes its counter-model search."""
 
     INLINE = "inline"
     POOL = "pool"
 
 
-#: Scan size (codes untyped, instances typed) above which two or more
-#: workers are used; see the module docstring for the derivation.
-POOL_MIN_WORK = {"untyped": 34_000, "typed": 1_800}
-
-#: Estimates are capped here — beyond this any strategy is hopeless
-#: anyway and exact bigint arithmetic on 2^(L*n^2) buys nothing.
-_WORK_CAP = 1 << 62
+#: Typed scan size (instances) above which two or more workers are
+#: used; see the module docstring for the derivation.
+POOL_MIN_WORK = {"typed": 1_800}
 
 
 def available_cpus() -> int:
@@ -73,26 +66,6 @@ def available_cpus() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
-
-
-def estimate_untyped_codes(label_count: int, max_nodes: int) -> int:
-    """Total codes across levels ``1..max_nodes``: sum of 2^(L*n^2).
-
-    The closed form a solve is priced with — no
-    :class:`~repro.reasoning.models.CodeSpace` (and no permutation
-    tables) is built just to read its size.  Capped at ``2^62``.
-    """
-    if label_count < 0 or max_nodes < 0:
-        raise ValueError("label_count and max_nodes must be >= 0")
-    total = 0
-    for n in range(1, max_nodes + 1):
-        bits = label_count * n * n
-        if bits >= 62:
-            return _WORK_CAP
-        total += 1 << bits
-        if total >= _WORK_CAP:
-            return _WORK_CAP
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +115,7 @@ class ExecutionDecision:
     mode: ExecMode
     #: effective worker count (1 inline).
     jobs: int
-    #: codes (untyped) or instances (typed) the scan may have to visit.
+    #: instances the typed scan may have to visit (0 untyped).
     estimated_work: int
     cpus: int
     reason: str
@@ -150,7 +123,8 @@ class ExecutionDecision:
 
     def describe(self) -> str:
         parts = [f"{self.mode.value} jobs={self.jobs}"]
-        parts.append(f"~{self.estimated_work} work units")
+        if self.estimated_work:
+            parts.append(f"~{self.estimated_work} work units")
         parts.append(f"{self.cpus} cpu(s)")
         if self.forced:
             parts.append("forced")
@@ -171,24 +145,24 @@ class ExecutionDecision:
 def choose_execution(
     *,
     kind: str,
-    work_units: int,
+    work_units: int = 0,
     jobs: int,
     cpus: int | None = None,
     forced: ExecMode | None = None,
 ) -> ExecutionDecision:
-    """Pick the execution mode for one counter-model scan.
+    """Pick the execution mode for one counter-model search.
 
-    ``kind`` is ``"untyped"`` (canonical code scan) or ``"typed"``
-    (the ``U_f(Delta)`` instance stream); ``work_units`` the size of
-    the scan in that kind's units; ``jobs`` the caller's worker *cap*
-    (already resolved from ``"auto"``).  ``forced`` bypasses the rule
-    (used by tests and benchmarks to pin a mode); a forced ``pool``
-    still requires ``jobs >= 2``.
+    ``kind`` is ``"untyped"`` (the tableau search) or ``"typed"`` (the
+    ``U_f(Delta)`` instance stream); ``work_units`` the typed scan's
+    instance limit; ``jobs`` the caller's worker *cap* (already
+    resolved from ``"auto"``).  ``forced`` bypasses the rule (used by
+    tests, benchmarks and the fuzz harness to pin a mode); a forced
+    ``pool`` still requires ``jobs >= 2``.
     """
-    if kind not in POOL_MIN_WORK:
-        raise ValueError(f"unknown scan kind {kind!r}")
+    if kind not in ("untyped", *POOL_MIN_WORK):
+        raise ValueError(f"unknown search kind {kind!r}")
     cpus = available_cpus() if cpus is None else max(1, cpus)
-    work_units = max(0, min(work_units, _WORK_CAP))
+    work_units = max(0, work_units)
 
     def decision(mode: ExecMode, eff: int, reason: str) -> ExecutionDecision:
         return ExecutionDecision(
@@ -207,7 +181,6 @@ def choose_execution(
         return decision(forced, eff, "mode pinned by caller")
 
     parallelism = min(jobs, cpus)
-    threshold = POOL_MIN_WORK[kind]
     if parallelism < 2:
         return decision(
             ExecMode.INLINE,
@@ -216,6 +189,9 @@ def choose_execution(
             if jobs > 1
             else "sequential requested",
         )
+    if kind == "untyped":
+        return decision(ExecMode.INLINE, 1, "untyped search runs inline")
+    threshold = POOL_MIN_WORK[kind]
     if work_units > threshold:
         return decision(
             ExecMode.POOL, parallelism, f"scan > {threshold} {kind} units"

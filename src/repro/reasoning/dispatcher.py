@@ -276,7 +276,7 @@ def solve(
     For decidable (fragment, context) cells the answer is definite.
     Undecidable cells raise :class:`UndecidableProblemError` unless
     ``options.allow_semidecision``; then a portfolio of semi-deciders
-    runs: the chase (sound both ways, untyped) and isomorphism-pruned
+    runs: the chase (sound both ways, untyped) and the tableau
     counter-model search; in typed contexts an untyped chase TRUE
     transfers (``U(Delta)`` is a subclass of all structures) while
     refutation uses typed counter-models only.  ``options`` (see

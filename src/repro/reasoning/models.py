@@ -1,40 +1,36 @@
 """Bounded counter-model search.
 
 Complements the chase on the refutation side of undecidable problems.
-The enumeration core is a *canonical bitcode* layer: a rooted graph on
-nodes ``0..n-1`` over ``L`` labels is an integer of ``L * n**2`` bits
-(one per potential edge), the root-fixing permutations of ``1..n-1``
-act on those bits, and :meth:`CodeSpace.canonical_codes` emits exactly
-one representative per isomorphism class (the minimal code of each
-orbit).  Candidates are screened by a compiled bitmask evaluator —
-path images as integer bitsets, no :class:`Graph` allocated — and only
-a confirmed hit is materialised as a graph and re-verified with the
-Definition 2.1 checker.
+An untyped counter-model is grown from the tableau of ¬φ
+(:func:`scan_codes`): φ's prefix and hypothesis paths are laid from
+the root, and each violated premise is repaired by laying its
+conclusion path, every step landing on an existing node or on a fresh
+one while the node bound allows.  States are screened by a compiled
+bitmask evaluator — path images as integer bitsets, no :class:`Graph`
+allocated — and only a hit is materialised as a graph and re-verified
+with the Definition 2.1 checker.
 
 Public searches:
 
-* :func:`find_countermodel` — exhaustive canonical search over all
-  rooted graphs with at most ``max_nodes`` nodes;
-* :func:`brute_force_countermodel` — the pre-canonical sequential scan
-  over :func:`all_graphs`, kept verbatim as an independent oracle and
-  as the benchmark baseline;
-* :func:`random_countermodel` — randomized search, useful as a cheap
-  first pass on larger candidate sizes;
+* :func:`find_countermodel` — the tableau search for a counter-model
+  with at most ``max_nodes`` nodes, fewest nodes first;
+* :func:`brute_force_countermodel` — the sequential scan over
+  :func:`all_graphs`, kept as an independent oracle and as the
+  benchmark baseline;
 * :func:`find_typed_countermodel` — search over ``U_f(Delta)`` by
   enumerating small typed *instances* and abstracting them (Lemma 3.1),
   the only sound refutation route in the typed M+ context where
   untyped counter-models prove nothing.  Accepts a shard stride so the
   portfolio can spread the instance stream across workers.
 
-``repro.reasoning.portfolio`` shards :func:`scan_codes` ranges across
-a process pool by bit-prefix; everything here stays import-safe and
-picklable for that purpose.
+``repro.reasoning.portfolio`` runs :func:`scan_codes` as one task
+racing the chase, and shards :func:`scan_typed_instances` by stride;
+everything here stays import-safe and picklable for that purpose.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -109,7 +105,7 @@ def brute_force_countermodel(
 
     Builds a full :class:`Graph` per candidate and checks it with the
     Definition 2.1 evaluator.  Kept as an independent oracle for the
-    canonical layer's correctness tests and as the baseline the
+    tableau search's completeness tests and as the baseline the
     portfolio benchmarks measure speedups against.
     """
     sigma = list(sigma)
@@ -123,199 +119,11 @@ def brute_force_countermodel(
 
 
 # ---------------------------------------------------------------------------
-# The canonical bitcode layer.
-# ---------------------------------------------------------------------------
-
-
-class CodeSpace:
-    """The bitcode space of rooted labelled digraphs on ``0..n-1``.
-
-    Bit ``(src * L + li) * n + dst`` of a code records the edge
-    ``labels[li](src, dst)``, so a code's numeric value orders graphs
-    edge-lexicographically with root-adjacent slots least significant.
-    The root-fixing permutation group (all permutations of ``1..n-1``)
-    acts by permuting bit positions; the *canonical* member of an
-    orbit is its minimal code.  Permutations are applied through
-    per-byte lookup tables, so a canonicity test costs a handful of
-    table reads rather than a per-bit loop.
-    """
-
-    def __init__(self, node_count: int, labels: Sequence[str]) -> None:
-        if node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        self.node_count = node_count
-        self.labels = tuple(labels)
-        self.label_count = len(self.labels)
-        self.bits = self.label_count * node_count * node_count
-        self.total = 1 << self.bits
-        self._byte_count = (self.bits + 7) // 8
-        self._perm_tables = self._build_perm_tables()
-
-    @staticmethod
-    def size(node_count: int, label_count: int) -> int:
-        """Closed-form space size ``2^(L*n^2)`` — no tables built.
-
-        The cost model prices a scan with this before deciding how to
-        execute it; constructing a :class:`CodeSpace` just to read
-        ``total`` would pay for the permutation tables up front.
-        """
-        if node_count < 1 or label_count < 0:
-            raise ValueError("need node_count >= 1 and label_count >= 0")
-        return 1 << (label_count * node_count * node_count)
-
-    # -- permutation machinery -----------------------------------------
-
-    def _slot(self, src: int, label_index: int, dst: int) -> int:
-        return (src * self.label_count + label_index) * self.node_count + dst
-
-    def _build_perm_tables(self) -> list[list[list[int]]]:
-        """One byte-table per non-identity root-fixing permutation.
-
-        ``tables[b][v]`` is the permuted-bit contribution of byte value
-        ``v`` at byte position ``b``, so applying a permutation to a
-        code is an OR over ``byte_count`` lookups.
-        """
-        n, L = self.node_count, self.label_count
-        out: list[list[list[int]]] = []
-        for perm in itertools.permutations(range(1, n)):
-            mapping = (0, *perm)
-            if mapping == tuple(range(n)):
-                continue
-            slot_map = [
-                self._slot(mapping[src], li, mapping[dst])
-                for src in range(n)
-                for li in range(L)
-                for dst in range(n)
-            ]
-            tables: list[list[int]] = []
-            for byte_pos in range(self._byte_count):
-                base = byte_pos * 8
-                table = [0] * 256
-                for value in range(256):
-                    acc = 0
-                    v = value
-                    while v:
-                        low = v & -v
-                        bit = base + low.bit_length() - 1
-                        if bit < self.bits:
-                            acc |= 1 << slot_map[bit]
-                        v ^= low
-                    table[value] = acc
-                tables.append(table)
-            out.append(tables)
-        return out
-
-    def _apply(self, tables: list[list[int]], code: int) -> int:
-        acc = 0
-        for byte_pos in range(self._byte_count):
-            acc |= tables[byte_pos][(code >> (byte_pos * 8)) & 0xFF]
-        return acc
-
-    def is_canonical(self, code: int) -> bool:
-        """Is ``code`` the minimal member of its isomorphism orbit?"""
-        for tables in self._perm_tables:
-            if self._apply(tables, code) < code:
-                return False
-        return True
-
-    def orbit(self, code: int) -> frozenset[int]:
-        """All codes isomorphic to ``code`` (root-fixing action)."""
-        return frozenset(
-            [code] + [self._apply(t, code) for t in self._perm_tables]
-        )
-
-    def canonical_form(self, code: int) -> int:
-        """The minimal code isomorphic to ``code``."""
-        return min(self.orbit(code))
-
-    def canonical_codes(self) -> Iterable[int]:
-        """Every canonical representative, in ascending code order."""
-        for code in range(self.total):
-            if self.is_canonical(code):
-                yield code
-
-    def canonical_classes(self) -> Iterable[tuple[int, int]]:
-        """``(representative, orbit size)`` per isomorphism class.
-
-        The orbit sizes partition the full space:
-        ``sum(size for _, size in canonical_classes()) == self.total``
-        — the completeness reconciliation the tests check for
-        ``n <= 3``.
-        """
-        for code in self.canonical_codes():
-            yield code, len(self.orbit(code))
-
-    # -- decoding ------------------------------------------------------
-
-    def adjacency(self, code: int) -> tuple[list[list[int]], list[list[int]]]:
-        """Decode to ``(adj, radj)`` bitmask matrices.
-
-        ``adj[li][src]`` is the bitmask of ``dst`` nodes with
-        ``labels[li](src, dst)``; ``radj`` is the transpose (for
-        backward-constraint conclusions).
-        """
-        n, L = self.node_count, self.label_count
-        adj = [[0] * n for _ in range(L)]
-        radj = [[0] * n for _ in range(L)]
-        rem = code
-        while rem:
-            low = rem & -rem
-            slot = low.bit_length() - 1
-            rem ^= low
-            src_li, dst = divmod(slot, n)
-            src, li = divmod(src_li, L)
-            adj[li][src] |= 1 << dst
-            radj[li][dst] |= 1 << src
-        return adj, radj
-
-    def all_reachable(self, adj: list[list[int]]) -> bool:
-        """Is every node reachable from the root (node 0)?
-
-        Searching level-by-level, a counter-model with an unreachable
-        node restricts to a smaller counter-model (P_c satisfaction
-        only reads the root-reachable part), so levels may require full
-        reachability without losing completeness.
-        """
-        n = self.node_count
-        full = (1 << n) - 1
-        reach = 1
-        for _ in range(n):
-            frontier = reach
-            nxt = reach
-            while frontier:
-                low = frontier & -frontier
-                src = low.bit_length() - 1
-                frontier ^= low
-                for row in adj:
-                    nxt |= row[src]
-            if nxt == reach:
-                break
-            reach = nxt
-            if reach == full:
-                return True
-        return reach == full
-
-    def to_graph(self, code: int) -> Graph:
-        """Materialise a code as a :class:`Graph` (root 0)."""
-        graph = Graph(root=0, nodes=range(self.node_count))
-        n, L = self.node_count, self.label_count
-        rem = code
-        while rem:
-            low = rem & -rem
-            slot = low.bit_length() - 1
-            rem ^= low
-            src_li, dst = divmod(slot, n)
-            src, li = divmod(src_li, L)
-            graph.add_edge(src, self.labels[li], dst)
-        return graph
-
-
-# ---------------------------------------------------------------------------
 # Compiled constraint evaluation over bitmask adjacency.
 # ---------------------------------------------------------------------------
 
-#: Sentinel label index for labels outside the enumeration alphabet —
-#: their path images are empty on every candidate.
+#: Sentinel label index for labels outside the search alphabet — their
+#: path images are empty on every candidate.
 _DEAD = -1
 
 
@@ -373,12 +181,12 @@ def _image(adj: list[list[int]], word: tuple[int, ...], frontier: int) -> int:
     return frontier
 
 
-def _constraint_ok(
+def _violation(
     adj: list[list[int]],
     radj: list[list[int]],
     c: _CompiledConstraint,
-) -> bool:
-    """Does the candidate satisfy one compiled constraint?"""
+) -> tuple[int, int] | None:
+    """The first pair ``(x, y)`` violating one compiled constraint."""
     xs = _image(adj, c.prefix, 1)
     while xs:
         low = xs & -xs
@@ -390,147 +198,295 @@ def _constraint_ok(
             conclusion = _image(adj, c.rhs, low)
         else:
             conclusion = _image(radj, c.rhs_reversed, low)
-        if hypothesis & ~conclusion:
-            return False
-    return True
+        bad = hypothesis & ~conclusion
+        if bad:
+            return low.bit_length() - 1, (bad & -bad).bit_length() - 1
+    return None
 
 
-def _code_is_countermodel(
+def _is_bit_countermodel(
     adj: list[list[int]],
     radj: list[list[int]],
     compiled_sigma: Sequence[_CompiledConstraint],
     compiled_phi: _CompiledConstraint,
 ) -> bool:
-    if _constraint_ok(adj, radj, compiled_phi):
+    if _violation(adj, radj, compiled_phi) is None:
         return False
     for c in compiled_sigma:
-        if not _constraint_ok(adj, radj, c):
+        if _violation(adj, radj, c) is not None:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# Shard scanning (the unit of work the portfolio distributes).
+# The tableau search.
 # ---------------------------------------------------------------------------
+
+#: Search states expanded between two polls of the deadline and the
+#: stop hook.
+_POLL_EVERY = 32
 
 
 @dataclass
-class ShardReport:
-    """Outcome of scanning one code range at one node count."""
+class SearchReport:
+    """Outcome of one tableau search up to a node bound."""
 
-    node_count: int
-    start: int
-    stop: int
-    hit: int | None
-    examined: int
-    canonical: int
+    #: a counter-model with the fewest nodes, re-checked; None if none.
+    graph: Graph | None
+    #: False when the deadline or the stop hook cut the search short.
     exhausted: bool
+    #: distinct states visited, summed over the node counts searched.
+    states: int
     elapsed: float = 0.0
 
 
-def scan_codes(
-    space: CodeSpace,
-    sigma: Sequence[PathConstraint],
-    phi: PathConstraint,
-    start: int = 0,
-    stop: int | None = None,
-    deadline: float | None = None,
-    require_reachable: bool = True,
-    check_every: int = 4096,
-    should_stop: "Callable[[], bool] | None" = None,
-    compiled_sigma: "Sequence[_CompiledConstraint] | None" = None,
-    compiled_phi: "_CompiledConstraint | None" = None,
-) -> ShardReport:
-    """Scan ``[start, stop)`` for the first canonical counter-model.
+class _Stopped(Exception):
+    """The deadline passed or the stop hook fired mid-search."""
 
-    Non-canonical codes are skipped before decoding; with
-    ``require_reachable`` (the level-search default) codes with
-    root-unreachable nodes are skipped after decoding.  ``deadline``
-    is an absolute ``time.monotonic()`` value checked every ``check_every``
-    codes, as is ``should_stop`` (the cooperative cancellation hook
-    :func:`~repro.reasoning.runtime.stop_hook` gives a pool worker);
-    either stops the scan with ``exhausted=False``.  Callers that
-    already compiled the constraints against ``space.labels`` (the
-    portfolio compiles once per solve and ships the result to every
-    shard) pass ``compiled_sigma``/``compiled_phi`` to skip
-    recompilation.
-    Deterministic: the hit is the smallest counter-model code in
-    range, independent of sharding.
+
+def _paths(
+    count: int, bound: int, length: int, target: int | None
+) -> Iterable[tuple[int, ...]]:
+    """Node sequences of a ``length``-step path laid on ``count`` nodes.
+
+    Each step lands on an existing node, or on the next fresh one
+    (node ``count``) while fewer than ``bound`` exist; with a
+    ``target`` the last step lands there.
     """
-    began = time.perf_counter()
-    stop = space.total if stop is None else min(stop, space.total)
-    if compiled_sigma is None:
-        compiled_sigma = compile_constraints(list(sigma), space.labels)
-    if compiled_phi is None:
-        (compiled_phi,) = compile_constraints([phi], space.labels)
-    is_canonical = space.is_canonical
-    adjacency = space.adjacency
-    examined = 0
-    canonical = 0
-    for code in range(start, stop):
-        if examined % check_every == 0 and (
-            (deadline is not None and time.monotonic() > deadline)
-            or (should_stop is not None and should_stop())
-        ):
-            return ShardReport(
-                node_count=space.node_count,
-                start=start,
-                stop=stop,
-                hit=None,
-                examined=examined,
-                canonical=canonical,
-                exhausted=False,
-                elapsed=time.perf_counter() - began,
-            )
-        examined += 1
-        if not is_canonical(code):
-            continue
-        canonical += 1
-        adj, radj = adjacency(code)
-        if require_reachable and not space.all_reachable(adj):
-            continue
-        if _code_is_countermodel(adj, radj, compiled_sigma, compiled_phi):
-            return ShardReport(
-                node_count=space.node_count,
-                start=start,
-                stop=stop,
-                hit=code,
-                examined=examined,
-                canonical=canonical,
-                exhausted=True,
-                elapsed=time.perf_counter() - began,
-            )
-    return ShardReport(
-        node_count=space.node_count,
-        start=start,
-        stop=stop,
-        hit=None,
-        examined=examined,
-        canonical=canonical,
-        exhausted=True,
-        elapsed=time.perf_counter() - began,
-    )
+    if length == 0:
+        yield ()
+    elif length == 1 and target is not None:
+        yield (target,)
+    else:
+        for node in range(min(count + 1, bound)):
+            for rest in _paths(
+                max(count, node + 1), bound, length - 1, target
+            ):
+                yield (node, *rest)
 
 
-def _materialise_hit(
-    space: CodeSpace,
-    code: int,
-    sigma: Sequence[PathConstraint],
-    phi: PathConstraint,
+class _Tableau:
+    """One node bound's search: an adjacency grown through an undo log.
+
+    ``adj[li][src]`` is the bitmask of ``dst`` nodes with
+    ``labels[li](src, dst)`` and ``radj`` its transpose; ``code`` holds
+    one bit per edge, so ``(code, count, x, y)`` names a state.
+    """
+
+    def __init__(
+        self,
+        sigma: Sequence[_CompiledConstraint],
+        phi: _CompiledConstraint,
+        label_count: int,
+        bound: int,
+        stopped: Callable[[], bool],
+    ) -> None:
+        self.sigma = sigma
+        self.phi = phi
+        self.label_count = label_count
+        self.bound = bound
+        self.stopped = stopped
+        self.adj = [[0] * bound for _ in range(label_count)]
+        self.radj = [[0] * bound for _ in range(label_count)]
+        self.count = 1
+        self.code = 0
+        #: the state's edges in the order they were added.
+        self.log: list[tuple[int, int, int]] = []
+        self.seen: set[tuple[int, int, int, int]] = set()
+        self._ticks = 0
+
+    def _slot(self, src: int, li: int, dst: int) -> int:
+        return 1 << ((src * self.label_count + li) * self.bound + dst)
+
+    def _lay(
+        self, start: int, word: tuple[int, ...], path: tuple[int, ...]
+    ) -> None:
+        """Add the edges of ``word`` along ``start, *path``."""
+        src = start
+        for li, dst in zip(word, path):
+            slot = self._slot(src, li, dst)
+            if not self.code & slot:
+                self.code |= slot
+                self.adj[li][src] |= 1 << dst
+                self.radj[li][dst] |= 1 << src
+                self.log.append((src, li, dst))
+            src = dst
+        if path:
+            self.count = max(self.count, max(path) + 1)
+
+    def _undo(self, mark: int, count: int) -> None:
+        """Remove the edges added after log position ``mark``."""
+        log = self.log
+        while len(log) > mark:
+            src, li, dst = log.pop()
+            self.code &= ~self._slot(src, li, dst)
+            self.adj[li][src] &= ~(1 << dst)
+            self.radj[li][dst] &= ~(1 << src)
+        self.count = count
+
+    def _expand(self, x: int, y: int):
+        """The repairs of the current state, or None if it is a
+        counter-model.
+
+        A seen state, or one where φ's conclusion holds on ``(x, y)``,
+        has no repairs.  Otherwise the first premise violated at some
+        ``(a, b)`` is repaired by laying its conclusion from ``a`` to
+        ``b`` (from ``b`` to ``a`` for a backward premise).
+        """
+        self._ticks += 1
+        if self._ticks % _POLL_EVERY == 0 and self.stopped():
+            raise _Stopped
+        key = (self.code, self.count, x, y)
+        if key in self.seen:
+            return iter(())
+        self.seen.add(key)
+        adj, radj, phi = self.adj, self.radj, self.phi
+        if phi.forward:
+            conclusion = _image(adj, phi.rhs, 1 << x)
+        else:
+            conclusion = _image(radj, phi.rhs_reversed, 1 << x)
+        if conclusion >> y & 1:
+            return iter(())
+        for c in self.sigma:
+            pair = _violation(adj, radj, c)
+            if pair is not None:
+                break
+        else:
+            return None
+        a, b = pair if c.forward else pair[::-1]
+        if not c.rhs or _DEAD in c.rhs:
+            # An empty conclusion would identify a != b (an n-node
+            # model that does is reached through existing-node
+            # choices), and a label outside the alphabet cannot be laid.
+            return iter(())
+        return (
+            (a, c.rhs, path)
+            for path in _paths(self.count, self.bound, len(c.rhs), b)
+        )
+
+    def _grow(self, x: int, y: int) -> bool:
+        """Depth-first repair; True leaves a counter-model in place."""
+        moves = self._expand(x, y)
+        if moves is None:
+            return True
+        stack = [(len(self.log), self.count, moves)]
+        while stack:
+            mark, count, moves = stack[-1]
+            self._undo(mark, count)
+            move = next(moves, None)
+            if move is None:
+                stack.pop()
+                continue
+            self._lay(*move)
+            moves = self._expand(x, y)
+            if moves is None:
+                return True
+            stack.append((len(self.log), self.count, moves))
+        return False
+
+    def run(self) -> bool:
+        """Lay φ's prefix and hypothesis, then grow each layout."""
+        phi = self.phi
+        word = phi.prefix + phi.lhs
+        if _DEAD in word:
+            return False
+        split = len(phi.prefix)
+        for path in _paths(1, self.bound, len(word), None):
+            self._lay(0, word, path)
+            nodes = (0, *path)
+            if self._grow(nodes[split], nodes[-1]):
+                return True
+            self._undo(0, 1)
+        return False
+
+    def graph(self, labels: Sequence[str]) -> Graph:
+        graph = Graph(root=0, nodes=range(self.count))
+        for src, li, dst in self.log:
+            graph.add_edge(src, labels[li], dst)
+        return graph
+
+
+def _recheck(
+    graph: Graph, sigma: Sequence[PathConstraint], phi: PathConstraint
 ) -> Graph:
-    """Build the hit graph and re-verify it with the reference checker.
-
-    The bit evaluator and the Definition 2.1 evaluator are tested
-    equivalent, but a hit is rare enough that double-checking it is
-    free insurance against a drift between the two.
-    """
-    graph = space.to_graph(code)
+    """``graph``, once the Definition 2.1 checker confirms it refutes
+    ``phi``; a drift between the evaluators raises instead."""
     if not _is_countermodel(graph, list(sigma), phi):
         raise RuntimeError(
-            f"bitcode checker accepted code {code} at n={space.node_count} "
-            "but the reference checker rejects it"
+            f"counter-model search returned a {graph.node_count()}-node "
+            "graph but the reference checker rejects it"
         )
     return graph
+
+
+def scan_codes(
+    sigma: Sequence[PathConstraint],
+    phi: PathConstraint,
+    labels: Sequence[str],
+    max_nodes: int,
+    deadline: float | None = None,
+    should_stop: Callable[[], bool] | None = None,
+) -> SearchReport:
+    """Search for a counter-model with at most ``max_nodes`` nodes.
+
+    The counter-model is grown from the tableau of ¬φ, once per node
+    bound ``n = 1..max_nodes``, smallest first, so a hit has the
+    fewest nodes.  φ's prefix and hypothesis paths are laid from the
+    root; they end at ``x`` and ``y``.  A state dies once φ's
+    conclusion holds on ``(x, y)`` (adding edges never undoes that).
+    Otherwise the first premise violated at some ``(a, b)`` is repaired
+    by laying its conclusion path between them.  A state with no
+    violated premise is a counter-model.  Every step of every laid path
+    lands on an existing node, or on a fresh one while fewer than ``n``
+    exist; the last step of a repair lands on its target.  Each repair
+    adds an edge, so every branch ends.
+
+    Completeness: take any counter-model M with at most ``n`` nodes.
+    Its violating pair guides one tableau branch, and each repair takes
+    M's own nodes, so every state on that branch embeds injectively
+    into M.  φ's conclusion therefore never holds on that branch, and
+    no repair needs an empty conclusion between distinct nodes (their
+    images in M would be equal).  Since each repair adds one of M's
+    finitely many edges, the branch ends in a counter-model.  Visited
+    states are keyed by ``(edges, node count, x, y)``, which fixes
+    everything below them.
+
+    ``deadline`` (an absolute ``time.monotonic()`` value) and
+    ``should_stop`` (the stop poll
+    :func:`~repro.reasoning.runtime.stop_hook` gives a pool worker)
+    are polled before the first state and every few dozen states
+    after; either stops the search with ``exhausted=False``.  A hit is
+    re-checked with the Definition 2.1 checker before it is returned.
+    perfbench's tracer times the search under this name.
+    """
+    began = time.perf_counter()
+    sigma = list(sigma)
+    labels = tuple(labels)
+    *compiled_sigma, compiled_phi = compile_constraints([*sigma, phi], labels)
+
+    def stopped() -> bool:
+        return (deadline is not None and time.monotonic() > deadline) or (
+            should_stop is not None and should_stop()
+        )
+
+    states = 0
+    found = False
+    exhausted = True
+    for bound in range(1, max_nodes + 1):
+        tableau = _Tableau(
+            compiled_sigma, compiled_phi, len(labels), bound, stopped
+        )
+        try:
+            if stopped():
+                raise _Stopped
+            found = tableau.run()
+        except _Stopped:
+            exhausted = False
+        states += len(tableau.seen)
+        if found or not exhausted:
+            break
+    graph = _recheck(tableau.graph(labels), sigma, phi) if found else None
+    return SearchReport(graph, exhausted, states, time.perf_counter() - began)
 
 
 def find_countermodel(
@@ -540,59 +496,18 @@ def find_countermodel(
     max_nodes: int = 3,
     deadline: float | None = None,
 ) -> Graph | None:
-    """Exhaustive search for a finite G with ``G |= Sigma`` and
-    ``G |/= phi``.
+    """A finite G with ``G |= Sigma`` and ``G |/= phi`` of at most
+    ``max_nodes`` nodes, found by :func:`scan_codes`, or None.
 
     A hit refutes finite implication (and implication).  Exhaustion up
     to the bound proves nothing — this is an oracle for tests, not a
-    decider.  Enumerates canonical isomorphism-class representatives
-    only (per node count, smallest first), so it visits a fraction of
-    what :func:`brute_force_countermodel` does while finding a
-    counter-model iff the brute force does.
+    decider.  Finds a counter-model iff
+    :func:`brute_force_countermodel` does, with as few nodes.
     """
     sigma = list(sigma)
     if labels is None:
         labels = infer_alphabet(sigma, phi)
-    for node_count in range(1, max_nodes + 1):
-        space = CodeSpace(node_count, labels)
-        report = scan_codes(space, sigma, phi, deadline=deadline)
-        if report.hit is not None:
-            return _materialise_hit(space, report.hit, sigma, phi)
-        if not report.exhausted:
-            return None
-    return None
-
-
-def random_countermodel(
-    sigma: Sequence[PathConstraint],
-    phi: PathConstraint,
-    labels: Sequence[str],
-    node_count: int,
-    tries: int = 200,
-    edge_probability: float = 0.3,
-    seed: int = 0,
-) -> Graph | None:
-    """Randomized counter-model search at a fixed size.
-
-    Samples codes from the canonical layer's bit layout (one
-    ``rng.random()`` draw per slot, in slot order, so results are
-    reproducible by seed) and screens them with the compiled bitmask
-    checker; only a hit is materialised as a graph.
-    """
-    sigma = list(sigma)
-    rng = random.Random(seed)
-    space = CodeSpace(node_count, list(labels))
-    compiled_sigma = compile_constraints(sigma, space.labels)
-    (compiled_phi,) = compile_constraints([phi], space.labels)
-    for _ in range(tries):
-        code = 0
-        for slot in range(space.bits):
-            if rng.random() < edge_probability:
-                code |= 1 << slot
-        adj, radj = space.adjacency(code)
-        if _code_is_countermodel(adj, radj, compiled_sigma, compiled_phi):
-            return _materialise_hit(space, code, sigma, phi)
-    return None
+    return scan_codes(sigma, phi, labels, max_nodes, deadline=deadline).graph
 
 
 class _TypedScanPlan:
@@ -733,7 +648,7 @@ class _TypedScanPlan:
 
 
 @dataclass
-class TypedShardReport:
+class TypedScanReport:
     """Outcome of scanning one stride of the typed instance stream."""
 
     shard_index: int
@@ -761,7 +676,7 @@ def scan_typed_instances(
     compiled: bool = False,
     should_stop: Callable[[], bool] | None = None,
     check_every: int = 32,
-) -> TypedShardReport:
+) -> TypedScanReport:
     """Scan one stride of ``U_f(Delta)``'s small-instance stream.
 
     Worker ``k`` of ``shard_count`` checks instances ``k,
@@ -779,6 +694,13 @@ def scan_typed_instances(
     sigma = list(sigma)
     plan = _TypedScanPlan(schema, sigma, phi) if compiled else None
     examined = 0
+
+    def report(exhausted, hit_index=None, instance=None, graph=None):
+        return TypedScanReport(
+            shard_index, shard_count, hit_index, instance, graph,
+            examined, exhausted, time.perf_counter() - began,
+        )
+
     for index, instance in enumerate(
         enumerate_instances(
             schema, max_oids=max_oids, max_set_size=max_set_size, limit=limit
@@ -790,45 +712,18 @@ def scan_typed_instances(
             (deadline is not None and time.monotonic() > deadline)
             or (should_stop is not None and should_stop())
         ):
-            return TypedShardReport(
-                shard_index=shard_index,
-                shard_count=shard_count,
-                hit_index=None,
-                instance=None,
-                graph=None,
-                examined=examined,
-                exhausted=False,
-                elapsed=time.perf_counter() - began,
-            )
+            return report(False)
         examined += 1
         if plan is not None:
             adj, radj = plan.bitmasks(instance)
-            if not _code_is_countermodel(
+            if not _is_bit_countermodel(
                 adj, radj, plan.compiled_sigma, plan.compiled_phi
             ):
                 continue
         graph = instance.to_graph()
         if _is_countermodel(graph, sigma, phi):
-            return TypedShardReport(
-                shard_index=shard_index,
-                shard_count=shard_count,
-                hit_index=index,
-                instance=instance,
-                graph=graph,
-                examined=examined,
-                exhausted=True,
-                elapsed=time.perf_counter() - began,
-            )
-    return TypedShardReport(
-        shard_index=shard_index,
-        shard_count=shard_count,
-        hit_index=None,
-        instance=None,
-        graph=None,
-        examined=examined,
-        exhausted=True,
-        elapsed=time.perf_counter() - began,
-    )
+            return report(True, index, instance, graph)
+    return report(True)
 
 
 def find_typed_countermodel(

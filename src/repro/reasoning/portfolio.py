@@ -6,9 +6,8 @@ bounded counter-model search (sound for FALSE).  This module runs the
 two engines as a *portfolio*:
 
 * the chase runs as one task;
-* counter-model search scans the canonical code space of
-  :mod:`repro.reasoning.models` level by node count, each level one
-  task inline or, in a process pool, cut into contiguous code ranges;
+* untyped counter-model search is one task too: the tableau search of
+  :func:`repro.reasoning.models.scan_codes`;
 * typed contexts shard the ``U_f(Delta)`` instance stream by stride
   instead (one shard inline, one per worker in the pool);
 * the first engine to produce a *definite* certificate wins, pending
@@ -18,10 +17,10 @@ two engines as a *portfolio*:
   are surfaced on the returned :class:`ImplicationResult`.
 
 Inline and pooled execution run the same two scan loops
-(:func:`_scan_levels`, :func:`_scan_typed`) against a
+(:func:`_scan_untyped`, :func:`_scan_typed`) against a
 :class:`~repro.reasoning.runtime.WorkerSupervisor`; an inline
 supervisor runs each submission synchronously, so the chase has
-settled before the first scan task is submitted and the race
+settled before the search task is submitted and the race
 degenerates to the sequential pipeline.  Which mode a solve gets is
 decided by :func:`repro.reasoning.costmodel.choose_execution`.
 
@@ -29,51 +28,41 @@ Every pool interaction goes through the supervisor: a worker crash
 (segfault, OOM-kill, ``os._exit``), a payload that cannot pickle, or
 a task that raises mid-engine never surfaces as a bare
 ``BrokenProcessPool``.  The supervisor respawns the pool with capped
-backoff, resubmits lost shards from their ``(start, stop)`` ranges,
-degrades to in-process execution when respawns are exhausted, and
-records every event in the result's ``faults`` field.  Soundness is
-structural: TRUE/FALSE always rides on an independently verifiable
-certificate, and every counter-model a scan reports is re-checked with
-the Definition 2.1 checker before FALSE is answered, so infrastructure
-failure can only ever demote an answer to UNKNOWN, never flip it.
+backoff, resubmits lost tasks, degrades to in-process execution when
+respawns are exhausted, and records every event in the result's
+``faults`` field.  Soundness is structural: TRUE/FALSE always rides on
+an independently verifiable certificate, and every counter-model a
+search reports is re-checked in this process with the Definition 2.1
+checker before FALSE is answered, so infrastructure failure can only
+ever demote an answer to UNKNOWN, never flip it.
 
 Determinism: the counter-model engine's answer is a function of the
-instance alone, not of scheduling.  Shards report the smallest hit in
-their range; the combiner takes the hit of the lowest range whose
-predecessors exhausted hitless, which is exactly the sequential scan
-order.  So ``--jobs 1`` and ``--jobs 4`` return the same counter-model
-(deadline expiry and worker faults aside — a budget stop or a
-degraded-and-still-failing shard is reported as UNKNOWN either way,
-but *which* candidates were reached may differ).
+instance alone, not of scheduling.  The untyped search is one
+deterministic task, and typed shards combine by minimal hit index,
+which is exactly the sequential scan order.  So ``--jobs 1`` and
+``--jobs 4`` return the same counter-model (deadline expiry and worker
+faults aside — a budget stop or a degraded-and-still-failing task is
+reported as UNKNOWN either way).
 
 Budgets: a :class:`Budget` carries one absolute ``time.monotonic()``
 deadline shared by every engine and shard; expiry turns whichever
-scans are still running into honest UNKNOWN contributions.
+searches are still running into honest UNKNOWN contributions.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph
 from repro.reasoning.chase import chase_implication
-from repro.reasoning.costmodel import (
-    ExecutionDecision,
-    choose_execution,
-    estimate_untyped_codes,
-    normalize_jobs,
-)
-from repro.reasoning.faultinject import FaultPlan, plan_from_env
+from repro.reasoning.costmodel import choose_execution, normalize_jobs
+from repro.reasoning.faultinject import plan_from_env
 from repro.reasoning.models import (
-    CodeSpace,
-    ShardReport,
-    TypedShardReport,
-    _materialise_hit,
-    compile_constraints,
+    SearchReport,
+    TypedScanReport,
+    _recheck,
     infer_alphabet,
     scan_codes,
     scan_typed_instances,
@@ -89,21 +78,7 @@ from repro.reasoning.runtime import (
 from repro.truth import Trilean
 from repro.types.typesys import Schema
 
-__all__ = [
-    "Budget",
-    "CountermodelOutcome",
-    "parallel_countermodel_search",
-    "run_portfolio",
-]
-
-#: Pool shards per enumeration level, as a multiple of the worker
-#: count — finer than the pool so a winner can cancel still-pending
-#: ranges.
-SHARD_FACTOR = 4
-
-#: A level this small is scanned as a single shard (pool overhead
-#: would dominate).
-MIN_SHARDED_SPACE = 4096
+__all__ = ["Budget", "CountermodelOutcome", "run_portfolio"]
 
 #: Bounds of the typed scan's ``U_f(Delta)`` instances: object ids per
 #: class and members per set value.
@@ -118,17 +93,12 @@ class CountermodelOutcome:
     graph: Graph | None = None
     certificate: object = None
     examined: int = 0
-    canonical: int = 0
     exhausted: bool = True
     elapsed: float = 0.0
-    levels: tuple[int, ...] = ()
     #: True when the scan was truncated by an unrecoverable worker
     #: fault rather than by the budget — same UNKNOWN semantics, but
     #: callers report it differently.
     fault_stop: bool = False
-    #: The execution decision this search ran under (None when driven
-    #: by :func:`run_portfolio`, which records it on the result).
-    decision: ExecutionDecision | None = None
 
     @property
     def outcome_label(self) -> str:
@@ -140,29 +110,9 @@ class CountermodelOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Tasks (top-level, picklable) and their process-local cache.
-#
-# A warm pool survives across solve() calls, so workers amortise the
-# CodeSpace permutation tables in a tiny LRU; the parent's copy serves
-# inline scans and the decoding of hits.  A task's ``run`` is its
-# supervisor's run number, which :func:`stop_hook` turns into the
-# worker's stop poll.
+# Tasks (top-level, picklable).  A task's ``run`` is its supervisor's
+# run number, which :func:`stop_hook` turns into the worker's stop poll.
 # ---------------------------------------------------------------------------
-
-_CODE_SPACES: OrderedDict[tuple, CodeSpace] = OrderedDict()
-
-
-def _code_space(node_count: int, labels: tuple[str, ...]) -> CodeSpace:
-    key = (node_count, labels)
-    space = _CODE_SPACES.get(key)
-    if space is None:
-        space = CodeSpace(node_count, labels)
-        _CODE_SPACES[key] = space
-        while len(_CODE_SPACES) > 8:
-            _CODE_SPACES.popitem(last=False)
-    else:
-        _CODE_SPACES.move_to_end(key)
-    return space
 
 
 def _chase_task(
@@ -183,32 +133,15 @@ def _chase_task(
     return result, time.perf_counter() - began
 
 
-def _shard_task(
-    node_count: int,
+def _search_task(
+    sigma: tuple[PathConstraint, ...],
+    phi: PathConstraint,
     labels: tuple[str, ...],
-    programs: tuple,
-    start: int,
-    stop: int,
+    max_nodes: int,
     deadline: float | None,
     run: int | None = None,
-) -> ShardReport:
-    """Scan codes ``[start, stop)`` of one level.
-
-    ``programs`` is ``(compiled sigma, compiled phi)`` over ``labels``,
-    compiled once per solve by :func:`_compile`.
-    """
-    compiled_sigma, compiled_phi = programs
-    return scan_codes(
-        _code_space(node_count, labels),
-        (),
-        None,
-        start,
-        stop,
-        deadline=deadline,
-        should_stop=stop_hook(run),
-        compiled_sigma=compiled_sigma,
-        compiled_phi=compiled_phi,
-    )
+) -> SearchReport:
+    return scan_codes(sigma, phi, labels, max_nodes, deadline, stop_hook(run))
 
 
 def _typed_shard_task(
@@ -223,7 +156,7 @@ def _typed_shard_task(
     deadline: float | None,
     compiled: bool = False,
     run: int | None = None,
-) -> TypedShardReport:
+) -> TypedScanReport:
     return scan_typed_instances(
         schema,
         sigma,
@@ -239,29 +172,6 @@ def _typed_shard_task(
     )
 
 
-def _compile(
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
-    labels: tuple[str, ...],
-) -> tuple:
-    """``(compiled sigma, compiled phi)`` for :func:`_shard_task`."""
-    compiled = compile_constraints([*sigma, phi], labels)
-    return tuple(compiled[:-1]), compiled[-1]
-
-
-def _plan_shards(total: int, shard_count: int) -> list[tuple[int, int]]:
-    """Split ``[0, total)`` into contiguous bit-prefix ranges."""
-    shard_count = max(1, min(shard_count, total))
-    width, remainder = divmod(total, shard_count)
-    ranges = []
-    start = 0
-    for i in range(shard_count):
-        stop = start + width + (1 if i < remainder else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
 # ---------------------------------------------------------------------------
 # The race: the chase against one of two scan loops.
 # ---------------------------------------------------------------------------
@@ -275,33 +185,27 @@ class _ChaseWon(Exception):
 class _Chase:
     """The proof-search engine's task in a race, and its verdict.
 
-    ``task`` is None for a bare counter-model search.  A settled chase
-    decides the race when its answer is definite, except in typed
-    contexts: there only TRUE transfers (``U(Delta)`` is a subclass of
-    all structures), while FALSE from an untyped fixpoint proves
-    nothing over ``U_f(Delta)``.
+    A settled chase decides the race when its answer is definite,
+    except in typed contexts: there only TRUE transfers (``U(Delta)``
+    is a subclass of all structures), while FALSE from an untyped
+    fixpoint proves nothing over ``U_f(Delta)``.
     """
 
-    task: SupervisedTask | None = None
-    untyped: bool = True
+    task: SupervisedTask
+    untyped: bool
     result: ImplicationResult | None = None
     stats: EngineStats | None = None
     failed: bool = False
 
     @property
     def running(self) -> bool:
-        return self.task is not None and not self.task.settled
+        return not self.task.settled
 
     def check(self) -> None:
         """Absorb the settled chase task; raise :class:`_ChaseWon` if
         its verdict decides the race."""
         task = self.task
-        if (
-            task is None
-            or not task.settled
-            or task.cancelled
-            or self.stats is not None
-        ):
+        if not task.settled or task.cancelled or self.stats is not None:
             return
         if task.failed:
             # Failed every attempt: the chase contributes nothing.
@@ -341,7 +245,30 @@ def _stop(supervisor: WorkerSupervisor, tasks: list[SupervisedTask]) -> None:
         supervisor.cancel(task)
 
 
-def _scan_levels(
+def _race(
+    supervisor: WorkerSupervisor,
+    tasks: list[SupervisedTask],
+    chase: _Chase,
+) -> None:
+    """Wait until every task settles, racing ``chase``.
+
+    Raises :class:`_ChaseWon` (after stopping the tasks) as soon as the
+    chase decides.  All waiting goes through the supervisor, so worker
+    crashes, respawns and degraded re-runs are invisible here: a task
+    is either settled with a report, settled failed (a typed error),
+    or cancelled.
+    """
+    try:
+        chase.check()
+        while not all(t.settled for t in tasks):
+            chase.wait(supervisor, tasks)
+            chase.check()
+    except _ChaseWon:
+        _stop(supervisor, tasks)
+        raise
+
+
+def _scan_untyped(
     supervisor: WorkerSupervisor,
     sigma: tuple[PathConstraint, ...],
     phi: PathConstraint,
@@ -350,73 +277,36 @@ def _scan_levels(
     deadline: float | None,
     chase: _Chase,
 ) -> CountermodelOutcome:
-    """Canonical scan of levels ``1..max_nodes``, racing ``chase``.
+    """The tableau search up to ``max_nodes`` nodes, racing ``chase``.
 
-    A level is one task inline; in the pool it is cut into
-    ``jobs * SHARD_FACTOR`` code ranges once it exceeds
-    :data:`MIN_SHARDED_SPACE`.  Ranges resolve in order: the winner is
-    the hit of the lowest range whose predecessors exhausted hitless —
-    the sequential scan order, whatever the completion order.  Raises
-    :class:`_ChaseWon` (after stopping pending shards) as soon as the
-    chase decides.  All waiting goes through the supervisor, so worker
-    crashes, respawns and degraded re-runs are invisible here: a task
-    is either settled with a report, settled failed (a typed error),
-    or cancelled.  A hit is re-checked with the Definition 2.1 checker
-    before it becomes the outcome's graph.
+    A hit crossed a pickle boundary when the search ran pooled, so it
+    is re-checked here with the Definition 2.1 checker before it
+    becomes the outcome's graph.
     """
     began = time.perf_counter()
-    programs = _compile(sigma, phi, labels)
-    out = CountermodelOutcome(levels=tuple(range(1, max_nodes + 1)))
-    for node_count in range(1, max_nodes + 1):
-        total = CodeSpace.size(node_count, len(labels))
-        shards = 1
-        if not supervisor.inline and total > MIN_SHARDED_SPACE:
-            shards = supervisor.jobs * SHARD_FACTOR
-        tasks = [
-            supervisor.submit(
-                _shard_task,
-                node_count,
-                labels,
-                programs,
-                start,
-                stop,
-                deadline,
-                supervisor.run,
-                engine=f"countermodel[n={node_count} {start}:{stop}]",
-            )
-            for start, stop in _plan_shards(total, shards)
-        ]
-        for index, task in enumerate(tasks):
-            try:
-                chase.check()
-                while not task.settled:
-                    chase.wait(supervisor, tasks[index:])
-                    chase.check()
-            except _ChaseWon:
-                _stop(supervisor, tasks[index:])
-                raise
-            if task.failed:
-                # The range is unexplored and unexplorable: same
-                # honest-UNKNOWN semantics as budget expiry, with the
-                # fault recorded by the supervisor.
-                out.exhausted = False
-                out.fault_stop = True
-            else:
-                report = task.result()
-                out.examined += report.examined
-                out.canonical += report.canonical
-                if report.hit is not None:
-                    space = _code_space(node_count, labels)
-                    out.graph = _materialise_hit(space, report.hit, sigma, phi)
-                elif not report.exhausted:
-                    # Budget expired inside this range: everything
-                    # beyond it is unexplored.
-                    out.exhausted = False
-                else:
-                    continue
-            _stop(supervisor, tasks[index + 1 :])
-            out.elapsed = time.perf_counter() - began
-            return out
+    task = supervisor.submit(
+        _search_task,
+        sigma,
+        phi,
+        labels,
+        max_nodes,
+        deadline,
+        supervisor.run,
+        engine="countermodel",
+    )
+    _race(supervisor, [task], chase)
+    if task.failed:
+        # The search is unexplored and unexplorable: same
+        # honest-UNKNOWN semantics as budget expiry, with the fault
+        # recorded by the supervisor.
+        out = CountermodelOutcome(exhausted=False, fault_stop=True)
+    else:
+        report = task.result()
+        out = CountermodelOutcome(
+            examined=report.states, exhausted=report.exhausted
+        )
+        if report.graph is not None:
+            out.graph = _recheck(report.graph, sigma, phi)
     out.elapsed = time.perf_counter() - began
     return out
 
@@ -458,14 +348,7 @@ def _scan_typed(
         )
         for shard_index in range(shards)
     ]
-    try:
-        chase.check()
-        while not all(t.settled for t in tasks):
-            chase.wait(supervisor, tasks)
-            chase.check()
-    except _ChaseWon:
-        _stop(supervisor, tasks)
-        raise
+    _race(supervisor, tasks, chase)
     reports = [t.result() for t in tasks if not t.failed]
     failed = len(tasks) - len(reports)
     out = CountermodelOutcome(
@@ -487,54 +370,6 @@ def _scan_typed(
 # ---------------------------------------------------------------------------
 
 
-def parallel_countermodel_search(
-    sigma: Sequence[PathConstraint],
-    phi: PathConstraint,
-    labels: Sequence[str] | None = None,
-    options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
-    jobs: int | str = 1,
-    budget: Budget | None = None,
-) -> CountermodelOutcome:
-    """Canonical counter-model search under execution dispatch.
-
-    Scans up to ``options.countermodel_nodes`` nodes.  ``jobs`` is a
-    cap (or ``"auto"`` for the CPU count); the dispatch rule picks
-    inline or pooled execution from the closed-form scan size —
-    ``options.execution`` forces a mode instead, and
-    ``options.inject`` is the fault plan (None: no faults).
-    Deterministic: returns the same counter-model as the sequential
-    canonical scan for any ``jobs`` and mode (budget expiry and
-    unrecoverable worker faults aside).
-    """
-    requested = normalize_jobs(jobs)
-    sigma = tuple(sigma)
-    budget = budget or Budget()
-    if labels is None:
-        labels = infer_alphabet(sigma, phi)
-    labels = tuple(labels)
-    max_nodes = options.countermodel_nodes
-    decision = choose_execution(
-        kind="untyped",
-        work_units=estimate_untyped_codes(len(labels), max_nodes),
-        jobs=requested,
-        forced=options.forced_mode,
-    )
-    with WorkerSupervisor(
-        jobs=decision.jobs, budget=budget, plan=options.inject
-    ) as supervisor:
-        out = _scan_levels(
-            supervisor,
-            sigma,
-            phi,
-            labels,
-            max_nodes,
-            budget.deadline,
-            _Chase(),
-        )
-    out.decision = decision
-    return out
-
-
 def run_portfolio(
     problem,
     options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
@@ -547,15 +382,15 @@ def run_portfolio(
     .ImplicationProblem` in an undecidable (fragment, context) cell;
     ``options`` sets the engines' budgets and the pool runtime (see
     :class:`~repro.reasoning.options.SolveOptions`).  ``jobs`` caps the
-    parallelism (``"auto"`` means the CPU count).  The scan runs in a
-    supervised process pool, racing the chase with first-winner
-    cancellation, when at least two CPUs are usable and its
-    closed-form size (``CodeSpace`` codes, or the typed instance
-    limit) passes the threshold of
-    :func:`~repro.reasoning.costmodel.choose_execution`; otherwise the
-    engines run sequentially in-process, so ``jobs > 1`` does not pay
-    pool overhead a small scan cannot amortise.  Every returned result
-    carries per-engine :class:`EngineStats`, a
+    parallelism (``"auto"`` means the CPU count).  A typed scan runs
+    in a supervised process pool, racing the chase with first-winner
+    cancellation, when at least two CPUs are usable and its instance
+    limit passes the threshold of
+    :func:`~repro.reasoning.costmodel.choose_execution`; otherwise,
+    and for every untyped search unless ``options.execution`` pins the
+    pool, the engines run sequentially in-process, so ``jobs > 1``
+    does not pay pool overhead a small search cannot amortise.  Every
+    returned result carries per-engine :class:`EngineStats`, a
     :class:`~repro.reasoning.result.FaultReport`, and the
     :class:`~repro.reasoning.costmodel.ExecutionDecision` on
     ``result.execution``.  The budget's deadline is the only stop
@@ -572,13 +407,11 @@ def run_portfolio(
     context = problem.context
     labels = infer_alphabet(sigma, phi)
     untyped = context is Context.SEMISTRUCTURED
-    if untyped:
-        kind = "untyped"
-        work = estimate_untyped_codes(len(labels), options.countermodel_nodes)
-    else:
-        kind, work = "typed", options.typed_search_limit
     decision = choose_execution(
-        kind=kind, work_units=work, jobs=requested, forced=options.forced_mode
+        kind="untyped" if untyped else "typed",
+        work_units=0 if untyped else options.typed_search_limit,
+        jobs=requested,
+        forced=options.forced_mode,
     )
     notes = [
         f"undecidable problem class over {context.value}; semi-decision "
@@ -641,7 +474,7 @@ def _portfolio_race(
         # before anything is compiled or submitted.
         chase.check()
         if untyped:
-            search = _scan_levels(
+            search = _scan_untyped(
                 supervisor,
                 sigma,
                 phi,
@@ -675,20 +508,15 @@ def _portfolio_race(
     )
 
 
-def _collect_stats(
-    chase: _Chase, search_stats: EngineStats | None
-) -> tuple[EngineStats, ...]:
-    stats = [chase.stats or EngineStats(engine="chase", outcome="cancelled")]
-    if search_stats is not None:
-        stats.append(search_stats)
-    return tuple(stats)
+def _chase_stats(chase: _Chase) -> EngineStats:
+    return chase.stats or EngineStats(engine="chase", outcome="cancelled")
 
 
 def _finish_chase_win(
     chase: _Chase, notes: list[str], supervisor: WorkerSupervisor
 ) -> ImplicationResult:
     chased = chase.result
-    stats = _collect_stats(chase, None)
+    stats = (_chase_stats(chase),)
     faults = supervisor.fault_report(answered_by="chase")
     if chase.untyped:
         chased.notes = tuple(notes) + chased.notes
@@ -718,7 +546,7 @@ def _combine(
     untyped = chase.untyped
     detail = f"jobs={supervisor.jobs}"
     if untyped:
-        detail += f", canonical={search.canonical}"
+        detail += f", states={search.examined}"
     search_stats = EngineStats(
         engine="countermodel" if untyped else "typed-countermodel",
         outcome=search.outcome_label,
@@ -726,28 +554,19 @@ def _combine(
         elapsed=search.elapsed,
         detail=detail,
     )
-    stats = _collect_stats(chase, search_stats)
+    stats = (_chase_stats(chase), search_stats)
     if search.graph is not None:
-        faults = supervisor.fault_report(answered_by=search_stats.engine)
-        if untyped:
-            return ImplicationResult(
-                answer=Trilean.FALSE,
-                method="bounded-countermodel",
-                decidable=False,
-                countermodel=search.graph,
-                notes=tuple(notes),
-                stats=stats,
-                faults=faults,
-            )
         return ImplicationResult(
             answer=Trilean.FALSE,
-            method="typed-instance-countermodel",
+            method="bounded-countermodel"
+            if untyped
+            else "typed-instance-countermodel",
             decidable=False,
             countermodel=search.graph,
             certificate=search.certificate,
             notes=tuple(notes),
             stats=stats,
-            faults=faults,
+            faults=supervisor.fault_report(answered_by=search_stats.engine),
         )
     if search.fault_stop:
         notes = notes + [

@@ -18,9 +18,8 @@ interaction:
   times, with capped exponential backoff clipped to the remaining
   budget);
 * **restartable tasks** — every submission keeps its full call spec,
-  so a respawn resubmits exactly the lost work: counter-model shards
-  restart from their ``(start, stop)`` code range instead of
-  recomputing the level;
+  so a respawn resubmits exactly the lost work: a typed shard restarts
+  its own stride of the instance stream, not the whole scan;
 * **graceful degradation** — when respawns are exhausted (or a
   payload provably cannot cross the process boundary) the task runs
   in-process under the surviving absolute deadline.  Tasks observed
@@ -300,8 +299,8 @@ class SupervisedTask:
 
     The ``fn``/``args`` spec is the restart unit: whatever generation
     of the pool runs it (or the supervisor itself, in degraded mode),
-    the call is identical, so counter-model shards always re-scan
-    exactly their assigned ``(start, stop)`` range.
+    the call is identical, so a typed shard always re-scans exactly
+    its assigned stride.
     """
 
     fn: Callable

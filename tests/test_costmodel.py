@@ -1,10 +1,10 @@
-"""Execution dispatch: validation, sizing, and the pool rule.
+"""Execution dispatch: validation and the pool rule.
 
 The regression under test: PR 2's pool portfolio could *lose* to the
-sequential pipeline because ``jobs`` was treated as a command.  A scan
-is priced from its closed-form ``2^(L*n^2)`` space size (or typed
-instance limit) and pools only on two or more usable CPUs past a
-fixed per-kind size.
+sequential pipeline because ``jobs`` was treated as a command.  A
+typed scan is priced by its instance limit and pools only on two or
+more usable CPUs past a fixed size; an untyped search runs inline
+unless the caller pins the pool.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.reasoning.costmodel import (
     ExecMode,
     available_cpus,
     choose_execution,
-    estimate_untyped_codes,
     normalize_jobs,
     validate_jobs,
 )
@@ -64,23 +63,6 @@ class TestDispatcherValidation:
         assert result.answer.is_definite
 
 
-class TestEstimate:
-    def test_closed_form_matches_hand_sum(self):
-        # L=1: 2^1 + 2^4 + 2^9 = 530
-        assert estimate_untyped_codes(1, 3) == 2 + 16 + 512
-        assert estimate_untyped_codes(2, 2) == 4 + 256
-
-    def test_zero_levels_is_zero(self):
-        assert estimate_untyped_codes(3, 0) == 0
-
-    def test_huge_spaces_cap_instead_of_bigint(self):
-        assert estimate_untyped_codes(5, 10) == 1 << 62
-
-    def test_negative_args_raise(self):
-        with pytest.raises(ValueError):
-            estimate_untyped_codes(-1, 2)
-
-
 class TestChooseExecution:
     def test_sequential_request_stays_inline(self):
         d = choose_execution(
@@ -89,31 +71,40 @@ class TestChooseExecution:
         assert d.mode is ExecMode.INLINE and d.jobs == 1
 
     def test_small_space_never_pays_for_a_pool(self):
-        d = choose_execution(
-            kind="untyped", work_units=530, jobs=8, cpus=8
-        )
+        d = choose_execution(kind="typed", work_units=530, jobs=8, cpus=8)
         assert d.mode is ExecMode.INLINE
 
     def test_one_cpu_never_chooses_the_pool(self):
         # The original regression: jobs=2 on a 1-CPU box must not
         # spawn processes that only add overhead.
         d = choose_execution(
-            kind="untyped", work_units=1 << 25, jobs=2, cpus=1
+            kind="typed", work_units=1 << 25, jobs=2, cpus=1
         )
         assert d.mode is not ExecMode.POOL
 
     def test_large_space_many_cpus_pools(self):
         d = choose_execution(
-            kind="untyped", work_units=1 << 25, jobs=8, cpus=8
+            kind="typed", work_units=1 << 25, jobs=8, cpus=8
         )
         assert d.mode is ExecMode.POOL
         assert d.jobs == 8
 
     def test_jobs_is_a_cap_not_a_command(self):
         d = choose_execution(
-            kind="untyped", work_units=1 << 25, jobs=64, cpus=4
+            kind="typed", work_units=1 << 25, jobs=64, cpus=4
         )
         assert d.jobs <= 4
+
+    def test_auto_never_pools_untyped(self):
+        d = choose_execution(kind="untyped", jobs=8, cpus=8)
+        assert d.mode is ExecMode.INLINE and d.jobs == 1
+        assert "untyped" in d.reason
+
+    def test_pinned_pool_pools_untyped(self):
+        d = choose_execution(
+            kind="untyped", jobs=4, cpus=8, forced=ExecMode.POOL
+        )
+        assert d.mode is ExecMode.POOL and d.jobs == 4 and d.forced
 
     def test_forced_pool_requires_two_jobs(self):
         with pytest.raises(ValueError):
@@ -142,9 +133,11 @@ class TestChooseExecution:
 
 
 class TestPoolRule:
-    """Pool iff min(jobs, cpus) >= 2 and the scan exceeds its kind's
-    constant: both sides of each constant, 1 and 2 CPUs, and jobs
-    given as 1, 2 or "auto" (resolved against the same CPU count)."""
+    """Typed: pool iff min(jobs, cpus) >= 2 and the scan exceeds
+    :data:`POOL_MIN_WORK`.  Untyped: never pooled in auto mode, on
+    either side of the retired 34,000-code constant.  Both sides of
+    each constant, 1 and 2 CPUs, and jobs given as 1, 2 or "auto"
+    (resolved against the same CPU count)."""
 
     @pytest.mark.parametrize("jobs", [1, 2, "auto"])
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -162,7 +155,7 @@ class TestPoolRule:
         d = choose_execution(
             kind=kind, work_units=work, jobs=normalize_jobs(jobs)
         )
-        pooled = large and cpus == 2 and jobs != 1
+        pooled = kind == "typed" and large and cpus == 2 and jobs != 1
         assert d.mode is (ExecMode.POOL if pooled else ExecMode.INLINE)
         assert d.jobs == (2 if pooled else 1)
         assert d.cpus == cpus and d.estimated_work == work

@@ -27,11 +27,7 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
 from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.portfolio import (
-    Budget,
-    parallel_countermodel_search,
-    run_portfolio,
-)
+from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning import runtime
 from repro.reasoning.runtime import WorkerSupervisor, retire_warm_pool
 from repro.truth import Trilean
@@ -132,23 +128,27 @@ class TestWorkerDeath:
         _assert_no_orphans()
 
     def test_shard_restart_preserves_determinism(self):
-        sigma = parse_constraints(DIVERGENT_SIGMA)
-        phi = parse_constraint(DIVERGENT_PHI)
-        clean = parallel_countermodel_search(
-            sigma, phi, options=SolveOptions(countermodel_nodes=3), jobs=1
+        # A one-step chase leaves the search to decide; killing the
+        # worker running the search task (ordinal 1, after the chase)
+        # must still yield the in-process counter-model.
+        clean = run_portfolio(
+            _divergent_problem(), SolveOptions(chase_steps=1), jobs=1
         )
-        shaken = parallel_countermodel_search(
-            sigma,
-            phi,
-            options=SolveOptions(
-                countermodel_nodes=3,
-                inject=FaultPlan.from_spec("kill:0"),
+        shaken = run_portfolio(
+            _divergent_problem(),
+            SolveOptions(
+                chase_steps=1,
+                inject=FaultPlan.from_spec("kill:1"),
                 execution="pool",
             ),
             jobs=2,
         )
-        assert clean.graph is not None and shaken.graph is not None
-        assert clean.graph.node_count() == shaken.graph.node_count()
+        assert clean.countermodel is not None
+        assert shaken.countermodel is not None
+        assert sorted(clean.countermodel.edges()) == sorted(
+            shaken.countermodel.edges()
+        )
+        assert "injected" in {e.kind for e in shaken.faults.events}
         _assert_no_orphans()
 
     def test_respawns_exhausted_degrades_and_reports(self, monkeypatch):

@@ -85,25 +85,16 @@ class TestDefaults:
     def test_solve_and_portfolio_default_to_the_shared_instance(self):
         import inspect
 
-        from repro.reasoning import (
-            interaction_report,
-            parallel_countermodel_search,
-            run_portfolio,
-        )
+        from repro.reasoning import interaction_report, run_portfolio
 
-        for fn in (
-            solve,
-            run_portfolio,
-            parallel_countermodel_search,
-            interaction_report,
-        ):
+        for fn in (solve, run_portfolio, interaction_report):
             default = inspect.signature(fn).parameters["options"].default
             assert default is DEFAULT_SOLVE_OPTIONS, fn.__name__
 
 
 class TestThroughSolve:
     def test_options_reach_the_portfolio(self):
-        # A starved chase leaves the counter-model scan to decide; an
+        # A starved chase leaves the counter-model search to decide; an
         # inline pin keeps the run in-process whatever the host.
         problem = ImplicationProblem(
             parse_constraints(

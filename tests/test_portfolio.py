@@ -1,16 +1,14 @@
-"""Tests for the canonical enumeration layer and the portfolio solver.
+"""Tests for the counter-model search and the portfolio solver.
 
 Two families:
 
-* **canonical layer** — the isomorphism-pruned code enumeration of
-  :mod:`repro.reasoning.models` must be provably complete: orbit sizes
-  over canonical representatives reconcile with the full space
-  ``2^(L*n^2)``, the bit-level constraint checker agrees with the
-  Definition 2.1 evaluator, and every brute-force counter-model is
-  reachable through its canonical form;
+* **search** — the tableau search of :mod:`repro.reasoning.models`
+  screens states with a compiled bitmask evaluator that must agree
+  with the Definition 2.1 evaluator, and finds a counter-model iff
+  the brute-force oracle does;
 * **portfolio** — racing engines must not cost determinism: the same
-  counter-model comes back at any ``jobs``, budgets expire into honest
-  UNKNOWNs, and per-engine stats are attached to every result.
+  counter-model comes back inline and pooled, budgets expire into
+  honest UNKNOWNs, and per-engine stats are attached to every result.
 """
 
 from __future__ import annotations
@@ -22,29 +20,27 @@ import pytest
 from repro.checking import check
 from repro.checking.engine import satisfies_all
 from repro.constraints import parse_constraint, parse_constraints
+from repro.graph.structure import Graph
 from repro.reasoning import (
     Budget,
     ImplicationProblem,
     SolveOptions,
-    parallel_countermodel_search,
+    run_portfolio,
     solve,
 )
 from repro.reasoning.models import (
-    CodeSpace,
-    ShardReport,
+    SearchReport,
     _is_countermodel,
     all_graphs,
     brute_force_countermodel,
     find_countermodel,
     infer_alphabet,
-    scan_codes,
 )
-from repro.reasoning.portfolio import _plan_shards
 from repro.truth import Trilean
 
 # A refutable P_c instance whose smallest counter-model has 3 nodes
 # (the `a :: a => a` tautology keeps two distinct guards => GENERAL
-# without touching the alphabet, so the code space stays 2^(2*n^2)).
+# without widening the alphabet beyond {K, a}).
 DIVERGENT_SIGMA = "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
 DIVERGENT_PHI = "K :: a => ()"
 
@@ -60,86 +56,33 @@ def _edge_set(graph):
 
 
 class TestCanonicalCompleteness:
-    @pytest.mark.parametrize(
-        "node_count,labels",
-        [
-            (1, ("a",)),
-            (2, ("a",)),
-            (3, ("a",)),
-            (1, ("a", "b")),
-            (2, ("a", "b")),
-            (3, ("a", "b")),
-        ],
-    )
-    def test_orbit_sizes_cover_whole_space(self, node_count, labels):
-        # Burnside bookkeeping: one representative per isomorphism
-        # class, orbit sizes summing to 2^(L*n^2) — no graph is lost
-        # and none is double-counted.
-        space = CodeSpace(node_count, labels)
-        classes = list(space.canonical_classes())
-        assert sum(size for _, size in classes) == space.total
-        assert len({code for code, _ in classes}) == len(classes)
-        assert all(space.is_canonical(code) for code, _ in classes)
-
-    def test_canonical_form_is_orbit_minimum(self):
-        space = CodeSpace(3, ("a",))
-        for code in range(space.total):
-            canon = space.canonical_form(code)
-            assert canon == min(space.orbit(code))
-            assert space.is_canonical(canon)
-
-    def test_orbits_partition_the_space(self):
-        space = CodeSpace(3, ("a",))
-        seen: set[int] = set()
-        for code, size in space.canonical_classes():
-            orbit = space.orbit(code)
-            assert len(orbit) == size
-            assert not (orbit & seen)
-            seen |= orbit
-        assert len(seen) == space.total
-
-    def test_every_brute_force_countermodel_has_canonical_hit(self):
-        # Soundness of pruning: for every counter-model found by the
-        # unpruned seed enumeration, its canonical form must itself be
-        # a counter-model (isomorphism preserves P_c satisfaction), so
-        # the canonical scan cannot miss a refutation.
-        sigma = parse_constraints("a :: b ~> b")
-        phi = parse_constraint("b :: a ~> b")
-        labels = infer_alphabet(sigma, phi)
-        space = CodeSpace(2, labels)
-        hits = 0
-        for code in range(space.total):
-            graph = space.to_graph(code)
-            if _is_countermodel(graph, sigma, phi):
-                hits += 1
-                canon = space.canonical_form(code)
-                assert _is_countermodel(space.to_graph(canon), sigma, phi)
-                assert space.is_canonical(canon)
-        assert hits > 0  # the instance is genuinely refutable
-
     def test_bit_checker_agrees_with_reference_checker(self):
         # The compiled bitmask evaluator and the Definition 2.1
         # evaluator must classify every 2-node candidate identically.
-        sigma = parse_constraints("a :: b ~> b")
-        phi = parse_constraint("b :: a ~> b")
-        labels = infer_alphabet(sigma, phi)
-        space = CodeSpace(2, labels)
-        report = scan_codes(
-            space, sigma, phi, require_reachable=False
-        )
         from repro.reasoning.models import (
-            _code_is_countermodel,
+            _is_bit_countermodel,
             compile_constraints,
         )
 
-        compiled_sigma = compile_constraints(sigma, space.labels)
-        (compiled_phi,) = compile_constraints([phi], space.labels)
-        for code in range(space.total):
-            adj, radj = space.adjacency(code)
-            fast = _code_is_countermodel(adj, radj, compiled_sigma, compiled_phi)
-            slow = _is_countermodel(space.to_graph(code), sigma, phi)
-            assert fast == slow, f"checker drift at code {code}"
-        assert report.hit is not None
+        sigma = parse_constraints("a :: b ~> b")
+        phi = parse_constraint("b :: a ~> b")
+        labels = infer_alphabet(sigma, phi)
+        compiled_sigma = compile_constraints(sigma, labels)
+        (compiled_phi,) = compile_constraints([phi], labels)
+        hits = 0
+        for graph in all_graphs(2, labels):
+            adj = [[0, 0] for _ in labels]
+            radj = [[0, 0] for _ in labels]
+            for src, label, dst in graph.edges():
+                adj[labels.index(label)][src] |= 1 << dst
+                radj[labels.index(label)][dst] |= 1 << src
+            fast = _is_bit_countermodel(
+                adj, radj, compiled_sigma, compiled_phi
+            )
+            slow = _is_countermodel(graph, sigma, phi)
+            assert fast == slow, f"checker drift on {_edge_set(graph)}"
+            hits += slow
+        assert hits > 0  # the instance is genuinely refutable
 
     def test_scan_matches_brute_force_verdict(self):
         cases = [
@@ -159,46 +102,23 @@ class TestCanonicalCompleteness:
                 assert not check(fast, phi).holds
 
 
-class TestShardPlanning:
-    def test_ranges_are_contiguous_and_cover(self):
-        for total, shards in [(10, 3), (16, 4), (5, 8), (1, 1), (7, 7)]:
-            ranges = _plan_shards(total, shards)
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == total
-            for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-                assert stop == start
-            assert all(start < stop for start, stop in ranges)
-
-    def test_shard_union_equals_sequential_scan(self):
-        sigma = parse_constraints(DIVERGENT_SIGMA)
-        phi = parse_constraint(DIVERGENT_PHI)
-        labels = infer_alphabet(sigma, phi)
-        space = CodeSpace(3, labels)
-        whole = scan_codes(space, sigma, phi)
-        assert whole.hit is not None
-        # Scanning the same space in 8 contiguous shards and taking the
-        # first hit (all earlier shards exhausted hitless) must land on
-        # the identical code.
-        first_hit = None
-        for start, stop in _plan_shards(space.total, 8):
-            part = scan_codes(space, sigma, phi, start, stop)
-            assert part.exhausted
-            if part.hit is not None:
-                first_hit = part.hit
-                break
-        assert first_hit == whole.hit
-
-
 class TestPortfolioDeterminism:
     def test_same_countermodel_any_jobs(self):
+        # A starved chase leaves the search to decide; the pinned pool
+        # must return the counter-model the in-process search finds.
         sigma = parse_constraints(DIVERGENT_SIGMA)
         phi = parse_constraint(DIVERGENT_PHI)
-        sequential = parallel_countermodel_search(sigma, phi, jobs=1).graph
+        sequential = find_countermodel(sigma, phi)
         assert sequential is not None
         assert sequential.node_count() == 3
-        parallel = parallel_countermodel_search(sigma, phi, jobs=4).graph
-        assert parallel is not None
-        assert _edge_set(sequential) == _edge_set(parallel)
+        pooled = run_portfolio(
+            _divergent_problem(),
+            SolveOptions(chase_steps=2, execution="pool"),
+            jobs=4,
+        )
+        assert pooled.execution.mode.value == "pool"
+        assert pooled.countermodel is not None
+        assert _edge_set(sequential) == _edge_set(pooled.countermodel)
 
     def test_solve_identical_at_jobs_1_and_4(self):
         # Starve the chase so the counter-model engine decides in both
@@ -222,21 +142,14 @@ class TestPortfolioDeterminism:
         assert not check(result.countermodel, phi).holds
 
     def test_scan_hit_is_rechecked_before_false(self, monkeypatch):
-        # A scan that reports the empty 1-node graph, which violates
+        # A search that reports the empty 1-node graph, which violates
         # `() => K`, must not become a FALSE: the portfolio re-checks
         # every hit with the Definition 2.1 checker.
         from repro.reasoning import portfolio
 
-        def lying_scan(space, sigma, phi, start, stop, **kwargs):
-            return ShardReport(
-                node_count=space.node_count,
-                start=start,
-                stop=stop,
-                hit=0,
-                examined=1,
-                canonical=1,
-                exhausted=True,
-            )
+        def lying_scan(*args, **kwargs):
+            empty = Graph(root=0, nodes=[0])
+            return SearchReport(graph=empty, exhausted=True, states=1)
 
         monkeypatch.setattr(portfolio, "scan_codes", lying_scan)
         with pytest.raises(RuntimeError, match="reference checker rejects"):
@@ -342,7 +255,7 @@ class TestWorkerPayloadPickling:
         phi = parse_constraint(DIVERGENT_PHI)
         assert pickle.loads(pickle.dumps(sigma)) == sigma
         assert pickle.loads(pickle.dumps(phi)) == phi
-        graph = parallel_countermodel_search(sigma, phi, jobs=1).graph
+        graph = find_countermodel(sigma, phi)
         clone = pickle.loads(pickle.dumps(graph))
         assert _edge_set(clone) == _edge_set(graph)
 
