@@ -11,10 +11,10 @@ Two workloads:
   the semidecide benchmark, which has no counter-model within 3 nodes,
   records how long the search takes to exhaust that bound.
 * **large typed** — a full 2000-instance ``U_f(Delta)`` scan over the
-  Example 3.1 schema.  The legacy driver (PR 2's cold stride-sharded
-  pool, reference evaluator) is raced against the shipped auto path
-  (dispatch rule + compiled bitmask screen); the new path must win by
-  >= 4x.
+  Example 3.1 schema.  The legacy baseline (a cold stride-sharded
+  pool running the per-instance reference loop) is raced against the
+  shipped auto path (dispatch rule + projection screen); the new path
+  must win by >= 4x.
 
 The per-solve execution decision (mode, jobs, estimate, reason) is
 recorded in ``BENCH_portfolio.json`` next to the typed timing, so a
@@ -36,9 +36,10 @@ from repro.reasoning.models import (
     brute_force_countermodel,
     find_countermodel,
     infer_alphabet,
+    reference_typed_scan,
     scan_codes,
 )
-from repro.reasoning.portfolio import _typed_shard_task, run_portfolio
+from repro.reasoning.portfolio import run_portfolio
 from repro.reasoning.runtime import WorkerSupervisor, retire_warm_pool
 from repro.truth import Trilean
 from repro.types.examples import example_3_1_schema
@@ -154,7 +155,7 @@ def _legacy_typed_pool_seconds(schema, sigma, phi) -> float:
     with WorkerSupervisor(jobs=TYPED_JOBS, keep_warm=False) as sup:
         tasks = [
             sup.submit(
-                _typed_shard_task,
+                reference_typed_scan,
                 schema,
                 sigma,
                 phi,
@@ -163,7 +164,6 @@ def _legacy_typed_pool_seconds(schema, sigma, phi) -> float:
                 TYPED_LIMIT,
                 shard,
                 TYPED_JOBS,
-                None,  # deadline
                 engine=f"legacy-typed {shard}/{TYPED_JOBS}",
             )
             for shard in range(TYPED_JOBS)

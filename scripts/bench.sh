@@ -61,6 +61,26 @@ print(
 )
 EOF
 
+# Typed-scan gate: the shipped auto path must finish the full
+# 2,000-instance Example 3.1 scan >= 4x faster than the legacy
+# baseline, a cold 8-worker stride pool running the per-instance
+# reference loop.  Gated on the emitted JSON for the same reason as
+# above.
+python - <<'EOF'
+import json
+
+large = json.load(open("BENCH_portfolio.json"))["large_typed"]
+t = large["timings_seconds"]
+assert large["speedup_vs_legacy"] >= 4, (
+    f"typed-scan gate: auto path only {large['speedup_vs_legacy']:.2f}x "
+    f"over the legacy pool ({t})"
+)
+print(
+    f"auto={large['mode']['mode']} "
+    f"speedup={large['speedup_vs_legacy']:.1f}x: typed scan gate ok"
+)
+EOF
+
 # Cache-regression gate: warm alpha-renamed hits must stay >= 100x
 # faster than the cold solve, the seeded repeat workload must keep a
 # >= 30% hit rate, and the fuzz --cache-check sweep must report zero

@@ -69,7 +69,11 @@ from repro.reasoning.models import (
     infer_alphabet,
 )
 from repro.reasoning.options import SolveOptions
-from repro.reasoning.portfolio import Budget, run_portfolio
+from repro.reasoning.portfolio import (
+    TYPED_CHASE_FALSE_NOTE,
+    Budget,
+    run_portfolio,
+)
 from repro.reasoning.typed_m import implies_typed_m
 from repro.reasoning.word import implies_word
 from repro.truth import Trilean
@@ -298,11 +302,7 @@ def _engine_chase(
         if typed and result.answer is Trilean.FALSE:
             # An untyped fixpoint counter-model proves nothing about
             # U(Delta): only the TRUE direction transfers.
-            return (
-                Trilean.UNKNOWN,
-                None,
-                "untyped chase FALSE does not transfer to the typed context",
-            )
+            return Trilean.UNKNOWN, None, TYPED_CHASE_FALSE_NOTE
         cert_ok, note = _certificate_status(result, inst.sigma, inst.phi)
         return result.answer, cert_ok, note
 

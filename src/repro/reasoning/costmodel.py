@@ -17,14 +17,20 @@ the mode (:class:`ExecMode`):
 (:func:`repro.reasoning.models.scan_codes`) usually settles in
 milliseconds, and nothing prices it before it runs.  A typed solve
 pools iff ``min(jobs, available CPUs) >= 2`` and its instance limit
-exceeds :data:`POOL_MIN_WORK`.  That constant is the cold-pool
-crossover for 2 workers of the calibrated model this rule replaced,
-at that model's default rate: a pool saves ``W / rate * f * (1 -
-1/P)`` seconds and had to save more than twice its 0.05 s cold spawn,
-so at ``P = 2`` with 4.5k instances/s and ``f = 0.5`` (every stride
-shard re-enumerates the whole instance stream),
-``W / 4_500 / 4 > 0.1`` → ``W > 1_800`` instances.  A pinned
-``execution="pool"`` pools either kind.
+exceeds :data:`POOL_MIN_WORK`.  That constant is the measured
+cold-pool crossover for 2 workers on the worst case for inline: the
+Delta_1 encodings of Theorem 5.2 without a counter-model, where
+every candidate is a distinct projection, so the typed scan screens
+each of them (63k–110k instances/s on a 2-vCPU host).  Whole solves
+there (median, four encodings) read inline against a cold 2-worker
+pool 21 vs 29 ms at 2k instances, 43–51 vs 44–48 ms at 4k, 65 vs
+60 ms at 5k, 114–127 vs 77–86 ms at 8k and 349 vs 206 ms at 32k.  A
+warm pool wins from 2k on (19 ms), but a solve cannot count on one,
+and holding it costs two worker processes.  Scans that share screens
+run inline faster at every limit: on Example 3.1 schema probes,
+inline read 5, 7 and 14 ms at 2k, 8k and 32k against 18–21 ms cold
+and 6–16 ms warm.  So the default 2,000-instance scan runs inline at
+any ``jobs``.  A pinned ``execution="pool"`` pools either kind.
 
 The decision is returned as an :class:`ExecutionDecision` and recorded
 on every :class:`~repro.reasoning.result.ImplicationResult`, so
@@ -57,7 +63,7 @@ class ExecMode(enum.Enum):
 
 #: Typed scan size (instances) above which two or more workers are
 #: used; see the module docstring for the derivation.
-POOL_MIN_WORK = {"typed": 1_800}
+POOL_MIN_WORK = {"typed": 4_000}
 
 
 def available_cpus() -> int:

@@ -17,11 +17,18 @@ Public searches:
 * :func:`brute_force_countermodel` — the sequential scan over
   :func:`all_graphs`, kept as an independent oracle and as the
   benchmark baseline;
-* :func:`find_typed_countermodel` — search over ``U_f(Delta)`` by
-  enumerating small typed *instances* and abstracting them (Lemma 3.1),
-  the only sound refutation route in the typed M+ context where
-  untyped counter-models prove nothing.  Accepts a shard stride so the
-  portfolio can spread the instance stream across workers.
+* :func:`find_typed_countermodel` — search over ``U_f(Delta)``'s
+  small typed *instances* under the Lemma 3.1 abstraction, the only
+  sound refutation route in the typed M+ context where untyped
+  counter-models prove nothing.  :func:`scan_typed_instances` walks
+  the instance stream as tuples of value-choice projections and
+  screens each distinct one once with the same bitmask evaluator; an
+  :class:`Instance` is built only for a screen hit.  It accepts a
+  shard stride so the portfolio can spread the stream across
+  workers;
+* :func:`reference_typed_scan` — the same stride through
+  ``to_graph`` and the Definition 2.1 checker on every instance, kept
+  as the typed scan's oracle and benchmark baseline.
 
 ``repro.reasoning.portfolio`` runs :func:`scan_codes` as one task
 racing the chase, and shards :func:`scan_typed_instances` by stride;
@@ -39,13 +46,20 @@ from repro.checking.engine import satisfies_all
 from repro.checking.satisfaction import violations
 from repro.constraints.ast import PathConstraint
 from repro.graph.structure import Graph
-from repro.types.instances import Instance, enumerate_instances
+from repro.types.instances import (
+    Configuration,
+    Instance,
+    configurations,
+    enumerate_instances,
+)
+from repro.types.siggen import sort_name
 from repro.types.typesys import (
     MEMBERSHIP_LABEL,
+    AtomicType,
     ClassRef,
-    RecordType,
     Schema,
     SetType,
+    Type,
 )
 
 
@@ -510,141 +524,178 @@ def find_countermodel(
     return scan_codes(sigma, phi, labels, max_nodes, deadline=deadline).graph
 
 
-class _TypedScanPlan:
-    """Compiled machinery for the typed fast-path scan.
+def _nests_db_type(schema: Schema) -> bool:
+    """Whether a value inside the entry or an oid's value can have a
+    type equal to DBtype.  Such a value is the root when it equals the
+    entry (:meth:`Instance._node_key`)."""
+    db = schema.db_type
+    bodies = [db, *(schema.body_of(name) for name in schema.class_names)]
+    return any(
+        tau == db
+        for body in bodies
+        for child in body.children()
+        for tau in child.walk()
+    )
 
-    Converts each enumerated instance straight to bitmask adjacency
-    over the *constraint alphabet* and screens it with the compiled
-    evaluator — no :class:`Graph`, sorts, or path caches allocated per
-    candidate.  Node identity is exactly the Lemma 3.1 abstraction's
-    (``Instance._node_key``, extensional dedup included), and the
-    traversal only follows labels the constraints mention: nodes that
-    the reference graph reaches solely through other labels can never
-    enter a path image starting at the root, so forward and backward
-    images — and hence every constraint verdict — agree with the
-    reference checker.  A screen hit is still re-verified against the
-    reference checker before it is reported.
+
+class _TypedScreen:
+    """One configuration's candidates, screened by projection.
+
+    A node is an int: 0 the root, ``1..k`` the configuration's oids,
+    and each atom, set or record value gets the next int, keyed by its
+    extensional identity (every field, read or not), as in
+    :meth:`Instance._node_key`.  A node's out-edges over the
+    constraint alphabet are ``(label index, child)`` pairs: an oid's
+    come from its chosen value, the root's from the entry, and any
+    other node's from its identity alone.  Each value choice's edges
+    are computed once, and equal edge tuples share one projection id,
+    so a candidate's adjacency is fixed by its tuple of per-oid
+    projection ids plus the entry's.  :meth:`verdict` runs
+    :func:`_is_bit_countermodel` once per distinct tuple.
+
+    Where a DBtype-equal type is nested, a value equal to the entry is
+    the root, so the entry's projection also names the entry's own
+    node (its alias), which makes it one projection per entry choice.
+    Only reachability from the root over the constraint alphabet
+    matters: no path image of a constraint leaves that part of the
+    Lemma 3.1 graph.
     """
 
     def __init__(
         self,
-        schema: Schema,
-        sigma: Sequence[PathConstraint],
-        phi: PathConstraint,
+        config: Configuration,
+        index: dict[str, int],
+        nested: bool,
+        compiled_sigma: Sequence[_CompiledConstraint],
+        compiled_phi: _CompiledConstraint,
     ) -> None:
-        self.schema = schema
-        self.labels = infer_alphabet(list(sigma), phi)
-        self._index = {label: i for i, label in enumerate(self.labels)}
-        self.compiled_sigma = compile_constraints(list(sigma), self.labels)
-        (self.compiled_phi,) = compile_constraints([phi], self.labels)
-        # (id(value), id(tau)) -> (value, tau, key).  The enumeration
-        # reuses value and type objects across yielded instances; the
-        # strong references pin those ids so the memo cannot go stale
-        # through GC id reuse.
-        self._key_memo: dict[
-            tuple[int, int], tuple[object, object, Hashable]
-        ] = {}
-        self._db_eq: dict[int, bool] = {}
-        self._tau_refs: list[object] = []
-        self._memo_safe = not self._db_type_nested()
-
-    def _db_type_nested(self) -> bool:
-        # ``_node_key`` special-cases ``tau == db_type and value ==
-        # entry``, and the entry differs per instance — memoised keys
-        # would go stale across instances if a *nested* position could
-        # carry a type structurally equal to db_type.  No realistic
-        # schema does this; detect it once and fall back to the
-        # reference keys when it happens.
+        self.schema = config.schema
+        self.index = index
+        self.member = index.get(MEMBERSHIP_LABEL)
+        self.compiled_sigma = compiled_sigma
+        self.compiled_phi = compiled_phi
+        self.nodes: dict[Hashable, int] = {
+            ("oid", oid.key): i for i, oid in enumerate(config.oids, 1)
+        }
+        #: out-edges of every node past the oids; () for the rest.
+        self.static: list[tuple[tuple[int, int], ...]] = [()] * (
+            len(config.oids) + 1
+        )
+        #: projection id -> (edges, root alias).
+        self.projections: list[tuple[tuple, int | None]] = []
+        self._ids: dict[tuple, int] = {}
+        self.choice_ids = [
+            [self._project(self._edges(value, body), None) for value in values]
+            for body, values in zip(config.bodies, config.value_choices)
+        ]
         db = self.schema.db_type
-        for tau in db.walk():
-            if tau is not db and tau == db:
-                return True
-        for name in self.schema.class_names:
-            body = self.schema.resolve(ClassRef(name))
-            for tau in body.walk():
-                if tau == db:
-                    return True
-        return False
+        if nested:
+            aliases = [self._node(entry, db) for entry in config.entries]
+            self.entry_ids = [
+                self._project(self.static[alias], alias) for alias in aliases
+            ]
+        else:
+            self.entry_ids = [
+                self._project(self._edges(entry, db), None)
+                for entry in config.entries
+            ]
 
-    def _key(self, inst: Instance, value: object, tau: object) -> Hashable:
-        if not self._memo_safe:
-            return inst._node_key(value, tau)
-        tid = id(tau)
-        is_db = self._db_eq.get(tid)
-        if is_db is None:
-            is_db = tau == self.schema.db_type
-            self._db_eq[tid] = is_db
-            self._tau_refs.append(tau)
-        if is_db and value == inst.entry:
-            return "r"
-        memo_key = (id(value), tid)
-        hit = self._key_memo.get(memo_key)
-        if hit is not None:
-            return hit[2]
-        key = inst._node_key(value, tau)
-        self._key_memo[memo_key] = (value, tau, key)
-        return key
+    def _project(self, edges: tuple, alias: int | None) -> int:
+        key = (edges, alias)
+        pid = self._ids.get(key)
+        if pid is None:
+            pid = self._ids[key] = len(self.projections)
+            self.projections.append(key)
+        return pid
 
-    def bitmasks(
-        self, inst: Instance
-    ) -> tuple[list[list[int]], list[list[int]]]:
-        """``(adj, radj)`` rows over ``self.labels`` for one instance."""
-        label_count = len(self.labels)
-        index = self._index
-        schema = self.schema
-        member_li = index.get(MEMBERSHIP_LABEL)
-        rows: list[list[int]] = [[] for _ in range(label_count)]
-        nodes: dict[Hashable, int] = {}
+    def _children(
+        self, value: object, tau: Type, read_only: bool
+    ) -> list[tuple[str, int]]:
+        """``(label, child node)`` pairs of a set or record value; with
+        ``read_only``, only those on labels some constraint reads."""
+        if isinstance(tau, SetType):
+            if read_only and self.member is None:
+                return []
+            element = tau.element
+            return [(MEMBERSHIP_LABEL, self._node(m, element)) for m in value]
+        return [
+            (label, self._node(value[label], tau.field(label)))
+            for label in tau.labels
+            if not read_only or label in self.index
+        ]
 
-        def new_node(key: Hashable) -> int:
-            nid = len(nodes)
-            nodes[key] = nid
-            for row in rows:
-                row.append(0)
-            return nid
+    def _edges(self, value: object, tau: Type) -> tuple:
+        """The out-edges of an oid's value or of the entry."""
+        return self._arcs(self._children(value, tau, read_only=True))
 
-        def visit(nid: int, value: object, tau: object) -> None:
-            body = schema.resolve(tau)
-            if isinstance(tau, ClassRef):
-                value = inst.value_of(value)
-            if isinstance(body, SetType):
-                if member_li is None:
-                    return
-                element = body.element
-                mask = 0
-                for member in value:
-                    mask |= 1 << attach(member, element)
-                rows[member_li][nid] |= mask
-            elif isinstance(body, RecordType):
-                for label in body.labels:
-                    li = index.get(label)
-                    if li is None:
-                        continue
-                    child = attach(value[label], body.field(label))
-                    rows[li][nid] |= 1 << child
+    def _arcs(self, children: list[tuple[str, int]]) -> tuple:
+        """Sorted ``(label index, child)`` pairs on the alphabet."""
+        index = self.index
+        return tuple(
+            sorted(
+                {
+                    (index[label], child)
+                    for label, child in children
+                    if label in index
+                }
+            )
+        )
 
-        def attach(value: object, tau: object) -> int:
-            key = self._key(inst, value, tau)
-            nid = nodes.get(key)
-            if nid is None:
-                nid = new_node(key)
-                visit(nid, value, tau)
-            return nid
+    def _node(self, value: object, tau: Type) -> int:
+        """The node of ``value`` at ``tau``, interned on first sight."""
+        if isinstance(tau, ClassRef):
+            return self.nodes[("oid", value.key)]
+        if isinstance(tau, AtomicType):
+            key: Hashable = ("atom", tau.name, value)
+            edges: tuple = ()
+        else:
+            children = self._children(value, tau, read_only=False)
+            name = sort_name(self.schema, tau)
+            if isinstance(tau, SetType):
+                key = ("set", name, frozenset(c for _, c in children))
+            else:
+                key = ("rec", name, tuple(sorted(children)))
+            edges = self._arcs(children)
+        nid = self.nodes.get(key)
+        if nid is None:
+            nid = self.nodes[key] = len(self.static)
+            self.static.append(edges)
+        return nid
 
-        new_node("r")
-        visit(0, inst.entry, schema.db_type)
-        node_count = len(nodes)
-        radj: list[list[int]] = [[0] * node_count for _ in range(label_count)]
-        for li in range(label_count):
-            row = rows[li]
-            rrow = radj[li]
-            for src in range(node_count):
-                mask = row[src]
-                while mask:
-                    low = mask & -mask
-                    rrow[low.bit_length() - 1] |= 1 << src
-                    mask ^= low
-        return rows, radj
+    def verdict(self, key: tuple[int, ...]) -> bool:
+        """Whether the candidate with projection ids ``key`` screens as
+        a counter-model: rows built by a walk from the root."""
+        projections, static = self.projections, self.static
+        oids = len(key) - 1
+        root_edges, alias = projections[key[-1]]
+        ids = {0: 0}
+        todo = [0]
+        arcs = []
+        for node in todo:
+            if node == 0:
+                edges = root_edges
+            elif node <= oids:
+                edges = projections[key[node - 1]][0]
+            else:
+                edges = static[node]
+            src = ids[node]
+            for li, child in edges:
+                if child == alias:
+                    child = 0
+                dst = ids.get(child)
+                if dst is None:
+                    dst = ids[child] = len(todo)
+                    todo.append(child)
+                arcs.append((src, li, dst))
+        count = len(todo)
+        adj = [[0] * count for _ in self.index]
+        radj = [[0] * count for _ in self.index]
+        for src, li, dst in arcs:
+            adj[li][src] |= 1 << dst
+            radj[li][dst] |= 1 << src
+        return _is_bit_countermodel(
+            adj, radj, self.compiled_sigma, self.compiled_phi
+        )
 
 
 @dataclass
@@ -658,9 +709,12 @@ class TypedScanReport:
     hit_index: int | None
     instance: Instance | None
     graph: Graph | None
+    #: stream indices covered.
     examined: int
     exhausted: bool
     elapsed: float = 0.0
+    #: distinct projection tuples screened.
+    screens: int = 0
 
 
 def scan_typed_instances(
@@ -673,57 +727,118 @@ def scan_typed_instances(
     shard_index: int = 0,
     shard_count: int = 1,
     deadline: float | None = None,
-    compiled: bool = False,
     should_stop: Callable[[], bool] | None = None,
     check_every: int = 32,
 ) -> TypedScanReport:
     """Scan one stride of ``U_f(Delta)``'s small-instance stream.
 
-    Worker ``k`` of ``shard_count`` checks instances ``k,
-    k + shard_count, ...`` of the deterministic enumeration order and
-    stops at its first counter-model; combining shards by minimal
-    ``hit_index`` reproduces the sequential result exactly.
+    The stream is :func:`~repro.types.instances.enumerate_instances`'
+    order, up to ``limit``.  Worker ``k`` of ``shard_count`` checks
+    stream indices ``k, k + shard_count, ...`` and stops at its first
+    counter-model; combining shards by minimal ``hit_index``
+    reproduces the sequential result exactly.
 
-    With ``compiled`` each candidate is screened by the bitmask fast
-    path (:class:`_TypedScanPlan`) and only screen hits pay for the
-    reference graph + checker — same hits, a fraction of the work.
+    The stream is walked as tuples of projection ids, one
+    configuration at a time (:class:`_TypedScreen`), so no
+    :class:`Instance` is built for a candidate that the screen
+    rejects, and each distinct projection tuple is screened once.  A
+    screen hit is built as an instance at its stream index and
+    re-verified with :meth:`Instance.to_graph` and the Definition 2.1
+    checker; should the checker reject it, the scan goes on.
     ``deadline`` and ``should_stop`` are polled every ``check_every``
-    scanned instances.
+    stream indices.  perfbench's tracer times the scan under this name.
     """
     began = time.perf_counter()
     sigma = list(sigma)
-    plan = _TypedScanPlan(schema, sigma, phi) if compiled else None
-    examined = 0
+    labels = infer_alphabet(sigma, phi)
+    index = {label: i for i, label in enumerate(labels)}
+    *compiled_sigma, compiled_phi = compile_constraints([*sigma, phi], labels)
+    nested = _nests_db_type(schema)
+    # enumerate_instances yields one instance before it reads the limit.
+    end = max(limit, 1)
+    examined = screens = 0
 
     def report(exhausted, hit_index=None, instance=None, graph=None):
         return TypedScanReport(
             shard_index, shard_count, hit_index, instance, graph,
-            examined, exhausted, time.perf_counter() - began,
+            examined, exhausted, time.perf_counter() - began, screens,
         )
 
-    for index, instance in enumerate(
-        enumerate_instances(
-            schema, max_oids=max_oids, max_set_size=max_set_size, limit=limit
-        )
+    base = 0
+    for config in configurations(
+        schema, max_oids=max_oids, max_set_size=max_set_size
     ):
+        if base >= end:
+            break
+        size = min(config.size, end - base)
+        start = (shard_index - base) % shard_count
+        if start < size:
+            screen = _TypedScreen(
+                config, index, nested, compiled_sigma, compiled_phi
+            )
+            verdicts: dict[tuple[int, ...], bool] = {}
+            first = examined
+            for key in itertools.islice(
+                itertools.product(*screen.choice_ids, screen.entry_ids),
+                start, size, shard_count,
+            ):
+                if examined % check_every == 0 and (
+                    (deadline is not None and time.monotonic() > deadline)
+                    or (should_stop is not None and should_stop())
+                ):
+                    return report(False)
+                examined += 1
+                hit = verdicts.get(key)
+                if hit is None:
+                    hit = verdicts[key] = screen.verdict(key)
+                    screens += 1
+                if hit:
+                    position = start + (examined - first - 1) * shard_count
+                    instance = config.instance(position)
+                    graph = instance.to_graph()
+                    if _is_countermodel(graph, sigma, phi):
+                        return report(True, base + position, instance, graph)
+        base += config.size
+    return report(True)
+
+
+def reference_typed_scan(
+    schema: Schema,
+    sigma: Sequence[PathConstraint],
+    phi: PathConstraint,
+    max_oids: int = 2,
+    max_set_size: int = 2,
+    limit: int = 5_000,
+    shard_index: int = 0,
+    shard_count: int = 1,
+) -> TypedScanReport:
+    """The per-instance reference loop over the same stride.
+
+    Every instance :func:`enumerate_instances` yields is abstracted
+    with :meth:`Instance.to_graph` and checked with the Definition 2.1
+    checker.  Kept as the independent oracle for
+    :func:`scan_typed_instances` and as the benchmark baseline.
+    """
+    began = time.perf_counter()
+    sigma = list(sigma)
+    examined = 0
+    stream = enumerate_instances(
+        schema, max_oids=max_oids, max_set_size=max_set_size, limit=limit
+    )
+    for index, instance in enumerate(stream):
         if index % shard_count != shard_index:
             continue
-        if examined % check_every == 0 and (
-            (deadline is not None and time.monotonic() > deadline)
-            or (should_stop is not None and should_stop())
-        ):
-            return report(False)
         examined += 1
-        if plan is not None:
-            adj, radj = plan.bitmasks(instance)
-            if not _is_bit_countermodel(
-                adj, radj, plan.compiled_sigma, plan.compiled_phi
-            ):
-                continue
         graph = instance.to_graph()
         if _is_countermodel(graph, sigma, phi):
-            return report(True, index, instance, graph)
-    return report(True)
+            return TypedScanReport(
+                shard_index, shard_count, index, instance, graph,
+                examined, True, time.perf_counter() - began,
+            )
+    return TypedScanReport(
+        shard_index, shard_count, None, None, None,
+        examined, True, time.perf_counter() - began,
+    )
 
 
 def find_typed_countermodel(

@@ -80,6 +80,11 @@ from repro.types.typesys import Schema
 
 __all__ = ["Budget", "CountermodelOutcome", "run_portfolio"]
 
+#: What a typed UNKNOWN says of an untyped chase fixpoint.
+TYPED_CHASE_FALSE_NOTE = (
+    "untyped chase FALSE does not transfer to the typed context"
+)
+
 #: Bounds of the typed scan's ``U_f(Delta)`` instances: object ids per
 #: class and members per set value.
 TYPED_MAX_OIDS = 2
@@ -95,6 +100,8 @@ class CountermodelOutcome:
     examined: int = 0
     exhausted: bool = True
     elapsed: float = 0.0
+    #: distinct projection tuples the typed scan screened.
+    screens: int = 0
     #: True when the scan was truncated by an unrecoverable worker
     #: fault rather than by the budget — same UNKNOWN semantics, but
     #: callers report it differently.
@@ -154,7 +161,6 @@ def _typed_shard_task(
     shard_index: int,
     shard_count: int,
     deadline: float | None,
-    compiled: bool = False,
     run: int | None = None,
 ) -> TypedScanReport:
     return scan_typed_instances(
@@ -167,7 +173,6 @@ def _typed_shard_task(
         shard_index=shard_index,
         shard_count=shard_count,
         deadline=deadline,
-        compiled=compiled,
         should_stop=stop_hook(run),
     )
 
@@ -342,7 +347,6 @@ def _scan_typed(
             shard_index,
             shards,
             deadline,
-            True,
             supervisor.run,
             engine=f"typed-countermodel[{shard_index}/{shards}]",
         )
@@ -353,6 +357,7 @@ def _scan_typed(
     failed = len(tasks) - len(reports)
     out = CountermodelOutcome(
         examined=sum(r.examined for r in reports),
+        screens=sum(r.screens for r in reports),
         exhausted=failed == 0 and all(r.exhausted for r in reports),
         fault_stop=failed > 0,
     )
@@ -547,6 +552,8 @@ def _combine(
     detail = f"jobs={supervisor.jobs}"
     if untyped:
         detail += f", states={search.examined}"
+    else:
+        detail += f", screens={search.screens}"
     search_stats = EngineStats(
         engine="countermodel" if untyped else "typed-countermodel",
         outcome=search.outcome_label,
@@ -584,6 +591,9 @@ def _combine(
         ]
     chased = chase.result
     extra = chased.notes if chased is not None else ()
+    if not untyped and chased is not None and chased.answer is Trilean.FALSE:
+        # The fixpoint is an untyped model, no U_f(Delta) instance.
+        extra = (TYPED_CHASE_FALSE_NOTE,)
     method = (
         "chase+bounded-countermodel" if untyped else "chase+typed-countermodel"
     )

@@ -15,19 +15,30 @@ becomes a finite ``sigma(Delta)``-structure satisfying the type
 constraint ``Phi(Delta)``, with set/record values deduplicated
 extensionally and every node tagged with its sort.  The instance also
 evaluates paths *directly* over values, so tests can confirm the
-lemma's satisfaction-equivalence mechanically.
+lemma's satisfaction-equivalence mechanically.  Sort names come from
+:func:`repro.types.siggen.sort_name`, which reads only DBtype, so an
+instance never explores the type graph.
+
+:func:`enumerate_instances` is the bounded stream behind the typed
+counter-model search.  It walks :func:`configurations` — one per
+choice of oid counts per class, each with its oids' value choices and
+its entry choices — and the typed scan walks the same tables as
+tuples of choice indices, building an instance only where it needs
+one (:meth:`Configuration.instance`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 from repro.constraints.ast import PathConstraint
 from repro.errors import InstanceError
 from repro.graph.structure import Graph
 from repro.paths import Path
-from repro.types.siggen import SchemaSignature
+from repro.types.siggen import sort_name
 from repro.types.typesys import (
     MEMBERSHIP_LABEL,
     AtomicType,
@@ -95,7 +106,6 @@ class Instance:
         entry: Value,
     ) -> None:
         self._schema = schema
-        self._signature = SchemaSignature(schema)
         self._oids = {name: frozenset(members) for name, members in oids.items()}
         for name in schema.class_names:
             self._oids.setdefault(name, frozenset())
@@ -198,7 +208,7 @@ class Instance:
             return ("oid", value.key)  # type: ignore[union-attr]
         if isinstance(tau, AtomicType):
             return ("atom", tau.name, value)
-        name = self._signature.sort_name(tau)
+        name = sort_name(self._schema, tau)
         if isinstance(tau, SetType):
             members = frozenset(
                 self._node_key(member, tau.element) for member in value  # type: ignore[union-attr]
@@ -223,7 +233,7 @@ class Instance:
         the membership label.
         """
         graph = Graph(root="r")
-        graph.set_sort("r", self._signature.sort_name(self._schema.db_type))
+        graph.set_sort("r", sort_name(self._schema, self._schema.db_type))
         done: set[Hashable] = set()
 
         def visit(node: Hashable, value: Value, tau: Type) -> None:
@@ -247,7 +257,7 @@ class Instance:
         def attach(value: Value, tau: Type) -> Hashable:
             node = self._node_key(value, tau)
             if node not in done:
-                graph.add_node(node, sort=self._signature.sort_name(tau))
+                graph.add_node(node, sort=sort_name(self._schema, tau))
                 visit(node, value, tau)
             return node
 
@@ -331,6 +341,95 @@ def _enumerate_values(
             yield dict(zip(tau.labels, combo))
 
 
+@dataclass(frozen=True)
+class Configuration:
+    """One choice of oid counts per class, with its value tables.
+
+    Its instances are the product of one value choice per oid (in
+    :attr:`oids` order) and one entry choice, the entry varying
+    fastest; :meth:`instance` builds the one at a given position of
+    that product.
+    """
+
+    schema: Schema
+    #: the oids of each class.
+    pool: Mapping[str, tuple[Oid, ...]]
+    #: every oid, classes in sorted order.
+    oids: tuple[Oid, ...]
+    #: the class body each oid's value has.
+    bodies: tuple[Type, ...]
+    #: each oid's candidate values.
+    value_choices: tuple[tuple[Value, ...], ...]
+    #: the candidate entry-point values.
+    entries: tuple[Value, ...]
+
+    @property
+    def size(self) -> int:
+        """How many instances the configuration has."""
+        return math.prod(map(len, self.value_choices)) * len(self.entries)
+
+    def instance(self, position: int) -> Instance:
+        """The instance at ``position`` of the configuration's order."""
+        position, entry = divmod(position, len(self.entries))
+        picks = []
+        for choices in reversed(self.value_choices):
+            position, choice = divmod(position, len(choices))
+            picks.append(choices[choice])
+        picks.reverse()
+        return Instance(
+            self.schema,
+            oids=self.pool,
+            values=dict(zip(self.oids, picks)),
+            entry=self.entries[entry],
+        )
+
+
+def configurations(
+    schema: Schema,
+    max_oids: int = 1,
+    atom_pool: Mapping[str, tuple[Value, ...]] | None = None,
+    max_set_size: int = 2,
+) -> Iterator[Configuration]:
+    """The configurations of :func:`enumerate_instances`, in its order.
+
+    Oid counts run over ``0..max_oids`` per class, classes sorted by
+    name, the last class's count varying fastest.  Oids of one class
+    share one tuple of value choices.
+    """
+    if atom_pool is None:
+        atom_pool = {"int": (0,), "string": ("s",)}
+    class_names = sorted(schema.class_names)
+    for counts in itertools.product(
+        range(max_oids + 1), repeat=len(class_names)
+    ):
+        pool = {
+            name: tuple(Oid(f"{name}#{i}") for i in range(count))
+            for name, count in zip(class_names, counts)
+        }
+        choices = {
+            name: tuple(
+                _enumerate_values(
+                    schema.body_of(name), pool, atom_pool, max_set_size
+                )
+            )
+            for name in class_names
+            if pool[name]
+        }
+        owners = [name for name in class_names for _ in pool[name]]
+        yield Configuration(
+            schema,
+            pool,
+            tuple(oid for name in class_names for oid in pool[name]),
+            tuple(schema.body_of(name) for name in owners),
+            tuple(choices[name] for name in owners),
+            tuple(
+                _enumerate_values(
+                    schema.db_type, pool, atom_pool, max_set_size
+                )
+            ),
+        )
+
+
 def enumerate_instances(
     schema: Schema,
     max_oids: int = 1,
@@ -343,47 +442,19 @@ def enumerate_instances(
     For every assignment of up to ``max_oids`` oids per class and every
     combination of values for oids and the entry point (atoms drawn
     from ``atom_pool``, sets capped at ``max_set_size``), yield the
-    instance.  The count grows combinatorially — callers pass a
-    ``limit``.  Instances are yielded validated.
+    instance, configuration by configuration (:func:`configurations`).
+    The count grows combinatorially — callers pass a ``limit``; the
+    first instance is yielded before the limit is read.  Instances are
+    well-typed by construction.
     """
-    if atom_pool is None:
-        atom_pool = {"int": (0,), "string": ("s",)}
-    class_names = sorted(schema.class_names)
     emitted = 0
-    for counts in itertools.product(
-        range(max_oids + 1), repeat=len(class_names)
-    ):
-        oid_pool = {
-            name: tuple(Oid(f"{name}#{i}") for i in range(count))
-            for name, count in zip(class_names, counts)
-        }
-        all_oids = [oid for pool in oid_pool.values() for oid in pool]
-        value_choices = [
-            list(
-                _enumerate_values(
-                    schema.body_of(
-                        next(n for n in class_names if oid in oid_pool[n])
-                    ),
-                    oid_pool,
-                    atom_pool,
-                    max_set_size,
+    for config in configurations(schema, max_oids, atom_pool, max_set_size):
+        for assignment in itertools.product(*config.value_choices):
+            values = dict(zip(config.oids, assignment))
+            for entry in config.entries:
+                yield Instance(
+                    schema, oids=config.pool, values=values, entry=entry
                 )
-            )
-            for oid in all_oids
-        ]
-        entry_choices = list(
-            _enumerate_values(schema.db_type, oid_pool, atom_pool, max_set_size)
-        )
-        for assignment in itertools.product(*value_choices):
-            values = dict(zip(all_oids, assignment))
-            for entry in entry_choices:
-                instance = Instance(
-                    schema,
-                    oids={n: oid_pool[n] for n in class_names},
-                    values=values,
-                    entry=entry,
-                )
-                yield instance
                 emitted += 1
                 if limit is not None and emitted >= limit:
                     return

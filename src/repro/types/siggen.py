@@ -33,6 +33,21 @@ from repro.types.typesys import (
 )
 
 
+def sort_name(schema: Schema, state: Type) -> str:
+    """The display name of a sort in T(Delta): ``DBtype`` for any type
+    equal to the schema's DBtype, the class name for a class, and the
+    type's own rendering otherwise.
+
+    It reads nothing but DBtype, so typed instances name their nodes'
+    sorts without exploring the type graph.
+    """
+    if state == schema.db_type:
+        return "DBtype"
+    if isinstance(state, ClassRef):
+        return state.name
+    return repr(state)
+
+
 class SchemaSignature:
     """The derived signature ``sigma(Delta) = (r, E(Delta), T(Delta))``.
 
@@ -90,11 +105,7 @@ class SchemaSignature:
 
     def sort_name(self, state: Type) -> str:
         """The display name of a sort in T(Delta)."""
-        if state == self._schema.db_type:
-            return "DBtype"
-        if isinstance(state, ClassRef):
-            return state.name
-        return repr(state)
+        return sort_name(self._schema, state)
 
     @property
     def type_names(self) -> frozenset[str]:

@@ -13,6 +13,7 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.reasoning import Context, ImplicationProblem, solve
 from repro.reasoning import costmodel
 from repro.reasoning.costmodel import (
+    POOL_MIN_WORK,
     ExecMode,
     available_cpus,
     choose_execution,
@@ -134,7 +135,8 @@ class TestChooseExecution:
 
 class TestPoolRule:
     """Typed: pool iff min(jobs, cpus) >= 2 and the scan exceeds
-    :data:`POOL_MIN_WORK`.  Untyped: never pooled in auto mode, on
+    :data:`POOL_MIN_WORK`; a scan at the retired 1,800-instance
+    constant runs inline.  Untyped: never pooled in auto mode, on
     either side of the retired 34,000-code constant.  Both sides of
     each constant, 1 and 2 CPUs, and jobs given as 1, 2 or "auto"
     (resolved against the same CPU count)."""
@@ -147,7 +149,8 @@ class TestPoolRule:
             ("untyped", 34_000, False),
             ("untyped", 34_001, True),
             ("typed", 1_800, False),
-            ("typed", 1_801, True),
+            ("typed", POOL_MIN_WORK["typed"], False),
+            ("typed", POOL_MIN_WORK["typed"] + 1, True),
         ],
     )
     def test_table(self, monkeypatch, kind, work, large, cpus, jobs):

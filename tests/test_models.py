@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,21 +11,41 @@ from hypothesis import strategies as st
 from repro.checking import check
 from repro.checking.engine import satisfies_all
 from repro.constraints import parse_constraint, parse_constraints
-from repro.constraints.ast import Direction, PathConstraint
+from repro.constraints.ast import (
+    Direction,
+    PathConstraint,
+    backward,
+    forward,
+)
 from repro.diffcheck.generators import generate_instance
 from repro.monoids.presentation import MonoidPresentation
 from repro.reasoning import ImplicationProblem, solve
+from repro.paths import Path
 from repro.reasoning.models import (
+    _is_countermodel,
     all_graphs,
     brute_force_countermodel,
     find_countermodel,
     find_typed_countermodel,
     infer_alphabet,
+    reference_typed_scan,
     scan_codes,
+    scan_typed_instances,
 )
+from repro.reductions.monoid_to_mplus import encode_mplus
 from repro.reductions.monoid_to_pwk import encode_pwk
 from repro.truth import Trilean
+from repro.types.examples import example_3_1_schema
+from repro.types.instances import enumerate_instances
+from repro.types.siggen import SchemaSignature
 from repro.types.typecheck import check_type_constraint
+from repro.types.typesys import (
+    AtomicType,
+    ClassRef,
+    RecordType,
+    Schema,
+    SetType,
+)
 
 
 def _one_label_constraints():
@@ -205,3 +227,262 @@ class TestTypedSearch:
             )
             is None
         )
+
+
+# ---------------------------------------------------------------------------
+# The typed scan against the per-instance reference loop.
+# ---------------------------------------------------------------------------
+
+SHARD_COUNTS = (1, 2, 3)
+
+#: Monoid presentations with a provably equal and a provably unequal
+#: pair; each pair in both orders gives four Delta_1 encodings.
+_MONOIDS = [
+    (MonoidPresentation("uv", [("u.v", "v.u")]), ("u.v.u", "u.u.v"), ("u.v", "v.v")),
+    (MonoidPresentation("u", [("u.u.u", "")]), ("u.u.u.u", "u"), ("u.u", "u")),
+    (
+        MonoidPresentation("uv", [("u.u", "u"), ("v.v", "v")]),
+        ("u.u.v.v", "u.v"),
+        ("u.v", "v.u"),
+    ),
+    (MonoidPresentation("uv", []), ("u.v", "u.v"), ("u.v", "v.u")),
+    (
+        MonoidPresentation("uv", [("u.v", "u"), ("v.u", "u")]),
+        ("u.v.v.v", "u"),
+        ("u", "v"),
+    ),
+]
+
+#: Example 3.1 constraints that read no ``member``, drawn 2-4 at a
+#: time with the last as the query, as the semidecide benchmark does.
+_NO_MEMBER_CONSTRAINTS = [
+    "book.author => person",
+    "person.wrote => book",
+    "book.ref => book",
+    "book :: author ~> wrote",
+    "person :: wrote ~> author",
+    "book :: ref ~> ref",
+    "book.author.wrote => book",
+    "book.ref.author => person",
+    "person.wrote.author => person",
+    "person.wrote.ref => book",
+    "book :: ref.author => author",
+    "person :: wrote.ref => wrote",
+]
+
+
+def _delta1_cases():
+    for pres, equal, unequal in _MONOIDS:
+        encoding = encode_mplus(pres)
+        for alpha, beta in (equal, equal[::-1], unequal, unequal[::-1]):
+            yield (
+                encoding.schema,
+                list(encoding.sigma),
+                encoding.test_constraint(alpha, beta),
+            )
+
+
+def _valid_draw(rng: random.Random, paths: list[Path]):
+    """Random P_c constraints whose paths are all in Paths(Delta); the
+    last one is the query."""
+
+    def one():
+        p = rng.choice(paths)
+        if rng.random() < 0.35:
+            i, j = sorted(rng.sample(range(len(p) + 1), 2))
+            return backward(
+                Path(p.labels[:i]), Path(p.labels[i:j]), Path(p.labels[j:])
+            )
+        cut = rng.randrange(len(p))
+        alpha = Path(p.labels[:cut])
+        extensions = [
+            q.strip_prefix(alpha) for q in paths if alpha.is_prefix_of(q)
+        ]
+        return forward(
+            alpha,
+            Path(p.labels[cut:]),
+            rng.choice(extensions + [Path.empty()]),
+        )
+
+    drawn = [one() for _ in range(rng.randint(2, 4))]
+    return drawn[:-1], drawn[-1]
+
+
+def _nested_schema() -> Schema:
+    """A schema whose class body nests a record equal to DBtype; the
+    ``z`` field is read by no constraint below, so entries that differ
+    only there share their out-edges but not their identity."""
+
+    def db_like() -> RecordType:
+        return RecordType(
+            [("a", SetType(ClassRef("C"))), ("z", SetType(ClassRef("C")))]
+        )
+
+    body = RecordType([("next", db_like()), ("tag", AtomicType("string"))])
+    return Schema({"C": body}, db_like())
+
+
+def _edges(graph):
+    return None if graph is None else sorted(map(repr, graph.edges()))
+
+
+def _summary(report):
+    return (
+        report.hit_index,
+        report.examined,
+        report.exhausted,
+        _edges(report.graph),
+    )
+
+
+def _expected(schema, sigma, phi, limit):
+    """Every shard report at :data:`SHARD_COUNTS`, derived from the
+    reference verdict of each stream index (``to_graph`` and the
+    Definition 2.1 checker on each :func:`enumerate_instances` yield)."""
+    shards = [(n, k) for n in SHARD_COUNTS for k in range(n)]
+    hits: dict[tuple[int, int], tuple[int, object]] = {}
+    covered = 0
+    for index, instance in enumerate(
+        enumerate_instances(schema, max_oids=2, limit=limit)
+    ):
+        covered = index + 1
+        open_ = [s for s in shards if index % s[0] == s[1] and s not in hits]
+        if not open_:
+            continue
+        graph = instance.to_graph()
+        if _is_countermodel(graph, sigma, phi):
+            for shard in open_:
+                hits[shard] = (index, graph)
+            if len(hits) == len(shards):
+                break
+    expected = {}
+    for n, k in shards:
+        index, graph = hits.get((n, k), (None, None))
+        end = covered if index is None else index + 1
+        expected[n, k] = (
+            index,
+            len(range(k, end, n)),
+            True,
+            _edges(graph),
+        )
+    return expected
+
+
+def _assert_same_stream(schema, sigma, phi, limit=2_000):
+    expected = _expected(schema, sigma, phi, limit)
+    for (n, k), want in expected.items():
+        report = scan_typed_instances(
+            schema, sigma, phi, limit=limit, shard_index=k, shard_count=n
+        )
+        assert _summary(report) == want, (n, k)
+        if report.instance is not None:
+            assert _edges(report.instance.to_graph()) == want[3]
+    return expected
+
+
+class TestTypedScanDifferential:
+    """:func:`scan_typed_instances` walks projection ids; the reference
+    loop builds every instance.  Both must agree on the hit index,
+    ``examined``, ``exhausted`` and the certificate at every shard
+    count."""
+
+    def test_delta1_encodings(self):
+        hits = 0
+        for schema, sigma, phi in _delta1_cases():
+            expected = _assert_same_stream(schema, sigma, phi)
+            hits += expected[1, 0][0] is not None
+        assert hits == 8  # the unequal pairs but cyclic-3's
+
+    def test_example_3_1_probe(self, bib_schema):
+        sigma = parse_constraints(
+            "person.member :: wrote.member ~> author.member"
+        )
+        phi = parse_constraint(
+            "book.member.author.member.wrote.member => book.member"
+        )
+        expected = _assert_same_stream(bib_schema, sigma, phi)
+        assert expected[1, 0][0] is None
+        report = scan_typed_instances(bib_schema, sigma, phi, limit=2_000)
+        assert report.examined == 2_000
+        assert report.screens < report.examined
+
+    def test_draws_that_read_no_member(self, bib_schema):
+        rng = random.Random("typed-scan:no-member")
+        for _ in range(8):
+            picked = rng.sample(_NO_MEMBER_CONSTRAINTS, rng.randint(2, 4))
+            sigma = parse_constraints("\n".join(picked[:-1]))
+            _assert_same_stream(bib_schema, sigma, parse_constraint(picked[-1]))
+
+    def test_paths_valid_draws(self, bib_schema):
+        paths = [
+            p
+            for p in SchemaSignature(bib_schema).sample_paths(4)
+            if not p.is_empty()
+        ]
+        rng = random.Random("typed-scan:paths-valid")
+        hits = 0
+        for _ in range(40):
+            sigma, phi = _valid_draw(rng, paths)
+            expected = _assert_same_stream(bib_schema, sigma, phi, limit=600)
+            hits += expected[1, 0][0] is not None
+        assert 0 < hits < 40
+
+    def test_nested_db_type(self):
+        schema = _nested_schema()
+        cases = [
+            # Only an oid whose ``next`` equals the entry, which makes
+            # that record the root, satisfies these premises.
+            ("a.member.next => ()", "a.member => ()"),
+            ("() => a.member.next", "a.member => ()"),
+        ]
+        for sigma_text, phi_text in cases:
+            expected = _assert_same_stream(
+                schema,
+                parse_constraints(sigma_text),
+                parse_constraint(phi_text),
+                limit=600,
+            )
+            assert expected[1, 0][0] is not None
+        paths = [
+            p
+            for p in SchemaSignature(schema).sample_paths(5)
+            if not p.is_empty() and "z" not in p.labels
+        ]
+        rng = random.Random("typed-scan:nested")
+        for _ in range(12):
+            sigma, phi = _valid_draw(rng, paths)
+            _assert_same_stream(schema, sigma, phi, limit=600)
+
+    def test_reference_loop_matches_its_derivation(self, bib_schema):
+        sigma = parse_constraints("book.ref => book")
+        phi = parse_constraint("book.member.ref => book.member")
+        expected = _expected(bib_schema, sigma, phi, 600)
+        for (n, k), want in expected.items():
+            report = reference_typed_scan(
+                bib_schema, sigma, phi, limit=600, shard_index=k, shard_count=n
+            )
+            assert _summary(report) == want
+
+    def test_stops_on_the_deadline(self, bib_schema):
+        sigma = parse_constraints("book :: member ~> ()")
+        phi = parse_constraint("book.member => person")
+        report = scan_typed_instances(
+            bib_schema, sigma, phi, limit=2_000, deadline=0.0
+        )
+        assert not report.exhausted
+        assert report.examined == 0
+
+
+def test_enumerate_instances_builds_one_signature_at_most(monkeypatch):
+    built = []
+    original = SchemaSignature.__init__
+
+    def counting(self, schema):
+        built.append(schema)
+        original(self, schema)
+
+    monkeypatch.setattr(SchemaSignature, "__init__", counting)
+    stream = enumerate_instances(example_3_1_schema(), max_oids=2, limit=50)
+    for instance in stream:
+        instance.to_graph()
+    assert len(built) <= 1

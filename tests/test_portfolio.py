@@ -36,6 +36,7 @@ from repro.reasoning.models import (
     find_countermodel,
     infer_alphabet,
 )
+from repro.reasoning.portfolio import TYPED_CHASE_FALSE_NOTE
 from repro.truth import Trilean
 
 # A refutable P_c instance whose smallest counter-model has 3 nodes
@@ -227,14 +228,34 @@ class TestTypedPortfolio:
                 ImplicationProblem(
                     sigma, phi, context="M+", schema=bib_schema
                 ),
-                SolveOptions(typed_search_limit=2000),
+                SolveOptions(typed_search_limit=2000, execution=execution),
                 jobs=jobs,
             )
-            for jobs in (1, 4)
+            for jobs, execution in ((1, "auto"), (4, "pool"))
         ]
         assert all(r.answer is Trilean.FALSE for r in results)
         seq, par = results
+        assert par.execution.mode.value == "pool"
         assert _edge_set(seq.countermodel) == _edge_set(par.countermodel)
+
+    def test_typed_unknown_keeps_no_untyped_fixpoint_note(self, bib_schema):
+        # The chase reaches an untyped fixpoint violating phi, and no
+        # small instance refutes phi: the fixpoint is no U_f(Delta)
+        # instance, so the UNKNOWN must not call it a model.
+        sigma = parse_constraints("book :: member ~> ()")
+        phi = parse_constraint("book.member => person")
+        result = solve(
+            ImplicationProblem(sigma, phi, context="M+", schema=bib_schema)
+        )
+        assert result.answer is Trilean.UNKNOWN
+        chase = next(s for s in result.stats if s.engine == "chase")
+        assert chase.outcome == "false"
+        assert TYPED_CHASE_FALSE_NOTE in result.notes
+        assert not any("fixpoint is a finite model" in n for n in result.notes)
+        search = next(
+            s for s in result.stats if s.engine == "typed-countermodel"
+        )
+        assert "screens=" in search.detail
 
     def test_chase_true_transfers_parallel(self, bib_schema):
         sigma = parse_constraints("book.member.author => person")
