@@ -28,7 +28,6 @@ from __future__ import annotations
 import pytest
 
 from _report import print_table, write_bench_json
-from repro.reasoning.runtime import retire_warm_pool
 from repro.server.chaos import run_chaos_sweep
 
 pytestmark = pytest.mark.bench
@@ -39,13 +38,6 @@ FAULT_RATE = 0.3
 GRACE_MS = 500
 
 _BENCH: dict = {}
-
-
-@pytest.fixture(autouse=True)
-def _cold_pool():
-    retire_warm_pool()
-    yield
-    retire_warm_pool()
 
 
 def test_chaos_sweep_three_seeds():

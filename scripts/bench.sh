@@ -15,8 +15,8 @@ for seed in 0 1 2; do
         --deadline 300 --json-out "FUZZ_seed$seed.json"
 done
 
-# High-rate fault-injection sweep: half of all portfolio tasks get a
-# fault (kill/raise/delay/corrupt).  Acceptance: zero TRUE<->FALSE
+# High-rate fault-injection sweep: half of all portfolio engine runs
+# get a fault (raise/delay).  Acceptance: zero TRUE<->FALSE
 # flips against the uninjected oracle; demotions are tallied in the
 # report.
 for seed in 0 1 2; do
@@ -61,22 +61,21 @@ print(
 )
 EOF
 
-# Typed-scan gate: the shipped auto path must finish the full
+# Typed-scan gate: the shipped portfolio must finish the full
 # 2,000-instance Example 3.1 scan >= 4x faster than the legacy
-# baseline, a cold 8-worker stride pool running the per-instance
-# reference loop.  Gated on the emitted JSON for the same reason as
-# above.
+# baseline, the per-instance reference loop over the same stream.
+# Gated on the emitted JSON for the same reason as above.
 python - <<'EOF'
 import json
 
 large = json.load(open("BENCH_portfolio.json"))["large_typed"]
 t = large["timings_seconds"]
 assert large["speedup_vs_legacy"] >= 4, (
-    f"typed-scan gate: auto path only {large['speedup_vs_legacy']:.2f}x "
-    f"over the legacy pool ({t})"
+    f"typed-scan gate: portfolio only {large['speedup_vs_legacy']:.2f}x "
+    f"over the reference loop ({t})"
 )
 print(
-    f"auto={large['mode']['mode']} "
+    f"portfolio={t['portfolio']:.4f}s reference={t['reference_loop']:.3f}s "
     f"speedup={large['speedup_vs_legacy']:.1f}x: typed scan gate ok"
 )
 EOF

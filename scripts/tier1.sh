@@ -16,9 +16,9 @@ export PYTHONPATH
 python -m repro fuzz --seed 7 --per-fragment 25
 
 # Fault-injection smoke: the same engines under a fixed-seed fault
-# plan.  Injected worker kills, delays, raises and pickle corruption
-# may demote answers to UNKNOWN but must never flip TRUE<->FALSE
-# (exit 1 if they do).  scripts/bench.sh runs the higher-rate sweep.
+# plan.  Injected raises and delays may demote answers to UNKNOWN but
+# must never flip TRUE<->FALSE (exit 1 if they do).  scripts/bench.sh
+# runs the higher-rate sweep.
 python -m repro fuzz --seed 7 --per-fragment 5 \
     --inject-rate 0.25 --inject-seed 7
 
@@ -28,9 +28,10 @@ python -m repro fuzz --seed 7 --per-fragment 5 \
 python -m repro query fuzz --seed 0 --rounds 5
 
 # --jobs auto smoke: dispatch end-to-end on an undecidable cell, clean
-# and under a hostile fault plan.  The chase settles this instance
-# (FALSE: a fixpoint after 3 repairs) before the counter-model search
-# runs.
+# and under a fault plan (a raise on the chase, ordinal 0, and a delay
+# on the counter-model search, ordinal 1).  The chase settles this
+# instance (FALSE: a fixpoint after 3 repairs) on its retry, before the
+# search runs.
 # --no-cache keeps a verdict stored by an earlier run from answering
 # instead.  Exit 0 means a definite answer; injected faults may only
 # demote to UNKNOWN (exit 2), never error out.
@@ -41,7 +42,7 @@ printf '() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a\n' \
     > "$sigma_file"
 python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto --no-cache
 python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto \
-    --inject kill:1,raise:2 || [ $? -eq 2 ]
+    --inject raise:0,delay:1:0.01 || [ $? -eq 2 ]
 
 # Cache smoke: the same query twice against a fresh --cache-dir.  The
 # first run stores its definite answer; the second MUST report a hit

@@ -9,15 +9,13 @@ Commands
 [--jobs N|auto] [--deadline S] [--inject SPEC]``
     Decide/semi-decide an implication question; prints the answer,
     method and Table 1 cell.  ``--schema`` takes an XML-Data file and
-    is required for typed contexts.  On undecidable cells ``--jobs``
-    caps the parallelism of the chase / counter-model race
-    (``auto`` sizes it to the machine; untyped semi-decision runs
-    in-process at any ``--jobs``, and only the typed M+/M+_f scan runs
-    in a process pool, when two CPUs are usable and the scan is
-    large), ``--deadline`` caps the whole portfolio
-    in wall-clock seconds, and ``--inject`` enables deterministic fault
-    injection (``kill:3``, ``delay:2:0.5``, ``corrupt:1``, ``raise:0``,
-    ``oom:4``, ``rate:0.3[:seed]``; comma-separated).  Answers are
+    is required for typed contexts.  On undecidable cells the chase
+    and then the counter-model search run in-process; ``--deadline``
+    caps the whole portfolio in wall-clock seconds, and ``--inject``
+    enables deterministic fault injection (``raise:0``,
+    ``delay:1:0.5``, ``rate:0.3[:seed]``; comma-separated).
+    ``--jobs`` is accepted for compatibility and changes nothing but
+    a warning on decidable cells.  Answers are
     served from and stored to the cross-request implication cache
     (``--cache-dir``/``$REPRO_CACHE_DIR``, default ``~/.cache/repro``;
     ``--no-cache`` bypasses it).
@@ -32,7 +30,7 @@ Commands
     retires a solver thread still running ``--watchdog-grace-ms`` past
     its deadline (``--deadline`` gives requests without a budget one),
     and graceful SIGTERM drain (in-flight work finishes, new work is
-    refused, the warm pool is retired).  See :mod:`repro.server`.
+    refused).  See :mod:`repro.server`.
 ``chaos [--seed N] [--requests N] [--fault-rate R] [--json-out F]``
     Seeded wire-level chaos sweep: real daemons, a real client, and a
     fault-perpetrating TCP proxy; gates on zero verdict flips,
@@ -157,7 +155,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _parse_jobs(text: str) -> int | str:
-    """``--jobs`` value: a positive int, or ``auto`` for the cost model."""
+    """``--jobs`` value: a positive int, or ``auto``."""
     if text.strip().lower() == "auto":
         return "auto"
     try:
@@ -294,10 +292,10 @@ def _cmd_imply(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.flush_counters()
     if result.decidable:
-        # The portfolio knobs only drive the semi-decision pipeline;
-        # telling the user beats silently ignoring their flags.
+        # Telling the user beats silently ignoring their flags.
         # ``auto`` stays quiet: it delegates the choice rather than
-        # demanding parallelism.
+        # demanding parallelism.  (On undecidable cells ``--jobs`` is
+        # ignored too, quietly: the portfolio runs in-process.)
         if jobs != "auto" and jobs != 1:
             print(
                 "warning: --jobs ignored (decidable cell runs the "
@@ -486,11 +484,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.diffcheck import fuzz
-    from repro.diffcheck.oracles import OracleConfig
 
-    jobs = tuple(
-        sorted({int(j) for j in args.portfolio_jobs.split(",") if j.strip()})
-    )
     sink: dict = {}
     try:
         report = fuzz(
@@ -498,7 +492,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             per_fragment=args.per_fragment,
             deadline=args.deadline,
             fragments=args.fragment or None,
-            config=OracleConfig(portfolio_jobs=jobs),
             shrink=not args.no_shrink,
             inject_rate=args.inject_rate,
             inject_seed=args.inject_seed,
@@ -698,9 +691,8 @@ def _add_solve_flags(
         "--jobs",
         default=jobs,
         metavar="N|auto",
-        help="parallelism cap per solve (1 = sequential; 'auto' sizes "
-        "to the machine; only a typed M+/M+_f scan runs pooled, when "
-        "2+ CPUs are usable and it is large)",
+        help="accepted for compatibility (a positive integer or "
+        "'auto'); every solve runs in-process",
     )
     p.add_argument(
         "--deadline",
@@ -728,10 +720,10 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--inject",
         metavar="SPEC",
-        help="deterministic fault injection for every solve: kill:ORD, "
-        "raise:ORD, delay:ORD:SECONDS, corrupt:ORD, oom:ORD, "
-        "rate:R[:SEED] (comma-separated; testing instrument; disables "
-        "cache lookups)",
+        help="deterministic fault injection for every solve: raise:ORD, "
+        "delay:ORD:SECONDS, rate:R[:SEED] (ordinal 0 is the chase, 1 "
+        "the counter-model search; comma-separated; testing "
+        "instrument; disables cache lookups)",
     )
 
 
@@ -797,8 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="concurrent solves (each may use the process pool "
-        "underneath per --jobs)",
+        help="concurrent solves, one solver thread each",
     )
     _add_solve_flags(
         p,
@@ -925,12 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME",
         help="restrict to one generator (repeatable); default: all",
-    )
-    p.add_argument(
-        "--portfolio-jobs",
-        default="1,4",
-        metavar="N,M",
-        help="comma-separated job counts to race the portfolio at",
     )
     p.add_argument(
         "--no-shrink",

@@ -11,8 +11,8 @@ instances; this package hunts for disagreements on millions more:
   and typed instances paired with random M schemas);
 * :mod:`repro.diffcheck.oracles` — the engine matrix: every generated
   instance runs through every applicable engine (complete deciders,
-  the chase, canonical and brute-force counter-model search, the
-  portfolio at several job counts, the U_f(Delta) enumerator), with
+  the chase, tableau and brute-force counter-model search, the
+  portfolio, the U_f(Delta) enumerator), with
   three-valued-aware disagreement detection and independent
   re-verification of every certificate;
 * :mod:`repro.diffcheck.shrink` — a delta-debugging shrinker that

@@ -17,7 +17,8 @@ engine              answers
                     UNKNOWN
 ``brute-force``     the oracle scan over every labelled graph, run when the
                     candidate space is small enough to enumerate
-``portfolio-jN``    :func:`run_portfolio` at ``jobs=N``
+``portfolio``       :func:`run_portfolio`: the chase, then the counter-model
+                    search
 ``enumerate-M``     the ``U_f(Delta)`` instance enumerator — FALSE on a
                     typed counter-model, else UNKNOWN
 ==================  =========================================================
@@ -88,9 +89,9 @@ class OracleConfig:
     """Budgets for one pass of the engine matrix over one instance.
 
     Defaults are tuned so a full matrix run on a generated instance
-    takes milliseconds-to-tens-of-milliseconds (pool spawn aside): the
-    generators keep alphabets at <= 3 labels, so two-node counter-model
-    search and the brute-force oracle stay tiny.
+    takes milliseconds-to-tens-of-milliseconds: the generators keep
+    alphabets at <= 3 labels, so two-node counter-model search and the
+    brute-force oracle stay tiny.
     """
 
     chase_steps: int = 400
@@ -101,7 +102,6 @@ class OracleConfig:
     brute_space_cap: int = 5_000
     typed_limit: int = 400
     typed_max_per_class: int = 2
-    portfolio_jobs: tuple[int, ...] = (1, 4)
     #: absolute ``time.monotonic()`` deadline shared by the whole pass.
     deadline: float | None = None
 
@@ -363,32 +363,25 @@ def _engine_brute_force(
     return _timed("brute-force", body)
 
 
-def _make_portfolio_engine(jobs: int):
-    def engine(
-        inst: FragmentInstance, cfg: OracleConfig
-    ) -> EngineVerdict | None:
-        if inst.context is not Context.SEMISTRUCTURED:
-            return None
+def _engine_portfolio(
+    inst: FragmentInstance, cfg: OracleConfig
+) -> EngineVerdict | None:
+    if inst.context is not Context.SEMISTRUCTURED:
+        return None
 
-        def body():
-            problem = ImplicationProblem(
-                inst.sigma, inst.phi, inst.context, schema=inst.schema
-            )
-            result = run_portfolio(
-                problem,
-                # The cross-validation point of a jobs>1 oracle is the
-                # pooled runtime itself (and, under --inject, its fault
-                # paths), so bypass the cost model's inline shortcut.
-                cfg.solve_options(execution="pool" if jobs > 1 else "auto"),
-                jobs=jobs,
-                budget=Budget(deadline=cfg.deadline),
-            )
-            cert_ok, note = _certificate_status(result, inst.sigma, inst.phi)
-            return result.answer, cert_ok, note
+    def body():
+        problem = ImplicationProblem(
+            inst.sigma, inst.phi, inst.context, schema=inst.schema
+        )
+        result = run_portfolio(
+            problem,
+            cfg.solve_options(),
+            budget=Budget(deadline=cfg.deadline),
+        )
+        cert_ok, note = _certificate_status(result, inst.sigma, inst.phi)
+        return result.answer, cert_ok, note
 
-        return _timed(f"portfolio-j{jobs}", body)
-
-    return engine
+    return _timed("portfolio", body)
 
 
 def _engine_enumerate_m(
@@ -418,9 +411,8 @@ def _engine_enumerate_m(
     return _timed("enumerate-M", body)
 
 
-#: Engine name -> engine function, in matrix order.  ``portfolio-jN``
-#: entries are materialized per config (see :func:`run_engines`).
-_STATIC_ENGINES: dict[
+#: Engine name -> engine function, in matrix order.
+_ENGINES: dict[
     str, Callable[[FragmentInstance, OracleConfig], EngineVerdict | None]
 ] = {
     "word": _engine_word,
@@ -430,19 +422,17 @@ _STATIC_ENGINES: dict[
     "countermodel": _engine_countermodel,
     "brute-force": _engine_brute_force,
     "enumerate-M": _engine_enumerate_m,
+    "portfolio": _engine_portfolio,
 }
 
 
 def _engine_table(
-    cfg: OracleConfig,
     extra: Mapping[
         str, Callable[[FragmentInstance, OracleConfig], EngineVerdict | None]
     ]
     | None = None,
 ) -> dict[str, Callable]:
-    table = dict(_STATIC_ENGINES)
-    for jobs in cfg.portfolio_jobs:
-        table[f"portfolio-j{jobs}"] = _make_portfolio_engine(jobs)
+    table = dict(_ENGINES)
     if extra:
         table.update(extra)
     return table
@@ -464,7 +454,7 @@ def run_engines(
     """
     config = config or OracleConfig()
     verdicts = []
-    for engine in _engine_table(config, extra).values():
+    for engine in _engine_table(extra).values():
         verdict = engine(instance, config)
         if verdict is not None:
             verdicts.append(verdict)
@@ -485,8 +475,7 @@ def run_named_engine(
     """Run one engine by name on a bare (sigma, phi) instance.
 
     The handle the shrinker's reproducers and the emitted regression
-    tests call: engine names are exactly the matrix names
-    (``portfolio-j7`` works for any job count).
+    tests call: engine names are exactly the matrix names.
     """
     config = config or OracleConfig()
     context = Context.M if schema is not None else Context.SEMISTRUCTURED
@@ -497,9 +486,7 @@ def run_named_engine(
         context=context,
         schema=schema,
     )
-    table = _engine_table(config, extra)
-    if name not in table and name.startswith("portfolio-j"):
-        table[name] = _make_portfolio_engine(int(name[len("portfolio-j"):]))
+    table = _engine_table(extra)
     if name not in table:
         raise KeyError(f"unknown engine {name!r}; have {sorted(table)}")
     verdict = table[name](instance, config)

@@ -266,12 +266,12 @@ def fuzz(
     catch it).
 
     With ``inject_rate > 0`` every semistructured instance additionally
-    re-runs each portfolio engine under a deterministic fault plan
-    (seeded from ``inject_seed``, the sweep seed, the instance index
-    and the job count) and cross-checks the injected verdict against
+    re-runs the portfolio engine under a deterministic fault plan
+    (seeded from ``inject_seed``, the sweep seed and the instance
+    index) and cross-checks the injected verdict against
     the clean one: a definite verdict may survive or demote to UNKNOWN,
     but a TRUE<->FALSE flip is recorded as a disagreement — the
-    soundness contract of the fault-tolerant runtime.
+    soundness contract of the portfolio's fault handling.
 
     With ``cache_check=True`` every instance is additionally solved
     cold (no cache) and again through an in-process implication cache
@@ -379,7 +379,7 @@ def _injected_pass(
     rate: float,
     inject_seed: int,
 ) -> None:
-    """Re-run the portfolio engines under injected faults and compare.
+    """Re-run the portfolio engine under injected faults and compare.
 
     The clean matrix already agreed with itself (any conflict was
     recorded above), so the clean portfolio verdict stands in for the
@@ -388,85 +388,56 @@ def _injected_pass(
     accounted for by a recorded fault (or the sweep deadline).
     """
     if instance.context is not Context.SEMISTRUCTURED:
-        return  # injection targets the supervised portfolio runtime
-    baselines = {
-        v.engine: v for v in verdicts if v.engine.startswith("portfolio-j")
-    }
+        return  # injection targets the portfolio's engines
+    clean = next((v for v in verdicts if v.engine == "portfolio"), None)
+    if clean is None:
+        return
     problem = ImplicationProblem(
         instance.sigma, instance.phi, instance.context, schema=instance.schema
     )
-    for jobs in config.portfolio_jobs:
-        clean = baselines.get(f"portfolio-j{jobs}")
-        if clean is None:
-            continue
-        plan_seed = (
-            inject_seed * 1_000_003 + seed * 10_007 + index * 101 + jobs
+    plan = FaultPlan.at_rate(
+        rate, inject_seed * 1_000_003 + seed * 10_007 + index * 101
+    )
+    result = run_portfolio(
+        problem,
+        config.solve_options(inject=plan),
+        budget=Budget(deadline=config.deadline),
+    )
+    report.injected_runs += 1
+    stats.injected_runs += 1
+    engines = ("portfolio", "portfolio+inject")
+    answers = (clean.answer.value, result.answer.value)
+    detail = f"plan={plan.describe()}; faults[{result.faults.describe()}]"
+    if (
+        clean.answer.is_definite
+        and result.answer.is_definite
+        and result.answer is not clean.answer
+    ):
+        kind = "injected-flip"
+    elif (
+        result.answer is Trilean.FALSE
+        and result.countermodel is not None
+        and not verify_countermodel(
+            result.countermodel, instance.sigma, instance.phi
         )
-        plan = FaultPlan.at_rate(rate, plan_seed)
-        result = run_portfolio(
-            problem,
-            config.solve_options(inject=plan),
-            jobs=jobs,
-            budget=Budget(deadline=config.deadline),
+    ):
+        kind = "injected-bad-certificate"
+    elif clean.answer.is_definite and result.answer is Trilean.UNKNOWN:
+        report.injected_demotions += 1
+        stats.injected_demotions += 1
+        if not result.faults.clean or config.deadline is not None:
+            return
+        # A demotion with neither a recorded fault nor a deadline
+        # means the fault accounting lost an event.
+        kind = "unrecorded-fault"
+    else:
+        return
+    stats.disagreements += 1
+    report.disagreements.append(
+        _injected_record(
+            instance, kind, engines, answers, detail, seed, index
         )
-        report.injected_runs += 1
-        stats.injected_runs += 1
-        engines = (f"portfolio-j{jobs}", f"portfolio-j{jobs}+inject")
-        answers = (clean.answer.value, result.answer.value)
-        detail = (
-            f"plan={plan.describe()}; faults[{result.faults.describe()}]"
-        )
-        if (
-            clean.answer.is_definite
-            and result.answer.is_definite
-            and result.answer is not clean.answer
-        ):
-            stats.disagreements += 1
-            report.disagreements.append(
-                _injected_record(
-                    instance, "injected-flip", engines, answers, detail,
-                    seed, index,
-                )
-            )
-            continue
-        if (
-            result.answer is Trilean.FALSE
-            and result.countermodel is not None
-            and not verify_countermodel(
-                result.countermodel, instance.sigma, instance.phi
-            )
-        ):
-            stats.disagreements += 1
-            report.disagreements.append(
-                _injected_record(
-                    instance,
-                    "injected-bad-certificate",
-                    engines,
-                    answers,
-                    detail,
-                    seed,
-                    index,
-                )
-            )
-            continue
-        if clean.answer.is_definite and result.answer is Trilean.UNKNOWN:
-            report.injected_demotions += 1
-            stats.injected_demotions += 1
-            if result.faults.clean and config.deadline is None:
-                # A demotion with neither a recorded fault nor a
-                # deadline means the fault accounting lost an event.
-                stats.disagreements += 1
-                report.disagreements.append(
-                    _injected_record(
-                        instance,
-                        "unrecorded-fault",
-                        engines,
-                        answers,
-                        detail,
-                        seed,
-                        index,
-                    )
-                )
+    )
 
 
 def _cache_check_pass(

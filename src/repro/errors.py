@@ -65,34 +65,18 @@ class ChaseBudgetExceeded(ReproError):
 
 
 class RuntimeFaultError(ReproError):
-    """Base class for faults of the supervised execution runtime.
+    """Base class for faults of the solver's execution machinery.
 
     These never signal anything about the implication instance itself
-    — only about the machinery (worker processes, pickling, pools)
-    that was computing it.  The supervisor converts them into honest
-    UNKNOWN contributions wherever soundness allows; they surface as
-    exceptions only when no sound degraded answer exists.
-    """
-
-
-class WorkerCrashError(RuntimeFaultError):
-    """A worker process died abruptly (segfault, OOM-kill, os._exit).
-
-    Wraps the executor's ``BrokenProcessPool``: the pool is unusable
-    and every in-flight task of that pool generation is lost.
-    """
-
-
-class PoolDegradedError(RuntimeFaultError):
-    """The process pool was abandoned after exhausting its respawns.
-
-    Remaining tasks run in-process under the surviving budget; this
-    error is raised only when even that degraded mode cannot complete.
+    — only about the machinery that was computing it.  The portfolio
+    converts them into honest UNKNOWN contributions wherever soundness
+    allows; they surface as exceptions only when no sound degraded
+    answer exists.
     """
 
 
 class RetryExhausted(RuntimeFaultError):
-    """A task failed on every pool attempt and the in-process retry.
+    """An engine raised on its first attempt and on every retry.
 
     Carries the final underlying exception as ``__cause__``.
     """

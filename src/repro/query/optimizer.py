@@ -190,7 +190,7 @@ class WordQueryOptimizer:
     def subsumption(self, narrow: Path | str, wide: Path | str) -> Trilean:
         """Three-valued ``answers(narrow) c answers(wide)`` under Sigma.
 
-        Routed through the dispatcher (cache, budgets, cost model).
+        Routed through the dispatcher (cache, budgets).
         UNKNOWN means the solver could not settle the implication
         within budget — with equality-generating word constraints in
         Sigma that is a legal outcome, not an error.

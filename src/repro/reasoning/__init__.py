@@ -49,18 +49,7 @@ from repro.reasoning.dispatcher import (
 )
 from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.costmodel import (
-    ExecMode,
-    ExecutionDecision,
-    choose_execution,
-)
 from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.runtime import (
-    WorkerSupervisor,
-    retire_warm_pool,
-    warm_pool_pids,
-    warm_pool_stats,
-)
 from repro.reasoning.result import EngineStats, FaultEvent, FaultReport
 
 __all__ = [
@@ -69,23 +58,16 @@ __all__ = [
     "CanonicalForm",
     "DEFAULT_SOLVE_OPTIONS",
     "EngineStats",
-    "ExecMode",
-    "ExecutionDecision",
     "FaultEvent",
     "FaultPlan",
     "FaultReport",
     "ImplicationCache",
     "ImplicationResult",
     "SolveOptions",
-    "WorkerSupervisor",
     "canonicalize_instance",
     "canonicalize_problem",
-    "choose_execution",
     "resolve_cache_dir",
-    "retire_warm_pool",
     "run_portfolio",
-    "warm_pool_pids",
-    "warm_pool_stats",
     "WordImplicationDecider",
     "implies_word",
     "TypedImplicationDecider",

@@ -92,9 +92,8 @@ def version_tag() -> str:
 
 
 class CacheInfo:
-    """How the cache participated in one solve — recorded on
-    ``result.cache`` the same way ``result.execution`` records the
-    cost model's decision.
+    """How the cache participated in one solve, recorded on
+    ``result.cache``.
 
     ``status`` is a closed vocabulary: ``hit`` (verdict replayed),
     ``store`` (solved fresh, result now cached), ``miss`` (solved

@@ -85,7 +85,6 @@ def chase(
     sigma: Iterable[PathConstraint],
     max_steps: int = DEFAULT_CHASE_STEPS,
     deadline: float | None = None,
-    should_stop: "Callable[[], bool] | None" = None,
 ) -> ChaseOutcome:
     """Chase a copy of ``graph`` with Sigma until fixpoint or budget.
 
@@ -94,10 +93,8 @@ def chase(
     ``deadline`` is an absolute ``time.monotonic()`` value (the portfolio's
     shared budget); expiry behaves like step-budget exhaustion — the
     chase stops early and the fixpoint recheck runs for real.
-    ``should_stop`` is a cooperative cancellation hook (a pool run's
-    stop-word poll) checked at the same points as the deadline.
     """
-    return _chase(graph, sigma, max_steps, deadline, should_stop)
+    return _chase(graph, sigma, max_steps, deadline)
 
 
 def _chase(
@@ -105,7 +102,6 @@ def _chase(
     sigma: Iterable[PathConstraint],
     max_steps: int,
     deadline: float | None,
-    should_stop: "Callable[[], bool] | None",
     goal: "Callable[[ChaseOutcome], bool] | None" = None,
 ) -> ChaseOutcome:
     """The repair loop behind :func:`chase`.
@@ -127,8 +123,6 @@ def _chase(
 
     def out_of_budget() -> bool:
         if outcome.steps >= max_steps:
-            return True
-        if should_stop is not None and should_stop():
             return True
         return deadline is not None and time.monotonic() > deadline
 
@@ -254,7 +248,6 @@ def chase_implication(
     phi: PathConstraint,
     max_steps: int = DEFAULT_CHASE_STEPS,
     deadline: float | None = None,
-    should_stop: "Callable[[], bool] | None" = None,
 ) -> ImplicationResult:
     """Sound three-valued implication test for untyped P_c.
 
@@ -275,9 +268,7 @@ def chase_implication(
             outcome.graph, phi, outcome.resolve(x), outcome.resolve(y)
         )
 
-    outcome = _chase(
-        tableau, sigma, max_steps, deadline, should_stop, goal=concluded
-    )
+    outcome = _chase(tableau, sigma, max_steps, deadline, goal=concluded)
     chased = outcome.graph
 
     if concluded(outcome):

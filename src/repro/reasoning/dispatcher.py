@@ -33,7 +33,6 @@ from repro.reasoning.canonical import (
     canonicalize_problem,
     rename_graph,
 )
-from repro.reasoning.costmodel import validate_jobs
 from repro.reasoning.local_extent import implies_local_extent
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
 from repro.reasoning.portfolio import Budget, run_portfolio
@@ -264,6 +263,28 @@ def _store_fresh(
     return CacheInfo("store", key=form.key, tier=tier, detail=detail)
 
 
+def validate_jobs(jobs: object) -> int | str:
+    """Validate a ``jobs`` request: a positive int or ``"auto"``.
+
+    Returns the validated value unchanged; raises a clear
+    :class:`ValueError` on anything else (``0``, negatives, floats,
+    bools, arbitrary strings).
+    """
+    if isinstance(jobs, str):
+        if jobs.strip().lower() == "auto":
+            return "auto"
+        raise ValueError(
+            f"jobs must be a positive integer or 'auto', got {jobs!r}"
+        )
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ValueError(
+            f"jobs must be a positive integer or 'auto', got {jobs!r}"
+        )
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def solve(
     problem: ImplicationProblem,
     options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
@@ -283,13 +304,13 @@ def solve(
     :class:`~repro.reasoning.options.SolveOptions`) says how the
     solve runs; the other arguments are per call.
 
-    ``jobs`` caps the portfolio's parallelism — a positive int, or
-    ``"auto"`` for the CPU count (see :mod:`repro.reasoning.costmodel`
-    for when the scan is pooled); anything else raises
-    :class:`ValueError` before any work starts.  ``deadline`` is a
-    wall-clock budget in seconds shared by every engine, and the only
-    stop signal a caller gives the solve.  Every result carries a
-    ``faults`` record; decidable cells never fork workers.
+    ``jobs`` is validated and otherwise unused: every solve runs in
+    the calling thread.  It stays accepted — a positive int, or
+    ``"auto"`` — because existing callers send it; anything else
+    raises :class:`ValueError` before any work starts.  ``deadline``
+    is a wall-clock budget in seconds shared by every engine, and the
+    only stop signal a caller gives the solve.  Every result carries a
+    ``faults`` record.
 
     ``cache`` plugs in a cross-request
     :class:`~repro.reasoning.cache.ImplicationCache`: a hit replays
@@ -299,9 +320,9 @@ def solve(
     canonical key.  The key deliberately excludes every budget — a
     definite answer is a fact about the instance, not about the
     budget that found it.  Lookups are bypassed under fault injection
-    (the point of an injected run is to exercise the runtime) and when
-    ``with_proof`` asks for a certificate the entry cannot replay;
-    UNKNOWN and fault-degraded results are never stored.
+    (the point of an injected run is to exercise the fault paths) and
+    when ``with_proof`` asks for a certificate the entry cannot
+    replay; UNKNOWN and fault-degraded results are never stored.
     ``result.cache`` records what happened.
     """
     validate_jobs(jobs)
@@ -366,7 +387,7 @@ def solve(
             )
     else:
         # Undecidable cell: run the portfolio of semi-deciders.
-        result = run_portfolio(problem, options, jobs=jobs, budget=budget)
+        result = run_portfolio(problem, options, budget=budget)
 
     if bypass is not None:
         result.cache = bypass

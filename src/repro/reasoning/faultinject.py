@@ -1,53 +1,39 @@
-"""Deterministic fault injection for the supervised solver runtime.
+"""Deterministic fault injection for the portfolio's engine runs.
 
-The fault-tolerance machinery of :mod:`repro.reasoning.runtime` is
-only trustworthy if its failure paths are *exercised*, not just
-written.  This module makes worker death, payload corruption, shard
-delays and mid-task exceptions reproducible on demand:
+The fault handling of :mod:`repro.reasoning.runtime` is only
+trustworthy if its failure paths are *exercised*, not just written.
+This module makes engine delays and mid-engine exceptions reproducible
+on demand:
 
 * a :class:`FaultPlan` maps every *task ordinal* (the deterministic
-  submission counter of a :class:`~repro.reasoning.runtime
-  .WorkerSupervisor`) to a :class:`FaultAction`;
-* targeted plans pin one fault to one ordinal (``kill:3``,
-  ``raise:0``, ``delay:2:0.5``, ``corrupt:1``, ``oom:4``;
-  comma-separated specs compose);
+  call counter of a :class:`~repro.reasoning.runtime.EngineRunner`:
+  the chase is 0, the counter-model search 1) to a
+  :class:`FaultAction`;
+* targeted plans pin one fault to one ordinal (``raise:0``,
+  ``delay:1:0.5``; comma-separated specs compose);
 * rate plans (``rate:0.3`` or ``rate:0.3:seed``) draw a fault kind
   per ordinal from a seeded PRNG, for fuzzing the fault paths at
   volume;
-* :func:`invoke` is the worker-side entry point — the supervisor
-  submits it instead of the raw task function, so the action fires
-  inside the worker process exactly where a real fault would.
+* :func:`fire` runs an action in the calling thread, just before the
+  engine it targets.
 
-Injected faults fire on a task's *first* attempt only (the supervisor
-retries with ``Action.NONE``), modelling transient infrastructure
-faults; the acceptance property is that no injected fault may flip a
-definite verdict — retried/degraded execution either recovers the
-same answer or honestly degrades to UNKNOWN.
+Injected faults fire on an engine's *first* attempt only (the runner
+retries without one), modelling transient faults; the acceptance
+property is that no injected fault may flip a definite verdict —
+retried execution either recovers the same answer or honestly
+degrades to UNKNOWN.
 
 Every fault kind:
 
 ==========  ============================================================
-``kill``    the worker calls ``os._exit(1)`` — the executor observes an
-            abrupt worker death and breaks the pool (in-process runs
-            downgrade this to a raise: killing the caller would defeat
-            the degraded mode the injection is meant to test)
-``raise``   :class:`~repro.errors.InjectedFault` is raised mid-task
-``delay``   the task sleeps ``param`` seconds before running — long
-            enough delays push a shard past the shared deadline
-``corrupt`` the submitted payload carries a :class:`CorruptPayload`
-            whose ``__reduce__`` raises, so pickling fails in the
-            executor's feeder and the future errors without the task
-            ever reaching a worker (a no-op in-process: nothing is
-            pickled there)
-``oom``     the task raises :class:`MemoryError`, what a worker that
-            runs out of memory observes — exercising the
-            OOM → :class:`~repro.errors.WorkerCrashError` mapping
+``raise``   :class:`~repro.errors.InjectedFault` is raised before the
+            engine runs
+``delay``   the engine starts ``param`` seconds late — long enough
+            delays push it past the shared deadline
 ==========  ============================================================
 
-Rate plans (``rate:R``) draw only from the four transient kinds;
-``oom`` fires only when targeted explicitly.  A solve that ignores its
-deadline is faked by the daemon's ``wedge`` request field instead
-(:mod:`repro.server`).
+A solve that ignores its deadline is faked by the daemon's ``wedge``
+request field instead (:mod:`repro.server`).
 """
 
 from __future__ import annotations
@@ -115,7 +101,7 @@ class OrdinalPlan:
 
     @classmethod
     def from_spec(cls: type[_Plan], spec: str) -> _Plan:
-        """Parse ``kill:3,delay:2:0.5,...`` or ``rate:0.3[:seed]``.
+        """Parse ``raise:0,delay:1:0.5,...`` or ``rate:0.3[:seed]``.
 
         Raises :class:`ValueError` on malformed specs — injection is a
         testing instrument; silently ignoring a typo would mean
@@ -184,21 +170,12 @@ class OrdinalPlan:
 class FaultPlan(OrdinalPlan):
     """The solver's plan: task ordinal to fault action.
 
-    Immutable and picklable — but note the plan is consulted in the
-    *submitting* process (the supervisor), never in workers, so the
-    injection decision for a task is fixed before the task crosses
-    the process boundary.  ``delay`` takes its seconds; rate plans
-    never draw ``oom`` (targeted tests only).
+    Immutable, and consulted before each engine call.  ``delay`` takes
+    its seconds.
     """
 
-    KINDS = {
-        "kill": (0,),
-        "raise": (0,),
-        "delay": (1,),
-        "corrupt": (0,),
-        "oom": (0,),
-    }
-    RATE_KINDS = ("kill", "raise", "delay", "corrupt")
+    KINDS = {"raise": (0,), "delay": (1,)}
+    RATE_KINDS = ("raise", "delay")
     RATE_DELAY = 0.02
 
 
@@ -207,39 +184,9 @@ def plan_from_env() -> FaultPlan:
     return FaultPlan.from_spec(os.environ.get(ENV_VAR, ""))
 
 
-class CorruptPayload:
-    """An object that cannot cross a process boundary.
-
-    ``__reduce__`` raising makes the executor's pickling of the work
-    item fail, which is exactly how a genuinely unpicklable result of
-    refactoring (or a corrupted shared buffer) presents: the future
-    errors, no worker ever runs the task.
-    """
-
-    def __reduce__(self):
-        raise InjectedFault("injected pickle corruption")
-
-
-def invoke(action_kind: str, param: float, in_process: bool, fn, args,
-           _poison: object = None):
-    """Run ``fn(*args)`` after firing the injected action, if any.
-
-    The supervisor submits *this* function (with the raw task function
-    and argument tuple as data) so that ``kill``/``raise``/``delay``
-    fire inside the worker process.  ``_poison`` carries the
-    :class:`CorruptPayload` for ``corrupt`` actions; it is never
-    touched — its only job is to blow up in the pickler.
-    """
-    if action_kind == "kill":
-        if in_process:
-            raise InjectedFault(
-                "injected worker kill (downgraded to a raise in-process)"
-            )
-        os._exit(1)
-    elif action_kind == "raise":
+def fire(action: FaultAction) -> None:
+    """Run a solver fault action in the calling thread."""
+    if action.kind == "raise":
         raise InjectedFault("injected mid-task fault")
-    elif action_kind == "delay":
-        time.sleep(param)
-    elif action_kind == "oom":
-        raise MemoryError("injected worker out-of-memory")
-    return fn(*args)
+    if action.kind == "delay":
+        time.sleep(action.param)

@@ -23,16 +23,13 @@ Public searches:
   counter-models prove nothing.  :func:`scan_typed_instances` walks
   the instance stream as tuples of value-choice projections and
   screens each distinct one once with the same bitmask evaluator; an
-  :class:`Instance` is built only for a screen hit.  It accepts a
-  shard stride so the portfolio can spread the stream across
-  workers;
-* :func:`reference_typed_scan` — the same stride through
+  :class:`Instance` is built only for a screen hit;
+* :func:`reference_typed_scan` — the same stream through
   ``to_graph`` and the Definition 2.1 checker on every instance, kept
   as the typed scan's oracle and benchmark baseline.
 
-``repro.reasoning.portfolio`` runs :func:`scan_codes` as one task
-racing the chase, and shards :func:`scan_typed_instances` by stride;
-everything here stays import-safe and picklable for that purpose.
+``repro.reasoning.portfolio`` runs :func:`scan_codes` or
+:func:`scan_typed_instances` after the chase, in the same thread.
 """
 
 from __future__ import annotations
@@ -70,8 +67,8 @@ def infer_alphabet(
     ``phi``).
 
     Hoisted out of the individual search functions so a portfolio run
-    computes the alphabet once and threads it through every engine and
-    shard, instead of each call site re-walking the constraint set.
+    computes the alphabet once and threads it through every engine,
+    instead of each call site re-walking the constraint set.
     """
     alphabet: set[str] = set() if phi is None else set(phi.alphabet())
     for psi in sigma:
@@ -439,7 +436,6 @@ def scan_codes(
     labels: Sequence[str],
     max_nodes: int,
     deadline: float | None = None,
-    should_stop: Callable[[], bool] | None = None,
 ) -> SearchReport:
     """Search for a counter-model with at most ``max_nodes`` nodes.
 
@@ -465,12 +461,10 @@ def scan_codes(
     states are keyed by ``(edges, node count, x, y)``, which fixes
     everything below them.
 
-    ``deadline`` (an absolute ``time.monotonic()`` value) and
-    ``should_stop`` (the stop poll
-    :func:`~repro.reasoning.runtime.stop_hook` gives a pool worker)
-    are polled before the first state and every few dozen states
-    after; either stops the search with ``exhausted=False``.  A hit is
-    re-checked with the Definition 2.1 checker before it is returned.
+    ``deadline`` (an absolute ``time.monotonic()`` value) is polled
+    before the first state and every few dozen states after; expiry
+    stops the search with ``exhausted=False``.  A hit is re-checked
+    with the Definition 2.1 checker before it is returned.
     perfbench's tracer times the search under this name.
     """
     began = time.perf_counter()
@@ -479,9 +473,7 @@ def scan_codes(
     *compiled_sigma, compiled_phi = compile_constraints([*sigma, phi], labels)
 
     def stopped() -> bool:
-        return (deadline is not None and time.monotonic() > deadline) or (
-            should_stop is not None and should_stop()
-        )
+        return deadline is not None and time.monotonic() > deadline
 
     states = 0
     found = False
@@ -700,12 +692,9 @@ class _TypedScreen:
 
 @dataclass
 class TypedScanReport:
-    """Outcome of scanning one stride of the typed instance stream."""
+    """Outcome of scanning the typed instance stream."""
 
-    shard_index: int
-    shard_count: int
-    #: stream index of the hit (for deterministic cross-shard combine:
-    #: the globally first hit is the minimal index over all strides).
+    #: stream index of the hit: the first counter-model in stream order.
     hit_index: int | None
     instance: Instance | None
     graph: Graph | None
@@ -724,19 +713,13 @@ def scan_typed_instances(
     max_oids: int = 2,
     max_set_size: int = 2,
     limit: int = 5_000,
-    shard_index: int = 0,
-    shard_count: int = 1,
     deadline: float | None = None,
-    should_stop: Callable[[], bool] | None = None,
     check_every: int = 32,
 ) -> TypedScanReport:
-    """Scan one stride of ``U_f(Delta)``'s small-instance stream.
+    """Scan ``U_f(Delta)``'s small-instance stream for a counter-model.
 
     The stream is :func:`~repro.types.instances.enumerate_instances`'
-    order, up to ``limit``.  Worker ``k`` of ``shard_count`` checks
-    stream indices ``k, k + shard_count, ...`` and stops at its first
-    counter-model; combining shards by minimal ``hit_index``
-    reproduces the sequential result exactly.
+    order, up to ``limit``; the scan stops at the first counter-model.
 
     The stream is walked as tuples of projection ids, one
     configuration at a time (:class:`_TypedScreen`), so no
@@ -745,8 +728,8 @@ def scan_typed_instances(
     screen hit is built as an instance at its stream index and
     re-verified with :meth:`Instance.to_graph` and the Definition 2.1
     checker; should the checker reject it, the scan goes on.
-    ``deadline`` and ``should_stop`` are polled every ``check_every``
-    stream indices.  perfbench's tracer times the scan under this name.
+    ``deadline`` is polled every ``check_every`` stream indices.
+    perfbench's tracer times the scan under this name.
     """
     began = time.perf_counter()
     sigma = list(sigma)
@@ -754,50 +737,47 @@ def scan_typed_instances(
     index = {label: i for i, label in enumerate(labels)}
     *compiled_sigma, compiled_phi = compile_constraints([*sigma, phi], labels)
     nested = _nests_db_type(schema)
-    # enumerate_instances yields one instance before it reads the limit.
-    end = max(limit, 1)
     examined = screens = 0
 
     def report(exhausted, hit_index=None, instance=None, graph=None):
         return TypedScanReport(
-            shard_index, shard_count, hit_index, instance, graph,
-            examined, exhausted, time.perf_counter() - began, screens,
+            hit_index, instance, graph, examined, exhausted,
+            time.perf_counter() - began, screens,
         )
 
     base = 0
     for config in configurations(
         schema, max_oids=max_oids, max_set_size=max_set_size
     ):
-        if base >= end:
+        if base >= limit:
             break
-        size = min(config.size, end - base)
-        start = (shard_index - base) % shard_count
-        if start < size:
-            screen = _TypedScreen(
-                config, index, nested, compiled_sigma, compiled_phi
-            )
-            verdicts: dict[tuple[int, ...], bool] = {}
-            first = examined
-            for key in itertools.islice(
+        size = min(config.size, limit - base)
+        screen = _TypedScreen(
+            config, index, nested, compiled_sigma, compiled_phi
+        )
+        verdicts: dict[tuple[int, ...], bool] = {}
+        for position, key in enumerate(
+            itertools.islice(
                 itertools.product(*screen.choice_ids, screen.entry_ids),
-                start, size, shard_count,
+                size,
+            )
+        ):
+            if (
+                examined % check_every == 0
+                and deadline is not None
+                and time.monotonic() > deadline
             ):
-                if examined % check_every == 0 and (
-                    (deadline is not None and time.monotonic() > deadline)
-                    or (should_stop is not None and should_stop())
-                ):
-                    return report(False)
-                examined += 1
-                hit = verdicts.get(key)
-                if hit is None:
-                    hit = verdicts[key] = screen.verdict(key)
-                    screens += 1
-                if hit:
-                    position = start + (examined - first - 1) * shard_count
-                    instance = config.instance(position)
-                    graph = instance.to_graph()
-                    if _is_countermodel(graph, sigma, phi):
-                        return report(True, base + position, instance, graph)
+                return report(False)
+            examined += 1
+            hit = verdicts.get(key)
+            if hit is None:
+                hit = verdicts[key] = screen.verdict(key)
+                screens += 1
+            if hit:
+                instance = config.instance(position)
+                graph = instance.to_graph()
+                if _is_countermodel(graph, sigma, phi):
+                    return report(True, base + position, instance, graph)
         base += config.size
     return report(True)
 
@@ -809,10 +789,8 @@ def reference_typed_scan(
     max_oids: int = 2,
     max_set_size: int = 2,
     limit: int = 5_000,
-    shard_index: int = 0,
-    shard_count: int = 1,
 ) -> TypedScanReport:
-    """The per-instance reference loop over the same stride.
+    """The per-instance reference loop over the same stream.
 
     Every instance :func:`enumerate_instances` yields is abstracted
     with :meth:`Instance.to_graph` and checked with the Definition 2.1
@@ -826,18 +804,15 @@ def reference_typed_scan(
         schema, max_oids=max_oids, max_set_size=max_set_size, limit=limit
     )
     for index, instance in enumerate(stream):
-        if index % shard_count != shard_index:
-            continue
         examined += 1
         graph = instance.to_graph()
         if _is_countermodel(graph, sigma, phi):
             return TypedScanReport(
-                shard_index, shard_count, index, instance, graph,
-                examined, True, time.perf_counter() - began,
+                index, instance, graph, examined, True,
+                time.perf_counter() - began,
             )
     return TypedScanReport(
-        shard_index, shard_count, None, None, None,
-        examined, True, time.perf_counter() - began,
+        None, None, None, examined, True, time.perf_counter() - began
     )
 
 

@@ -22,13 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Per-engine accounting for a portfolio (or sequential) run.
+    """Per-engine accounting for a portfolio run.
 
     ``candidates`` means chase steps for the proof engine and examined
     candidates for the counter-model engines; ``outcome`` is the
     engine's own verdict (``true``/``false``/``unknown`` for the
-    chase, ``hit``/``exhausted``/``budget``/``cancelled`` for the
-    searches), independent of which engine won the race.
+    chase, or ``failed`` when every attempt raised;
+    ``hit``/``exhausted``/``budget`` for the searches, or
+    ``faulted``), independent of which engine answered.
     """
 
     engine: str
@@ -48,16 +49,14 @@ class EngineStats:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One fault observed (and survived) by the execution runtime.
+    """One fault observed (and survived) during a portfolio run.
 
-    ``kind`` is a closed vocabulary: ``worker-crash`` (a worker died
-    and took its pool generation with it), ``pool-respawn`` (a fresh
-    pool replaced a broken one), ``pool-degraded`` (respawns
-    exhausted; execution fell back in-process), ``task-error`` (a task
-    raised in its worker), ``task-retry`` (the task was resubmitted),
-    ``task-degraded`` (the task re-ran in-process), ``retry-exhausted``
-    (every attempt failed; the engine abstains), ``injected`` (a
-    deliberate fault from the injection layer fired).
+    ``kind`` is a closed vocabulary: ``task-error`` (an engine
+    attempt raised), ``task-retry`` (the engine ran again),
+    ``retry-exhausted`` (every attempt failed; the engine abstains),
+    ``injected`` (a deliberate fault from the injection layer fired).
+    The daemon adds ``hung_solve`` to the wire record of a solve its
+    watchdog abandoned.
     """
 
     kind: str
@@ -81,8 +80,9 @@ class FaultReport:
     Attached to every :class:`ImplicationResult` (empty in the common
     clean run).  ``answered_by`` names the engine whose certificate
     ultimately decided the answer (empty for UNKNOWN); it is recorded
-    even on clean runs of the fault-tolerant portfolio so callers can
-    audit which engine a degraded run trusted.
+    even on clean portfolio runs so callers can audit which engine a
+    faulted run trusted.  ``degradations`` is always 0: it stays in
+    the wire shape for existing clients.
     """
 
     events: tuple[FaultEvent, ...] = ()
@@ -96,10 +96,7 @@ class FaultReport:
         return not self.events
 
     def describe(self) -> str:
-        parts = [
-            f"retries={self.retries}",
-            f"degradations={self.degradations}",
-        ]
+        parts = [f"retries={self.retries}"]
         if self.answered_by:
             parts.append(f"answered_by={self.answered_by}")
         parts.extend(event.describe() for event in self.events)
@@ -143,9 +140,9 @@ class ImplicationResult:
     notes: tuple[str, ...] = field(default_factory=tuple)
     stats: tuple[EngineStats, ...] = field(default_factory=tuple)
     faults: FaultReport = field(default_factory=FaultReport)
-    #: The cost-model decision the portfolio ran under
-    #: (:class:`repro.reasoning.costmodel.ExecutionDecision`); None for
-    #: decidable cells, which never touch the portfolio.
+    #: :data:`repro.reasoning.portfolio.INLINE_EXECUTION` on portfolio
+    #: results, None elsewhere: a shim for perfbench v1, which picks out
+    #: portfolio results by it.  Benchmark v2 deletes it.
     execution: Any = None
     #: How the implication cache participated in this solve
     #: (:class:`repro.reasoning.cache.CacheInfo`); None when no cache
@@ -175,8 +172,6 @@ class ImplicationResult:
             parts.append(
                 f"countermodel={self.countermodel.node_count()} nodes"
             )
-        if self.execution is not None:
-            parts.append(f"execution[{self.execution.describe()}]")
         if self.cache is not None:
             parts.append(f"cache[{self.cache.describe()}]")
         for engine in self.stats:

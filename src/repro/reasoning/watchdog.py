@@ -3,8 +3,8 @@
 The implication problem this repo reproduces is undecidable in the
 general case, so a solve that simply *never returns* is an intrinsic
 hazard of the workload, not a bug to be fixed once.  A wedged solve is
-worse than a crashed one: a crash breaks a pool and the supervisor
-respawns it, but a hang silently consumes a solver slot forever while
+worse than a failed one: a failing engine is retried and then answers
+UNKNOWN, but a hang silently consumes a solver slot forever while
 ``health`` still answers ``ok``.
 
 :class:`RetiringSolverPool` is a thread pool whose threads can be

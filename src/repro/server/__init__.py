@@ -1,9 +1,9 @@
 """The constraint-implication server: a long-lived daemon multiplexing
-implication queries onto the portfolio runtime.
+implication queries onto the solver.
 
 The ROADMAP's production-scale north star needs more than a fast
-``solve()`` — it needs the robustness machinery (supervised pools,
-monotonic budgets, the cross-request cache) to compose under
+``solve()`` — it needs the robustness machinery (monotonic budgets,
+fault accounting, the cross-request cache) to compose under
 *concurrent* load.  This package provides that composition point:
 
 * :mod:`repro.server.protocol` — the versioned JSON-lines wire format
@@ -11,8 +11,8 @@ monotonic budgets, the cross-request cache) to compose under
   requests);
 * :mod:`repro.server.daemon` — the asyncio server itself: bounded
   admission queue with explicit load-shedding, client-budget deadline
-  propagation, graceful SIGTERM drain, warm-pool and cache sharing
-  across connections;
+  propagation, graceful SIGTERM drain, cache sharing across
+  connections;
 * :mod:`repro.server.client` — a blocking client library with
   timeouts, capped-exponential retry with jitter, multi-endpoint
   failover behind per-endpoint circuit breakers, and honest fault

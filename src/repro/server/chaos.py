@@ -1,7 +1,7 @@
 """Deterministic wire-level chaos for the implication service.
 
-:mod:`repro.reasoning.faultinject` exercises the *solver* runtime's
-fault paths; this module does the same for the *service* layer — the
+:mod:`repro.reasoning.faultinject` exercises the *solver*'s fault
+paths; this module does the same for the *service* layer — the
 socket, the framing, the client's retry/failover loop, the daemon's
 hostile-input handling — with the same discipline: every fault is
 seeded and replayable, and the acceptance property is identical (a

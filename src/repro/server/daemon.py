@@ -1,12 +1,12 @@
 """The asyncio implication daemon: ``repro serve``.
 
-One process, one event loop, a bounded admission queue, a small pool
-of solver threads, and the process-wide warm worker pool underneath —
-the composition point where the library's robustness machinery
-(supervised pools, monotonic budgets, the cross-request cache) meets
-concurrent load.  The design follows EdgeDB's server discipline
-(bounded queues and explicit shedding instead of unbounded buffering;
-drain-then-exit) and Twisted's one-reactor service idiom.
+One process, one event loop, a bounded admission queue and a small
+pool of solver threads — the composition point where the library's
+robustness machinery (monotonic budgets, fault accounting, the
+cross-request cache) meets concurrent load.  The design follows
+EdgeDB's server discipline (bounded queues and explicit shedding
+instead of unbounded buffering; drain-then-exit) and Twisted's
+one-reactor service idiom.
 
 Robustness properties, in order of the request path:
 
@@ -34,8 +34,8 @@ Robustness properties, in order of the request path:
   the server to ``draining``: admitted work (queued and in-flight)
   completes and is answered, new work is refused with a ``draining``
   status, ``health``/``stats`` keep answering, and once the queue is
-  empty the daemon retires the warm pool, flushes cache counters, and
-  exits 0 under the established exit-code contract.
+  empty the daemon flushes cache counters and exits 0 under the
+  established exit-code contract.
 
 Faults never hide: ``result.faults`` (including injected ones) travels
 over the wire verbatim, so a degraded answer is as auditable remotely
@@ -74,7 +74,6 @@ from repro.query import (
 from repro.reasoning import ImplicationProblem, solve
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.runtime import retire_warm_pool, warm_pool_stats
 from repro.reasoning.watchdog import RetiringSolverPool
 from repro.server import protocol
 
@@ -102,7 +101,8 @@ class ServerConfig:
     #: How every solve runs — ``imply`` and ``query`` alike: fault
     #: injection (``inject`` also disables cache lookups) among them.
     solve: SolveOptions = DEFAULT_SOLVE_OPTIONS
-    #: Per-solve parallelism cap; an ``imply`` request may override it.
+    #: Passed to ``solve()``, which validates it and runs in-process at
+    #: any value; an ``imply`` request may override it.
     jobs: int | str = "auto"
     #: Default per-request budget applied when the client sends none
     #: (``None`` = unlimited, the library default).
@@ -346,7 +346,7 @@ class ImplicationServer:
         await self._queue.join()
 
     async def stop(self) -> None:
-        """Tear down: listener, connections, workers, warm pool."""
+        """Tear down: listener, connections, workers."""
         if self._server is not None:
             self._server.close()
             with contextlib.suppress(Exception):
@@ -375,10 +375,6 @@ class ImplicationServer:
             self._solver_pool = None
         if self.config.cache is not None:
             self.config.cache.flush_counters()
-        # The long-lived process owns the warm pool; retire it here so
-        # a drained daemon leaves no workers behind.  The atexit
-        # backstop (repro.reasoning.runtime) makes this idempotent.
-        retire_warm_pool()
         self.state = "stopped"
 
     # -- connections --------------------------------------------------
@@ -472,7 +468,6 @@ class ImplicationServer:
                 else round(self._ewma_solve_s * 1e3, 3)
             ),
             "counters": dict(self.counters),
-            "warm_pool": warm_pool_stats(),
         }
         if self._solver_pool is not None:
             stats["solver_pool"] = self._solver_pool.stats()

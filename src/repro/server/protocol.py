@@ -33,7 +33,7 @@ Operations
 ``health``
     liveness + lifecycle state (``serving``/``draining``).
 ``stats``
-    server counters, queue depth, warm-pool and cache statistics.
+    server counters, queue depth, solver-thread and cache statistics.
 ``shutdown``
     initiates a graceful drain (same path as SIGTERM).
 
@@ -195,7 +195,7 @@ def hung_response(request_id: Any, reason: str) -> dict:
     hung solve proves nothing about the instance — plus a ``faults``
     record carrying the ``hung_solve`` event (the wire shape of
     :meth:`repro.reasoning.result.FaultReport.to_dict`), so the
-    abandonment is as auditable remotely as a worker crash is.
+    abandonment is as auditable remotely as an engine fault is.
     """
     out = rejected_response(request_id, reason)
     out["faults"] = {

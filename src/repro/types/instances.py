@@ -63,12 +63,6 @@ class Oid:
     def __setattr__(self, *args) -> None:
         raise AttributeError("Oid is immutable")
 
-    def __reduce__(self):
-        # The setattr guard breaks pickle's default path; rebuild via
-        # __init__ so typed counter-model certificates can cross the
-        # portfolio's process boundary.
-        return (Oid, (self.key,))
-
     def __eq__(self, other):
         return isinstance(other, Oid) and other.key == self.key
 

@@ -68,12 +68,6 @@ class AtomicType(Type):
     def __setattr__(self, *args) -> None:  # immutability
         raise AttributeError("AtomicType is immutable")
 
-    def __reduce__(self):
-        # The immutability guard blocks pickle's default slot-state
-        # restore; reconstruct through __init__ instead (the portfolio
-        # ships schemas to pool workers).
-        return (AtomicType, (self.name,))
-
     def __eq__(self, other):
         return isinstance(other, AtomicType) and other.name == self.name
 
@@ -94,9 +88,6 @@ class ClassRef(Type):
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("ClassRef is immutable")
-
-    def __reduce__(self):
-        return (ClassRef, (self.name,))
 
     def __eq__(self, other):
         return isinstance(other, ClassRef) and other.name == self.name
@@ -120,9 +111,6 @@ class SetType(Type):
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("SetType is immutable")
-
-    def __reduce__(self):
-        return (SetType, (self.element,))
 
     def children(self) -> Iterator[Type]:
         yield self.element
@@ -170,9 +158,6 @@ class RecordType(Type):
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("RecordType is immutable")
-
-    def __reduce__(self):
-        return (RecordType, (self.fields,))
 
     @property
     def labels(self) -> tuple[str, ...]:

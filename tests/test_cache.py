@@ -129,7 +129,7 @@ class TestMemoryTier:
         solve(_true_problem(), cache=cache)  # warm
         injected = solve(
             _true_problem(),
-            SolveOptions(inject=FaultPlan.from_spec("kill:99")),
+            SolveOptions(inject=FaultPlan.from_spec("raise:99")),
             cache=cache,
         )
         assert injected.cache.status == "bypass"

@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.reasoning.runtime import retire_warm_pool
 from repro.server import ServerConfig
 from repro.server.chaos import (
     CHAOS_KINDS,
@@ -29,13 +28,6 @@ from repro.server.client import ServerClient
 
 SIGMA = ["() => K", "K :: () => a.a.a", "K :: a.a.a => ()", "a :: a => a"]
 PHI = "K :: a => ()"
-
-
-@pytest.fixture(autouse=True)
-def _cold_warm_pool():
-    retire_warm_pool()
-    yield
-    retire_warm_pool()
 
 
 class TestChaosPlan:

@@ -110,7 +110,7 @@ class TestImply:
         assert "answer:     false" in out
         assert "fragment:   P_c  [semistructured: undecidable]" in out
         assert "engine:" in out
-        assert "portfolio: jobs=2" in out
+        assert "portfolio: deadline in" in out
 
     def test_deadline_zero_reports_unknown(self, workspace, capsys):
         _, _, sigma = workspace
@@ -269,7 +269,7 @@ class TestFuzzCommand:
         rc = main(
             [
                 "fuzz", "--seed", "3", "--per-fragment", "2",
-                "--fragment", "P_w", "--portfolio-jobs", "1",
+                "--fragment", "P_w",
                 "--json-out", str(out_file),
             ]
         )

@@ -23,9 +23,7 @@ from repro.diffcheck.shrink import render_schema
 from repro.reasoning.dispatcher import Context, ProblemClass, classify
 from repro.truth import Trilean
 
-#: jobs=(1,) keeps the unit tests off the process pool; the pooled
-#: path is exercised once in TestFuzz.test_pool_determinism.
-FAST = OracleConfig(portfolio_jobs=(1,))
+FAST = OracleConfig()
 
 
 class TestGenerators:
@@ -94,7 +92,7 @@ class TestOracles:
         inst = FragmentInstance("P_w", tuple(sigma), phi)
         verdicts = run_engines(inst, FAST)
         names = {v.engine for v in verdicts}
-        assert {"word", "chase", "countermodel", "portfolio-j1"} <= names
+        assert {"word", "chase", "countermodel", "portfolio"} <= names
         by_name = {v.engine: v for v in verdicts}
         assert by_name["word"].answer is Trilean.TRUE
         assert by_name["word"].certificate_ok is True
@@ -292,17 +290,6 @@ class TestFuzz:
     def test_unknown_fragment_rejected(self):
         with pytest.raises(ValueError):
             fuzz(seed=0, per_fragment=1, fragments=["P_zzz"])
-
-    def test_pool_determinism(self):
-        # jobs=1 and jobs=4 must agree on every definite answer — the
-        # matrix itself enforces this, so a clean report is the check.
-        report = fuzz(
-            seed=9,
-            per_fragment=2,
-            fragments=["P_c"],
-            config=OracleConfig(portfolio_jobs=(1, 4)),
-        )
-        assert report.ok, [d.to_dict() for d in report.disagreements]
 
 
 class TestQueryFuzz:

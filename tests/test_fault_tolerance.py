@@ -1,25 +1,19 @@
-"""Fault-tolerance stress tests: real pools, real worker deaths.
+"""Fault-tolerance stress tests: injected faults on real solves.
 
-The acceptance properties of the supervised runtime, exercised
-end-to-end:
+The acceptance properties of the portfolio's fault handling,
+exercised end-to-end:
 
-* a worker calling ``os._exit(1)`` mid-shard never surfaces as a bare
-  ``BrokenProcessPool`` — the pool respawns and the race still returns
-  the correct verdict;
-* a payload that raises in ``__reduce__`` (unpicklable) is degraded to
-  an in-process run and still produces a value;
-* ``KeyboardInterrupt`` during a race tears the pool down without
-  orphaning worker processes;
 * injected faults can demote definite answers to UNKNOWN but never
   flip them, and every degraded solve carries a populated ``faults``
-  record.
+  record;
+* a hostile fault plan surfaces as a clean result or a typed
+  :class:`~repro.errors.ReproError`, never a bare exception;
+* ``KeyboardInterrupt`` mid-sweep still yields the partial fuzz
+  report, written atomically.
 
 All tests are ``stress``-marked (``scripts/bench.sh`` selects the
 marker explicitly); they are kept fast enough to also run in tier-1.
 """
-
-import multiprocessing
-import time
 
 import pytest
 
@@ -27,16 +21,14 @@ from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
 from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.portfolio import Budget, run_portfolio
-from repro.reasoning import runtime
-from repro.reasoning.runtime import WorkerSupervisor, retire_warm_pool
+from repro.reasoning.portfolio import run_portfolio
 from repro.truth import Trilean
 
 pytestmark = pytest.mark.stress
 
-# The chase diverges on this instance (fresh nodes forever), but a
-# 3-node counter-model exists, so the portfolio's answer is FALSE and
-# must survive any injected infrastructure failure.
+# The chase reaches a fixpoint on this instance after 3 repairs, and a
+# 3-node counter-model exists, so the portfolio answers FALSE through
+# either engine and must keep that answer under any injected fault.
 DIVERGENT_SIGMA = (
     "() => K\n"
     "K :: () => a.a.a\n"
@@ -54,159 +46,7 @@ def _divergent_problem():
     )
 
 
-def _assert_no_orphans(deadline=10.0):
-    """Every pool worker must be reaped shortly after teardown.
-
-    Warm-pool workers legitimately outlive a solve now, so retire the
-    pool first — what must never survive is a worker the supervisor
-    lost track of.
-    """
-    retire_warm_pool()
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        children = [
-            p for p in multiprocessing.active_children()
-            if "Process" in type(p).__name__
-        ]
-        if not children:
-            return
-        time.sleep(0.05)
-    raise AssertionError(f"orphan worker processes: {children}")
-
-
-def _typename(payload):
-    return type(payload).__name__
-
-
-def _sleep_forever():
-    time.sleep(3600)
-
-
-class _RaisesInReduce:
-    """Unpicklable on purpose — a genuine payload bug, not an injected
-    one, so the supervisor must handle it without the injection layer."""
-
-    def __reduce__(self):
-        raise ValueError("cannot cross the process boundary")
-
-
-class TestWorkerDeath:
-    def test_os_exit_mid_shard_keeps_the_verdict(self):
-        # kill:1 murders the first counter-model shard's worker; the
-        # supervisor respawns the pool, resubmits the shard from its
-        # (start, stop) range, and the race still settles FALSE.
-        # execution="pool" bypasses the cost model (which would route
-        # this small instance inline) so injection hits real workers.
-        result = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(
-                inject=FaultPlan.from_spec("kill:1"), execution="pool"
-            ),
-            jobs=2,
-        )
-        assert result.answer is Trilean.FALSE
-        assert not result.faults.clean
-        kinds = {e.kind for e in result.faults.events}
-        assert "injected" in kinds
-        _assert_no_orphans()
-
-    def test_killed_worker_mid_race_within_deadline(self):
-        # Acceptance: a killed worker mid-race still returns the
-        # correct verdict under the original deadline semantics.
-        began = time.monotonic()
-        result = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(
-                inject=FaultPlan.from_spec("kill:0,kill:1"), execution="pool"
-            ),
-            jobs=2,
-            budget=Budget.from_seconds(60.0),
-        )
-        assert result.answer is Trilean.FALSE
-        assert time.monotonic() - began < 60.0
-        assert result.faults.answered_by in {"chase", "countermodel"}
-        _assert_no_orphans()
-
-    def test_shard_restart_preserves_determinism(self):
-        # A one-step chase leaves the search to decide; killing the
-        # worker running the search task (ordinal 1, after the chase)
-        # must still yield the in-process counter-model.
-        clean = run_portfolio(
-            _divergent_problem(), SolveOptions(chase_steps=1), jobs=1
-        )
-        shaken = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(
-                chase_steps=1,
-                inject=FaultPlan.from_spec("kill:1"),
-                execution="pool",
-            ),
-            jobs=2,
-        )
-        assert clean.countermodel is not None
-        assert shaken.countermodel is not None
-        assert sorted(clean.countermodel.edges()) == sorted(
-            shaken.countermodel.edges()
-        )
-        assert "injected" in {e.kind for e in shaken.faults.events}
-        _assert_no_orphans()
-
-    def test_respawns_exhausted_degrades_and_reports(self, monkeypatch):
-        # With no respawns left the first crash forces in-process
-        # degradation; the value survives and the fault report says
-        # how it was obtained.  (Driven through the supervisor
-        # directly so the crash cannot be raced away by a fast
-        # winning engine.)
-        monkeypatch.setattr(runtime, "MAX_RESPAWNS", 0)
-        plan = FaultPlan.from_spec("kill:0")
-        with WorkerSupervisor(jobs=2, plan=plan) as sup:
-            task = sup.submit(_typename, 7, engine="victim")
-            sup.wait_any([task])
-        assert task.result() == "int"
-        kinds = {e.kind for e in sup.events}
-        assert "worker-crash" in kinds and "pool-degraded" in kinds
-        assert "task-degraded" in kinds
-        assert sup.fault_report().degradations >= 1
-        _assert_no_orphans()
-
-
-class TestUnpicklablePayload:
-    def test_reduce_raising_payload_degrades_in_process(self):
-        with WorkerSupervisor(jobs=2) as sup:
-            task = sup.submit(_typename, _RaisesInReduce(), engine="demo")
-            sup.wait_any([task])
-        assert task.settled and not task.failed
-        assert task.result() == "_RaisesInReduce"
-        report = sup.fault_report()
-        assert report.degradations >= 1
-        assert "task-degraded" in {e.kind for e in report.events}
-        _assert_no_orphans()
-
-    def test_injected_corrupt_payload_recovers(self):
-        result = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(
-                inject=FaultPlan.from_spec("corrupt:0,corrupt:1"),
-                execution="pool",
-            ),
-            jobs=2,
-        )
-        assert result.answer is Trilean.FALSE
-        assert not result.faults.clean
-        _assert_no_orphans()
-
-
 class TestInterruptAndTeardown:
-    def test_keyboard_interrupt_reaps_all_workers(self):
-        # Satellite (c): the pool is torn down on *every* exception
-        # path; after a KeyboardInterrupt mid-race no child processes
-        # survive.
-        with pytest.raises(KeyboardInterrupt):
-            with WorkerSupervisor(jobs=2) as sup:
-                sup.submit(_sleep_forever, engine="straggler")
-                raise KeyboardInterrupt
-        _assert_no_orphans()
-
     def test_fuzz_absorbs_keyboard_interrupt_into_aborted_report(self):
         from repro.diffcheck import fuzz
 
@@ -236,13 +76,11 @@ class TestInterruptAndTeardown:
 class TestInjectionSoundness:
     def test_injected_faults_never_flip_the_fuzzer(self):
         from repro.diffcheck import fuzz
-        from repro.diffcheck.oracles import OracleConfig
 
         report = fuzz(
             seed=5,
             per_fragment=3,
             fragments=["P_c"],
-            config=OracleConfig(portfolio_jobs=(1, 2)),
             shrink=False,
             inject_rate=0.4,
             inject_seed=5,
@@ -253,20 +91,14 @@ class TestInjectionSoundness:
             if d.kind in {"injected-flip", "unrecorded-fault"}
         ]
         assert not flips, [d.to_dict() for d in flips]
-        _assert_no_orphans()
 
     def test_imply_with_injection_never_leaks_pool_errors(self):
-        # A hostile targeted plan across the first six ordinals: every
-        # outcome must be a clean ImplicationResult or a typed
-        # ReproError — never a bare BrokenProcessPool.
-        plan = FaultPlan.from_spec(
-            "kill:0,raise:1,corrupt:2,kill:3,delay:4:0.05,raise:5"
-        )
+        # A hostile plan on both engines: every outcome must be a clean
+        # ImplicationResult or a typed ReproError — never a bare one.
+        plan = FaultPlan.from_spec("raise:0,delay:1:0.05")
         try:
             result = run_portfolio(
-                _divergent_problem(),
-                SolveOptions(inject=plan, execution="pool"),
-                jobs=2,
+                _divergent_problem(), SolveOptions(inject=plan)
             )
         except ReproError:
             pass  # typed failure is an acceptable outcome
@@ -280,7 +112,44 @@ class TestInjectionSoundness:
                     result.certificate is not None
                     or result.faults.answered_by == "chase"
                 )
-        _assert_no_orphans()
+            assert "injected" in {e.kind for e in result.faults.events}
+
+
+class TestEngineFailure:
+    """An engine that raises on every attempt forfeits its verdict."""
+
+    def test_failing_search_ends_as_unknown(self, monkeypatch):
+        from repro.reasoning import portfolio
+
+        def broken_scan(*args):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(portfolio, "scan_codes", broken_scan)
+        result = run_portfolio(
+            _divergent_problem(), SolveOptions(chase_steps=1)
+        )
+        assert result.answer is Trilean.UNKNOWN
+        search = next(s for s in result.stats if s.engine == "countermodel")
+        assert search.outcome == "faulted"
+        kinds = [e.kind for e in result.faults.events]
+        assert kinds.count("task-error") == 3
+        assert kinds[-1] == "retry-exhausted"
+        assert result.faults.retries == 2
+        assert any("failed every attempt" in n for n in result.notes)
+
+    def test_failing_chase_leaves_the_search_to_answer(self, monkeypatch):
+        from repro.reasoning import portfolio
+
+        def broken_chase(*args, **kwargs):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(portfolio, "chase_implication", broken_chase)
+        result = run_portfolio(_divergent_problem())
+        assert result.answer is Trilean.FALSE
+        assert result.faults.answered_by == "countermodel"
+        chase = next(s for s in result.stats if s.engine == "chase")
+        assert chase.outcome == "failed"
+        assert chase.detail == "RetryExhausted"
 
 
 class TestAtomicReport:
@@ -297,8 +166,6 @@ class TestAtomicReport:
                 "1",
                 "--fragment",
                 "P_w",
-                "--portfolio-jobs",
-                "1",
                 "--no-shrink",
                 "--json-out",
                 str(out),

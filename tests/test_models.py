@@ -233,8 +233,6 @@ class TestTypedSearch:
 # The typed scan against the per-instance reference loop.
 # ---------------------------------------------------------------------------
 
-SHARD_COUNTS = (1, 2, 3)
-
 #: Monoid presentations with a provably equal and a provably unequal
 #: pair; each pair in both orders gives four Delta_1 encodings.
 _MONOIDS = [
@@ -336,61 +334,41 @@ def _summary(report):
 
 
 def _expected(schema, sigma, phi, limit):
-    """Every shard report at :data:`SHARD_COUNTS`, derived from the
-    reference verdict of each stream index (``to_graph`` and the
-    Definition 2.1 checker on each :func:`enumerate_instances` yield)."""
-    shards = [(n, k) for n in SHARD_COUNTS for k in range(n)]
-    hits: dict[tuple[int, int], tuple[int, object]] = {}
+    """The scan's report, derived from the reference verdict of each
+    stream index (``to_graph`` and the Definition 2.1 checker on each
+    :func:`enumerate_instances` yield): the first hit in stream order,
+    or none after ``limit`` instances."""
     covered = 0
     for index, instance in enumerate(
         enumerate_instances(schema, max_oids=2, limit=limit)
     ):
         covered = index + 1
-        open_ = [s for s in shards if index % s[0] == s[1] and s not in hits]
-        if not open_:
-            continue
         graph = instance.to_graph()
         if _is_countermodel(graph, sigma, phi):
-            for shard in open_:
-                hits[shard] = (index, graph)
-            if len(hits) == len(shards):
-                break
-    expected = {}
-    for n, k in shards:
-        index, graph = hits.get((n, k), (None, None))
-        end = covered if index is None else index + 1
-        expected[n, k] = (
-            index,
-            len(range(k, end, n)),
-            True,
-            _edges(graph),
-        )
-    return expected
+            return (index, covered, True, _edges(graph))
+    return (None, covered, True, None)
 
 
 def _assert_same_stream(schema, sigma, phi, limit=2_000):
     expected = _expected(schema, sigma, phi, limit)
-    for (n, k), want in expected.items():
-        report = scan_typed_instances(
-            schema, sigma, phi, limit=limit, shard_index=k, shard_count=n
-        )
-        assert _summary(report) == want, (n, k)
-        if report.instance is not None:
-            assert _edges(report.instance.to_graph()) == want[3]
+    report = scan_typed_instances(schema, sigma, phi, limit=limit)
+    assert _summary(report) == expected
+    if report.instance is not None:
+        assert _edges(report.instance.to_graph()) == expected[3]
     return expected
 
 
 class TestTypedScanDifferential:
     """:func:`scan_typed_instances` walks projection ids; the reference
-    loop builds every instance.  Both must agree on the hit index,
-    ``examined``, ``exhausted`` and the certificate at every shard
-    count."""
+    loop builds every instance.  Both must agree on the hit index (the
+    first in stream order), ``examined``, ``exhausted`` and the
+    certificate."""
 
     def test_delta1_encodings(self):
         hits = 0
         for schema, sigma, phi in _delta1_cases():
             expected = _assert_same_stream(schema, sigma, phi)
-            hits += expected[1, 0][0] is not None
+            hits += expected[0] is not None
         assert hits == 8  # the unequal pairs but cyclic-3's
 
     def test_example_3_1_probe(self, bib_schema):
@@ -401,7 +379,7 @@ class TestTypedScanDifferential:
             "book.member.author.member.wrote.member => book.member"
         )
         expected = _assert_same_stream(bib_schema, sigma, phi)
-        assert expected[1, 0][0] is None
+        assert expected[0] is None
         report = scan_typed_instances(bib_schema, sigma, phi, limit=2_000)
         assert report.examined == 2_000
         assert report.screens < report.examined
@@ -424,7 +402,7 @@ class TestTypedScanDifferential:
         for _ in range(40):
             sigma, phi = _valid_draw(rng, paths)
             expected = _assert_same_stream(bib_schema, sigma, phi, limit=600)
-            hits += expected[1, 0][0] is not None
+            hits += expected[0] is not None
         assert 0 < hits < 40
 
     def test_nested_db_type(self):
@@ -442,7 +420,7 @@ class TestTypedScanDifferential:
                 parse_constraint(phi_text),
                 limit=600,
             )
-            assert expected[1, 0][0] is not None
+            assert expected[0] is not None
         paths = [
             p
             for p in SchemaSignature(schema).sample_paths(5)
@@ -457,11 +435,19 @@ class TestTypedScanDifferential:
         sigma = parse_constraints("book.ref => book")
         phi = parse_constraint("book.member.ref => book.member")
         expected = _expected(bib_schema, sigma, phi, 600)
-        for (n, k), want in expected.items():
-            report = reference_typed_scan(
-                bib_schema, sigma, phi, limit=600, shard_index=k, shard_count=n
-            )
-            assert _summary(report) == want
+        report = reference_typed_scan(bib_schema, sigma, phi, limit=600)
+        assert _summary(report) == expected
+
+    def test_limit_caps_the_stream_exactly(self, bib_schema):
+        sigma = parse_constraints(
+            "person.member :: wrote.member ~> author.member"
+        )
+        phi = parse_constraint(
+            "book.member.author.member.wrote.member => book.member"
+        )
+        for limit in (1, 7, 600):
+            report = scan_typed_instances(bib_schema, sigma, phi, limit=limit)
+            assert (report.examined, report.hit_index) == (limit, None)
 
     def test_stops_on_the_deadline(self, bib_schema):
         sigma = parse_constraints("book :: member ~> ()")

@@ -21,10 +21,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "settings",
         [
-            {"execution": "turbo"},
-            {"execution": "POOL"},
-            {"execution": ""},
-            {"execution": None},
+            {"typed_search_limit": 0},
+            {"typed_search_limit": -5},
         ],
     )
     def test_bad_settings_raise_when_built(self, settings):
@@ -35,10 +33,10 @@ class TestValidation:
         "settings",
         [
             {},
-            {"execution": "auto"},
-            {"execution": "inline"},
-            {"execution": "pool"},
-            {"inject": FaultPlan.from_spec("kill:1")},
+            {"typed_search_limit": 1},
+            {"typed_search_limit": 50_000},
+            {"countermodel_nodes": 5},
+            {"inject": FaultPlan.from_spec("raise:1")},
             {"chase_steps": 10, "countermodel_nodes": 2},
             {"allow_semidecision": False, "with_proof": True},
         ],
@@ -54,7 +52,7 @@ class TestValidation:
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
-            dataclasses.replace(DEFAULT_SOLVE_OPTIONS, execution="fast")
+            dataclasses.replace(DEFAULT_SOLVE_OPTIONS, typed_search_limit=0)
 
 
 class TestDefaults:
@@ -69,7 +67,6 @@ class TestDefaults:
         assert options.typed_search_limit == 2_000
         assert options.with_proof is False
         assert options.inject is None
-        assert options.execution == "auto"
 
     def test_fields_are_exactly_the_solve_settings(self):
         assert [f.name for f in dataclasses.fields(SolveOptions)] == [
@@ -79,7 +76,6 @@ class TestDefaults:
             "typed_search_limit",
             "with_proof",
             "inject",
-            "execution",
         ]
 
     def test_solve_and_portfolio_default_to_the_shared_instance(self):
@@ -94,17 +90,32 @@ class TestDefaults:
 
 class TestThroughSolve:
     def test_options_reach_the_portfolio(self):
-        # A starved chase leaves the counter-model search to decide; an
-        # inline pin keeps the run in-process whatever the host.
+        # A starved chase leaves the counter-model search to decide.
         problem = ImplicationProblem(
             parse_constraints(
                 "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
             ),
             parse_constraint("K :: a => ()"),
         )
-        options = SolveOptions(chase_steps=2, execution="inline")
+        options = SolveOptions(chase_steps=2)
         result = solve(problem, options, jobs=2)
         assert result.answer is Trilean.FALSE
         assert result.method == "bounded-countermodel"
-        assert result.execution.mode.value == "inline"
-        assert result.execution.forced
+        chase = next(s for s in result.stats if s.engine == "chase")
+        assert chase.candidates == 2
+
+    def test_typed_search_limit_reaches_the_scan(self, bib_schema):
+        # The first instance of the stream refutes phi; limit 1 scans it
+        # and nothing more.
+        problem = ImplicationProblem(
+            parse_constraints("book.ref => book"),
+            parse_constraint("book => person"),
+            "M+",
+            schema=bib_schema,
+        )
+        result = solve(problem, SolveOptions(typed_search_limit=1))
+        search = next(
+            s for s in result.stats if s.engine == "typed-countermodel"
+        )
+        assert search.candidates == 1
+        assert result.answer is Trilean.FALSE

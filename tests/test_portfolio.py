@@ -6,14 +6,12 @@ Two families:
   screens states with a compiled bitmask evaluator that must agree
   with the Definition 2.1 evaluator, and finds a counter-model iff
   the brute-force oracle does;
-* **portfolio** — racing engines must not cost determinism: the same
-  counter-model comes back inline and pooled, budgets expire into
+* **portfolio** — the in-process pipeline returns the counter-model
+  the search finds on its own, at any ``jobs``; budgets expire into
   honest UNKNOWNs, and per-engine stats are attached to every result.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -35,6 +33,7 @@ from repro.reasoning.models import (
     brute_force_countermodel,
     find_countermodel,
     infer_alphabet,
+    reference_typed_scan,
 )
 from repro.reasoning.portfolio import TYPED_CHASE_FALSE_NOTE
 from repro.truth import Trilean
@@ -105,21 +104,19 @@ class TestCanonicalCompleteness:
 
 class TestPortfolioDeterminism:
     def test_same_countermodel_any_jobs(self):
-        # A starved chase leaves the search to decide; the pinned pool
-        # must return the counter-model the in-process search finds.
+        # A starved chase leaves the search to decide; the portfolio
+        # must return the counter-model the search finds on its own.
         sigma = parse_constraints(DIVERGENT_SIGMA)
         phi = parse_constraint(DIVERGENT_PHI)
         sequential = find_countermodel(sigma, phi)
         assert sequential is not None
         assert sequential.node_count() == 3
-        pooled = run_portfolio(
-            _divergent_problem(),
-            SolveOptions(chase_steps=2, execution="pool"),
-            jobs=4,
+        portfolio = run_portfolio(
+            _divergent_problem(), SolveOptions(chase_steps=2)
         )
-        assert pooled.execution.mode.value == "pool"
-        assert pooled.countermodel is not None
-        assert _edge_set(sequential) == _edge_set(pooled.countermodel)
+        assert portfolio.execution.mode.value == "inline"
+        assert portfolio.countermodel is not None
+        assert _edge_set(sequential) == _edge_set(portfolio.countermodel)
 
     def test_solve_identical_at_jobs_1_and_4(self):
         # Starve the chase so the counter-model engine decides in both
@@ -221,6 +218,8 @@ class TestPortfolioStats:
 
 class TestTypedPortfolio:
     def test_typed_countermodel_same_any_jobs(self, bib_schema):
+        # The hit is the first counter-model in stream order, whatever
+        # the jobs value.
         sigma = parse_constraints("book.member.author => person")
         phi = parse_constraint("person => book.member.author")
         results = [
@@ -228,15 +227,20 @@ class TestTypedPortfolio:
                 ImplicationProblem(
                     sigma, phi, context="M+", schema=bib_schema
                 ),
-                SolveOptions(typed_search_limit=2000, execution=execution),
+                SolveOptions(typed_search_limit=2000),
                 jobs=jobs,
             )
-            for jobs, execution in ((1, "auto"), (4, "pool"))
+            for jobs in (1, 4)
         ]
         assert all(r.answer is Trilean.FALSE for r in results)
         seq, par = results
-        assert par.execution.mode.value == "pool"
         assert _edge_set(seq.countermodel) == _edge_set(par.countermodel)
+        first = reference_typed_scan(
+            bib_schema, sigma, phi, max_oids=2, limit=2000
+        )
+        assert first.hit_index is not None
+        assert _edge_set(seq.countermodel) == _edge_set(first.graph)
+        assert _edge_set(seq.certificate.to_graph()) == _edge_set(first.graph)
 
     def test_typed_unknown_keeps_no_untyped_fixpoint_note(self, bib_schema):
         # The chase reaches an untyped fixpoint violating phi, and no
@@ -266,25 +270,3 @@ class TestTypedPortfolio:
         )
         assert result.answer is Trilean.TRUE
         assert result.method == "chase(untyped, transfers)"
-
-
-class TestWorkerPayloadPickling:
-    """Everything crossing the process boundary must pickle."""
-
-    def test_constraints_and_graphs(self):
-        sigma = parse_constraints(DIVERGENT_SIGMA)
-        phi = parse_constraint(DIVERGENT_PHI)
-        assert pickle.loads(pickle.dumps(sigma)) == sigma
-        assert pickle.loads(pickle.dumps(phi)) == phi
-        graph = find_countermodel(sigma, phi)
-        clone = pickle.loads(pickle.dumps(graph))
-        assert _edge_set(clone) == _edge_set(graph)
-
-    def test_schema_roundtrip(self, bib_schema):
-        clone = pickle.loads(pickle.dumps(bib_schema))
-        assert clone.class_names == bib_schema.class_names
-        assert clone.db_type == bib_schema.db_type
-
-    def test_budget_roundtrip(self):
-        budget = Budget(deadline=12345.0)
-        assert pickle.loads(pickle.dumps(budget)) == budget

@@ -181,31 +181,31 @@ def test_query_evaluation_stays_off_the_reasoning_layer():
     assert _modules_loaded_by(statement, watched) == "[]"
 
 
-#: A pool's stop word is an anonymous shared integer: nothing loads the
-#: named-segment machinery or its resource tracker.
-NAMED_SHM_MODULES = {
+#: Process pools and the named-segment machinery: every solve runs in
+#: the calling thread, so nothing loads them.
+POOL_MODULES = {
+    "multiprocessing",
     "multiprocessing.shared_memory",
     "multiprocessing.resource_tracker",
+    "concurrent.futures",
 }
 
 
 def test_cli_import_stays_off_named_shared_memory():
-    assert _modules_loaded_by("import repro.cli", NAMED_SHM_MODULES) == "[]"
+    assert _modules_loaded_by("import repro.cli", POOL_MODULES) == "[]"
 
 
-def test_pooled_solve_stays_off_named_shared_memory():
+def test_semidecision_solve_stays_off_process_pools():
     sigma = "() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a"
     statement = (
         "from repro.constraints import parse_constraint, parse_constraints; "
-        "from repro.reasoning import ImplicationProblem, SolveOptions; "
-        "from repro.reasoning.portfolio import run_portfolio; "
+        "from repro.reasoning import ImplicationProblem, SolveOptions, solve; "
         f"problem = ImplicationProblem(parse_constraints({sigma!r}), "
         "parse_constraint('K :: a => ()')); "
-        "result = run_portfolio(problem, SolveOptions(execution='pool'), "
-        "jobs=2); "
-        "assert result.execution.mode.value == 'pool'"
+        "result = solve(problem, SolveOptions(chase_steps=2), jobs=2); "
+        "assert result.method == 'bounded-countermodel', result.method"
     )
-    assert _modules_loaded_by(statement, NAMED_SHM_MODULES) == "[]"
+    assert _modules_loaded_by(statement, POOL_MODULES) == "[]"
 
 
 #: The oldest Python ``pyproject.toml`` declares (``requires-python``).

@@ -1,31 +1,28 @@
-"""Unit tests for the supervised execution runtime.
+"""Unit tests for the in-process engine runner.
 
 Covers the monotonic :class:`Budget` (the clock regression the
-portfolio's cross-process deadline threading depends on), the
-deterministic fault-plan parser, and the in-process (inline) paths of
-:class:`WorkerSupervisor` — retry, injection, exhaustion, accounting.
-Pool-backed crash scenarios live in ``test_fault_tolerance.py``.
+portfolio's deadline threading depends on), the deterministic
+fault-plan parser, and :class:`EngineRunner` — retry, injection,
+exhaustion, accounting.  Whole-solve fault scenarios live in
+``test_fault_tolerance.py``.
 """
 
-import pickle
+import threading
 import time
 
 import pytest
 
-from repro.errors import InjectedFault, ReproError, RetryExhausted
+from repro.errors import ReproError, RetryExhausted
 from repro.reasoning.faultinject import (
     NO_FAULT,
-    CorruptPayload,
     FaultAction,
     FaultPlan,
     plan_from_env,
 )
 from repro.reasoning.result import FaultEvent, FaultReport
-from repro.reasoning.runtime import Budget, WorkerSupervisor
+from repro.reasoning.runtime import Budget, EngineRunner
 
 
-# Top-level so the pool tests elsewhere can share them; the inline
-# tests here call them in-process.
 def _double(x):
     return 2 * x
 
@@ -58,22 +55,15 @@ class TestBudgetMonotonic:
         assert budget.expired
         assert budget.remaining() == 0.0
 
-    def test_absolute_deadline_pickles_for_workers(self):
-        # The portfolio ships the absolute deadline into pool workers;
-        # Linux CLOCK_MONOTONIC is system-wide, so the value survives
-        # the process boundary as-is.
-        budget = Budget(deadline=12345.0)
-        assert pickle.loads(pickle.dumps(budget)) == budget
-
 
 class TestFaultPlan:
     def test_targeted_spec_roundtrip(self):
-        plan = FaultPlan.from_spec("kill:3,delay:2:0.5,corrupt:1,raise:0")
+        plan = FaultPlan.from_spec("raise:0,delay:1:0.5,raise:3")
         assert plan.active
-        assert plan.action_for(3) == FaultAction("kill")
-        assert plan.action_for(2) == FaultAction("delay", 0.5)
-        assert plan.action_for(1) == FaultAction("corrupt")
         assert plan.action_for(0) == FaultAction("raise")
+        assert plan.action_for(1) == FaultAction("delay", 0.5)
+        assert plan.action_for(3) == FaultAction("raise")
+        assert plan.action_for(2) is NO_FAULT
         assert plan.action_for(7) is NO_FAULT
 
     def test_rate_plan_is_deterministic(self):
@@ -99,6 +89,11 @@ class TestFaultPlan:
             "rate:1.5",
             "rate",
             "hang:0",
+            "raise",
+            "raise:0:1",
+            "kill:1",
+            "corrupt:1",
+            "oom:0",
         ],
     )
     def test_malformed_specs_are_rejected(self, spec):
@@ -111,70 +106,68 @@ class TestFaultPlan:
         assert plan.action_for(0) is NO_FAULT
 
     def test_plan_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT", "kill:2")
-        assert plan_from_env().action_for(2) == FaultAction("kill")
+        monkeypatch.setenv("REPRO_INJECT", "raise:2")
+        assert plan_from_env().action_for(2) == FaultAction("raise")
         monkeypatch.delenv("REPRO_INJECT")
         assert not plan_from_env().active
-
-    def test_corrupt_payload_cannot_pickle(self):
-        with pytest.raises(InjectedFault):
-            pickle.dumps(CorruptPayload())
 
 
 class TestInlineSupervisor:
     def test_inline_submit_is_synchronous_and_poolless(self):
-        with WorkerSupervisor(jobs=1) as sup:
-            task = sup.submit(_double, 21, engine="demo")
-            assert task.settled and task.result() == 42
-            assert sup._pool is None
-        report = sup.fault_report(answered_by="demo")
+        # The runner calls the engine in the calling thread.
+        runner = EngineRunner()
+        threads = []
+
+        def engine(x):
+            threads.append(threading.current_thread())
+            return _double(x)
+
+        assert runner.run("demo", engine, 21) == 42
+        assert threads == [threading.current_thread()]
+        report = runner.fault_report(answered_by="demo")
         assert report.clean
         assert report.answered_by == "demo"
 
     def test_exhausted_retries_settle_with_typed_error(self):
-        with WorkerSupervisor(jobs=1) as sup:
-            task = sup.submit(_always_raises, engine="buggy")
-        assert task.failed
-        assert isinstance(task.error, RetryExhausted)
-        assert isinstance(task.error, ReproError)
-        assert isinstance(task.error.__cause__, ValueError)
-        report = sup.fault_report()
+        runner = EngineRunner()
+        with pytest.raises(RetryExhausted) as caught:
+            runner.run("buggy", _always_raises)
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value.__cause__, ValueError)
+        report = runner.fault_report()
         assert not report.clean
         assert report.retries == 2
-        kinds = [e.kind for e in report.events]
-        assert "task-error" in kinds and "retry-exhausted" in kinds
+        assert [(e.kind, e.attempt) for e in report.events] == [
+            ("task-error", 1),
+            ("task-retry", 1),
+            ("task-error", 2),
+            ("task-retry", 2),
+            ("task-error", 3),
+            ("retry-exhausted", 3),
+        ]
 
     def test_injected_raise_fires_once_then_recovers(self):
-        plan = FaultPlan.from_spec("raise:0")
-        with WorkerSupervisor(jobs=1, plan=plan) as sup:
-            task = sup.submit(_double, 5, engine="demo")
+        runner = EngineRunner(FaultPlan.from_spec("raise:0"))
         # First attempt hits the injected fault; the retry runs clean.
-        assert task.result() == 10
-        report = sup.fault_report()
+        assert runner.run("demo", _double, 5) == 10
+        report = runner.fault_report()
         assert report.retries == 1
         assert [e.kind for e in report.events][0] == "injected"
 
-    def test_injected_kill_is_downgraded_in_process(self):
-        # An in-process kill must not take the caller down; the
-        # injection layer downgrades it to a raise, and the retry
-        # recovers the value.
-        plan = FaultPlan.from_spec("kill:0")
-        with WorkerSupervisor(jobs=1, plan=plan) as sup:
-            task = sup.submit(_double, 4, engine="demo")
-        assert task.result() == 8
+    def test_ordinals_count_engine_calls(self):
+        # raise:1 targets the second call, and only its first attempt.
+        runner = EngineRunner(FaultPlan.from_spec("raise:1"))
+        assert runner.run("a", _double, 1) == 2
+        assert runner.run("b", _double, 2) == 4
+        assert [e.engine for e in runner.events] == ["b"] * 3
+        assert runner.retries == 1
 
-    def test_wait_any_returns_settled_inline_tasks(self):
-        with WorkerSupervisor(jobs=1) as sup:
-            a = sup.submit(_double, 1, engine="a")
-            b = sup.submit(_double, 2, engine="b")
-            done = sup.wait_any([a, b])
-        assert done == {a, b}
-
-    def test_cancel_marks_task(self):
-        with WorkerSupervisor(jobs=1) as sup:
-            task = sup.submit(_double, 1, engine="a")
-            sup.cancel(task)  # already settled: no-op
-            assert task.result() == 2
+    def test_injected_delay_runs_the_engine_late(self):
+        runner = EngineRunner(FaultPlan.from_spec("delay:0:0.05"))
+        began = time.monotonic()
+        assert runner.run("demo", _double, 3) == 6
+        assert time.monotonic() - began >= 0.05
+        assert runner.retries == 0
 
 
 class TestFaultReport:

@@ -12,8 +12,8 @@ layers promise individually:
   against the Definition 2.1 checker), and each request is
   canonicalized once, on a solver thread;
 * graceful drain finishes admitted work, refuses new work with a
-  drain status, retires the warm pool, and exits 0 (checked end-to-end
-  over SIGTERM in a subprocess).
+  drain status, and exits 0 (checked end-to-end over SIGTERM in a
+  subprocess).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.graph.serialize import from_dict, to_dict
 from repro.reasoning import SolveOptions
 from repro.reasoning.cache import ImplicationCache
 from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.runtime import retire_warm_pool, warm_pool_stats
 from repro.server import (
     ImplicationServer,
     ServerClient,
@@ -48,7 +47,7 @@ from repro.server import (
 )
 from repro.server import protocol
 
-# The divergent-chase instance of the fault/warm-pool suites: FALSE on
+# The divergent-chase instance of the fault-injection suites: FALSE on
 # an undecidable cell, so the portfolio genuinely runs.
 SIGMA = ["() => K", "K :: () => a.a.a", "K :: a.a.a => ()", "a :: a => a"]
 PHI = "K :: a => ()"
@@ -114,13 +113,6 @@ class ServerHarness:
     def client(self, **kwargs) -> ServerClient:
         kwargs.setdefault("timeout", 30.0)
         return ServerClient("127.0.0.1", self.port, **kwargs)
-
-
-@pytest.fixture(autouse=True)
-def _cold_warm_pool():
-    retire_warm_pool()
-    yield
-    retire_warm_pool()
 
 
 def _verify_countermodel(cm_dict, sigma_lines, phi_line):
@@ -559,7 +551,6 @@ class TestHealthStatsDrain:
         assert stats["counters"]["solved"] == 1
         assert stats["queue"]["max"] == 64
         assert stats["ewma_solve_ms"] is not None
-        assert "warm_pool" in stats
 
     def test_shutdown_drains_and_refuses_new_work(self):
         with ServerHarness(
@@ -589,8 +580,6 @@ class TestHealthStatsDrain:
         assert refused["status"] == "draining"
         assert health["status"] == "ok"
         assert health["state"] == "draining"
-        # The drained daemon retired the warm pool.
-        assert not warm_pool_stats()["alive"]
 
 
 class TestClientRobustness:
