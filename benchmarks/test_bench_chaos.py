@@ -1,8 +1,9 @@
 """Wire-chaos benchmarks: availability, answer integrity, reclaim.
 
-The service-layer counterpart of the fault-injection benchmark: a
-3-seed :func:`repro.server.chaos.run_chaos_sweep` at a 30% connection
-fault rate, gated on the chaos-hardening acceptance criteria:
+The service-layer counterpart of the solver's forfeit sweep
+(``tests/test_fault_tolerance.py``): a 3-seed
+:func:`repro.server.chaos.run_chaos_sweep` at a 30% connection fault
+rate, gated on the chaos-hardening acceptance criteria:
 
 * **availability** — with the failover client retrying through the
   fault-perpetrating proxy, at least 99% of requests must still

@@ -15,16 +15,6 @@ for seed in 0 1 2; do
         --deadline 300 --json-out "FUZZ_seed$seed.json"
 done
 
-# High-rate fault-injection sweep: half of all portfolio engine runs
-# get a fault (raise/delay).  Acceptance: zero TRUE<->FALSE
-# flips against the uninjected oracle; demotions are tallied in the
-# report.
-for seed in 0 1 2; do
-    python -m repro fuzz --seed "$seed" --per-fragment 50 \
-        --deadline 300 --inject-rate 0.5 --inject-seed "$seed" \
-        --json-out "FUZZ_inject_seed$seed.json"
-done
-
 # Query-layer differential sweep: the optimizer and the containment
 # checker against brute-force evaluation on chased Sigma-models, three
 # seeds with EGD-bearing constraint sets included.
@@ -33,8 +23,11 @@ for seed in 0 1 2; do
         --deadline 120 --json-out "FUZZ_query_seed$seed.json"
 done
 
-# The full fault-tolerance stress set (tier-1 runs these too, but
-# without the marker filter they drown in the rest of the suite).
+# The full fault-tolerance stress set, the forfeit sweep among it: each
+# portfolio engine raising in turn on the fuzz instances of seeds 0-2
+# and the monoid images must never flip a verdict (tier-1 runs these
+# too, but without the marker filter they drown in the rest of the
+# suite).
 python -m pytest tests -m stress -q
 
 python -m pytest benchmarks/ -m bench -s "$@"
@@ -129,26 +122,16 @@ print(
 EOF
 
 # Server-regression gate: closed-loop p99 must stay under the bound
-# recorded by the benchmark, and injected faults must never flip a
-# verdict over the wire.
+# recorded by the benchmark.
 python - <<'EOF'
 import json
 
-bench = json.load(open("BENCH_server.json"))
-load, inject = bench["load"], bench["inject"]
+load = json.load(open("BENCH_server.json"))["load"]
 worst_p99 = max(level["p99_ms"] for level in load["levels"])
 assert worst_p99 < load["p99_bound_ms"], (
     f"server gate: p99 {worst_p99}ms above {load['p99_bound_ms']}ms"
 )
-assert inject["faulted_runs"] > 0, "server gate: injection never fired"
-assert inject["flips"] == 0, (
-    f"server gate: {inject['flips']} verdict flips under injection"
-)
-print(
-    f"p99={worst_p99}ms "
-    f"faulted_runs={inject['faulted_runs']} flips={inject['flips']}: "
-    "server regression gate ok"
-)
+print(f"p99={worst_p99}ms: server regression gate ok")
 EOF
 
 # Chaos-regression gate: across the 3-seed wire-chaos sweep, the

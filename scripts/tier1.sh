@@ -15,34 +15,30 @@ export PYTHONPATH
 # longer multi-seed sweep.
 python -m repro fuzz --seed 7 --per-fragment 25
 
-# Fault-injection smoke: the same engines under a fixed-seed fault
-# plan.  Injected raises and delays may demote answers to UNKNOWN but
-# must never flip TRUE<->FALSE (exit 1 if they do).  scripts/bench.sh
-# runs the higher-rate sweep.
-python -m repro fuzz --seed 7 --per-fragment 5 \
-    --inject-rate 0.25 --inject-seed 7
-
 # Query-layer differential smoke: fixed-seed optimizer/containment
 # sweep against brute-force evaluation on chased models.  Exit 0 means
 # zero disagreements; scripts/bench.sh runs the multi-seed sweep.
 python -m repro query fuzz --seed 0 --rounds 5
 
-# --jobs auto smoke: dispatch end-to-end on an undecidable cell, clean
-# and under a fault plan (a raise on the chase, ordinal 0, and a delay
-# on the counter-model search, ordinal 1).  The chase settles this
-# instance (FALSE: a fixpoint after 3 repairs) on its retry, before the
-# search runs.
-# --no-cache keeps a verdict stored by an earlier run from answering
-# instead.  Exit 0 means a definite answer; injected faults may only
-# demote to UNKNOWN (exit 2), never error out.
+# --jobs auto smoke: dispatch end-to-end on an undecidable cell.  The
+# chase settles this instance (FALSE: a fixpoint after 3 repairs)
+# before the search runs.  --no-cache keeps a verdict stored by an
+# earlier run from answering instead; exit 0 means a definite answer.
 sigma_file="$(mktemp)"
 cache_dir="$(mktemp -d)"
 trap 'rm -f "$sigma_file"; rm -rf "$cache_dir"' EXIT
 printf '() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a\n' \
     > "$sigma_file"
 python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto --no-cache
-python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto \
-    --inject raise:0,delay:1:0.01 || [ $? -eq 2 ]
+
+# Deadline smoke: a zero deadline stops both engines before any work,
+# so the same query must answer UNKNOWN (exit 2), and the chase's note
+# must name the deadline, not its step budget.
+deadline_out="$(python -m repro imply "$sigma_file" 'K :: a => ()' \
+    --deadline 0 --no-cache || echo "exit $?")"
+printf '%s\n' "$deadline_out"
+printf '%s\n' "$deadline_out" | grep -q 'note: *deadline stopped the chase'
+printf '%s\n' "$deadline_out" | tail -n 1 | grep -qx 'exit 2'
 
 # Cache smoke: the same query twice against a fresh --cache-dir.  The
 # first run stores its definite answer; the second MUST report a hit

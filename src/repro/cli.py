@@ -6,16 +6,13 @@ Commands
     Validate a graph (JSON, the ``repro.graph.serialize`` dict format)
     against a constraint file (line syntax); exit 1 on violations.
 ``imply CONSTRAINTS QUERY [--context CTX] [--schema XMLDATA]
-[--jobs N|auto] [--deadline S] [--inject SPEC]``
+[--jobs N|auto] [--deadline S]``
     Decide/semi-decide an implication question; prints the answer,
     method and Table 1 cell.  ``--schema`` takes an XML-Data file and
     is required for typed contexts.  On undecidable cells the chase
     and then the counter-model search run in-process; ``--deadline``
-    caps the whole portfolio in wall-clock seconds, and ``--inject``
-    enables deterministic fault injection (``raise:0``,
-    ``delay:1:0.5``, ``rate:0.3[:seed]``; comma-separated).
-    ``--jobs`` is accepted for compatibility and changes nothing but
-    a warning on decidable cells.  Answers are
+    caps the whole portfolio in wall-clock seconds.  ``--jobs`` is
+    accepted for compatibility and changes nothing.  Answers are
     served from and stored to the cross-request implication cache
     (``--cache-dir``/``$REPRO_CACHE_DIR``, default ``~/.cache/repro``;
     ``--no-cache`` bypasses it).
@@ -46,14 +43,10 @@ Commands
     Repair a graph to satisfy the constraints; writes the chased graph.
 ``dot GRAPH``
     Print a Graphviz rendering of a graph file.
-``fuzz [--seed N] [--per-fragment N] [--deadline S] [--json-out FILE]
-[--inject-rate R] [--inject-seed N]``
+``fuzz [--seed N] [--per-fragment N] [--deadline S] [--json-out FILE]``
     Differential cross-validation: random instances per fragment, every
     applicable engine, three-valued disagreement detection, and a
-    delta-debugging shrinker; exit 1 on any disagreement.  With
-    ``--inject-rate`` every portfolio run repeats under deterministic
-    fault injection and the injected verdict is cross-checked against
-    the clean one (definite answers may demote to UNKNOWN, never flip).
+    delta-debugging shrinker; exit 1 on any disagreement.
     ``--json-out`` is written atomically (temp file + rename), and an
     interrupted sweep still writes its partial report with
     ``"aborted": true``.  ``--cache-check`` additionally solves every
@@ -98,7 +91,6 @@ from repro.errors import ReproError
 from repro.graph.serialize import from_dict, to_dict, to_dot
 from repro.reasoning import (
     Context,
-    FaultPlan,
     ImplicationProblem,
     SolveOptions,
     classify,
@@ -164,15 +156,6 @@ def _parse_jobs(text: str) -> int | str:
         raise ValueError(
             f"--jobs must be a positive integer or 'auto', got {text!r}"
         ) from None
-
-
-def _solve_options(args: argparse.Namespace, **settings) -> SolveOptions:
-    """The :class:`SolveOptions` the runtime flags of ``imply`` and
-    ``serve`` ask for, plus command-specific ``settings``."""
-    return SolveOptions(
-        inject=FaultPlan.from_spec(args.inject) if args.inject else None,
-        **settings,
-    )
 
 
 def _build_cache(args: argparse.Namespace) -> ImplicationCache | None:
@@ -282,7 +265,7 @@ def _cmd_imply(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema) if args.schema else None
     problem = ImplicationProblem(sigma, phi, context, schema=schema)
     jobs = _parse_jobs(args.jobs)
-    options = _solve_options(args, allow_semidecision=not args.strict)
+    options = SolveOptions(allow_semidecision=not args.strict)
     cache = _build_cache(args)
     try:
         result = solve(
@@ -291,23 +274,17 @@ def _cmd_imply(args: argparse.Namespace) -> int:
     finally:
         if cache is not None:
             cache.flush_counters()
-    if result.decidable:
-        # Telling the user beats silently ignoring their flags.
-        # ``auto`` stays quiet: it delegates the choice rather than
-        # demanding parallelism.  (On undecidable cells ``--jobs`` is
-        # ignored too, quietly: the portfolio runs in-process.)
-        if jobs != "auto" and jobs != 1:
-            print(
-                "warning: --jobs ignored (decidable cell runs the "
-                "complete decider in-process)",
-                file=sys.stderr,
-            )
-        if args.deadline is not None and context is not Context.SEMISTRUCTURED:
-            print(
-                "warning: --deadline ignored (the cubic M decider "
-                "always terminates)",
-                file=sys.stderr,
-            )
+    if (
+        result.decidable
+        and args.deadline is not None
+        and context is not Context.SEMISTRUCTURED
+    ):
+        # Telling the user beats silently ignoring their flag.
+        print(
+            "warning: --deadline ignored (the cubic M decider "
+            "always terminates)",
+            file=sys.stderr,
+        )
     print(f"answer:     {result.answer.value}")
     print(f"method:     {result.method}")
     status = (
@@ -401,7 +378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_queue=args.max_queue,
         solver_threads=args.solver_threads,
-        solve=_solve_options(args),
         jobs=_parse_jobs(args.jobs),
         default_budget_ms=(
             None if args.deadline is None else int(args.deadline * 1000)
@@ -493,8 +469,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             deadline=args.deadline,
             fragments=args.fragment or None,
             shrink=not args.no_shrink,
-            inject_rate=args.inject_rate,
-            inject_seed=args.inject_seed,
             cache_check=args.cache_check,
             report_sink=sink,
         )
@@ -714,19 +688,6 @@ def _add_solve_flags(
     )
 
 
-def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
-    """``--inject``, the runtime flag :func:`_solve_options` reads; its
-    default is :class:`SolveOptions`'s."""
-    p.add_argument(
-        "--inject",
-        metavar="SPEC",
-        help="deterministic fault injection for every solve: raise:ORD, "
-        "delay:ORD:SECONDS, rate:R[:SEED] (ordinal 0 is the chase, 1 "
-        "the counter-model search; comma-separated; testing "
-        "instrument; disables cache lookups)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -755,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         jobs="1",
         deadline_help="wall-clock budget shared by all portfolio engines",
     )
-    _add_runtime_flags(p)
     p.add_argument(
         "--server",
         metavar="HOST:PORT[,HOST:PORT...]",
@@ -796,7 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
         jobs="auto",
         deadline_help="default per-request budget when the client sends none",
     )
-    _add_runtime_flags(p)
     p.add_argument(
         "--port-file",
         metavar="FILE",
@@ -927,21 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the machine-readable report here (atomically; a "
         "partial report with aborted=true survives interruption)",
-    )
-    p.add_argument(
-        "--inject-rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="re-run every portfolio engine under injected faults at "
-        "this rate and cross-check against the clean verdict",
-    )
-    p.add_argument(
-        "--inject-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the deterministic injection plans",
     )
     p.add_argument(
         "--cache-check",

@@ -105,13 +105,12 @@ class OracleConfig:
     #: absolute ``time.monotonic()`` deadline shared by the whole pass.
     deadline: float | None = None
 
-    def solve_options(self, **settings) -> SolveOptions:
-        """These budgets as :class:`SolveOptions`, plus ``settings``."""
+    def solve_options(self) -> SolveOptions:
+        """These budgets as :class:`SolveOptions`."""
         return SolveOptions(
             chase_steps=self.chase_steps,
             countermodel_nodes=self.countermodel_nodes,
             typed_search_limit=self.typed_limit,
-            **settings,
         )
 
 

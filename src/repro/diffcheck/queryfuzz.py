@@ -16,6 +16,12 @@ small random instances:
   is cross-checked directionally: TRUE must hold on every sampled
   Sigma-model, FALSE must be confirmed by an explicit chased witness
   countermodel on decidable cells, UNKNOWN asserts nothing;
+* a typed-M cell: a random M schema and Sigma over ``Paths(Delta)``
+  (the ``typed-M`` fuzz fragment's generator), containment pairs over
+  ``Paths(Delta)`` and unions over the schema's labels, checked on
+  every ``U_f(Delta)`` member with at most two objects per class that
+  models Sigma — a typed TRUE must hold on each, and the
+  ``Paths(Delta)``-pruned union must keep its answers;
 * every hit is delta-debugged down to a minimal Sigma (and branch
   list) that still reproduces, and rendered as a paste-ready
   regression comment.
@@ -32,19 +38,27 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from repro.checking.engine import satisfies_all
 from repro.constraints.ast import PathConstraint
 from repro.constraints.ast import word as word_constraint
+from repro.diffcheck.generators import gen_typed_m
 from repro.graph.builders import random_graph
 from repro.graph.structure import Graph
 from repro.paths import Path
 from repro.query.containment import QueryContainmentChecker
-from repro.query.optimizer import WordQueryOptimizer
+from repro.query.optimizer import WordQueryOptimizer, optimize_rpq_union
 from repro.query.rpq import evaluate_rpq, evaluate_word
 from repro.reasoning.chase import chase
+from repro.reasoning.dispatcher import Context
 from repro.truth import Trilean
+from repro.types.enumerate_m import enumerate_m_structures
+from repro.types.siggen import SchemaSignature
 
 #: Chase budget per sampled graph; non-fixpoint chases are skipped.
 MODEL_CHASE_STEPS = 300
+
+#: Containment pairs the typed-M cell draws per round.
+TYPED_PAIRS = 4
 
 
 @dataclass
@@ -91,6 +105,15 @@ class QueryFuzzReport:
     verdict_false: int = 0
     verdict_unknown: int = 0
     branches_saved: int = 0
+    #: The typed-M cell's tallies.
+    typed_containment_checks: int = 0
+    typed_union_checks: int = 0
+    typed_models_checked: int = 0
+    typed_verdicts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(("true", "false", "unknown"), 0)
+    )
+    typed_branches_pruned: int = 0
+    typed_branches_emptied: int = 0
     disagreements: list[QueryDisagreementRecord] = field(
         default_factory=list
     )
@@ -120,6 +143,14 @@ class QueryFuzzReport:
                 "unknown": self.verdict_unknown,
             },
             "branches_saved": self.branches_saved,
+            "typed_m": {
+                "containment_checks": self.typed_containment_checks,
+                "union_checks": self.typed_union_checks,
+                "models_checked": self.typed_models_checked,
+                "verdicts": dict(self.typed_verdicts),
+                "branches_pruned": self.typed_branches_pruned,
+                "branches_emptied": self.typed_branches_emptied,
+            },
             "disagreements": [d.to_dict() for d in self.disagreements],
         }
 
@@ -142,6 +173,15 @@ class QueryFuzzReport:
             f"  verdicts: T={self.verdict_true} F={self.verdict_false} "
             f"?={self.verdict_unknown}; "
             f"branches saved by optimization: {self.branches_saved}"
+        )
+        typed = self.typed_verdicts
+        lines.append(
+            f"  typed-M: {self.typed_containment_checks} containment "
+            f"checks (T={typed['true']} F={typed['false']} "
+            f"?={typed['unknown']}), {self.typed_union_checks} union "
+            f"checks ({self.typed_branches_pruned} pruned, "
+            f"{self.typed_branches_emptied} emptied), "
+            f"{self.typed_models_checked} U_f(Delta) models"
         )
         for record in self.disagreements:
             lines.append(f"  HIT {record.kind}: {record.detail}")
@@ -234,10 +274,12 @@ def _sigma_models(
 # -- oracles ---------------------------------------------------------------
 
 
-def _union_answers(graph: Graph, branches: Sequence[Path]) -> frozenset:
+def _union_answers(
+    graph: Graph, branches: Sequence, evaluate=evaluate_word
+) -> frozenset:
     answers = set()
     for branch in branches:
-        answers |= evaluate_word(graph, branch).answers
+        answers |= evaluate(graph, branch).answers
     return frozenset(answers)
 
 
@@ -335,6 +377,98 @@ def _containment_mismatch(
     return None
 
 
+def _typed_m_cell(
+    rng: random.Random, report: QueryFuzzReport, seed: int, index: int
+) -> None:
+    """One round of the typed-M cell; its hits land in ``report``
+    unshrunk (the oracle's models depend on Sigma, so a smaller Sigma
+    would be checked on other models).
+
+    Sigma and its M schema come from the ``typed-M`` fuzz generator.
+    Containment pairs are drawn over ``Paths(Delta)``; union branches
+    over the schema's labels, so some miss ``Paths(Delta)`` and are
+    pruned as empty.  The oracle is every ``U_f(Delta)`` member with
+    at most two objects per class that models Sigma.
+    """
+    instance = gen_typed_m(rng)
+    sigma, schema = instance.sigma, instance.schema
+    signature = SchemaSignature(schema)
+    paths = [str(p) for p in signature.sample_paths(3) if not p.is_empty()]
+    labels = sorted(signature.edge_labels)
+    models = [
+        graph
+        for graph in enumerate_m_structures(schema, max_per_class=2)
+        if satisfies_all(graph, list(sigma))
+    ]
+    report.typed_models_checked += len(models)
+    checker = QueryContainmentChecker(sigma, context=Context.M, schema=schema)
+
+    def hit(kind: str, query: str, detail: str) -> None:
+        report.disagreements.append(
+            _record(kind, seed, index, detail, sigma, query, sigma, query)
+        )
+
+    for _ in range(TYPED_PAIRS):
+        left = rng.choice(paths)
+        if rng.random() < 0.5:
+            left = f"{left} | {rng.choice(paths)}"
+        right = rng.choice(paths)
+        if rng.random() < 0.35:
+            right = f"{left} | {right}"
+        elif rng.random() < 0.3:
+            right = f"{right}.({rng.choice(labels)})*"
+        report.typed_containment_checks += 1
+        query = f"{left} c {right}"
+        try:
+            result = checker.contains(left, right)
+        except Exception as exc:  # a legal query must not raise
+            detail = f"contains raised {type(exc).__name__}: {exc}"
+            hit("typed-containment-wrong", query, detail)
+            continue
+        report.typed_verdicts[result.verdict.value] += 1
+        if result.verdict is not Trilean.TRUE:
+            continue
+        for model in models:
+            leak = (
+                evaluate_rpq(model, left).answers
+                - evaluate_rpq(model, right).answers
+            )
+            if leak:
+                detail = (
+                    f"typed TRUE verdict ({result.method}) but answers "
+                    f"leak on a Sigma-model: {sorted(map(repr, leak))}"
+                )
+                hit("typed-containment-wrong", query, detail)
+                break
+    branches = [
+        rng.choice(paths)
+        if rng.random() < 0.5
+        else str(_random_word(rng, labels))
+        for _ in range(rng.randint(2, 5))
+    ]
+    report.typed_union_checks += 1
+    union = " | ".join(branches)
+    try:
+        optimized = optimize_rpq_union(branches, checker)
+    except Exception as exc:  # a legal union must not raise
+        detail = f"optimize_rpq_union raised {type(exc).__name__}: {exc}"
+        hit("typed-union-answers-changed", union, detail)
+        return
+    report.typed_branches_pruned += len(optimized.pruned)
+    report.typed_branches_emptied += len(optimized.emptied)
+    for model in models:
+        before = _union_answers(model, optimized.original, evaluate_rpq)
+        after = _union_answers(model, optimized.optimized, evaluate_rpq)
+        if before != after:
+            detail = (
+                f"typed union changed answers on a Sigma-model: "
+                f"{sorted(map(repr, before))} != {sorted(map(repr, after))} "
+                f"(plan {list(optimized.optimized)})"
+            )
+            hit("typed-union-answers-changed", union, detail)
+            break
+
+
 # -- shrinking -------------------------------------------------------------
 
 
@@ -359,18 +493,33 @@ def _ddmin(
     return current
 
 
-def _emit_test(
+def _record(
     kind: str,
+    seed: int,
+    index: int,
+    detail: str,
     sigma: Sequence[PathConstraint],
     query: str,
-    detail: str,
-    seed_note: str,
-) -> str:
-    return (
-        f"# query-fuzz {kind}: {seed_note}\n"
-        f"# sigma = {[str(psi) for psi in sigma]!r}\n"
-        f"# query = {query!r}\n"
-        f"# {detail}\n"
+    shrunk_sigma: Sequence[PathConstraint],
+    shrunk_query: str,
+) -> QueryDisagreementRecord:
+    """A hit, with a paste-ready regression comment for its shrunk core."""
+    shrunk = [str(psi) for psi in shrunk_sigma]
+    return QueryDisagreementRecord(
+        kind=kind,
+        seed=seed,
+        index=index,
+        detail=detail,
+        sigma=tuple(str(psi) for psi in sigma),
+        query=query,
+        shrunk_sigma=tuple(shrunk),
+        shrunk_query=shrunk_query,
+        regression_test=(
+            f"# query-fuzz {kind}: seed={seed} index={index}\n"
+            f"# sigma = {shrunk!r}\n"
+            f"# query = {shrunk_query!r}\n"
+            f"# {detail}\n"
+        ),
     )
 
 
@@ -390,8 +539,9 @@ def fuzz_queries(
     Each round draws a Sigma (optionally with equality-generating
     conclusions), a union of word queries and a regular-pattern pair,
     samples Sigma-models, and cross-checks the optimizer and the
-    containment checker against brute-force evaluation.  ``deadline``
-    is a relative budget in seconds for the whole sweep.
+    containment checker against brute-force evaluation; then it runs
+    the typed-M cell.  ``deadline`` is a relative budget in seconds
+    for the whole sweep.
     """
     began = time.monotonic()
     absolute = None if deadline is None else began + deadline
@@ -425,27 +575,11 @@ def fuzz_queries(
                         and _union_mismatch(shrunk_sigma, b, models)[0]
                         is not None,
                     )
-                shrunk_query = " | ".join(str(b) for b in shrunk_branches)
-                note = f"seed={seed} index={index}"
                 report.disagreements.append(
-                    QueryDisagreementRecord(
-                        kind="union-answers-changed",
-                        seed=seed,
-                        index=index,
-                        detail=detail,
-                        sigma=tuple(str(psi) for psi in sigma),
-                        query=query,
-                        shrunk_sigma=tuple(
-                            str(psi) for psi in shrunk_sigma
-                        ),
-                        shrunk_query=shrunk_query,
-                        regression_test=_emit_test(
-                            "union-answers-changed",
-                            shrunk_sigma,
-                            shrunk_query,
-                            detail,
-                            note,
-                        ),
+                    _record(
+                        "union-answers-changed", seed, index, detail,
+                        sigma, query, shrunk_sigma,
+                        " | ".join(str(b) for b in shrunk_branches),
                     )
                 )
 
@@ -465,28 +599,14 @@ def fuzz_queries(
                         )
                         is not None,
                     )
-                note = f"seed={seed} index={index}"
                 report.disagreements.append(
-                    QueryDisagreementRecord(
-                        kind="containment-verdict-wrong",
-                        seed=seed,
-                        index=index,
-                        detail=detail,
-                        sigma=tuple(str(psi) for psi in sigma),
-                        query=query,
-                        shrunk_sigma=tuple(
-                            str(psi) for psi in shrunk_sigma
-                        ),
-                        shrunk_query=query,
-                        regression_test=_emit_test(
-                            "containment-verdict-wrong",
-                            shrunk_sigma,
-                            query,
-                            detail,
-                            note,
-                        ),
+                    _record(
+                        "containment-verdict-wrong", seed, index, detail,
+                        sigma, query, shrunk_sigma, query,
                     )
                 )
+
+            _typed_m_cell(rng, report, seed, index)
     except KeyboardInterrupt:
         report.aborted = True
     # Honest accounting: rounds records what actually ran, which a

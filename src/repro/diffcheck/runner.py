@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from repro.constraints.ast import PathConstraint
 from repro.errors import ReproError
 from repro.reasoning.cache import ImplicationCache
-from repro.reasoning.dispatcher import Context, ImplicationProblem, solve
-from repro.reasoning.faultinject import FaultPlan
-from repro.reasoning.portfolio import Budget, run_portfolio
+from repro.reasoning.dispatcher import ImplicationProblem, solve
 from repro.truth import Trilean
 
 from repro.diffcheck.generators import (
@@ -30,7 +28,6 @@ from repro.diffcheck.generators import (
 )
 from repro.diffcheck.oracles import (
     Disagreement,
-    EngineVerdict,
     OracleConfig,
     find_disagreements,
     run_engines,
@@ -89,8 +86,6 @@ class FragmentStats:
     definite_false: int = 0
     unknown: int = 0
     disagreements: int = 0
-    injected_runs: int = 0
-    injected_demotions: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -100,8 +95,6 @@ class FragmentStats:
             "definite_false": self.definite_false,
             "unknown": self.unknown,
             "disagreements": self.disagreements,
-            "injected_runs": self.injected_runs,
-            "injected_demotions": self.injected_demotions,
         }
 
 
@@ -115,11 +108,6 @@ class FuzzReport:
     disagreements: list[DisagreementRecord] = field(default_factory=list)
     elapsed: float = 0.0
     deadline_hit: bool = False
-    #: fault-injection sweep settings and tallies (rate 0 = disabled).
-    inject_rate: float = 0.0
-    inject_seed: int = 0
-    injected_runs: int = 0
-    injected_demotions: int = 0
     #: cache differential settings and tallies (see ``fuzz(cache_check=)``).
     cache_check: bool = False
     cache_checks: int = 0
@@ -142,10 +130,6 @@ class FuzzReport:
             "ok": self.ok,
             "elapsed": round(self.elapsed, 3),
             "deadline_hit": self.deadline_hit,
-            "inject_rate": self.inject_rate,
-            "inject_seed": self.inject_seed,
-            "injected_runs": self.injected_runs,
-            "injected_demotions": self.injected_demotions,
             "cache_check": self.cache_check,
             "cache_checks": self.cache_checks,
             "cache_lookups": self.cache_lookups,
@@ -173,13 +157,6 @@ class FuzzReport:
             + (" [deadline hit]" if self.deadline_hit else "")
             + (" [ABORTED]" if self.aborted else "")
         ]
-        if self.inject_rate > 0.0:
-            lines.append(
-                f"  fault injection: rate={self.inject_rate} "
-                f"seed={self.inject_seed} runs={self.injected_runs} "
-                f"demotions={self.injected_demotions} "
-                f"(definite verdicts must survive or demote, never flip)"
-            )
         if self.cache_check:
             rate = (
                 self.cache_hits / self.cache_lookups
@@ -250,8 +227,6 @@ def fuzz(
     config: OracleConfig | None = None,
     shrink: bool = True,
     extra=None,
-    inject_rate: float = 0.0,
-    inject_seed: int = 0,
     cache_check: bool = False,
     report_sink: dict | None = None,
 ) -> FuzzReport:
@@ -264,14 +239,6 @@ def fuzz(
     generators; ``extra`` injects additional engines (the tests use
     this to plant a deliberately broken decider and watch the pipeline
     catch it).
-
-    With ``inject_rate > 0`` every semistructured instance additionally
-    re-runs the portfolio engine under a deterministic fault plan
-    (seeded from ``inject_seed``, the sweep seed and the instance
-    index) and cross-checks the injected verdict against
-    the clean one: a definite verdict may survive or demote to UNKNOWN,
-    but a TRUE<->FALSE flip is recorded as a disagreement — the
-    soundness contract of the portfolio's fault handling.
 
     With ``cache_check=True`` every instance is additionally solved
     cold (no cache) and again through an in-process implication cache
@@ -299,15 +266,9 @@ def fuzz(
             f"unknown fragment(s) {unknown}; "
             f"have {sorted(FRAGMENT_GENERATORS)}"
         )
-    if not 0.0 <= inject_rate <= 1.0:
-        raise ValueError(f"inject rate {inject_rate} outside [0, 1]")
 
     report = FuzzReport(
-        seed=seed,
-        per_fragment=per_fragment,
-        inject_rate=inject_rate,
-        inject_seed=inject_seed,
-        cache_check=cache_check,
+        seed=seed, per_fragment=per_fragment, cache_check=cache_check
     )
     warm_cache = ImplicationCache() if cache_check else None
     if report_sink is not None:
@@ -343,18 +304,6 @@ def fuzz(
                             extra,
                         )
                     )
-                if inject_rate > 0.0:
-                    _injected_pass(
-                        report,
-                        stats,
-                        instance,
-                        verdicts,
-                        config,
-                        seed,
-                        index,
-                        inject_rate,
-                        inject_seed,
-                    )
                 if warm_cache is not None:
                     _cache_check_pass(
                         report, stats, instance, config, seed, index,
@@ -366,78 +315,6 @@ def fuzz(
         report.aborted = True
     report.elapsed = time.monotonic() - began
     return report
-
-
-def _injected_pass(
-    report: FuzzReport,
-    stats: FragmentStats,
-    instance: FragmentInstance,
-    verdicts: Sequence[EngineVerdict],
-    config: OracleConfig,
-    seed: int,
-    index: int,
-    rate: float,
-    inject_seed: int,
-) -> None:
-    """Re-run the portfolio engine under injected faults and compare.
-
-    The clean matrix already agreed with itself (any conflict was
-    recorded above), so the clean portfolio verdict stands in for the
-    oracle.  Acceptance: injected faults never flip a definite answer
-    — they may only demote it to UNKNOWN, and every demotion must be
-    accounted for by a recorded fault (or the sweep deadline).
-    """
-    if instance.context is not Context.SEMISTRUCTURED:
-        return  # injection targets the portfolio's engines
-    clean = next((v for v in verdicts if v.engine == "portfolio"), None)
-    if clean is None:
-        return
-    problem = ImplicationProblem(
-        instance.sigma, instance.phi, instance.context, schema=instance.schema
-    )
-    plan = FaultPlan.at_rate(
-        rate, inject_seed * 1_000_003 + seed * 10_007 + index * 101
-    )
-    result = run_portfolio(
-        problem,
-        config.solve_options(inject=plan),
-        budget=Budget(deadline=config.deadline),
-    )
-    report.injected_runs += 1
-    stats.injected_runs += 1
-    engines = ("portfolio", "portfolio+inject")
-    answers = (clean.answer.value, result.answer.value)
-    detail = f"plan={plan.describe()}; faults[{result.faults.describe()}]"
-    if (
-        clean.answer.is_definite
-        and result.answer.is_definite
-        and result.answer is not clean.answer
-    ):
-        kind = "injected-flip"
-    elif (
-        result.answer is Trilean.FALSE
-        and result.countermodel is not None
-        and not verify_countermodel(
-            result.countermodel, instance.sigma, instance.phi
-        )
-    ):
-        kind = "injected-bad-certificate"
-    elif clean.answer.is_definite and result.answer is Trilean.UNKNOWN:
-        report.injected_demotions += 1
-        stats.injected_demotions += 1
-        if not result.faults.clean or config.deadline is not None:
-            return
-        # A demotion with neither a recorded fault nor a deadline
-        # means the fault accounting lost an event.
-        kind = "unrecorded-fault"
-    else:
-        return
-    stats.disagreements += 1
-    report.disagreements.append(
-        _injected_record(
-            instance, kind, engines, answers, detail, seed, index
-        )
-    )
 
 
 def _cache_check_pass(
@@ -556,40 +433,6 @@ def _cache_record(
         kind=kind,
         engines=("cold-solve", engine),
         answers=(cold.answer.value, cached.answer.value),
-        detail=detail,
-        original_sigma=sigma,
-        original_phi=str(instance.phi),
-        shrunk_sigma=sigma,
-        shrunk_phi=str(instance.phi),
-        regression_test=test,
-    )
-
-
-def _injected_record(
-    instance: FragmentInstance,
-    kind: str,
-    engines: tuple[str, ...],
-    answers: tuple[str, ...],
-    detail: str,
-    seed: int,
-    index: int,
-) -> DisagreementRecord:
-    """A disagreement record for an injection finding (never shrunk —
-    reproduction needs the exact fault plan, which ``detail`` names)."""
-    sigma = _strs(instance.sigma)
-    test = (
-        f"# {kind}: reproduce with REPRO_INJECT='{detail.split(';')[0][5:]}'\n"
-        f"# fragment={instance.fragment} seed={seed} index={index}\n"
-        f"# sigma={list(sigma)!r}\n"
-        f"# phi={str(instance.phi)!r}\n"
-    )
-    return DisagreementRecord(
-        fragment=instance.fragment,
-        seed=seed,
-        index=index,
-        kind=kind,
-        engines=engines,
-        answers=answers,
         detail=detail,
         original_sigma=sigma,
         original_phi=str(instance.phi),

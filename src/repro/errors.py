@@ -68,17 +68,7 @@ class RuntimeFaultError(ReproError):
     """Base class for faults of the solver's execution machinery.
 
     These never signal anything about the implication instance itself
-    — only about the machinery that was computing it.  The portfolio
-    converts them into honest UNKNOWN contributions wherever soundness
-    allows; they surface as exceptions only when no sound degraded
-    answer exists.
-    """
-
-
-class RetryExhausted(RuntimeFaultError):
-    """An engine raised on its first attempt and on every retry.
-
-    Carries the final underlying exception as ``__cause__``.
+    — only about the machinery that was computing it.
     """
 
 
@@ -91,15 +81,6 @@ class HungSolveError(RuntimeFaultError):
     this error is the runtime's honest acknowledgement that a
     particular solve was abandoned, never evidence about the instance
     itself.  Callers receive UNKNOWN, never a fabricated verdict.
-    """
-
-
-class InjectedFault(RuntimeFaultError):
-    """A deliberate fault raised by the fault-injection layer.
-
-    Only ever raised when injection is explicitly enabled
-    (``repro imply --inject``, ``repro fuzz --inject-rate``, or a
-    :class:`repro.reasoning.faultinject.FaultPlan` passed in code).
     """
 
 

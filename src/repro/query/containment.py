@@ -39,7 +39,7 @@ deciders that answer the same cell's implications
 checks the M schema, Paths(Delta) and unsatisfiable premises); only
 the fallback builds its own, from Sigma's sound forward rules.  The
 product is on-the-fly (no explicit powerset), so query automata of
-the sizes real queries produce are cheap; a ``max_product_pairs``
+the sizes real queries produce are cheap; a :data:`MAX_PRODUCT_PAIRS`
 valve turns a pathological blow-up into UNKNOWN instead of an OOM.
 """
 
@@ -63,6 +63,13 @@ from repro.rewriting.prefix import PrefixRewriteSystem
 from repro.truth import Trilean
 from repro.types.siggen import SchemaSignature
 from repro.types.typesys import Schema
+
+#: Chase budget for confirming a FALSE witness on the fallback cell.
+WITNESS_CHASE_STEPS = 400
+
+#: Product pairs the containment search may visit before it answers
+#: UNKNOWN.
+MAX_PRODUCT_PAIRS = 200_000
 
 
 @dataclass(frozen=True)
@@ -181,9 +188,7 @@ class QueryContainmentChecker:
         jobs: int | str = "auto",
         deadline: float | None = None,
         options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
-        chase_steps: int = 400,
         enumeration_count: int = 64,
-        max_product_pairs: int = 200_000,
     ) -> None:
         self._sigma = tuple(sigma)
         self._context = (
@@ -201,9 +206,7 @@ class QueryContainmentChecker:
         self._jobs = jobs
         self._budget = Budget.from_seconds(deadline)
         self._options = options
-        self._chase_steps = chase_steps
         self._enumeration_count = enumeration_count
-        self._max_product_pairs = max_product_pairs
         #: Dispatcher traffic of the fallback path (benchmark fodder).
         self.stats = {"solve_calls": 0, "cache_hits": 0}
         self._alphabet = set()
@@ -285,7 +288,7 @@ class QueryContainmentChecker:
             witness = left_nfa.subset_witness(
                 covered,
                 extra_alphabet=self._alphabet,
-                max_pairs=self._max_product_pairs,
+                max_pairs=MAX_PRODUCT_PAIRS,
             )
         except RuntimeError as exc:
             return ContainmentResult(
@@ -363,7 +366,7 @@ class QueryContainmentChecker:
         outcome = chase(
             line_graph(witness.labels),
             list(self._sigma),
-            max_steps=self._chase_steps,
+            max_steps=WITNESS_CHASE_STEPS,
         )
         if not outcome.fixpoint:
             return False

@@ -19,13 +19,12 @@ their constraints.
 
 Every implication question is routed through
 :func:`repro.reasoning.dispatcher.solve`, so the optimizer inherits
-the cross-request cache, the cost-model dispatch, budgets and the
-fault taxonomy.  Implications the solver cannot settle (Sigma with
-equality-generating word constraints can defeat both the sound closure
-and the chase) are treated as *not proven*: the branch is kept
-conservatively and the unsettled question lands in
-``OptimizationReport.notes`` — a legal query plus a legal Sigma never
-crashes the optimizer.
+the cross-request cache and the deadline.  Implications the solver
+cannot settle (Sigma with equality-generating word constraints can
+defeat both the sound closure and the chase) are treated as *not
+proven*: the branch is kept conservatively and the unsettled question
+lands in ``OptimizationReport.notes`` — a legal query plus a legal
+Sigma never crashes the optimizer.
 
 For full regular patterns (not just unions of words),
 :func:`optimize_rpq_union` prunes subsumed and provably-empty branches

@@ -49,7 +49,6 @@ from repro.reasoning.dispatcher import (
 )
 from repro.reasoning.portfolio import Budget, run_portfolio
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.result import EngineStats, FaultEvent, FaultReport
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "DEFAULT_SOLVE_OPTIONS",
     "EngineStats",
     "FaultEvent",
-    "FaultPlan",
     "FaultReport",
     "ImplicationCache",
     "ImplicationResult",

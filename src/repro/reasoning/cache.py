@@ -97,10 +97,9 @@ class CacheInfo:
 
     ``status`` is a closed vocabulary: ``hit`` (verdict replayed),
     ``store`` (solved fresh, result now cached), ``miss`` (solved
-    fresh, result not cacheable — UNKNOWN or fault-degraded),
-    ``bypass`` (lookup deliberately skipped: fault injection active,
-    or the caller needs a fresh certificate).  ``tier`` names where a
-    hit came from (``memory``/``disk``) or where a store landed.
+    fresh, result not cacheable — UNKNOWN or fault-degraded).
+    ``tier`` names where a hit came from (``memory``/``disk``) or
+    where a store landed.
     """
 
     __slots__ = ("status", "key", "tier", "detail")
@@ -510,7 +509,6 @@ class ImplicationCache:
         self.hits_disk = 0
         self.misses = 0
         self.stores = 0
-        self.bypasses = 0
 
     # -- core protocol -------------------------------------------------
 
@@ -542,10 +540,6 @@ class ImplicationCache:
             return "disk"
         return "memory"
 
-    def note_bypass(self) -> None:
-        with self._lock:
-            self.bypasses += 1
-
     # -- maintenance ---------------------------------------------------
 
     def clear(self) -> int:
@@ -572,7 +566,6 @@ class ImplicationCache:
                 "hits_disk": self.hits_disk,
                 "misses": self.misses,
                 "stores": self.stores,
-                "bypasses": self.bypasses,
             }
         out = {"counters": counters, "memory": self.memory.stats()}
         if self.disk is not None:

@@ -293,10 +293,14 @@ def chase_implication(
                 "chase fixpoint is a finite model of Sigma violating phi",
             ),
         )
+    if outcome.steps < max_steps:
+        note = f"deadline stopped the chase after {outcome.steps} steps"
+    else:
+        note = f"chase budget of {max_steps} steps exhausted"
     return ImplicationResult(
         answer=Trilean.UNKNOWN,
         method="chase",
         decidable=False,
         certificate=outcome,
-        notes=(f"chase budget of {max_steps} steps exhausted",),
+        notes=(note,),
     )

@@ -319,10 +319,9 @@ def solve(
     clean runs are stored under the instance's alpha-invariant
     canonical key.  The key deliberately excludes every budget — a
     definite answer is a fact about the instance, not about the
-    budget that found it.  Lookups are bypassed under fault injection
-    (the point of an injected run is to exercise the fault paths) and
-    when ``with_proof`` asks for a certificate the entry cannot
-    replay; UNKNOWN and fault-degraded results are never stored.
+    budget that found it.  Lookups are skipped when ``with_proof``
+    asks for a certificate the entry cannot replay; UNKNOWN and
+    fault-degraded results are never stored.
     ``result.cache`` records what happened.
     """
     validate_jobs(jobs)
@@ -341,28 +340,21 @@ def solve(
         )
 
     form: CanonicalForm | None = None
-    bypass: CacheInfo | None = None
     if cache is not None:
-        if options.inject is not None:
-            cache.note_bypass()
-            bypass = CacheInfo("bypass", detail="fault injection active")
-        else:
-            form = canonicalize_problem(problem)
-            if not options.with_proof:
-                # Proof requests skip the lookup (entries store the
-                # certificate kind, not the proof object) but still
-                # store their definite answer below.
-                found = cache.lookup(form.key)
-                if found is not None:
-                    entry, tier = found
-                    result = _replay_cached(
-                        entry,
-                        form,
-                        CacheInfo("hit", key=form.key, tier=tier),
-                    )
-                    return _reconcile_with_table1(
-                        result, problem_class, problem.context
-                    )
+        form = canonicalize_problem(problem)
+        if not options.with_proof:
+            # Proof requests skip the lookup (entries store the
+            # certificate kind, not the proof object) but still store
+            # their definite answer below.
+            found = cache.lookup(form.key)
+            if found is not None:
+                entry, tier = found
+                result = _replay_cached(
+                    entry, form, CacheInfo("hit", key=form.key, tier=tier)
+                )
+                return _reconcile_with_table1(
+                    result, problem_class, problem.context
+                )
 
     if problem.context is Context.M:
         assert problem.schema is not None
@@ -389,8 +381,6 @@ def solve(
         # Undecidable cell: run the portfolio of semi-deciders.
         result = run_portfolio(problem, options, budget=budget)
 
-    if bypass is not None:
-        result.cache = bypass
-    elif form is not None and cache is not None:
+    if form is not None and cache is not None:
         result.cache = _store_fresh(cache, form, result)
     return _reconcile_with_table1(result, problem_class, problem.context)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.reasoning.chase import DEFAULT_CHASE_STEPS
-from repro.reasoning.faultinject import FaultPlan
 
 __all__ = ["DEFAULT_SOLVE_OPTIONS", "SolveOptions"]
 
@@ -27,9 +26,7 @@ class SolveOptions:
     ``chase_steps`` bounds the chase, ``countermodel_nodes`` the
     untyped counter-model search and ``typed_search_limit`` (at least
     1) the typed scan; ``with_proof`` asks decidable routes for an I_r
-    certificate.  ``inject`` is a deterministic fault plan (None: the
-    ``$REPRO_INJECT`` spec, usually empty; a plan also bypasses cache
-    lookups).
+    certificate.
     """
 
     allow_semidecision: bool = True
@@ -37,7 +34,6 @@ class SolveOptions:
     countermodel_nodes: int = 3
     typed_search_limit: int = 2_000
     with_proof: bool = False
-    inject: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.typed_search_limit < 1:

@@ -15,16 +15,15 @@ runs the two engines one after the other in the calling thread:
 * per-engine statistics (candidates examined, elapsed time, outcome)
   are surfaced on the returned :class:`ImplicationResult`.
 
-Each engine runs through an
-:class:`~repro.reasoning.runtime.EngineRunner`: an injected fault
-fires on the engine's first attempt, an engine that raises is
-retried, and one that fails every attempt forfeits its verdict.  Every
-event is recorded in the result's ``faults`` field.  Soundness is
-structural: TRUE/FALSE always rides on an independently verifiable
-certificate, and every counter-model a search reports is re-checked
-with the Definition 2.1 checker before FALSE is answered, so a fault
-can only ever demote an answer to UNKNOWN, never flip it.  The answer
-is a function of the instance and the budgets alone.
+Each engine is called once.  Both are deterministic functions of the
+instance and the budgets, so calling a raising engine again could only
+raise again: an engine that raises forfeits its verdict, with one
+``task-error`` event in the result's ``faults`` field, and the other
+engine's answer, or UNKNOWN, stands.  Soundness is structural:
+TRUE/FALSE always rides on an independently verifiable certificate,
+and every counter-model a search reports is re-checked with the
+Definition 2.1 checker before FALSE is answered, so a fault can only
+ever demote an answer to UNKNOWN, never flip it.
 
 Budgets: a :class:`Budget` carries one absolute ``time.monotonic()``
 deadline shared by both engines; expiry turns whichever engine is
@@ -37,10 +36,8 @@ import time
 from types import SimpleNamespace
 
 from repro.constraints.ast import PathConstraint
-from repro.errors import RetryExhausted
 from repro.graph.structure import Graph
 from repro.reasoning.chase import chase_implication
-from repro.reasoning.faultinject import plan_from_env
 from repro.reasoning.models import (
     _recheck,
     infer_alphabet,
@@ -48,8 +45,13 @@ from repro.reasoning.models import (
     scan_typed_instances,
 )
 from repro.reasoning.options import DEFAULT_SOLVE_OPTIONS, SolveOptions
-from repro.reasoning.result import EngineStats, ImplicationResult
-from repro.reasoning.runtime import Budget, EngineRunner
+from repro.reasoning.result import (
+    EngineStats,
+    FaultEvent,
+    FaultReport,
+    ImplicationResult,
+)
+from repro.reasoning.runtime import Budget
 from repro.truth import Trilean
 
 __all__ = ["Budget", "run_portfolio"]
@@ -70,19 +72,6 @@ TYPED_MAX_SET_SIZE = 2
 INLINE_EXECUTION = SimpleNamespace(mode=SimpleNamespace(value="inline"))
 
 
-def _chase_engine(
-    sigma: tuple[PathConstraint, ...],
-    phi: PathConstraint,
-    max_steps: int,
-    deadline: float | None,
-) -> tuple[ImplicationResult, float]:
-    began = time.perf_counter()
-    result = chase_implication(
-        sigma, phi, max_steps=max_steps, deadline=deadline
-    )
-    return result, time.perf_counter() - began
-
-
 def run_portfolio(
     problem,
     options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
@@ -92,7 +81,7 @@ def run_portfolio(
 
     ``problem`` is an :class:`repro.reasoning.dispatcher
     .ImplicationProblem` in an undecidable (fragment, context) cell;
-    ``options`` sets the engines' budgets and the fault plan (see
+    ``options`` sets the engines' budgets (see
     :class:`~repro.reasoning.options.SolveOptions`).  The chase runs,
     then, unless it settled the answer, the counter-model search.
     Every returned result carries per-engine :class:`EngineStats` and
@@ -104,7 +93,6 @@ def run_portfolio(
     from repro.reasoning.dispatcher import Context
 
     budget = budget or Budget()
-    plan = options.inject if options.inject is not None else plan_from_env()
     sigma = tuple(problem.sigma)
     phi = problem.phi
     untyped = problem.context is Context.SEMISTRUCTURED
@@ -118,21 +106,19 @@ def run_portfolio(
             else "no deadline"
         ),
     ]
-    if plan.active:
-        notes.append(f"fault injection active: {plan.describe()}")
-    runner = EngineRunner(plan)
+    events: list[FaultEvent] = []
 
-    chased, chase_stats = _chase(runner, sigma, phi, options, budget)
+    chased, chase_stats = _chase(events, sigma, phi, options, budget)
     if chased is not None and (
         chased.answer is Trilean.TRUE
         or (untyped and chased.answer.is_definite)
     ):
         result = _chase_win(chased, untyped, notes)
         result.stats = (chase_stats,)
-        result.faults = runner.fault_report(answered_by="chase")
+        result.faults = FaultReport(answered_by="chase")
     else:
         graph, certificate, search = _search(
-            runner, problem, sigma, phi, options, budget, untyped
+            events, problem, sigma, phi, options, budget, untyped
         )
         if graph is not None:
             result = ImplicationResult(
@@ -144,47 +130,52 @@ def run_portfolio(
                 countermodel=graph,
                 certificate=certificate,
                 notes=tuple(notes),
-                faults=runner.fault_report(answered_by=search.engine),
+                faults=FaultReport(tuple(events), answered_by=search.engine),
             )
         else:
             result = _unknown(chased, search, untyped, notes, options)
-            result.faults = runner.fault_report()
+            result.faults = FaultReport(tuple(events))
         result.stats = (chase_stats, search)
     result.execution = INLINE_EXECUTION
     return result
 
 
+def _forfeit(
+    events: list[FaultEvent], engine: str, exc: Exception
+) -> EngineStats:
+    """Record an engine that raised; its verdict is forfeit."""
+    detail = f"{type(exc).__name__}: {exc}"[:200]
+    events.append(FaultEvent("task-error", engine, detail))
+    return EngineStats(
+        engine=engine, outcome="failed", detail=type(exc).__name__
+    )
+
+
 def _chase(
-    runner: EngineRunner,
+    events: list[FaultEvent],
     sigma: tuple[PathConstraint, ...],
     phi: PathConstraint,
     options: SolveOptions,
     budget: Budget,
 ) -> tuple[ImplicationResult | None, EngineStats]:
-    """The chase's verdict (None if it failed every attempt) and stats."""
+    """The chase's verdict (None if it raised) and stats."""
+    began = time.perf_counter()
     try:
-        chased, elapsed = runner.run(
-            "chase",
-            _chase_engine,
-            sigma,
-            phi,
-            options.chase_steps,
-            budget.deadline,
+        chased = chase_implication(
+            sigma, phi, max_steps=options.chase_steps, deadline=budget.deadline
         )
-    except RetryExhausted as exc:
-        return None, EngineStats(
-            engine="chase", outcome="failed", detail=type(exc).__name__
-        )
+    except Exception as exc:  # noqa: BLE001 - a raising engine forfeits
+        return None, _forfeit(events, "chase", exc)
     return chased, EngineStats(
         engine="chase",
         outcome=chased.answer.value,
         candidates=getattr(chased.certificate, "steps", 0),
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - began,
     )
 
 
 def _search(
-    runner: EngineRunner,
+    events: list[FaultEvent],
     problem,
     sigma: tuple[PathConstraint, ...],
     phi: PathConstraint,
@@ -196,25 +187,17 @@ def _search(
     typed hit's instance, and its stats."""
     began = time.perf_counter()
     engine = "countermodel" if untyped else "typed-countermodel"
-    graph = instance = None
     try:
         if untyped:
-            report = runner.run(
-                engine,
-                scan_codes,
+            report = scan_codes(
                 sigma,
                 phi,
                 infer_alphabet(sigma, phi),
                 options.countermodel_nodes,
                 budget.deadline,
             )
-            examined, detail = report.states, f"states={report.states}"
-            if report.graph is not None:
-                graph = _recheck(report.graph, sigma, phi)
         else:
-            report = runner.run(
-                engine,
-                scan_typed_instances,
+            report = scan_typed_instances(
                 problem.schema,
                 sigma,
                 phi,
@@ -223,18 +206,23 @@ def _search(
                 options.typed_search_limit,
                 budget.deadline,
             )
-            examined, detail = report.examined, f"screens={report.screens}"
-            graph, instance = report.graph, report.instance
-    except RetryExhausted:
-        # The search is unexplored: the same honest UNKNOWN as budget
-        # expiry, with the fault recorded by the runner.
-        outcome, examined = "faulted", 0
-        detail = "states=0" if untyped else "screens=0"
-    else:
+    except Exception as exc:  # noqa: BLE001 - a raising engine forfeits
+        return None, None, _forfeit(events, engine, exc)
+    if untyped:
+        examined, detail = report.states, f"states={report.states}"
+        instance = None
+        # A hit the Definition 2.1 checker rejects is an evaluator
+        # drift, not an engine fault: it raises.
+        graph = report.graph
         if graph is not None:
-            outcome = "hit"
-        else:
-            outcome = "exhausted" if report.exhausted else "budget"
+            graph = _recheck(graph, sigma, phi)
+    else:
+        examined, detail = report.examined, f"screens={report.screens}"
+        graph, instance = report.graph, report.instance
+    if graph is not None:
+        outcome = "hit"
+    else:
+        outcome = "exhausted" if report.exhausted else "budget"
     stats = EngineStats(
         engine=engine,
         outcome=outcome,
@@ -269,20 +257,15 @@ def _unknown(
     notes: list[str],
     options: SolveOptions,
 ) -> ImplicationResult:
-    if search.outcome == "faulted":
-        notes.append(
-            "countermodel search failed every attempt; the unexplored "
-            "region is treated like budget expiry"
-        )
+    if search.outcome == "failed":
+        notes.append("countermodel search raised; its verdict is forfeit")
     elif untyped and search.outcome == "budget":
         notes.append(
             f"countermodel search stopped by budget before exhausting "
             f"{options.countermodel_nodes}-node bound"
         )
     if chased is None:
-        notes.append(
-            "chase engine failed every attempt; its verdict is forfeit"
-        )
+        notes.append("chase raised; its verdict is forfeit")
         extra: tuple[str, ...] = ()
     elif not untyped and chased.answer is Trilean.FALSE:
         # The fixpoint is an untyped model, no U_f(Delta) instance.

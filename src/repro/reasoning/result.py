@@ -27,9 +27,9 @@ class EngineStats:
     ``candidates`` means chase steps for the proof engine and examined
     candidates for the counter-model engines; ``outcome`` is the
     engine's own verdict (``true``/``false``/``unknown`` for the
-    chase, or ``failed`` when every attempt raised;
-    ``hit``/``exhausted``/``budget`` for the searches, or
-    ``faulted``), independent of which engine answered.
+    chase, ``hit``/``exhausted``/``budget`` for the searches, and
+    ``failed`` for either when it raised), independent of which engine
+    answered.
     """
 
     engine: str
@@ -49,25 +49,19 @@ class EngineStats:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One fault observed (and survived) during a portfolio run.
+    """One fault observed (and survived) during a solve.
 
-    ``kind`` is a closed vocabulary: ``task-error`` (an engine
-    attempt raised), ``task-retry`` (the engine ran again),
-    ``retry-exhausted`` (every attempt failed; the engine abstains),
-    ``injected`` (a deliberate fault from the injection layer fired).
-    The daemon adds ``hung_solve`` to the wire record of a solve its
-    watchdog abandoned.
+    ``kind`` is a closed vocabulary: ``task-error`` (an engine raised
+    and forfeited its verdict) and ``hung_solve``, which the daemon
+    adds to the wire record of a solve its watchdog abandoned.
     """
 
     kind: str
     engine: str
-    attempt: int = 0
     detail: str = ""
 
     def describe(self) -> str:
         text = f"{self.kind}@{self.engine}"
-        if self.attempt:
-            text += f"#{self.attempt}"
         if self.detail:
             text += f" ({self.detail})"
         return text
@@ -81,13 +75,10 @@ class FaultReport:
     clean run).  ``answered_by`` names the engine whose certificate
     ultimately decided the answer (empty for UNKNOWN); it is recorded
     even on clean portfolio runs so callers can audit which engine a
-    faulted run trusted.  ``degradations`` is always 0: it stays in
-    the wire shape for existing clients.
+    faulted run trusted.
     """
 
     events: tuple[FaultEvent, ...] = ()
-    retries: int = 0
-    degradations: int = 0
     answered_by: str = ""
 
     @property
@@ -96,24 +87,15 @@ class FaultReport:
         return not self.events
 
     def describe(self) -> str:
-        parts = [f"retries={self.retries}"]
-        if self.answered_by:
-            parts.append(f"answered_by={self.answered_by}")
+        parts = [f"answered_by={self.answered_by}"] if self.answered_by else []
         parts.extend(event.describe() for event in self.events)
         return ", ".join(parts)
 
     def to_dict(self) -> dict:
         return {
-            "retries": self.retries,
-            "degradations": self.degradations,
             "answered_by": self.answered_by,
             "events": [
-                {
-                    "kind": e.kind,
-                    "engine": e.engine,
-                    "attempt": e.attempt,
-                    "detail": e.detail,
-                }
+                {"kind": e.kind, "engine": e.engine, "detail": e.detail}
                 for e in self.events
             ],
         }

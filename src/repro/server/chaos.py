@@ -1,20 +1,18 @@
 """Deterministic wire-level chaos for the implication service.
 
-:mod:`repro.reasoning.faultinject` exercises the *solver*'s fault
-paths; this module does the same for the *service* layer — the
+This module exercises the fault paths of the *service* layer — the
 socket, the framing, the client's retry/failover loop, the daemon's
-hostile-input handling — with the same discipline: every fault is
-seeded and replayable, and the acceptance property is identical (a
-fault may demote an answer to UNKNOWN or cost a retry, but may never
-flip a definite verdict).
+hostile-input handling.  Every fault is seeded and replayable, and
+the acceptance property is the solver's own: a fault may demote an
+answer to UNKNOWN or cost a retry, but may never flip a definite
+verdict.
 
 Three pieces:
 
-* :class:`ChaosPlan` — the spec grammar and seeded draw of
-  :class:`~repro.reasoning.faultinject.FaultPlan`, mapping *connection
-  ordinals* (accept order) to wire faults: targeted clauses like
-  ``drop:3`` or ``delay:2:0.5``, and rate clauses ``rate:0.3[:seed]``
-  drawing a fault kind per ordinal from a seeded PRNG.
+* :class:`ChaosPlan` — a deterministic map from *connection ordinals*
+  (accept order) to wire faults: targeted clauses like ``drop:3`` or
+  ``delay:2:0.5``, and rate clauses ``rate:0.3[:seed]`` drawing a
+  fault kind per ordinal from a seeded PRNG.
 * :class:`ChaosProxy` — a threaded TCP proxy between a real client
   and a real daemon that perpetrates the planned fault on each
   connection.  Faults live on the wire, not in mocks, so both ends'
@@ -52,28 +50,97 @@ import random
 import socket
 import threading
 import time
+from dataclasses import dataclass
 
-from repro.reasoning.faultinject import SEED_STRIDE, FaultAction, OrdinalPlan
 from repro.server.daemon import ImplicationServer, ServerConfig
 
-#: All wire fault kinds; rate plans draw from all of them (unlike
-#: solver-side rate plans, none of these can wedge a sweep — every
-#: kind resolves in bounded time).
+#: All wire fault kinds; rate plans draw from all of them (none of
+#: them can wedge a sweep — every kind resolves in bounded time).
 CHAOS_KINDS = ("drop", "close", "partial", "garbage", "delay")
 
+#: Golden-ratio multiplier decorrelating per-ordinal PRNG streams.
+SEED_STRIDE = 0x9E3779B1
 
-class ChaosPlan(OrdinalPlan):
+#: Seconds a rate-drawn ``delay`` trickles the request.
+RATE_DELAY = 0.1
+
+
+@dataclass(frozen=True)
+class FaultAction:
+    """What (if anything) to do to one connection."""
+
+    kind: str = "none"
+    param: float = 0.0
+
+    @property
+    def fires(self) -> bool:
+        return self.kind != "none"
+
+
+@dataclass(frozen=True)
+class ChaosPlan:
     """A deterministic map from connection ordinal to wire fault.
 
-    The :class:`~repro.reasoning.faultinject.FaultPlan` grammar and
-    seeded draw over the wire kinds: comma-separated clauses, each
-    ``KIND:ORDINAL[:PARAM]`` or ``rate:R[:SEED]``; a rate-drawn
-    ``delay`` trickles for 0.1 s.
+    The grammar: comma-separated clauses, each targeted
+    (``KIND:ORDINAL[:PARAM]``) or a rate clause (``rate:R[:SEED]``)
+    that draws a kind per ordinal from a seeded PRNG.  A targeted
+    clause wins over the rate for its ordinal.
     """
 
-    KINDS = {kind: (0, 1) for kind in CHAOS_KINDS}
-    RATE_KINDS = CHAOS_KINDS
-    RATE_DELAY = 0.1
+    targeted: tuple[tuple[int, FaultAction], ...] = ()
+    rate: float = 0.0
+    seed: int = 0
+
+    @classmethod
+    def from_spec(cls, spec: str) -> "ChaosPlan":
+        """Parse ``drop:3,delay:2:0.5,...`` or ``rate:0.3[:seed]``.
+
+        Raises :class:`ValueError` on malformed specs — chaos is a
+        testing instrument; silently ignoring a typo would mean
+        silently not testing what the caller asked for.
+        """
+        spec = spec.strip()
+        targeted: list[tuple[int, FaultAction]] = []
+        rate, seed = 0.0, 0
+        for clause in spec.split(",") if spec else ():
+            kind, *args = (f.strip() for f in clause.split(":"))
+            if kind == "rate":
+                if len(args) not in (1, 2):
+                    raise ValueError(
+                        f"bad rate spec {clause!r}: expected rate:R[:SEED]"
+                    )
+                rate = float(args[0])
+                if not 0.0 <= rate <= 1.0:
+                    raise ValueError(f"fault rate {rate} outside [0, 1]")
+                seed = int(args[1]) if len(args) == 2 else 0
+            elif kind not in CHAOS_KINDS:
+                raise ValueError(
+                    f"unknown fault kind {kind!r}; "
+                    f"have {(*CHAOS_KINDS, 'rate')}"
+                )
+            elif len(args) not in (1, 2):
+                raise ValueError(
+                    f"bad {kind} spec {clause!r}: expected "
+                    f"{kind}:ORDINAL[:PARAM]"
+                )
+            else:
+                param = float(args[1]) if len(args) == 2 else 0.0
+                targeted.append((int(args[0]), FaultAction(kind, param)))
+        return cls(tuple(targeted), rate, seed)
+
+    def action_for(self, ordinal: int) -> FaultAction:
+        """The (deterministic) action for ``ordinal``."""
+        for target, action in self.targeted:
+            if target == ordinal:
+                return action
+        if self.rate > 0.0:
+            rng = random.Random(self.seed * SEED_STRIDE + ordinal)
+            if rng.random() < self.rate:
+                kind = rng.choice(CHAOS_KINDS)
+                return FaultAction(
+                    kind, RATE_DELAY if kind == "delay" else 0.0
+                )
+        return FaultAction()
 
 
 class ChaosProxy:

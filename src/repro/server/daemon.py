@@ -37,9 +37,9 @@ Robustness properties, in order of the request path:
   empty the daemon flushes cache counters and exits 0 under the
   established exit-code contract.
 
-Faults never hide: ``result.faults`` (including injected ones) travels
-over the wire verbatim, so a degraded answer is as auditable remotely
-as locally.
+Faults never hide: ``result.faults`` (an engine that raised, a solve
+the watchdog abandoned) travels over the wire verbatim, so a degraded
+answer is as auditable remotely as locally.
 """
 
 from __future__ import annotations
@@ -98,8 +98,7 @@ class ServerConfig:
     port: int = 0
     max_queue: int = 64
     solver_threads: int = 2
-    #: How every solve runs — ``imply`` and ``query`` alike: fault
-    #: injection (``inject`` also disables cache lookups) among them.
+    #: How every solve runs — ``imply`` and ``query`` alike.
     solve: SolveOptions = DEFAULT_SOLVE_OPTIONS
     #: Passed to ``solve()``, which validates it and runs in-process at
     #: any value; an ``imply`` request may override it.
@@ -109,11 +108,10 @@ class ServerConfig:
     default_budget_ms: int | None = None
     cache: ImplicationCache | None = None
     #: Honor the ``delay_ms`` and ``wedge`` request fields (testing
-    #: instruments for queue/drain/watchdog behavior, like
-    #: ``--inject`` is for fault paths).  ``delay_ms`` sleeps until it
-    #: ends or the deadline passes, as a solve polling its deadline
-    #: would; ``wedge`` ignores the deadline, modelling a solve that
-    #: stopped cooperating.
+    #: instruments for queue/drain/watchdog behavior).  ``delay_ms``
+    #: sleeps until it ends or the deadline passes, as a solve polling
+    #: its deadline would; ``wedge`` ignores the deadline, modelling a
+    #: solve that stopped cooperating.
     allow_delay: bool = False
     #: Write the bound port here after startup (atomic), for smoke
     #: tests and supervisors that start the daemon on port 0.

@@ -60,6 +60,7 @@ import json
 from typing import Any
 
 from repro.errors import ProtocolError
+from repro.reasoning.result import FaultEvent, FaultReport
 
 #: Bump on incompatible wire-format changes; both ends check it.
 PROTOCOL_VERSION = 1
@@ -193,24 +194,12 @@ def hung_response(request_id: Any, reason: str) -> dict:
 
     Same ``rejected``/UNKNOWN shape as a dead-budget rejection — a
     hung solve proves nothing about the instance — plus a ``faults``
-    record carrying the ``hung_solve`` event (the wire shape of
-    :meth:`repro.reasoning.result.FaultReport.to_dict`), so the
-    abandonment is as auditable remotely as an engine fault is.
+    record carrying the ``hung_solve`` event, so the abandonment is as
+    auditable remotely as an engine fault is.
     """
     out = rejected_response(request_id, reason)
-    out["faults"] = {
-        "retries": 0,
-        "degradations": 0,
-        "answered_by": "",
-        "events": [
-            {
-                "kind": "hung_solve",
-                "engine": "watchdog",
-                "attempt": 0,
-                "detail": reason[:200],
-            }
-        ],
-    }
+    event = FaultEvent("hung_solve", "watchdog", reason[:200])
+    out["faults"] = FaultReport(events=(event,)).to_dict()
     return out
 
 

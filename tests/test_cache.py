@@ -4,9 +4,8 @@ Ground rules under test (see ``repro/reasoning/cache.py``):
 
 * a hit replays the stored verdict — including an alpha-renamed
   counter-model that re-verifies against the *current* instance;
-* UNKNOWN and fault-degraded results are never stored; fault
-  injection bypasses the cache entirely; ``with_proof`` always solves
-  fresh (but still stores);
+* UNKNOWN and fault-degraded results are never stored; ``with_proof``
+  always solves fresh (but still stores);
 * the disk tier survives corruption (quarantine + warning, never a
   crash) and concurrent writers (atomic rename);
 * version stamps invalidate stale entries;
@@ -41,7 +40,6 @@ from repro.reasoning.cache import (
     version_tag,
 )
 from repro.reasoning.canonical import canonicalize_problem, rename_constraint
-from repro.reasoning.faultinject import FaultPlan
 from repro.truth import Trilean
 
 
@@ -124,16 +122,21 @@ class TestMemoryTier:
         assert starved.cache.status == "hit"
         assert starved.answer is Trilean.TRUE
 
-    def test_fault_injection_bypasses_cache(self):
+    def test_fault_degraded_answer_is_not_stored(self, monkeypatch):
+        # The chase raises and forfeits; the search's FALSE stands but
+        # is not stored, since the run was not clean.
+        from repro.reasoning import portfolio
+
+        def broken_chase(*args, **kwargs):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(portfolio, "chase_implication", broken_chase)
         cache = ImplicationCache()
-        solve(_true_problem(), cache=cache)  # warm
-        injected = solve(
-            _true_problem(),
-            SolveOptions(inject=FaultPlan.from_spec("raise:99")),
-            cache=cache,
-        )
-        assert injected.cache.status == "bypass"
-        assert cache.stats()["counters"]["bypasses"] == 1
+        degraded = solve(_false_problem(), cache=cache)
+        assert degraded.answer is Trilean.FALSE
+        assert degraded.faults.answered_by == "countermodel"
+        assert degraded.cache.status == "miss"
+        assert cache.stats()["counters"]["stores"] == 0
 
     def test_with_proof_solves_fresh_but_stores(self):
         cache = ImplicationCache()

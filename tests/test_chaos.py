@@ -5,8 +5,8 @@ half-frames, injected garbage, slow-loris trickle — perpetrated
 between a production client and a production daemon, so both ends'
 error paths (reconnect, resync, retry, hostile-input rejection) run
 for real.  The invariant under every fault is the same one the solver
-runtime promises under injected worker faults: a definite verdict may
-be delayed or demoted to UNKNOWN, never flipped.
+promises when an engine raises: a definite verdict may be delayed or
+demoted to UNKNOWN, never flipped.
 """
 
 from __future__ import annotations

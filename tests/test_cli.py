@@ -120,6 +120,9 @@ class TestImply:
         out = capsys.readouterr().out
         assert rc == 2  # UNKNOWN exit code
         assert "answer:     unknown" in out
+        # The deadline stopped the chase, not its step budget.
+        assert "note:       deadline stopped the chase after 0 steps" in out
+        assert "steps exhausted" not in out
 
     def test_missing_schema_for_typed_context(self, workspace):
         _, _, sigma = workspace
@@ -218,24 +221,24 @@ class TestImplyExitCodesAndHints:
         assert "use --dump-countermodel to save" not in out
         assert f"written to {dump}" in out
 
-    def test_jobs_warning_on_decidable_cell(self, tmp_path, capsys):
-        words = tmp_path / "w.txt"
-        words.write_text("a => b\n")
-        rc = main(["imply", str(words), "a.c => b.c", "--jobs", "4"])
-        err = capsys.readouterr().err
-        assert rc == 0
-        assert "warning: --jobs ignored" in err
-
     def test_no_jobs_warning_on_undecidable_cell(self, workspace, capsys):
-        _, _, sigma = workspace
-        rc = main(
-            [
-                "imply", sigma, "person :: wrote ~> author",
-                "--jobs", "2", "--deadline", "10",
-            ]
-        )
-        assert rc == 0
-        assert "warning:" not in capsys.readouterr().err
+        # --jobs changes nothing on any cell, so it warns on none: the
+        # undecidable P_c cell, and the decidable P_w one.
+        tmp, _, sigma = workspace
+        words = tmp / "w.txt"
+        words.write_text("a => b\n")
+        for constraints, query in (
+            (sigma, "person :: wrote ~> author"),
+            (str(words), "a.c => b.c"),
+        ):
+            rc = main(
+                [
+                    "imply", constraints, query,
+                    "--jobs", "2", "--deadline", "10",
+                ]
+            )
+            assert rc == 0
+            assert "warning:" not in capsys.readouterr().err
 
     def test_deadline_honored_on_word_cell_no_warning(
         self, tmp_path, capsys
@@ -399,7 +402,6 @@ PARSER_DEFAULTS = {
         "context": "semistructured",
         "deadline": None,
         "dump_countermodel": None,
-        "inject": None,
         "jobs": "1",
         "no_cache": False,
         "query": "q",
@@ -413,7 +415,6 @@ PARSER_DEFAULTS = {
         "command": "serve",
         "deadline": None,
         "host": "127.0.0.1",
-        "inject": None,
         "jobs": "auto",
         "max_queue": 64,
         "no_cache": False,
@@ -450,9 +451,6 @@ PARSER_DEFAULTS = {
     },
 }
 
-RUNTIME_FLAGS = ["--inject", "delay:0:0.01"]
-
-
 class TestSolveFlags:
     @pytest.mark.parametrize(
         "argv", sorted(PARSER_DEFAULTS), ids=" ".join
@@ -470,7 +468,6 @@ class TestSolveFlags:
         import repro.cli as cli
         import repro.server as server
         from repro.reasoning import SolveOptions
-        from repro.reasoning.faultinject import FaultPlan
 
         seen = {}
         real_solve = cli.solve
@@ -490,22 +487,9 @@ class TestSolveFlags:
         monkeypatch.setattr(server, "ImplicationServer", FakeServer)
         words = tmp_path / "w.txt"
         words.write_text("a => b\n")
-        assert main(
-            ["imply", str(words), "a => b", "--no-cache", *RUNTIME_FLAGS]
-        ) == 0
-        assert main(["serve", "--no-cache", *RUNTIME_FLAGS]) == 0
-        assert seen["imply"] == seen["serve"] == SolveOptions(
-            inject=FaultPlan.from_spec("delay:0:0.01"),
-        )
-
-    def test_runtime_flag_defaults_are_the_options_defaults(self):
-        from repro.cli import _solve_options, build_parser
-        from repro.reasoning import DEFAULT_SOLVE_OPTIONS
-
-        parser = build_parser()
-        for argv in (["imply", "s", "q"], ["serve"]):
-            args = parser.parse_args(argv)
-            assert _solve_options(args) == DEFAULT_SOLVE_OPTIONS
+        assert main(["imply", str(words), "a => b", "--no-cache"]) == 0
+        assert main(["serve", "--no-cache"]) == 0
+        assert seen["imply"] == seen["serve"] == SolveOptions()
 
     def test_serve_without_solver_threads_exits_three(
         self, monkeypatch, capsys

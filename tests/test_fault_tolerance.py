@@ -1,13 +1,13 @@
-"""Fault-tolerance stress tests: injected faults on real solves.
+"""Fault-tolerance stress tests: engines that raise, on real solves.
 
 The acceptance properties of the portfolio's fault handling,
-exercised end-to-end:
+exercised end-to-end by monkeypatching an engine to raise:
 
-* injected faults can demote definite answers to UNKNOWN but never
-  flip them, and every degraded solve carries a populated ``faults``
-  record;
-* a hostile fault plan surfaces as a clean result or a typed
-  :class:`~repro.errors.ReproError`, never a bare exception;
+* an engine that raises is called once and forfeits its verdict; the
+  fault can demote a definite answer to UNKNOWN but never flip it,
+  and every demotion carries a ``task-error`` event (the forfeit
+  sweep over the fuzz instances and the Section 5.2 monoid images);
+* raising engines surface as a clean result, never a bare exception;
 * ``KeyboardInterrupt`` mid-sweep still yields the partial fuzz
   report, written atomically.
 
@@ -15,20 +15,26 @@ All tests are ``stress``-marked (``scripts/bench.sh`` selects the
 marker explicitly); they are kept fast enough to also run in tier-1.
 """
 
+import importlib.util
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
-from repro.errors import ReproError
+from repro.diffcheck.generators import FRAGMENT_GENERATORS, generate_instance
+from repro.diffcheck.oracles import OracleConfig, verify_countermodel
 from repro.reasoning import Context, ImplicationProblem, SolveOptions
-from repro.reasoning.faultinject import FaultPlan
+from repro.reasoning import portfolio
 from repro.reasoning.portfolio import run_portfolio
+from repro.reductions import encode_mplus
 from repro.truth import Trilean
 
 pytestmark = pytest.mark.stress
 
 # The chase reaches a fixpoint on this instance after 3 repairs, and a
 # 3-node counter-model exists, so the portfolio answers FALSE through
-# either engine and must keep that answer under any injected fault.
+# either engine and must keep that answer when either one raises.
 DIVERGENT_SIGMA = (
     "() => K\n"
     "K :: () => a.a.a\n"
@@ -44,6 +50,10 @@ def _divergent_problem():
         parse_constraint(DIVERGENT_PHI),
         Context.SEMISTRUCTURED,
     )
+
+
+def _broken(*args, **kwargs):
+    raise ValueError("engine bug")
 
 
 class TestInterruptAndTeardown:
@@ -74,82 +84,158 @@ class TestInterruptAndTeardown:
 
 
 class TestInjectionSoundness:
-    def test_injected_faults_never_flip_the_fuzzer(self):
-        from repro.diffcheck import fuzz
-
-        report = fuzz(
-            seed=5,
-            per_fragment=3,
-            fragments=["P_c"],
-            shrink=False,
-            inject_rate=0.4,
-            inject_seed=5,
-        )
-        assert report.injected_runs > 0
-        flips = [
-            d for d in report.disagreements
-            if d.kind in {"injected-flip", "unrecorded-fault"}
+    def test_imply_with_injection_never_leaks_pool_errors(
+        self, monkeypatch
+    ):
+        # Both engines raise: the outcome is a clean UNKNOWN with both
+        # faults recorded — never a bare exception.
+        monkeypatch.setattr(portfolio, "chase_implication", _broken)
+        monkeypatch.setattr(portfolio, "scan_codes", _broken)
+        result = run_portfolio(_divergent_problem())
+        assert result.answer is Trilean.UNKNOWN
+        assert [(e.kind, e.engine) for e in result.faults.events] == [
+            ("task-error", "chase"),
+            ("task-error", "countermodel"),
         ]
-        assert not flips, [d.to_dict() for d in flips]
-
-    def test_imply_with_injection_never_leaks_pool_errors(self):
-        # A hostile plan on both engines: every outcome must be a clean
-        # ImplicationResult or a typed ReproError — never a bare one.
-        plan = FaultPlan.from_spec("raise:0,delay:1:0.05")
-        try:
-            result = run_portfolio(
-                _divergent_problem(), SolveOptions(inject=plan)
-            )
-        except ReproError:
-            pass  # typed failure is an acceptable outcome
-        else:
-            assert result.answer in (
-                Trilean.FALSE,
-                Trilean.UNKNOWN,
-            )
-            if result.answer is Trilean.FALSE:
-                assert result.countermodel is not None or (
-                    result.certificate is not None
-                    or result.faults.answered_by == "chase"
-                )
-            assert "injected" in {e.kind for e in result.faults.events}
+        assert [s.outcome for s in result.stats] == ["failed", "failed"]
 
 
 class TestEngineFailure:
-    """An engine that raises on every attempt forfeits its verdict."""
+    """An engine that raises forfeits its verdict."""
 
-    def test_failing_search_ends_as_unknown(self, monkeypatch):
-        from repro.reasoning import portfolio
+    @pytest.mark.parametrize("engine", ["chase_implication", "scan_codes"])
+    def test_raising_engine_is_called_once(self, engine, monkeypatch):
+        calls: list[threading.Thread] = []
 
-        def broken_scan(*args):
+        def counting(*args, **kwargs):
+            calls.append(threading.current_thread())
             raise ValueError("engine bug")
 
-        monkeypatch.setattr(portfolio, "scan_codes", broken_scan)
+        monkeypatch.setattr(portfolio, engine, counting)
+        result = run_portfolio(
+            _divergent_problem(), SolveOptions(chase_steps=1)
+        )
+        assert calls == [threading.current_thread()]
+        assert [e.kind for e in result.faults.events] == ["task-error"]
+
+    def test_failing_search_ends_as_unknown(self, monkeypatch):
+        monkeypatch.setattr(portfolio, "scan_codes", _broken)
         result = run_portfolio(
             _divergent_problem(), SolveOptions(chase_steps=1)
         )
         assert result.answer is Trilean.UNKNOWN
         search = next(s for s in result.stats if s.engine == "countermodel")
-        assert search.outcome == "faulted"
-        kinds = [e.kind for e in result.faults.events]
-        assert kinds.count("task-error") == 3
-        assert kinds[-1] == "retry-exhausted"
-        assert result.faults.retries == 2
-        assert any("failed every attempt" in n for n in result.notes)
+        assert search.outcome == "failed"
+        assert search.detail == "ValueError"
+        assert result.faults.events[0].describe() == (
+            "task-error@countermodel (ValueError: engine bug)"
+        )
+        assert len(result.faults.events) == 1
+        assert any("countermodel search raised" in n for n in result.notes)
 
     def test_failing_chase_leaves_the_search_to_answer(self, monkeypatch):
-        from repro.reasoning import portfolio
-
-        def broken_chase(*args, **kwargs):
-            raise ValueError("engine bug")
-
-        monkeypatch.setattr(portfolio, "chase_implication", broken_chase)
+        monkeypatch.setattr(portfolio, "chase_implication", _broken)
         result = run_portfolio(_divergent_problem())
         assert result.answer is Trilean.FALSE
         assert result.faults.answered_by == "countermodel"
         chase = next(s for s in result.stats if s.engine == "chase")
         assert chase.outcome == "failed"
-        assert chase.detail == "RetryExhausted"
+        assert chase.detail == "ValueError"
+
+
+def _semistructured_problems(seed: int, per_fragment: int = 30):
+    """Every semistructured instance of ``repro fuzz --seed SEED
+    --per-fragment 30``, decidable cells included."""
+    for fragment in FRAGMENT_GENERATORS:
+        for index in range(per_fragment):
+            instance = generate_instance(fragment, seed, index)
+            if instance.context is Context.SEMISTRUCTURED:
+                yield ImplicationProblem(instance.sigma, instance.phi), (
+                    lambda graph, i=instance: verify_countermodel(
+                        graph, i.sigma, i.phi
+                    )
+                )
+
+
+def _monoid_corpus():
+    """``MONOID_CORPUS`` of ``benchmarks/_workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "_workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MONOID_CORPUS
+
+
+def _monoid_image_problems():
+    """The Section 5.2 images of both test pairs of every corpus
+    presentation, both directions, in M+ and M+_f."""
+    for _name, presentation, equal, unequal in _monoid_corpus():
+        encoding = encode_mplus(presentation)
+        for left, right in (equal, unequal):
+            for alpha, beta in ((left, right), (right, left)):
+                for context in (Context.M_PLUS, Context.M_PLUS_FINITE):
+                    yield ImplicationProblem(
+                        encoding.sigma,
+                        encoding.test_constraint(alpha, beta),
+                        context,
+                        schema=encoding.schema,
+                    ), (
+                        lambda graph, e=encoding, a=alpha, b=beta: (
+                            e.verify_countermodel(graph, a, b)
+                        )
+                    )
+
+
+def _forfeit_sweep(problems, engines, options, monkeypatch) -> dict:
+    """Solve each problem clean, then with each engine raising in turn.
+
+    Asserts that no fault flips a definite answer, that every FALSE
+    carries a counter-model that re-verifies, and that every demotion
+    to UNKNOWN carries a ``task-error`` event; returns the demotions
+    per broken engine.
+    """
+    demotions = dict.fromkeys(engines, 0)
+    for problem, verifies in problems:
+        clean = run_portfolio(problem, options)
+        for engine in engines:
+            with monkeypatch.context() as patch:
+                patch.setattr(portfolio, engine, _broken)
+                broken = run_portfolio(problem, options)
+            where = f"{engine} broken on {problem.phi} ({problem.context})"
+            if broken.answer.is_definite:
+                assert broken.answer is clean.answer, where
+            if broken.answer is Trilean.FALSE:
+                assert broken.countermodel is not None, where
+                assert verifies(broken.countermodel), where
+            if clean.answer.is_definite and not broken.answer.is_definite:
+                demotions[engine] += 1
+                kinds = [e.kind for e in broken.faults.events]
+                assert kinds == ["task-error"], where
+    return demotions
+
+
+class TestForfeitSweep:
+    """A raising engine only ever demotes: the fuzz instances and the
+    monoid images, with each engine broken in turn."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fuzz_instances_never_flip(self, seed, monkeypatch):
+        demotions = _forfeit_sweep(
+            _semistructured_problems(seed),
+            ("chase_implication", "scan_codes"),
+            OracleConfig().solve_options(),
+            monkeypatch,
+        )
+        assert all(demotions.values()), demotions
+
+    def test_monoid_images_never_flip(self, monkeypatch):
+        demotions = _forfeit_sweep(
+            _monoid_image_problems(),
+            ("chase_implication", "scan_typed_instances"),
+            SolveOptions(),
+            monkeypatch,
+        )
+        assert all(demotions.values()), demotions
 
 
 class TestAtomicReport:

@@ -13,7 +13,6 @@ from repro.reasoning import (
     SolveOptions,
     solve,
 )
-from repro.reasoning.faultinject import FaultPlan
 from repro.truth import Trilean
 
 
@@ -36,7 +35,7 @@ class TestValidation:
             {"typed_search_limit": 1},
             {"typed_search_limit": 50_000},
             {"countermodel_nodes": 5},
-            {"inject": FaultPlan.from_spec("raise:1")},
+            {"with_proof": True},
             {"chase_steps": 10, "countermodel_nodes": 2},
             {"allow_semidecision": False, "with_proof": True},
         ],
@@ -66,7 +65,6 @@ class TestDefaults:
         assert options.countermodel_nodes == 3
         assert options.typed_search_limit == 2_000
         assert options.with_proof is False
-        assert options.inject is None
 
     def test_fields_are_exactly_the_solve_settings(self):
         assert [f.name for f in dataclasses.fields(SolveOptions)] == [
@@ -75,7 +73,6 @@ class TestDefaults:
             "countermodel_nodes",
             "typed_search_limit",
             "with_proof",
-            "inject",
         ]
 
     def test_solve_and_portfolio_default_to_the_shared_instance(self):

@@ -38,7 +38,6 @@ from repro.graph.builders import figure1_graph
 from repro.graph.serialize import from_dict, to_dict
 from repro.reasoning import SolveOptions
 from repro.reasoning.cache import ImplicationCache
-from repro.reasoning.faultinject import FaultPlan
 from repro.server import (
     ImplicationServer,
     ServerClient,
@@ -47,7 +46,7 @@ from repro.server import (
 )
 from repro.server import protocol
 
-# The divergent-chase instance of the fault-injection suites: FALSE on
+# The divergent-chase instance of the fault-tolerance suite: FALSE on
 # an undecidable cell, so the portfolio genuinely runs.
 SIGMA = ["() => K", "K :: () => a.a.a", "K :: a.a.a => ()", "a :: a => a"]
 PHI = "K :: a => ()"
@@ -247,19 +246,31 @@ class TestImplyOverTheWire:
             alpha["countermodel"], SIGMA_RENAMED, PHI_RENAMED
         )
 
-    def test_faults_travel_over_the_wire(self):
-        with ServerHarness(
-            port=0,
-            solve=SolveOptions(inject=FaultPlan.from_spec("raise:0,raise:1")),
-        ) as harness:
+    def test_engine_fault_travels_over_the_wire(self, monkeypatch):
+        # The embedded daemon solves in this process, so a chase broken
+        # here raises inside its solver thread.  The chase forfeits,
+        # the search's FALSE stands, and the fault is on the wire.
+        from repro.reasoning import portfolio
+
+        def broken_chase(*args, **kwargs):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(portfolio, "chase_implication", broken_chase)
+        with ServerHarness(port=0) as harness:
             with harness.client() as client:
-                response = client.imply(SIGMA, PHI, jobs=2)
+                response = client.imply(SIGMA, PHI)
         assert response["status"] == "ok"
-        # Faults may demote to UNKNOWN but never flip: the clean
-        # answer is FALSE, so TRUE is the one forbidden outcome.
-        assert response["answer"] in ("false", "unknown")
-        kinds = {e["kind"] for e in response["faults"]["events"]}
-        assert "injected" in kinds
+        assert response["answer"] == "false"
+        assert response["faults"] == {
+            "answered_by": "countermodel",
+            "events": [
+                {
+                    "kind": "task-error",
+                    "engine": "chase",
+                    "detail": "ValueError: engine bug",
+                }
+            ],
+        }
 
 
 class TestConcurrentRenamedRequests:
@@ -744,7 +755,7 @@ class TestQueryOverTheWire:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(dispatcher, "run_portfolio", spy)
-        options = SolveOptions(inject=FaultPlan.from_spec("delay:0:0.01"))
+        options = SolveOptions(typed_search_limit=1_000)
         with ServerHarness(port=0, solve=options) as harness:
             with harness.client() as client:
                 imply = client.imply(SIGMA, PHI, budget_ms=30_000)

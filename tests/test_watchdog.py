@@ -10,9 +10,7 @@ wire in ``tests/test_server.py``.
 
 * :class:`RetiringSolverPool` replaces a retired thread so capacity
   survives abandonment, and a retirement that races a completed solve
-  is a no-op;
-* the rate plans of solver fault injection draw only ``raise`` and
-  ``delay``: a hang is the daemon's ``wedge`` field.
+  is a no-op.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import time
 import pytest
 
 from repro.errors import HungSolveError
-from repro.reasoning.faultinject import FaultPlan
 from repro.reasoning.watchdog import RetiringSolverPool
 
 
@@ -93,10 +90,3 @@ class TestRetiringSolverPool:
             assert pool.stats()["retired"] == 0
         finally:
             pool.shutdown()
-
-
-class TestHangOomInjection:
-    def test_rate_plans_never_draw_hang_or_oom(self):
-        plan = FaultPlan.from_spec("rate:1.0:17")
-        kinds = {plan.action_for(i).kind for i in range(300)}
-        assert kinds <= {"raise", "delay"}
