@@ -3,9 +3,8 @@
 Three workloads, matching the cache's acceptance criteria:
 
 * **cold vs warm** — a P_c instance only a 3-node counter-model
-  refutes (tens of milliseconds of genuine portfolio work at
-  ``jobs=1``: the chase runs its whole budget, then the tableau search
-  finds the model) is solved cold, then an *alpha-renamed* copy is
+  refutes (tens of milliseconds of genuine portfolio work: the chase
+  runs its whole budget, then the tableau search finds the model) is solved cold, then an *alpha-renamed* copy is
   served from the warmed cache.  The warm hit
   must be >= 100x faster: the whole point of canonical keys is that a
   renamed repeat costs one canonicalization + one lookup, not a
@@ -34,11 +33,11 @@ from _report import print_table, write_bench_json
 from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
 from repro.diffcheck.generators import FRAGMENT_GENERATORS, generate_instance
+from repro.diffcheck.oracles import SOLVE_OPTIONS
 from repro.diffcheck.runner import fuzz
 from repro.reasoning import (
     ImplicationCache,
     ImplicationProblem,
-    SolveOptions,
     solve,
 )
 from repro.reasoning.canonical import rename_constraint
@@ -78,7 +77,7 @@ def test_cold_vs_warm_hit_latency():
     cache = ImplicationCache()
 
     began = time.perf_counter()
-    cold = solve(_expensive_problem(), jobs=1, cache=cache)
+    cold = solve(_expensive_problem(), cache=cache)
     cold_s = time.perf_counter() - began
     assert cold.answer is Trilean.FALSE
     assert cold.cache.status == "store"
@@ -86,7 +85,7 @@ def test_cold_vs_warm_hit_latency():
     warm_times = []
     for _ in range(WARM_REPEATS):
         began = time.perf_counter()
-        warm = solve(_expensive_problem(RENAMING), jobs=1, cache=cache)
+        warm = solve(_expensive_problem(RENAMING), cache=cache)
         warm_times.append(time.perf_counter() - began)
         assert warm.cache.status == "hit"
         assert warm.answer is Trilean.FALSE
@@ -126,12 +125,8 @@ def test_repeat_workload_hit_rate():
         for index in range(SWEEP_PER_FRAGMENT)
     ]
 
-    options = SolveOptions(
-        chase_steps=400, countermodel_nodes=2, typed_search_limit=400
-    )
-
     def _solve(problem):
-        return solve(problem, options, jobs=1, cache=cache)
+        return solve(problem, SOLVE_OPTIONS, cache=cache)
 
     lookups = hits = skipped = 0
     for sweep in range(1 + RENAMED_PASSES):

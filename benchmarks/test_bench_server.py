@@ -13,15 +13,14 @@ to re-gate.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
 import pytest
 
 from _report import print_table, write_bench_json
-from repro.server import ImplicationServer, ServerClient, ServerConfig
-from repro.server.chaos import percentile
+from repro.server import ServerClient, ServerConfig
+from repro.server.chaos import EmbeddedServer, percentile
 
 pytestmark = pytest.mark.bench
 
@@ -37,46 +36,10 @@ P99_BOUND_MS = 500.0
 _BENCH: dict = {}
 
 
-class _Harness:
-    """An :class:`ImplicationServer` on a background-thread loop."""
-
-    def __init__(self, **config_kwargs) -> None:
-        config_kwargs.setdefault("port", 0)
-        self.server = ImplicationServer(ServerConfig(**config_kwargs))
-        self._ready = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def __enter__(self) -> "_Harness":
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        assert self._ready.wait(timeout=10), "server failed to start"
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self.client(retries=0).shutdown()
-        except Exception:
-            pass
-        assert self._thread is not None
-        self._thread.join(timeout=30)
-
-    def _run(self) -> None:
-        async def main() -> None:
-            await self.server.start()
-            self._ready.set()
-            await self.server.wait_drained()
-            await self.server.stop()
-
-        asyncio.run(main())
-
-    def client(self, **kwargs) -> ServerClient:
-        assert self.server.port is not None
-        return ServerClient("127.0.0.1", self.server.port, **kwargs)
-
-
 def test_closed_loop_latency_and_throughput():
     levels = []
-    with _Harness(solver_threads=4, max_queue=256) as harness:
+    config = ServerConfig(solver_threads=4, max_queue=256)
+    with EmbeddedServer(config) as harness:
         for clients in CONCURRENCIES:
             latencies: list[float] = []
             lock = threading.Lock()
@@ -84,7 +47,7 @@ def test_closed_loop_latency_and_throughput():
 
             def burst():
                 try:
-                    with harness.client() as client:
+                    with ServerClient("127.0.0.1", harness.port) as client:
                         mine = []
                         for _ in range(REQUESTS_PER_CLIENT):
                             start = time.perf_counter()

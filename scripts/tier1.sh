@@ -20,16 +20,17 @@ python -m repro fuzz --seed 7 --per-fragment 25
 # zero disagreements; scripts/bench.sh runs the multi-seed sweep.
 python -m repro query fuzz --seed 0 --rounds 5
 
-# --jobs auto smoke: dispatch end-to-end on an undecidable cell.  The
-# chase settles this instance (FALSE: a fixpoint after 3 repairs)
-# before the search runs.  --no-cache keeps a verdict stored by an
-# earlier run from answering instead; exit 0 means a definite answer.
+# Portfolio smoke: dispatch end-to-end on an undecidable cell, with no
+# --jobs (the flag is gone: every solve runs in-process).  The chase
+# settles this instance (FALSE: a fixpoint after 3 repairs) before the
+# search runs.  --no-cache keeps a verdict stored by an earlier run
+# from answering instead; exit 0 means a definite answer.
 sigma_file="$(mktemp)"
 cache_dir="$(mktemp -d)"
 trap 'rm -f "$sigma_file"; rm -rf "$cache_dir"' EXIT
 printf '() => K\nK :: () => a.a.a\nK :: a.a.a => ()\na :: a => a\n' \
     > "$sigma_file"
-python -m repro imply "$sigma_file" 'K :: a => ()' --jobs auto --no-cache
+python -m repro imply "$sigma_file" 'K :: a => ()' --no-cache
 
 # Deadline smoke: a zero deadline stops both engines before any work,
 # so the same query must answer UNKNOWN (exit 2), and the chase's note

@@ -6,13 +6,12 @@ Commands
     Validate a graph (JSON, the ``repro.graph.serialize`` dict format)
     against a constraint file (line syntax); exit 1 on violations.
 ``imply CONSTRAINTS QUERY [--context CTX] [--schema XMLDATA]
-[--jobs N|auto] [--deadline S]``
+[--deadline S]``
     Decide/semi-decide an implication question; prints the answer,
     method and Table 1 cell.  ``--schema`` takes an XML-Data file and
     is required for typed contexts.  On undecidable cells the chase
     and then the counter-model search run in-process; ``--deadline``
-    caps the whole portfolio in wall-clock seconds.  ``--jobs`` is
-    accepted for compatibility and changes nothing.  Answers are
+    caps the whole portfolio in wall-clock seconds.  Answers are
     served from and stored to the cross-request implication cache
     (``--cache-dir``/``$REPRO_CACHE_DIR``, default ``~/.cache/repro``;
     ``--no-cache`` bypasses it).
@@ -63,8 +62,9 @@ Commands
     sound-but-incomplete elsewhere.
 ``query optimize CONSTRAINTS BRANCH [BRANCH ...]``
     Prune subsumed/duplicate union branches and rewrite surviving
-    words to their shortest provable equivalents; regex branches are
-    pruned through the containment checker instead.
+    words to their shortest provable equivalents; regex branches, and
+    every typed union (which needs ``--schema``), are pruned through
+    the containment checker instead.
 ``query fuzz [--seed N] [--rounds N] [--json-out FILE]``
     Differential fuzz of the query layer: optimized and unoptimized
     unions must agree on every sampled Sigma-model, and containment
@@ -80,14 +80,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path as FilePath
 
 from repro.checking import check_all
 from repro.constraints import parse_constraint, parse_constraints
 from repro.errors import ReproError
+from repro.fileio import write_atomic
 from repro.graph.serialize import from_dict, to_dict, to_dot
 from repro.reasoning import (
     Context,
@@ -116,46 +115,12 @@ def _load_schema(path: str):
     return schema_from_xml_data(FilePath(path).read_text())
 
 
-def _write_json_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename).
-
-    A reader (CI tailing the report, a dashboard) never observes a
-    truncated file: either the old content or the complete new one.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=".repro-report-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     constraints = _load_constraints(args.constraints)
     report = check_all(graph, constraints)
     print(report.summary())
     return 0 if report.ok else 1
-
-
-def _parse_jobs(text: str) -> int | str:
-    """``--jobs`` value: a positive int, or ``auto``."""
-    if text.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"--jobs must be a positive integer or 'auto', got {text!r}"
-        ) from None
 
 
 def _build_cache(args: argparse.Namespace) -> ImplicationCache | None:
@@ -192,7 +157,6 @@ def _cmd_imply_remote(args: argparse.Namespace) -> int:
     schema_text = (
         FilePath(args.schema).read_text() if args.schema else None
     )
-    jobs = _parse_jobs(args.jobs)
     try:
         with ServerClient(endpoints=endpoints) as client:
             response = client.imply(
@@ -201,7 +165,6 @@ def _cmd_imply_remote(args: argparse.Namespace) -> int:
                 context=args.context,
                 schema=schema_text,
                 budget_ms=budget_ms,
-                jobs=None if jobs == 1 else jobs,
             )
     except ServerUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -264,13 +227,10 @@ def _cmd_imply(args: argparse.Namespace) -> int:
     context = Context(args.context)
     schema = _load_schema(args.schema) if args.schema else None
     problem = ImplicationProblem(sigma, phi, context, schema=schema)
-    jobs = _parse_jobs(args.jobs)
     options = SolveOptions(allow_semidecision=not args.strict)
     cache = _build_cache(args)
     try:
-        result = solve(
-            problem, options, jobs=jobs, deadline=args.deadline, cache=cache
-        )
+        result = solve(problem, options, deadline=args.deadline, cache=cache)
     finally:
         if cache is not None:
             cache.flush_counters()
@@ -378,7 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_queue=args.max_queue,
         solver_threads=args.solver_threads,
-        jobs=_parse_jobs(args.jobs),
         default_budget_ms=(
             None if args.deadline is None else int(args.deadline * 1000)
         ),
@@ -446,9 +405,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"{failover['after_answer']}"
     )
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        write_atomic(args.json_out, json.dumps(report, indent=2) + "\n")
         print(f"report written to {args.json_out}")
     if report["pass"]:
         print("chaos: PASS")
@@ -478,14 +435,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         partial = sink.get("report")
         if partial is not None and args.json_out:
             partial.aborted = True
-            _write_json_atomic(args.json_out, partial.to_json())
+            write_atomic(args.json_out, partial.to_json())
             print(
                 f"partial report written to {args.json_out}",
                 file=sys.stderr,
             )
         raise
     if args.json_out:
-        _write_json_atomic(args.json_out, report.to_json())
+        write_atomic(args.json_out, report.to_json())
         print(f"report written to {args.json_out}", file=sys.stderr)
     print(report.summary())
     for record in report.disagreements:
@@ -538,7 +495,6 @@ def _query_checker(
         context=args.context,
         schema=_load_schema(args.schema) if args.schema else None,
         cache=cache,
-        jobs=_parse_jobs(args.jobs),
         deadline=args.deadline,
     )
 
@@ -576,12 +532,12 @@ def _cmd_query_optimize(args: argparse.Namespace) -> int:
     sigma = _load_constraints(args.constraints)
     cache = _build_cache(args)
     try:
-        if all(is_word_pattern(b) for b in args.branch):
+        # The word optimizer asks semistructured implications only.
+        if args.context == Context.SEMISTRUCTURED.value and all(
+            is_word_pattern(b) for b in args.branch
+        ):
             optimizer = WordQueryOptimizer(
-                sigma,
-                cache=cache,
-                jobs=_parse_jobs(args.jobs),
-                deadline=args.deadline,
+                sigma, cache=cache, deadline=args.deadline
             )
             report = optimizer.optimize_union(
                 args.branch, rewrite=not args.no_rewrite
@@ -622,7 +578,7 @@ def _cmd_query_fuzz(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
     )
     if args.json_out:
-        _write_json_atomic(args.json_out, report.to_json())
+        write_atomic(args.json_out, report.to_json())
         print(f"report written to {args.json_out}", file=sys.stderr)
     print(report.summary())
     for record in report.disagreements:
@@ -656,18 +612,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", help="XML-Data schema file (typed contexts)")
 
 
-def _add_solve_flags(
-    p: argparse.ArgumentParser, jobs: str, deadline_help: str
-) -> None:
+def _add_solve_flags(p: argparse.ArgumentParser, deadline_help: str) -> None:
     """The per-call solve flags every solving command shares:
-    ``--jobs`` (default ``jobs``), ``--deadline`` and the cache."""
-    p.add_argument(
-        "--jobs",
-        default=jobs,
-        metavar="N|auto",
-        help="accepted for compatibility (a positive integer or "
-        "'auto'); every solve runs in-process",
-    )
+    ``--deadline`` and the cache."""
     p.add_argument(
         "--deadline",
         type=float,
@@ -712,9 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dump-countermodel", metavar="FILE")
     _add_solve_flags(
-        p,
-        jobs="1",
-        deadline_help="wall-clock budget shared by all portfolio engines",
+        p, deadline_help="wall-clock budget shared by all portfolio engines"
     )
     p.add_argument(
         "--server",
@@ -753,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_solve_flags(
         p,
-        jobs="auto",
         deadline_help="default per-request budget when the client sends none",
     )
     p.add_argument(
@@ -915,14 +859,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("left")
     q.add_argument("right")
     _add_problem_flags(q)
-    _add_solve_flags(q, jobs="auto", deadline_help=_QUERY_DEADLINE_HELP)
+    _add_solve_flags(q, deadline_help=_QUERY_DEADLINE_HELP)
     q.set_defaults(func=_cmd_query_contains)
 
     q = qsub.add_parser(
         "optimize",
         help="prune and rewrite a union query under constraints "
-        "(word unions use the dispatcher-backed word optimizer; "
-        "regex branches route through the containment checker)",
+        "(semistructured word unions use the dispatcher-backed word "
+        "optimizer; regex branches and typed unions route through the "
+        "containment checker)",
     )
     q.add_argument("constraints")
     q.add_argument("branch", nargs="+", help="union branches")
@@ -932,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="prune subsumed branches only, keep surviving words as-is",
     )
-    _add_solve_flags(q, jobs="auto", deadline_help=_QUERY_DEADLINE_HELP)
+    _add_solve_flags(q, deadline_help=_QUERY_DEADLINE_HELP)
     q.set_defaults(func=_cmd_query_optimize)
 
     q = qsub.add_parser(

@@ -36,7 +36,6 @@ from repro.diffcheck.generators import (
 from repro.diffcheck.oracles import (
     Disagreement,
     EngineVerdict,
-    OracleConfig,
     find_disagreements,
     run_engines,
     run_named_engine,
@@ -55,7 +54,6 @@ __all__ = [
     "generate_instance",
     "Disagreement",
     "EngineVerdict",
-    "OracleConfig",
     "find_disagreements",
     "run_engines",
     "run_named_engine",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from repro.constraints.ast import PathConstraint, backward, forward, word
 from repro.paths import Path
 from repro.reasoning.dispatcher import Context, ProblemClass, classify
+from repro.reasoning.typed_m import word_image
 from repro.types.siggen import SchemaSignature
 from repro.types.typesys import (
     AtomicType,
@@ -336,13 +337,24 @@ def gen_typed_m(rng: random.Random) -> FragmentInstance:
 
     Every path in every constraint is valid by construction (splits of
     sampled members of Paths(Delta)), so the cubic decider never
-    trips its schema guards on the unshrunk instance.
+    trips its schema guards on the unshrunk instance.  A constraint
+    whose word image joins two sorts is redrawn: as a premise it
+    leaves U(Delta) no model of Sigma, so every TRUE would be vacuous.
     """
     schema = _rand_m_schema(rng)
     signature = SchemaSignature(schema)
     paths = [p for p in signature.sample_paths(4) if not p.is_empty()]
 
     def rand_constraint() -> PathConstraint | None:
+        candidate = rand_shape()
+        if candidate is None:
+            return None
+        left, right = word_image(candidate)
+        if signature.type_of_path(left) != signature.type_of_path(right):
+            return None
+        return candidate
+
+    def rand_shape() -> PathConstraint | None:
         if rng.random() < 0.35:
             # backward: alpha, alpha.beta, alpha.beta.gamma all valid.
             pieces = _valid_split(rng, paths, 3)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from repro.checking import check_all
@@ -84,34 +84,25 @@ from repro.types.typesys import Schema
 from repro.diffcheck.generators import FragmentInstance
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Budgets for one pass of the engine matrix over one instance.
+# Budgets for one pass of the engine matrix over one instance, tuned
+# so a full matrix run on a generated instance takes milliseconds to
+# tens of milliseconds: the generators keep alphabets at <= 3 labels,
+# so two-node counter-model search and the brute-force oracle stay tiny.
+CHASE_STEPS = 400
+COUNTERMODEL_NODES = 2
+BRUTE_MAX_NODES = 2
+#: the brute-force oracle enumerates ``sum 2^(L*n^2)`` graphs; it is
+#: skipped (recorded by absence) above this cap.
+BRUTE_SPACE_CAP = 5_000
+TYPED_LIMIT = 400
+TYPED_MAX_PER_CLASS = 2
 
-    Defaults are tuned so a full matrix run on a generated instance
-    takes milliseconds-to-tens-of-milliseconds: the generators keep
-    alphabets at <= 3 labels, so two-node counter-model search and the
-    brute-force oracle stay tiny.
-    """
-
-    chase_steps: int = 400
-    countermodel_nodes: int = 2
-    brute_max_nodes: int = 2
-    #: the brute-force oracle enumerates ``sum 2^(L*n^2)`` graphs; it
-    #: is skipped (not silently — the verdict says so) above this cap.
-    brute_space_cap: int = 5_000
-    typed_limit: int = 400
-    typed_max_per_class: int = 2
-    #: absolute ``time.monotonic()`` deadline shared by the whole pass.
-    deadline: float | None = None
-
-    def solve_options(self) -> SolveOptions:
-        """These budgets as :class:`SolveOptions`."""
-        return SolveOptions(
-            chase_steps=self.chase_steps,
-            countermodel_nodes=self.countermodel_nodes,
-            typed_search_limit=self.typed_limit,
-        )
+#: The same budgets as the :class:`SolveOptions` a dispatcher solve gets.
+SOLVE_OPTIONS = SolveOptions(
+    chase_steps=CHASE_STEPS,
+    countermodel_nodes=COUNTERMODEL_NODES,
+    typed_search_limit=TYPED_LIMIT,
+)
 
 
 @dataclass(frozen=True)
@@ -191,8 +182,9 @@ def _certificate_status(
 
 
 # ---------------------------------------------------------------------------
-# Engines.  Each takes (instance, config) and returns a verdict, or
-# None when it does not apply to the instance.
+# Engines.  Each takes (instance, deadline) and returns a verdict, or
+# None when it does not apply to the instance.  ``deadline`` is an
+# absolute ``time.monotonic()`` value shared by the whole pass, or None.
 # ---------------------------------------------------------------------------
 
 
@@ -215,7 +207,7 @@ def _timed(
 
 
 def _engine_word(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.SEMISTRUCTURED:
         return None
@@ -229,8 +221,8 @@ def _engine_word(
             inst.sigma,
             inst.phi,
             with_proof=True,
-            chase_steps=cfg.chase_steps,
-            deadline=cfg.deadline,
+            chase_steps=CHASE_STEPS,
+            deadline=deadline,
         )
         cert_ok, note = _certificate_status(result, inst.sigma, inst.phi)
         return result.answer, cert_ok, note
@@ -239,7 +231,7 @@ def _engine_word(
 
 
 def _engine_local_extent(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.SEMISTRUCTURED:
         return None
@@ -271,7 +263,7 @@ def _engine_local_extent(
 
 
 def _engine_typed_m(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.M or inst.schema is None:
         return None
@@ -287,7 +279,7 @@ def _engine_typed_m(
 
 
 def _engine_chase(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     typed = inst.context is not Context.SEMISTRUCTURED
 
@@ -295,8 +287,8 @@ def _engine_chase(
         result = chase_implication(
             list(inst.sigma),
             inst.phi,
-            max_steps=cfg.chase_steps,
-            deadline=cfg.deadline,
+            max_steps=CHASE_STEPS,
+            deadline=deadline,
         )
         if typed and result.answer is Trilean.FALSE:
             # An untyped fixpoint counter-model proves nothing about
@@ -309,7 +301,7 @@ def _engine_chase(
 
 
 def _engine_countermodel(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.SEMISTRUCTURED:
         return None
@@ -318,14 +310,14 @@ def _engine_countermodel(
         graph = find_countermodel(
             inst.sigma,
             inst.phi,
-            max_nodes=cfg.countermodel_nodes,
-            deadline=cfg.deadline,
+            max_nodes=COUNTERMODEL_NODES,
+            deadline=deadline,
         )
         if graph is None:
             return (
                 Trilean.UNKNOWN,
                 None,
-                f"no counter-model within {cfg.countermodel_nodes} nodes",
+                f"no counter-model within {COUNTERMODEL_NODES} nodes",
             )
         ok = verify_countermodel(graph, inst.sigma, inst.phi)
         return Trilean.FALSE, ok, "" if ok else "hit failed recheck"
@@ -338,23 +330,23 @@ def _brute_space(labels: int, max_nodes: int) -> int:
 
 
 def _engine_brute_force(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.SEMISTRUCTURED:
         return None
     labels = infer_alphabet(inst.sigma, inst.phi)
-    if _brute_space(len(labels), cfg.brute_max_nodes) > cfg.brute_space_cap:
+    if _brute_space(len(labels), BRUTE_MAX_NODES) > BRUTE_SPACE_CAP:
         return None  # recorded by absence; the report counts engine runs
 
     def body():
         graph = brute_force_countermodel(
-            inst.sigma, inst.phi, max_nodes=cfg.brute_max_nodes
+            inst.sigma, inst.phi, max_nodes=BRUTE_MAX_NODES
         )
         if graph is None:
             return (
                 Trilean.UNKNOWN,
                 None,
-                f"no counter-model within {cfg.brute_max_nodes} nodes",
+                f"no counter-model within {BRUTE_MAX_NODES} nodes",
             )
         ok = verify_countermodel(graph, inst.sigma, inst.phi)
         return Trilean.FALSE, ok, "" if ok else "hit failed recheck"
@@ -363,7 +355,7 @@ def _engine_brute_force(
 
 
 def _engine_portfolio(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.SEMISTRUCTURED:
         return None
@@ -374,8 +366,8 @@ def _engine_portfolio(
         )
         result = run_portfolio(
             problem,
-            cfg.solve_options(),
-            budget=Budget(deadline=cfg.deadline),
+            SOLVE_OPTIONS,
+            budget=Budget(deadline=deadline),
         )
         cert_ok, note = _certificate_status(result, inst.sigma, inst.phi)
         return result.answer, cert_ok, note
@@ -384,7 +376,7 @@ def _engine_portfolio(
 
 
 def _engine_enumerate_m(
-    inst: FragmentInstance, cfg: OracleConfig
+    inst: FragmentInstance, deadline: float | None
 ) -> EngineVerdict | None:
     if inst.context is not Context.M or inst.schema is None:
         return None
@@ -394,14 +386,14 @@ def _engine_enumerate_m(
             inst.schema,
             inst.sigma,
             inst.phi,
-            max_per_class=cfg.typed_max_per_class,
-            limit=cfg.typed_limit,
+            max_per_class=TYPED_MAX_PER_CLASS,
+            limit=TYPED_LIMIT,
         )
         if graph is None:
             return (
                 Trilean.UNKNOWN,
                 None,
-                f"no counter-model in the first {cfg.typed_limit} members "
+                f"no counter-model in the first {TYPED_LIMIT} members "
                 "of U_f(Delta)",
             )
         ok = verify_countermodel(graph, inst.sigma, inst.phi)
@@ -412,7 +404,7 @@ def _engine_enumerate_m(
 
 #: Engine name -> engine function, in matrix order.
 _ENGINES: dict[
-    str, Callable[[FragmentInstance, OracleConfig], EngineVerdict | None]
+    str, Callable[[FragmentInstance, float | None], EngineVerdict | None]
 ] = {
     "word": _engine_word,
     "local-extent": _engine_local_extent,
@@ -427,7 +419,7 @@ _ENGINES: dict[
 
 def _engine_table(
     extra: Mapping[
-        str, Callable[[FragmentInstance, OracleConfig], EngineVerdict | None]
+        str, Callable[[FragmentInstance, float | None], EngineVerdict | None]
     ]
     | None = None,
 ) -> dict[str, Callable]:
@@ -439,22 +431,22 @@ def _engine_table(
 
 def run_engines(
     instance: FragmentInstance,
-    config: OracleConfig | None = None,
+    deadline: float | None = None,
     extra: Mapping[
-        str, Callable[[FragmentInstance, OracleConfig], EngineVerdict | None]
+        str, Callable[[FragmentInstance, float | None], EngineVerdict | None]
     ]
     | None = None,
 ) -> list[EngineVerdict]:
     """Run the full applicable engine matrix on one instance.
 
-    ``extra`` engines (used by the shrinker tests to inject a
-    deliberately broken decider) participate in the matrix on equal
-    terms.
+    ``deadline`` is an absolute ``time.monotonic()`` value shared by
+    every engine.  ``extra`` engines (used by the shrinker tests to
+    inject a deliberately broken decider) participate in the matrix on
+    equal terms.
     """
-    config = config or OracleConfig()
     verdicts = []
     for engine in _engine_table(extra).values():
-        verdict = engine(instance, config)
+        verdict = engine(instance, deadline)
         if verdict is not None:
             verdicts.append(verdict)
     return verdicts
@@ -465,9 +457,9 @@ def run_named_engine(
     sigma: Sequence[PathConstraint],
     phi: PathConstraint,
     schema: Schema | None = None,
-    config: OracleConfig | None = None,
+    deadline: float | None = None,
     extra: Mapping[
-        str, Callable[[FragmentInstance, OracleConfig], EngineVerdict | None]
+        str, Callable[[FragmentInstance, float | None], EngineVerdict | None]
     ]
     | None = None,
 ) -> EngineVerdict:
@@ -476,7 +468,6 @@ def run_named_engine(
     The handle the shrinker's reproducers and the emitted regression
     tests call: engine names are exactly the matrix names.
     """
-    config = config or OracleConfig()
     context = Context.M if schema is not None else Context.SEMISTRUCTURED
     instance = FragmentInstance(
         fragment="ad-hoc",
@@ -488,7 +479,7 @@ def run_named_engine(
     table = _engine_table(extra)
     if name not in table:
         raise KeyError(f"unknown engine {name!r}; have {sorted(table)}")
-    verdict = table[name](instance, config)
+    verdict = table[name](instance, deadline)
     if verdict is None:
         return EngineVerdict(
             engine=name,
@@ -531,7 +522,3 @@ def find_disagreements(
             )
     return out
 
-
-def with_deadline(config: OracleConfig, deadline: float | None) -> OracleConfig:
-    """A copy of ``config`` carrying an absolute deadline."""
-    return replace(config, deadline=deadline)

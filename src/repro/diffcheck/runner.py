@@ -27,13 +27,12 @@ from repro.diffcheck.generators import (
     generate_instance,
 )
 from repro.diffcheck.oracles import (
+    SOLVE_OPTIONS,
     Disagreement,
-    OracleConfig,
     find_disagreements,
     run_engines,
     run_named_engine,
     verify_countermodel,
-    with_deadline,
 )
 from repro.diffcheck.shrink import emit_regression_test, shrink_instance
 
@@ -181,7 +180,7 @@ class FuzzReport:
 def make_reproducer(
     instance: FragmentInstance,
     disagreement: Disagreement,
-    config: OracleConfig,
+    deadline: float | None,
     extra=None,
 ) -> Callable[[tuple[PathConstraint, ...], PathConstraint], bool]:
     """A shrink predicate replaying exactly the disagreeing engines.
@@ -190,7 +189,8 @@ def make_reproducer(
     pair contradict again (any definite-vs-definite flavour counts, so
     the shrinker may legitimately simplify TRUE-vs-FALSE into
     FALSE-vs-TRUE); for a bad certificate the same engine must produce
-    a failing certificate again.
+    a failing certificate again.  ``deadline`` is the sweep's absolute
+    ``time.monotonic()`` deadline, or None.
     """
     schema = instance.schema
 
@@ -199,7 +199,12 @@ def make_reproducer(
     ) -> bool:
         verdicts = [
             run_named_engine(
-                name, sigma, phi, schema=schema, config=config, extra=extra
+                name,
+                sigma,
+                phi,
+                schema=schema,
+                deadline=deadline,
+                extra=extra,
             )
             for name in disagreement.engines
         ]
@@ -224,7 +229,6 @@ def fuzz(
     per_fragment: int = 10,
     deadline: float | None = None,
     fragments: Sequence[str] | None = None,
-    config: OracleConfig | None = None,
     shrink: bool = True,
     extra=None,
     cache_check: bool = False,
@@ -256,7 +260,6 @@ def fuzz(
     """
     began = time.monotonic()
     absolute = None if deadline is None else began + deadline
-    config = with_deadline(config or OracleConfig(), absolute)
     names = list(fragments) if fragments is not None else list(
         FRAGMENT_GENERATORS
     )
@@ -281,7 +284,7 @@ def fuzz(
                     report.deadline_hit = True
                     break
                 instance = generate_instance(name, seed, index)
-                verdicts = run_engines(instance, config, extra=extra)
+                verdicts = run_engines(instance, absolute, extra=extra)
                 stats.instances += 1
                 stats.engine_runs += len(verdicts)
                 for v in verdicts:
@@ -299,14 +302,14 @@ def fuzz(
                             disagreement,
                             seed,
                             index,
-                            config,
+                            absolute,
                             shrink,
                             extra,
                         )
                     )
                 if warm_cache is not None:
                     _cache_check_pass(
-                        report, stats, instance, config, seed, index,
+                        report, stats, instance, absolute, seed, index,
                         warm_cache,
                     )
             if report.deadline_hit:
@@ -321,7 +324,7 @@ def _cache_check_pass(
     report: FuzzReport,
     stats: FragmentStats,
     instance: FragmentInstance,
-    config: OracleConfig,
+    deadline: float | None,
     seed: int,
     index: int,
     warm_cache: ImplicationCache,
@@ -337,15 +340,16 @@ def _cache_check_pass(
     ``cache-bad-certificate``.
     """
     remaining = None
-    if config.deadline is not None:
-        remaining = max(0.05, config.deadline - time.monotonic())
+    if deadline is not None:
+        remaining = max(0.05, deadline - time.monotonic())
     problem = ImplicationProblem(
         instance.sigma, instance.phi, instance.context, schema=instance.schema
     )
-    options = config.solve_options()
 
     def _solve(cache):
-        return solve(problem, options, jobs=1, deadline=remaining, cache=cache)
+        return solve(
+            problem, SOLVE_OPTIONS, deadline=remaining, cache=cache
+        )
 
     try:
         cold = _solve(None)
@@ -447,13 +451,13 @@ def _record(
     disagreement: Disagreement,
     seed: int,
     index: int,
-    config: OracleConfig,
+    deadline: float | None,
     shrink: bool,
     extra,
 ) -> DisagreementRecord:
     shrunk_sigma, shrunk_phi = instance.sigma, instance.phi
     if shrink:
-        reproduces = make_reproducer(instance, disagreement, config, extra)
+        reproduces = make_reproducer(instance, disagreement, deadline, extra)
         shrunk_sigma, shrunk_phi = shrink_instance(
             instance.sigma, instance.phi, reproduces
         )

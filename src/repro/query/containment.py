@@ -160,9 +160,11 @@ class QueryContainmentChecker:
     """Decides (or soundly semi-decides) RPQ containment under Sigma.
 
     The fallback's per-word implications go through ``solve()`` with
-    ``options``, ``jobs`` and ``cache``.  ``deadline`` (seconds)
-    starts when the checker is built and bounds all of them: each
-    solve gets only the time left, and a spent budget answers UNKNOWN.
+    ``options`` and ``cache``.  ``deadline`` (seconds) starts when the
+    checker is built and bounds all of them: each solve gets only the
+    time left, and a spent budget answers UNKNOWN.  ``jobs`` is
+    accepted and never read, a shim for perfbench v1 like
+    ``runtime.retire_warm_pool``; benchmark v2 deletes it.
 
     >>> from repro.constraints import parse_constraints
     >>> sigma = parse_constraints('''
@@ -185,7 +187,7 @@ class QueryContainmentChecker:
         context: Context | str = Context.SEMISTRUCTURED,
         schema: Schema | None = None,
         cache: ImplicationCache | None = None,
-        jobs: int | str = "auto",
+        jobs: object = None,  # perfbench v1 shim, never read
         deadline: float | None = None,
         options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
         enumeration_count: int = 64,
@@ -203,7 +205,6 @@ class QueryContainmentChecker:
             SchemaSignature(schema) if schema is not None else None
         )
         self._cache = cache
-        self._jobs = jobs
         self._budget = Budget.from_seconds(deadline)
         self._options = options
         self._enumeration_count = enumeration_count
@@ -339,7 +340,6 @@ class QueryContainmentChecker:
             result = solve(
                 problem,
                 self._options,
-                jobs=self._jobs,
                 deadline=self._budget.remaining(),
                 cache=self._cache,
             )

@@ -139,9 +139,9 @@ class OptimizationReport:
 class WordQueryOptimizer:
     """Optimizes word queries under a set of word constraints.
 
-    Subsumption questions go through ``solve()`` with ``options``,
-    ``jobs`` and ``cache``; ``deadline`` (seconds) starts when the
-    optimizer is built and bounds all of them together.
+    Subsumption questions go through ``solve()`` with ``options`` and
+    ``cache``; ``deadline`` (seconds) starts when the optimizer is
+    built and bounds all of them together.
 
     >>> from repro.constraints import parse_constraints
     >>> sigma = parse_constraints('''
@@ -159,7 +159,6 @@ class WordQueryOptimizer:
         self,
         sigma: Iterable[PathConstraint],
         cache: ImplicationCache | None = None,
-        jobs: int | str = "auto",
         deadline: float | None = None,
         options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
     ) -> None:
@@ -174,7 +173,6 @@ class WordQueryOptimizer:
         self._decider = WordImplicationDecider(word_sigma)
         self._rewrites_restricted = len(word_sigma) < len(self._sigma)
         self._cache = cache
-        self._jobs = jobs
         self._budget = Budget.from_seconds(deadline)
         self._options = options
         self._subsumption_memo: dict[tuple[Path, Path], Trilean] = {}
@@ -209,7 +207,6 @@ class WordQueryOptimizer:
             result = solve(
                 problem,
                 self._options,
-                jobs=self._jobs,
                 deadline=self._budget.remaining(),
                 cache=self._cache,
             )

@@ -12,10 +12,10 @@ Two tiers, modeled on EdgeDB's compiled-query cache:
 * a process-local LRU bounded by entry count and byte size;
 * an optional on-disk store (one JSON file per key under
   ``<cache-dir>/v<schema>-<code>/<kk>/<key>.json``), written
-  atomically (``mkstemp`` + ``os.replace``) so concurrent writers are
-  last-writer-wins and readers never see a torn file.  The store is
-  versioned by an entry schema version and a solver code version; a
-  bump orphans old entries (they live in a differently named
+  atomically (:func:`~repro.fileio.write_atomic`) so concurrent
+  writers are last-writer-wins and readers never see a torn file.  The
+  store is versioned by an entry schema version and a solver code
+  version; a bump orphans old entries (they live in a differently named
   directory and simply stop matching).
 
 Corruption is survivable by construction: an entry that fails to
@@ -35,12 +35,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import threading
 import time
 import warnings
 from collections import OrderedDict
 from pathlib import Path
+
+from repro.fileio import write_atomic
 
 try:
     import fcntl
@@ -299,21 +300,7 @@ class _DiskTier:
         path = self._path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".repro-cache-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump({**entry, "key": key}, handle)
-                # Atomic publish: concurrent writers race benignly,
-                # last writer wins, readers see old or new, never torn.
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(path, json.dumps({**entry, "key": key}))
         except OSError as exc:
             warnings.warn(
                 f"implication cache: cannot persist entry under "
@@ -462,8 +449,8 @@ class _DiskTier:
         """Fold per-process tallies into the on-disk counters.
 
         Safe under concurrent connections: the read-modify-write runs
-        under :meth:`_counters_locked`, and the write itself is the
-        same ``mkstemp`` + atomic-rename pattern as entry writes, so
+        under :meth:`_counters_locked`, and the write itself is
+        :func:`~repro.fileio.write_atomic`, as entry writes are, so
         readers never observe a torn file.
         """
         if not (hits or misses or stores):
@@ -475,14 +462,7 @@ class _DiskTier:
                 current["hits"] += hits
                 current["misses"] += misses
                 current["stores"] += stores
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.directory,
-                    prefix=".repro-counters-",
-                    suffix=".tmp",
-                )
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(current, handle)
-                os.replace(tmp, self._counters_path)
+                write_atomic(self._counters_path, json.dumps(current))
         except OSError:
             pass
 

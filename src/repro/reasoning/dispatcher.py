@@ -263,32 +263,10 @@ def _store_fresh(
     return CacheInfo("store", key=form.key, tier=tier, detail=detail)
 
 
-def validate_jobs(jobs: object) -> int | str:
-    """Validate a ``jobs`` request: a positive int or ``"auto"``.
-
-    Returns the validated value unchanged; raises a clear
-    :class:`ValueError` on anything else (``0``, negatives, floats,
-    bools, arbitrary strings).
-    """
-    if isinstance(jobs, str):
-        if jobs.strip().lower() == "auto":
-            return "auto"
-        raise ValueError(
-            f"jobs must be a positive integer or 'auto', got {jobs!r}"
-        )
-    if isinstance(jobs, bool) or not isinstance(jobs, int):
-        raise ValueError(
-            f"jobs must be a positive integer or 'auto', got {jobs!r}"
-        )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def solve(
     problem: ImplicationProblem,
     options: SolveOptions = DEFAULT_SOLVE_OPTIONS,
-    jobs: int | str = 1,
+    jobs: object = None,  # perfbench v1 shim, never read
     deadline: float | None = None,
     cache: "ImplicationCache | None" = None,
 ) -> ImplicationResult:
@@ -304,13 +282,12 @@ def solve(
     :class:`~repro.reasoning.options.SolveOptions`) says how the
     solve runs; the other arguments are per call.
 
-    ``jobs`` is validated and otherwise unused: every solve runs in
-    the calling thread.  It stays accepted — a positive int, or
-    ``"auto"`` — because existing callers send it; anything else
-    raises :class:`ValueError` before any work starts.  ``deadline``
-    is a wall-clock budget in seconds shared by every engine, and the
-    only stop signal a caller gives the solve.  Every result carries a
-    ``faults`` record.
+    Every solve runs in the calling thread.  ``jobs`` is accepted and
+    never read, a shim for perfbench v1 like
+    ``runtime.retire_warm_pool``; benchmark v2 deletes it.
+    ``deadline`` is a wall-clock budget in seconds shared by every
+    engine, and the only stop signal a caller gives the solve.  Every
+    result carries a ``faults`` record.
 
     ``cache`` plugs in a cross-request
     :class:`~repro.reasoning.cache.ImplicationCache`: a hit replays
@@ -324,7 +301,6 @@ def solve(
     fault-degraded results are never stored.
     ``result.cache`` records what happened.
     """
-    validate_jobs(jobs)
     problem_class = classify(problem.sigma, problem.phi)
     decidable, _complexity = table1_cell(problem_class, problem.context)
     budget = Budget.from_seconds(deadline)

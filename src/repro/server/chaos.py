@@ -339,7 +339,8 @@ class EmbeddedServer:
     The harness the sweep, the tests and the benchmarks all share:
     starts the daemon with its own event loop, exposes the bound
     port, and stops it through the *thread-safe* drain path so the
-    clean-drain assertion means what it says.
+    clean-drain assertion means what it says.  Leaving a ``with``
+    block raises unless the drain ended in ``stopped``.
     """
 
     def __init__(self, config: ServerConfig) -> None:
@@ -405,17 +406,19 @@ class EmbeddedServer:
     def __enter__(self) -> "EmbeddedServer":
         return self.start()
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        state = self.stop()
+        if state != "stopped" and exc_type is None:
+            raise RuntimeError(f"embedded daemon drain ended in {state!r}")
 
 
 # ---------------------------------------------------------------------------
 # The sweep
 # ---------------------------------------------------------------------------
 
-#: Base instances for the sweep, all definite at ``jobs=1``; label
-#: renamings multiply them into distinct requests, each scored against
-#: its own in-process oracle verdict.
+#: Base instances for the sweep, all definite; label renamings
+#: multiply them into distinct requests, each scored against its own
+#: in-process oracle verdict.
 _BASE_INSTANCES: tuple[tuple[tuple[str, ...], str], ...] = (
     (
         (
@@ -477,7 +480,7 @@ def _oracle(instances: list[tuple[list[str], str]]) -> list[str]:
             parse_constraint(phi_line),
             "semistructured",
         )
-        verdicts.append(solve(problem, jobs=1).answer.value)
+        verdicts.append(solve(problem).answer.value)
     return verdicts
 
 
@@ -568,7 +571,7 @@ def run_chaos_sweep(
                 expected = oracle[pick]
                 start = time.monotonic()
                 try:
-                    response = client.imply(sigma, phi, jobs=1)
+                    response = client.imply(sigma, phi)
                 except Exception:  # noqa: BLE001 - chaos exhausts retries
                     counts["unavailable"] += 1
                     continue
@@ -632,11 +635,11 @@ def run_chaos_sweep(
         with client:
             start = time.monotonic()
             wedged = client.imply(
-                *instances[0], jobs=1, budget_ms=budget_ms, wedge=True
+                *instances[0], budget_ms=budget_ms, wedge=True
             )
             wall_ms = (time.monotonic() - start) * 1e3
             reclaim_ms = max(0.0, wall_ms - budget_ms)
-            after = client.imply(*instances[0], jobs=1)
+            after = client.imply(*instances[0])
             stats = client.stats()
     finally:
         reclaim_state = embedded.stop()
@@ -700,9 +703,9 @@ def run_chaos_sweep(
             cooldown_s=0.5,
         )
         with client:
-            before = client.imply(*instances[0], jobs=1)
+            before = client.imply(*instances[0])
             killed_state = first.stop()
-            after_kill = client.imply(*instances[1], jobs=1)
+            after_kill = client.imply(*instances[1])
             survivor_port = client.port
     finally:
         failover_state = second.stop()

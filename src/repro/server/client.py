@@ -356,7 +356,6 @@ class ServerClient:
         context: str = "semistructured",
         schema: str | None = None,
         budget_ms: int | None = None,
-        jobs: int | str | None = None,
         delay_ms: int | None = None,
         wedge: bool = False,
     ) -> dict:
@@ -367,7 +366,6 @@ class ServerClient:
             context=context,
             schema=schema,
             budget_ms=budget_ms,
-            jobs=jobs,
             delay_ms=delay_ms,
             wedge=wedge or None,
         )

@@ -50,7 +50,6 @@ import functools
 import math
 import os
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -63,6 +62,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
 )
+from repro.fileio import write_atomic
 from repro.graph.serialize import from_dict as graph_from_dict
 from repro.graph.serialize import to_dict as graph_to_dict
 from repro.query import (
@@ -100,9 +100,6 @@ class ServerConfig:
     solver_threads: int = 2
     #: How every solve runs — ``imply`` and ``query`` alike.
     solve: SolveOptions = DEFAULT_SOLVE_OPTIONS
-    #: Passed to ``solve()``, which validates it and runs in-process at
-    #: any value; an ``imply`` request may override it.
-    jobs: int | str = "auto"
     #: Default per-request budget applied when the client sends none
     #: (``None`` = unlimited, the library default).
     default_budget_ms: int | None = None
@@ -313,20 +310,7 @@ class ImplicationServer:
             ):
                 loop.add_signal_handler(signum, self.initiate_drain)
         if self.config.port_file:
-            self._write_port_file(self.config.port_file, self.port)
-
-    @staticmethod
-    def _write_port_file(path: str, port: int) -> None:
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".repro-port-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(f"{port}\n")
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+            write_atomic(self.config.port_file, f"{self.port}\n")
 
     def initiate_drain(self) -> None:
         """Move to draining (idempotent; SIGTERM/SIGINT/shutdown op)."""
@@ -726,7 +710,6 @@ class ImplicationServer:
             result = solve(
                 problem,
                 self.config.solve,
-                jobs=request.get("jobs", self.config.jobs),
                 deadline=remaining,
                 cache=self.config.cache,
             )
@@ -761,7 +744,8 @@ class ImplicationServer:
         the daemon's implication cache, so repeated containment
         questions across requests replay stored verdicts.  The
         request's budget bounds the whole query, however many
-        implications it asks.
+        implications it asks.  As in ``repro query optimize``, only a
+        semistructured union of words takes the word optimizer.
         """
         action = request.get("action")
         if action not in ("contains", "optimize"):
@@ -790,7 +774,6 @@ class ImplicationServer:
         def run(remaining: float | None) -> FlightOutcome:
             solving = dict(
                 cache=self.config.cache,
-                jobs=self.config.jobs,
                 deadline=remaining,
                 options=self.config.solve,
             )
@@ -812,7 +795,9 @@ class ImplicationServer:
                     "notes": list(result.notes),
                     "stats": dict(checker.stats),
                 }
-            elif not all(is_word_pattern(b) for b in branches):
+            elif context != "semistructured" or not all(
+                is_word_pattern(b) for b in branches
+            ):
                 checker = QueryContainmentChecker(
                     sigma, context=context, schema=schema, **solving
                 )

@@ -14,11 +14,14 @@ Operations
     line), optional ``context`` (``semistructured``/``M``/``M+``/
     ``M+f``), ``schema`` (XML-Data text, required for typed contexts),
     ``budget_ms`` (client deadline, propagated into the solver's
-    ``Budget`` and enforced while queued), ``jobs``, ``delay_ms``
-    (testing instrument; honored only when the daemon allows it).
+    ``Budget`` and enforced while queued), ``delay_ms`` (testing
+    instrument; honored only when the daemon allows it).
     ``budget_ms`` and ``delay_ms`` must be finite numbers >= 0; the
     daemon's default budget applies when ``budget_ms`` is absent, to
-    ``query`` and ``check`` as well.
+    ``query`` and ``check`` as well.  The daemon ignores fields it
+    does not know, so a v1 client that still sends the retired
+    ``jobs`` field is answered as if it had not: retiring it kept the
+    protocol at v1.
 ``check``
     ``graph`` (the ``repro.graph.serialize`` dict format) +
     ``constraints`` (list of lines), optional ``budget_ms``; returns

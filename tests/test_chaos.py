@@ -78,7 +78,7 @@ class TestChaosProxy:
                 "127.0.0.1", embedded.port, ChaosPlan.from_spec("")
             ) as proxy:
                 with _proxied_client(proxy) as client:
-                    response = client.imply(SIGMA, PHI, jobs=1)
+                    response = client.imply(SIGMA, PHI)
         assert response["status"] == "ok"
         assert response["answer"] == "false"
         assert proxy.counters["connections"] == 1
@@ -95,7 +95,7 @@ class TestChaosProxy:
                 "127.0.0.1", embedded.port, ChaosPlan.from_spec(spec)
             ) as proxy:
                 with _proxied_client(proxy) as client:
-                    response = client.imply(SIGMA, PHI, jobs=1)
+                    response = client.imply(SIGMA, PHI)
                 assert proxy.counters[kind] == 1
         # The one planned fault costs at most a retry; the verdict is
         # the clean one, never a flip and never garbage parsed as an
@@ -112,7 +112,7 @@ class TestChaosProxy:
             ) as proxy:
                 with _proxied_client(proxy) as client:
                     start = time.monotonic()
-                    response = client.imply(SIGMA, PHI, jobs=1)
+                    response = client.imply(SIGMA, PHI)
                     elapsed = time.monotonic() - start
         assert response["status"] == "ok"
         assert elapsed >= 0.25

@@ -220,7 +220,7 @@ class TestGoalCheckedChase:
 
     def test_portfolio_verdicts_on_unsettled_shapes(self):
         answers = [
-            solve(ImplicationProblem(*_shape(s, p)), jobs=1).answer
+            solve(ImplicationProblem(*_shape(s, p))).answer
             for s, p in UNSETTLED_SHAPES
         ]
         assert answers == [Trilean.FALSE, Trilean.FALSE, Trilean.UNKNOWN]

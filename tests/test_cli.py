@@ -17,6 +17,16 @@ book.author => person
 person.wrote => book
 """
 
+#: The XML-Data schema the typed-context tests read.
+TYPED_SCHEMA = """
+<schema>
+  <elementType id="cat">
+    <element type="#head"/>
+  </elementType>
+  <elementType id="head"><string/></elementType>
+</schema>
+"""
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -71,16 +81,7 @@ class TestImply:
 
     def test_typed_context(self, workspace, tmp_path, capsys):
         schema_file = tmp_path / "schema.xml"
-        schema_file.write_text(
-            """
-            <schema>
-              <elementType id="cat">
-                <element type="#head"/>
-              </elementType>
-              <elementType id="head"><string/></elementType>
-            </schema>
-            """
-        )
+        schema_file.write_text(TYPED_SCHEMA)
         sigma_file = tmp_path / "s.txt"
         sigma_file.write_text("cat.member.head => cat.member.head\n")
         rc = main(
@@ -98,12 +99,11 @@ class TestImply:
         assert "error:" in capsys.readouterr().err
 
     def test_jobs_and_deadline_flags(self, workspace, capsys):
+        # --jobs is gone (TestSolveFlags); --deadline bounds the
+        # portfolio and its note says so.
         _, _, sigma = workspace
         rc = main(
-            [
-                "imply", sigma, "person :: wrote ~> author",
-                "--jobs", "2", "--deadline", "30",
-            ]
+            ["imply", sigma, "person :: wrote ~> author", "--deadline", "30"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -222,8 +222,9 @@ class TestImplyExitCodesAndHints:
         assert f"written to {dump}" in out
 
     def test_no_jobs_warning_on_undecidable_cell(self, workspace, capsys):
-        # --jobs changes nothing on any cell, so it warns on none: the
-        # undecidable P_c cell, and the decidable P_w one.
+        # A semistructured --deadline is honored on every cell, so it
+        # warns on none: the undecidable P_c cell, and the decidable P_w
+        # one.
         tmp, _, sigma = workspace
         words = tmp / "w.txt"
         words.write_text("a => b\n")
@@ -231,12 +232,7 @@ class TestImplyExitCodesAndHints:
             (sigma, "person :: wrote ~> author"),
             (str(words), "a.c => b.c"),
         ):
-            rc = main(
-                [
-                    "imply", constraints, query,
-                    "--jobs", "2", "--deadline", "10",
-                ]
-            )
+            rc = main(["imply", constraints, query, "--deadline", "10"])
             assert rc == 0
             assert "warning:" not in capsys.readouterr().err
 
@@ -402,7 +398,6 @@ PARSER_DEFAULTS = {
         "context": "semistructured",
         "deadline": None,
         "dump_countermodel": None,
-        "jobs": "1",
         "no_cache": False,
         "query": "q",
         "schema": None,
@@ -415,7 +410,6 @@ PARSER_DEFAULTS = {
         "command": "serve",
         "deadline": None,
         "host": "127.0.0.1",
-        "jobs": "auto",
         "max_queue": 64,
         "no_cache": False,
         "port": 8747,
@@ -429,7 +423,6 @@ PARSER_DEFAULTS = {
         "constraints": "s",
         "context": "semistructured",
         "deadline": None,
-        "jobs": "auto",
         "left": "l",
         "no_cache": False,
         "query_command": "contains",
@@ -443,7 +436,6 @@ PARSER_DEFAULTS = {
         "constraints": "s",
         "context": "semistructured",
         "deadline": None,
-        "jobs": "auto",
         "no_cache": False,
         "no_rewrite": False,
         "query_command": "optimize",
@@ -461,6 +453,18 @@ class TestSolveFlags:
         parsed = vars(build_parser().parse_args(list(argv)))
         parsed.pop("func")
         assert parsed == PARSER_DEFAULTS[argv]
+
+    def test_jobs_flag_is_refused(self, capsys):
+        # Every solve runs in the calling thread; no command takes --jobs.
+        from repro.cli import build_parser
+
+        for argv in sorted(PARSER_DEFAULTS):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, "--jobs", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs 2" in (
+                capsys.readouterr().err
+            )
 
     def test_imply_and_serve_build_equal_options(
         self, tmp_path, monkeypatch
@@ -541,6 +545,26 @@ class TestOptimizeRouting:
         rc = main(["query", "optimize", str(sigma), branch, "--no-cache"])
         assert rc == 0, capsys.readouterr().err
         assert routed == ["rpq" if regex else "word"]
+
+    def test_typed_word_union_goes_through_the_checker(
+        self, tmp_path, capsys
+    ):
+        # A typed word union needs the schema, like `query contains`,
+        # and drops branches outside Paths(Delta).
+        schema = tmp_path / "schema.xml"
+        schema.write_text(TYPED_SCHEMA)
+        sigma = tmp_path / "s.txt"
+        sigma.write_text("cat.member.head => cat.member.head\n")
+        argv = [
+            "query", "optimize", str(sigma), "cat.member.head", "zzz",
+            "--context", "M+", "--no-cache",
+        ]
+        assert main([*argv, "--schema", str(schema)]) == 0
+        out = capsys.readouterr().out
+        assert "optimized:  cat.member.head\n" in out
+        assert "dropped 1 branch(es) whose language misses" in out
+        assert main(argv) == 3
+        assert "context M+ needs a schema" in capsys.readouterr().err
 
     def test_plus_is_one_or_more(self, tmp_path, capsys):
         # ``a+`` contains ``a``, so ``a`` is pruned — the same answer

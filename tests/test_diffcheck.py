@@ -18,13 +18,11 @@ from repro.diffcheck import (
     run_named_engine,
     shrink_instance,
 )
-from repro.diffcheck.oracles import EngineVerdict, OracleConfig
+from repro.diffcheck.oracles import EngineVerdict
 from repro.diffcheck.shrink import render_schema
+from repro.reasoning.portfolio import TYPED_CHASE_FALSE_NOTE
 from repro.reasoning.dispatcher import Context, ProblemClass, classify
 from repro.truth import Trilean
-
-FAST = OracleConfig()
-
 
 class TestGenerators:
     def test_all_fragments_registered(self):
@@ -90,7 +88,7 @@ class TestOracles:
         )
         phi = parse_constraint("book.author.wrote => book")
         inst = FragmentInstance("P_w", tuple(sigma), phi)
-        verdicts = run_engines(inst, FAST)
+        verdicts = run_engines(inst)
         names = {v.engine for v in verdicts}
         assert {"word", "chase", "countermodel", "portfolio"} <= names
         by_name = {v.engine: v for v in verdicts}
@@ -103,7 +101,7 @@ class TestOracles:
         sigma = parse_constraints("book.author => person")
         phi = parse_constraint("person => book")
         inst = FragmentInstance("P_w", tuple(sigma), phi)
-        by_name = {v.engine: v for v in run_engines(inst, FAST)}
+        by_name = {v.engine: v for v in run_engines(inst)}
         assert by_name["word"].answer is Trilean.FALSE
         assert by_name["countermodel"].answer is Trilean.FALSE
         assert by_name["countermodel"].certificate_ok is True
@@ -140,10 +138,10 @@ class TestOracles:
     def test_run_named_engine_arbitrary_jobs(self):
         sigma = tuple(parse_constraints("book.author => person"))
         phi = parse_constraint("person => book")
-        v = run_named_engine("word", sigma, phi, config=FAST)
+        v = run_named_engine("word", sigma, phi)
         assert v.answer is Trilean.FALSE
         with pytest.raises(KeyError):
-            run_named_engine("no-such-engine", sigma, phi, config=FAST)
+            run_named_engine("no-such-engine", sigma, phi)
 
     def test_local_extent_certificate_reverified(self):
         # The with_proof certificate covers the reduced word instance
@@ -152,20 +150,21 @@ class TestOracles:
         sigma = parse_constraints("K.K :: a => b")
         phi = parse_constraint("K.K :: a => b")
         inst = FragmentInstance("local-extent", tuple(sigma), phi)
-        by_name = {v.engine: v for v in run_engines(inst, FAST)}
+        by_name = {v.engine: v for v in run_engines(inst)}
         assert by_name["local-extent"].answer is Trilean.TRUE
         assert by_name["local-extent"].certificate_ok is True
 
     def test_typed_chase_false_demoted_to_unknown(self):
         # An untyped counter-model proves nothing over U(Delta): the
         # chase engine must abstain rather than report FALSE.
-        inst = generate_instance("typed-M", seed=11, index=6)
-        by_name = {v.engine: v for v in run_engines(inst, FAST)}
+        inst = generate_instance("typed-M", seed=11, index=3)
+        by_name = {v.engine: v for v in run_engines(inst)}
         assert by_name["chase"].answer is not Trilean.FALSE
+        assert by_name["chase"].note == TYPED_CHASE_FALSE_NOTE
 
     def test_typed_matrix_agreement(self):
-        inst = generate_instance("typed-M", seed=11, index=19)
-        verdicts = run_engines(inst, FAST)
+        inst = generate_instance("typed-M", seed=11, index=2)
+        verdicts = run_engines(inst)
         by_name = {v.engine: v for v in verdicts}
         assert by_name["typed-M"].answer is Trilean.FALSE
         assert by_name["enumerate-M"].answer is Trilean.FALSE
@@ -173,7 +172,7 @@ class TestOracles:
         assert not find_disagreements(verdicts)
 
 
-def _always_true_engine(inst, cfg):
+def _always_true_engine(inst, deadline):
     """A deliberately broken decider: claims every implication holds."""
     if inst.context is not Context.SEMISTRUCTURED:
         return None
@@ -188,7 +187,6 @@ class TestShrink:
             seed=5,
             per_fragment=4,
             fragments=["P_w"],
-            config=FAST,
             extra={"always-true": _always_true_engine},
         )
         assert report.disagreements, "broken engine went undetected"
@@ -266,23 +264,21 @@ class TestShrink:
 
 class TestFuzz:
     def test_clean_sweep_fixed_seed(self):
-        report = fuzz(seed=3, per_fragment=3, config=FAST)
+        report = fuzz(seed=3, per_fragment=3)
         assert report.ok, [d.to_dict() for d in report.disagreements]
         assert all(
             s.instances == 3 for s in report.fragments.values()
         )
 
     def test_report_json_round_trip(self):
-        report = fuzz(
-            seed=1, per_fragment=2, fragments=["P_w"], config=FAST
-        )
+        report = fuzz(seed=1, per_fragment=2, fragments=["P_w"])
         data = json.loads(report.to_json())
         assert data["seed"] == 1
         assert data["ok"] is True
         assert data["fragments"]["P_w"]["instances"] == 2
 
     def test_deadline_cuts_sweep_short(self):
-        report = fuzz(seed=0, per_fragment=50, deadline=0.0, config=FAST)
+        report = fuzz(seed=0, per_fragment=50, deadline=0.0)
         assert report.deadline_hit
         total = sum(s.instances for s in report.fragments.values())
         assert total < 50 * len(FRAGMENT_GENERATORS)

@@ -15,7 +15,6 @@ from repro.reasoning import (
     solve,
     table1_cell,
 )
-from repro.reasoning.dispatcher import validate_jobs
 from repro.truth import Trilean
 
 
@@ -167,6 +166,7 @@ class TestRouting:
         )
         result = solve(problem)
         assert result.answer is Trilean.TRUE
+        assert result.method == "chase(untyped, transfers)"
 
     def test_m_plus_typed_countermodel(self, bib_schema):
         sigma = parse_constraints("book.member.author => person")
@@ -304,44 +304,6 @@ class TestTable1Reconciliation:
         problem = ImplicationProblem(
             parse_constraints("a :: b => b.b"), parse_constraint("a :: b ~> a")
         )
-        result = mod.solve(problem, jobs=1)
+        result = mod.solve(problem)
         assert result.problem_class is ProblemClass.GENERAL
         assert len(calls) == 1, calls
-
-
-class TestValidateJobs:
-    @pytest.mark.parametrize("jobs", [1, 2, 8, 64])
-    def test_positive_ints_pass_through(self, jobs):
-        assert validate_jobs(jobs) == jobs
-
-    @pytest.mark.parametrize("jobs", ["auto", "AUTO", "  auto  "])
-    def test_auto_is_normalized(self, jobs):
-        assert validate_jobs(jobs) == "auto"
-
-    @pytest.mark.parametrize(
-        "jobs", [0, -1, -8, 1.5, 2.0, True, False, None, "fast", "", "2"]
-    )
-    def test_nonsense_raises_value_error(self, jobs):
-        with pytest.raises(ValueError):
-            validate_jobs(jobs)
-
-
-class TestDispatcherValidation:
-    """solve() rejects a bad ``jobs`` before any work, on every cell."""
-
-    def _problem(self):
-        return ImplicationProblem(
-            parse_constraints("a => b"),
-            parse_constraint("a => c"),
-            Context.SEMISTRUCTURED,
-        )
-
-    @pytest.mark.parametrize("jobs", [0, -2, 1.5, "fast", True])
-    def test_bad_jobs(self, jobs):
-        with pytest.raises(ValueError):
-            solve(self._problem(), jobs=jobs)
-
-    def test_auto_is_accepted_on_every_cell(self):
-        # Decidable cell: validation passes, routing ignores jobs.
-        result = solve(self._problem(), jobs="auto")
-        assert result.answer.is_definite

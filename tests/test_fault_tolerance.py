@@ -23,7 +23,7 @@ import pytest
 
 from repro.constraints import parse_constraint, parse_constraints
 from repro.diffcheck.generators import FRAGMENT_GENERATORS, generate_instance
-from repro.diffcheck.oracles import OracleConfig, verify_countermodel
+from repro.diffcheck.oracles import SOLVE_OPTIONS, verify_countermodel
 from repro.reasoning import Context, ImplicationProblem, SolveOptions
 from repro.reasoning import portfolio
 from repro.reasoning.portfolio import run_portfolio
@@ -62,7 +62,7 @@ class TestInterruptAndTeardown:
 
         calls = {"n": 0}
 
-        def interrupting_engine(inst, cfg):
+        def interrupting_engine(inst, deadline):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise KeyboardInterrupt
@@ -223,7 +223,7 @@ class TestForfeitSweep:
         demotions = _forfeit_sweep(
             _semistructured_problems(seed),
             ("chase_implication", "scan_codes"),
-            OracleConfig().solve_options(),
+            SOLVE_OPTIONS,
             monkeypatch,
         )
         assert all(demotions.values()), demotions
@@ -269,10 +269,21 @@ class TestAtomicReport:
         assert not leftovers
 
     def test_atomic_writer_replaces_not_truncates(self, tmp_path):
-        from repro.cli import _write_json_atomic
+        from repro.fileio import write_atomic
 
         target = tmp_path / "r.json"
         target.write_text("old")
-        _write_json_atomic(str(target), "new")
+        write_atomic(str(target), "new")
         assert target.read_text() == "new"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_atomic_writer_removes_its_temp_file_on_failure(self, tmp_path):
+        from repro.fileio import write_atomic
+
+        # The rename onto a directory fails after the temp file exists.
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_atomic(target, "new")
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []

@@ -95,7 +95,7 @@ class TestThroughSolve:
             parse_constraint("K :: a => ()"),
         )
         options = SolveOptions(chase_steps=2)
-        result = solve(problem, options, jobs=2)
+        result = solve(problem, options)
         assert result.answer is Trilean.FALSE
         assert result.method == "bounded-countermodel"
         chase = next(s for s in result.stats if s.engine == "chase")

@@ -7,7 +7,7 @@ Two families:
   with the Definition 2.1 evaluator, and finds a counter-model iff
   the brute-force oracle does;
 * **portfolio** — the in-process pipeline returns the counter-model
-  the search finds on its own, at any ``jobs``; budgets expire into
+  the search finds on its own; budgets expire into
   honest UNKNOWNs, and per-engine stats are attached to every result.
 """
 
@@ -118,22 +118,8 @@ class TestPortfolioDeterminism:
         assert portfolio.countermodel is not None
         assert _edge_set(sequential) == _edge_set(portfolio.countermodel)
 
-    def test_solve_identical_at_jobs_1_and_4(self):
-        # Starve the chase so the counter-model engine decides in both
-        # modes; answer, method and counter-model must coincide.
-        results = [
-            solve(_divergent_problem(), SolveOptions(chase_steps=2), jobs=jobs)
-            for jobs in (1, 4)
-        ]
-        assert all(r.answer is Trilean.FALSE for r in results)
-        assert {r.method for r in results} == {"bounded-countermodel"}
-        seq, par = results
-        assert _edge_set(seq.countermodel) == _edge_set(par.countermodel)
-
     def test_countermodel_is_genuine(self):
-        result = solve(
-            _divergent_problem(), SolveOptions(chase_steps=2), jobs=2
-        )
+        result = solve(_divergent_problem(), SolveOptions(chase_steps=2))
         sigma = parse_constraints(DIVERGENT_SIGMA)
         phi = parse_constraint(DIVERGENT_PHI)
         assert satisfies_all(result.countermodel, sigma)
@@ -164,15 +150,6 @@ class TestPortfolioBudgets:
         assert result.answer is Trilean.UNKNOWN
         assert any("budget" in note for note in result.notes)
 
-    def test_expired_budget_is_unknown_parallel(self):
-        result = solve(
-            _divergent_problem(),
-            SolveOptions(chase_steps=2),
-            deadline=0.0,
-            jobs=2,
-        )
-        assert result.answer is Trilean.UNKNOWN
-
     def test_budget_from_seconds(self):
         assert Budget.from_seconds(None).deadline is None
         assert Budget.from_seconds(None).remaining() is None
@@ -197,19 +174,12 @@ class TestPortfolioStats:
         assert search.candidates > 0
         assert "engine[" in result.describe()
 
-    def test_stats_present_parallel(self):
-        result = solve(
-            _divergent_problem(), SolveOptions(chase_steps=2), jobs=4
-        )
-        engines = {s.engine for s in result.stats}
-        assert engines == {"chase", "countermodel"}
-
     def test_chase_win_keeps_portfolio_notes(self):
         problem = ImplicationProblem(
             parse_constraints("() => K\nK :: a => b"),
             parse_constraint("a => b"),
         )
-        result = solve(problem, jobs=1)
+        result = solve(problem)
         assert result.answer is Trilean.TRUE
         assert "chase" in result.method
         assert any("undecidable" in note for note in result.notes)
@@ -217,30 +187,24 @@ class TestPortfolioStats:
 
 
 class TestTypedPortfolio:
-    def test_typed_countermodel_same_any_jobs(self, bib_schema):
-        # The hit is the first counter-model in stream order, whatever
-        # the jobs value.
+    def test_typed_countermodel_is_first_in_stream_order(self, bib_schema):
+        # The hit, and its certificate, is the first counter-model of
+        # the reference scan's U_f(Delta) stream.
         sigma = parse_constraints("book.member.author => person")
         phi = parse_constraint("person => book.member.author")
-        results = [
-            solve(
-                ImplicationProblem(
-                    sigma, phi, context="M+", schema=bib_schema
-                ),
-                SolveOptions(typed_search_limit=2000),
-                jobs=jobs,
-            )
-            for jobs in (1, 4)
-        ]
-        assert all(r.answer is Trilean.FALSE for r in results)
-        seq, par = results
-        assert _edge_set(seq.countermodel) == _edge_set(par.countermodel)
+        result = solve(
+            ImplicationProblem(sigma, phi, context="M+", schema=bib_schema),
+            SolveOptions(typed_search_limit=2000),
+        )
+        assert result.answer is Trilean.FALSE
         first = reference_typed_scan(
             bib_schema, sigma, phi, max_oids=2, limit=2000
         )
         assert first.hit_index is not None
-        assert _edge_set(seq.countermodel) == _edge_set(first.graph)
-        assert _edge_set(seq.certificate.to_graph()) == _edge_set(first.graph)
+        assert _edge_set(result.countermodel) == _edge_set(first.graph)
+        assert _edge_set(result.certificate.to_graph()) == _edge_set(
+            first.graph
+        )
 
     def test_typed_unknown_keeps_no_untyped_fixpoint_note(self, bib_schema):
         # The chase reaches an untyped fixpoint violating phi, and no
@@ -262,6 +226,8 @@ class TestTypedPortfolio:
         assert "screens=" in search.detail
 
     def test_chase_true_transfers_parallel(self, bib_schema):
+        # solve() still takes the perfbench v1 ``jobs`` keyword and never
+        # reads it: a TRUE chase still transfers with it passed.
         sigma = parse_constraints("book.member.author => person")
         phi = parse_constraint("book.member.author.member => person.member")
         result = solve(

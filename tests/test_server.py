@@ -18,7 +18,6 @@ layers promise individually:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
@@ -39,12 +38,12 @@ from repro.graph.serialize import from_dict, to_dict
 from repro.reasoning import SolveOptions
 from repro.reasoning.cache import ImplicationCache
 from repro.server import (
-    ImplicationServer,
     ServerClient,
     ServerConfig,
     parse_host_port,
 )
 from repro.server import protocol
+from repro.server.chaos import EmbeddedServer
 
 # The divergent-chase instance of the fault-tolerance suite: FALSE on
 # an undecidable cell, so the portfolio genuinely runs.
@@ -65,49 +64,12 @@ WORD_SIGMA = ["a => b", "b => c"]
 WORD_PHI = "a => c"
 
 
-class ServerHarness:
-    """Run an :class:`ImplicationServer` on a background-thread loop."""
+class ServerHarness(EmbeddedServer):
+    """The shared embedded daemon, built from ``ServerConfig`` fields;
+    leaving the block raises unless the drain ends in ``stopped``."""
 
     def __init__(self, **config_kwargs) -> None:
-        self.server = ImplicationServer(ServerConfig(**config_kwargs))
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-
-    def __enter__(self) -> "ServerHarness":
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError(f"server failed to start: {self._error}")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.server.state in ("serving", "draining"):
-            try:
-                self.client(retries=0).shutdown()
-            except (ServerUnavailable, OSError):
-                pass
-        assert self._thread is not None
-        self._thread.join(timeout=20)
-        assert not self._thread.is_alive(), "server thread failed to stop"
-
-    def _run(self) -> None:
-        async def main() -> None:
-            await self.server.start()
-            self._ready.set()
-            await self.server.wait_drained()
-            await self.server.stop()
-
-        try:
-            asyncio.run(main())
-        except BaseException as exc:  # pragma: no cover - surfaced above
-            self._error = exc
-            self._ready.set()
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
+        super().__init__(ServerConfig(**config_kwargs))
 
     def client(self, **kwargs) -> ServerClient:
         kwargs.setdefault("timeout", 30.0)
@@ -198,6 +160,17 @@ class TestImplyOverTheWire:
                 # The connection and server both survive.
                 good = client.imply(WORD_SIGMA, WORD_PHI)
                 assert good["status"] == "ok"
+
+    def test_retired_jobs_field_is_ignored(self):
+        # Protocol v1 clients may still send `jobs`; like any field the
+        # daemon does not know, it changes nothing.
+        with ServerHarness(port=0) as harness:
+            with harness.client() as client:
+                response = client.request(
+                    "imply", sigma=WORD_SIGMA, phi=WORD_PHI, jobs="fast"
+                )
+                assert response["status"] == "ok", response
+                assert response["answer"] == "true"
 
     def test_malformed_frames_survive_the_connection(self):
         with ServerHarness(port=0) as harness:
@@ -739,6 +712,32 @@ class TestQueryOverTheWire:
                 probe = client.query_optimize(["a => a"], ["a+", "a"])
                 assert probe["optimized"] == ["a+"]
 
+    def test_optimize_typed_word_union_needs_and_uses_the_schema(self):
+        # As in `repro query optimize`: a typed word union goes through
+        # the containment checker, which needs the schema and drops the
+        # branch outside Paths(Delta).
+        schema = """
+        <schema>
+          <elementType id="cat"><element type="#head"/></elementType>
+          <elementType id="head"><string/></elementType>
+        </schema>
+        """
+        sigma = ["cat.member.head => cat.member.head"]
+        branches = ["cat.member.head", "zzz"]
+        with ServerHarness(port=0) as harness:
+            with harness.client() as client:
+                typed = client.query_optimize(
+                    sigma, branches, context="M+", schema=schema
+                )
+                assert typed["status"] == "ok", typed
+                assert typed["optimized"] == ["cat.member.head"]
+                assert typed["emptied"] == ["zzz"]
+                unschemed = client.query_optimize(
+                    sigma, branches, context="M+"
+                )
+                assert unschemed["status"] == "error"
+                assert "needs a schema" in unschemed["error"]
+
     def test_query_solves_under_the_daemons_options(self, monkeypatch):
         # imply and query alike reach the portfolio with the daemon's
         # SolveOptions and, when budgeted, the request's deadline.
@@ -819,7 +818,7 @@ class TestHostileWire:
             # be served as if nothing happened.
             with harness.client() as client:
                 assert client.health()["status"] == "ok"
-                response = client.imply(SIGMA, PHI, jobs=1)
+                response = client.imply(SIGMA, PHI)
                 assert response["answer"] == "false"
 
     def test_slow_loris_request_is_answered(self):
@@ -916,7 +915,7 @@ class TestHungSolveWatchdog:
             with harness.client(retries=0) as client:
                 for _ in range(threads):
                     wedged = client.imply(
-                        SIGMA, PHI, jobs=1, budget_ms=100, wedge=True
+                        SIGMA, PHI, budget_ms=100, wedge=True
                     )
                     assert wedged["status"] == "rejected"
                     assert wedged["answer"] == "unknown"
@@ -925,7 +924,7 @@ class TestHungSolveWatchdog:
                         for event in wedged["faults"]["events"]
                     ]
                     assert "hung_solve" in kinds
-                fresh = client.imply(SIGMA, PHI, jobs=1)
+                fresh = client.imply(SIGMA, PHI)
                 assert fresh["status"] == "ok"
                 assert fresh["answer"] == "false"
                 stats = client.stats()
@@ -941,7 +940,7 @@ class TestHungSolveWatchdog:
             port=0, solver_threads=1, watchdog_grace_ms=200
         ) as harness:
             with harness.client(retries=0) as client:
-                response = client.imply(SIGMA, PHI, jobs=1, wedge=True)
+                response = client.imply(SIGMA, PHI, wedge=True)
                 assert response["status"] == "ok"
                 assert response["answer"] == "false"
 
@@ -958,7 +957,7 @@ class TestHungSolveWatchdog:
             with harness.client(retries=0) as client:
                 start = time.monotonic()
                 response = client.imply(
-                    SIGMA, PHI, jobs=1, budget_ms=100, delay_ms=30_000
+                    SIGMA, PHI, budget_ms=100, delay_ms=30_000
                 )
                 elapsed = time.monotonic() - start
                 assert response["status"] == "rejected"
@@ -978,7 +977,7 @@ class TestHungSolveWatchdog:
         ) as harness:
             with harness.client(retries=0) as client:
                 response = client.imply(
-                    SIGMA, PHI, jobs=1, budget_ms=30_000
+                    SIGMA, PHI, budget_ms=30_000
                 )
                 assert response["status"] == "ok"
                 assert response["answer"] == "false"
